@@ -1,91 +1,11 @@
 """Seedable Monte Carlo simulation of B92/BB84 quantum key distribution
-with pluggable eavesdropper strategies and loss-based attack detection."""
+with pluggable eavesdropper strategies and loss-based attack detection.
 
-from .adversary import (
-    ChannelModel,
-    EveKind,
-    EveLog,
-    EveStrategy,
-    channel_transmit,
-    eve_apply,
-    forwarded_state_symmetry,
-)
-from .detection import (
-    ExpectedRates,
-    TestDecision,
-    expected_rates,
-    null_ratio_test,
-    qber_test,
-)
-from .harness import (
-    ConfigurationError,
-    ExperimentConfig,
-    InfeasibleStrategyError,
-    RunReport,
-    no_signaling_demo,
-    report_csv_rows,
-    run_experiment,
-    sweep,
-    usd_check,
-)
-from .protocol import (
-    B92_ENCODING,
-    BB84_ENCODING,
-    EstimationError,
-    ProtocolKind,
-    PulseRecord,
-    SessionTranscript,
-    alice_prepare,
-    bob_measure,
-    estimate_qber,
-    sift,
-)
-from .quantum import (
-    DensityMatrix,
-    Povm,
-    QubitState,
-    SX_POVM,
-    SZ_POVM,
-    X_MINUS,
-    X_PLUS,
-    Z_MINUS,
-    Z_PLUS,
-    born_probabilities,
-    density_equal,
-    inner_product,
-    mixture_density,
-    projective_povm,
-    projector,
-    random_povm,
-    rotate_y,
-    sample_outcome,
-    state_from_bloch,
-    state_label,
-)
-from .rng import GENERATOR_NAME, RngStream, derive_seed, substream
-from .session import (
-    STAGE_ALICE,
-    STAGE_BOB,
-    STAGE_CHANNEL,
-    STAGE_ESTIMATE,
-    STAGE_EVE,
-    protocol_states,
-    pulse_stream,
-    simulate_session,
-)
-from .usd import (
-    INCONCLUSIVE,
-    UsdOutcome,
-    UsdScheme,
-    UsdSchemeKind,
-    gram_matrix,
-    idp_povm,
-    naive_frame_povms,
-    no_signaling_distributions,
-    usd_efficiency,
-    usd_feasible,
-    usd_measure,
-    verify_unambiguous_constraints,
-)
+The package exports the experiment entry points; lower-level pieces
+(states, POVMs, discrimination schemes, the session engine, sifting, the
+two tests) are imported from their modules, e.g. `qkdsim.usd`.
+"""
+
+from .harness import ExperimentConfig, run_experiment
 
 __version__ = "0.1.0"

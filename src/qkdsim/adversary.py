@@ -17,20 +17,10 @@ from enum import Enum
 import numpy as np
 
 from .protocol import SessionTranscript
-from .quantum import (
-    QubitState,
-    X_MINUS,
-    X_PLUS,
-    Z_MINUS,
-    Z_PLUS,
-    measurement_probs,
-    rotate_y,
-    state_label,
-)
-from .rng import RngStream
-from .usd import UsdScheme, UsdSchemeKind, usd_measure
+from .quantum import X_PLUS, Z_PLUS, rotate_y
+from .usd import UsdScheme, UsdSchemeKind
 
-_HALF_PI = 1.5707963267948966
+HALF_PI = 1.5707963267948966
 
 
 @dataclass(frozen=True)
@@ -65,83 +55,36 @@ class EveStrategy:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.delta < _HALF_PI):
+        if not (0.0 <= self.delta < HALF_PI):
             raise ValueError(f"delta must be in [0, pi/2), got {self.delta}")
         if self.kind in (EveKind.USD_SUPPRESS, EveKind.BASIS_MISMATCH) and self.scheme is None:
             raise ValueError(f"{self.kind.value} needs a discrimination scheme")
 
     @classmethod
-    def none(cls) -> "EveStrategy":
-        return cls(EveKind.NONE)
-
-    @classmethod
-    def intercept_resend(cls) -> "EveStrategy":
-        return cls(EveKind.INTERCEPT_RESEND)
-
-    @classmethod
-    def usd_suppress(cls, scheme: UsdScheme | None = None) -> "EveStrategy":
-        return cls(EveKind.USD_SUPPRESS, scheme if scheme is not None else UsdScheme.naive())
-
-    @classmethod
-    def basis_mismatch(
-        cls, delta: float, scheme_kind: UsdSchemeKind = UsdSchemeKind.NAIVE_RANDOM_BASIS
+    def of(
+        cls,
+        kind: EveKind,
+        scheme_kind: UsdSchemeKind = UsdSchemeKind.NAIVE_RANDOM_BASIS,
+        delta: float = 0.0,
     ) -> "EveStrategy":
-        """Suppression attack under a conjectured pair rotated by delta."""
+        """The strategy of this kind; only the mismatch attack rotates by delta.
+
+        The discrimination attacks run `scheme_kind` on the standard pair
+        rotated by their delta, so usd_suppress is basis_mismatch at 0.
+        """
+        if kind in (EveKind.NONE, EveKind.INTERCEPT_RESEND):
+            return cls(kind)
+        rotation = delta if kind is EveKind.BASIS_MISMATCH else 0.0
         if scheme_kind is UsdSchemeKind.NAIVE_RANDOM_BASIS:
-            scheme = UsdScheme.naive(delta)
+            scheme = UsdScheme.naive(rotation)
         else:
-            scheme = UsdScheme.optimal(rotate_y(Z_PLUS, delta), rotate_y(X_PLUS, delta))
-        return cls(EveKind.BASIS_MISMATCH, scheme, delta)
-
-
-@dataclass(frozen=True)
-class EveLog:
-    """What Eve did to one pulse."""
-
-    action: str
-    forwarded: str | None
-    conclusive: int | None
-
-
-_EIGENSTATES = {"z": (Z_PLUS, Z_MINUS), "x": (X_PLUS, X_MINUS)}
-
-
-def channel_transmit(
-    state: QubitState, channel: ChannelModel, rng: RngStream
-) -> QubitState | None:
-    """Pass the state through the channel; None means the pulse was lost."""
-    if rng.uniform() < channel.loss_probability:
-        return None
-    return state
-
-
-def eve_apply(
-    strategy: EveStrategy, state: QubitState, rng: RngStream
-) -> tuple[QubitState | None, EveLog]:
-    """Apply Eve's strategy to one pulse; None means she sent nothing."""
-    if strategy.kind is EveKind.NONE:
-        return state, EveLog("passed", state_label(state), None)
-    if strategy.kind is EveKind.INTERCEPT_RESEND:
-        basis = "z" if rng.integers(2) == 0 else "x"
-        p_plus, _ = measurement_probs(state, basis)
-        resent = _EIGENSTATES[basis][0 if rng.uniform() < p_plus else 1]
-        return resent, EveLog("measured-resent", state_label(resent), None)
-    outcome = usd_measure(strategy.scheme, state, rng)
-    if outcome.conclusive:
-        forwarded = strategy.scheme.states()[outcome.identified]
-        return forwarded, EveLog("measured-resent", state_label(forwarded), outcome.identified)
-    return None, EveLog("suppressed", None, None)
+            scheme = UsdScheme.optimal(rotate_y(Z_PLUS, rotation), rotate_y(X_PLUS, rotation))
+        return cls(kind, scheme, rotation)
 
 
 def forwarded_state_symmetry(transcript: SessionTranscript) -> tuple[int, int]:
     """Counts of |z+> vs |x+> among the pulses Eve actually forwarded."""
     forwarded = transcript.forwarded_ids
-    labels = transcript.state_labels
-    count_z = count_x = 0
+    labels = np.array(transcript.state_labels)
     counts = np.bincount(forwarded[forwarded >= 0], minlength=len(labels))
-    for state_id, label in enumerate(labels):
-        if label == "z+":
-            count_z += int(counts[state_id])
-        elif label == "x+":
-            count_x += int(counts[state_id])
-    return count_z, count_x
+    return int(counts[labels == "z+"].sum()), int(counts[labels == "x+"].sum())

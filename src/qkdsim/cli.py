@@ -129,9 +129,13 @@ def _parse_direction(text: str) -> tuple[float, float]:
 
 def _sweep_values(param: str, text: str) -> list:
     values = _parse_floats(text, "sweep values")
-    if param == "n_pulses":
-        return [int(v) for v in values]
-    return values
+    if not values:
+        raise ConfigurationError("--values needs at least one value")
+    if param != "n_pulses":
+        return values
+    if not all(v.is_integer() for v in values):
+        raise ConfigurationError(f"n_pulses values must be integers, got {text!r}")
+    return [int(v) for v in values]
 
 
 def _emit_json(document) -> None:
@@ -143,6 +147,8 @@ def main(argv: list[str] | None = None) -> int:
     seed = getattr(args, "seed", None)
     output = getattr(args, "output", "json")
     try:
+        if output == "csv" and args.command not in ("run", "sweep"):
+            raise ConfigurationError(f"{args.command} reports are JSON only")
         if args.command == "run":
             report = run_experiment(_load_config(args.config, seed))
             if output == "csv":
@@ -157,12 +163,8 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 _emit_json([r.to_dict() for r in reports])
         elif args.command == "usd-check":
-            if output == "csv":
-                raise ConfigurationError("usd-check reports are JSON only")
             _emit_json(usd_check(_parse_angle_pairs(args.states)))
         else:
-            if output == "csv":
-                raise ConfigurationError("no-signaling-demo reports are JSON only")
             _emit_json(
                 no_signaling_demo(
                     u=_parse_direction(args.u),

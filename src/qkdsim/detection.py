@@ -11,7 +11,7 @@ absorption and detector efficiency predict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from scipy import stats
 
@@ -26,8 +26,6 @@ class ExpectedRates:
 
     expected_arrival: float
     expected_null_ratio: float
-    absorption: float
-    efficiency: float
 
 
 @dataclass(frozen=True)
@@ -45,13 +43,7 @@ class TestDecision:
             raise ValueError("inconsistent decision: flagged must equal p_value < alpha")
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "flagged": self.flagged,
-            "alpha": self.alpha,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 def expected_rates(channel: ChannelModel) -> ExpectedRates:
@@ -62,8 +54,6 @@ def expected_rates(channel: ChannelModel) -> ExpectedRates:
     return ExpectedRates(
         expected_arrival=arrival,
         expected_null_ratio=(1.0 - arrival) / arrival,
-        absorption=channel.absorption,
-        efficiency=channel.efficiency,
     )
 
 

@@ -3,9 +3,9 @@
 Configs are flat JSON documents with exactly the `ExperimentConfig`
 field names; unknown fields are rejected so a typo cannot silently relax
 a security experiment. Reports render as one key-sorted JSON document
-(byte-identical for identical configs) or as CSV rows in a fixed column
-order: config fields, then counts, then statistics, then test decisions,
-then discrimination diagnostics.
+(byte-identical for identical configs) or as CSV rows holding the same
+report flattened in its own key order: config fields, then counts, then
+statistics, then test decisions, then discrimination diagnostics.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .adversary import ChannelModel, EveStrategy, forwarded_state_symmetry
+from .adversary import HALF_PI, ChannelModel, EveKind, EveStrategy, forwarded_state_symmetry
 from .detection import TestDecision, expected_rates, null_ratio_test, qber_test
 from .protocol import ProtocolKind, estimate_qber, sift
 from .quantum import (
@@ -40,17 +40,15 @@ from .session import (
     simulate_session,
 )
 from .usd import (
-    UsdScheme,
     UsdSchemeKind,
     gram_matrix,
+    gram_rank,
     idp_povm,
     inner_product,
     no_signaling_distributions,
     usd_efficiency,
     usd_feasible,
 )
-
-_HALF_PI = 1.5707963267948966
 
 
 def _is_strict_int(value) -> bool:
@@ -64,6 +62,9 @@ class ConfigurationError(ValueError):
 
 class InfeasibleStrategyError(ValueError):
     """Strategy cannot exist against this protocol (CLI exit code 3)."""
+
+
+_KINDS = ((ProtocolKind, "protocol"), (EveKind, "eve_strategy"), (UsdSchemeKind, "usd_scheme"))
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,11 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.protocol not in ("b92", "bb84"):
-            raise ConfigurationError(f"unknown protocol {self.protocol!r}")
+        for kind, name in _KINDS:
+            try:
+                kind(getattr(self, name))
+            except ValueError:
+                raise ConfigurationError(f"unknown {name} {getattr(self, name)!r}") from None
         if not _is_strict_int(self.n_pulses) or self.n_pulses < 1:
             raise ConfigurationError("n_pulses must be a positive integer")
         for name in ("absorption", "efficiency"):
@@ -90,11 +94,7 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must be in [0, 1]")
         if (1.0 - self.absorption) * self.efficiency <= 0.0:
             raise ConfigurationError("channel never delivers a pulse; nothing to test")
-        if self.eve_strategy not in ("none", "intercept_resend", "usd_suppress", "basis_mismatch"):
-            raise ConfigurationError(f"unknown eve_strategy {self.eve_strategy!r}")
-        if self.usd_scheme not in ("naive", "optimal"):
-            raise ConfigurationError(f"unknown usd_scheme {self.usd_scheme!r}")
-        if not (0.0 <= self.delta < _HALF_PI):
+        if not (0.0 <= self.delta < HALF_PI):
             raise ConfigurationError("delta must be in [0, pi/2)")
         if not (0.0 < self.reveal_fraction <= 1.0):
             raise ConfigurationError("reveal_fraction must be in (0, 1]")
@@ -104,6 +104,8 @@ class ExperimentConfig:
             raise ConfigurationError("qber_threshold must be in [0, 1]")
         if not _is_strict_int(self.master_seed):
             raise ConfigurationError("master_seed must be an integer")
+        if not (0 <= self.master_seed < 2**64):
+            raise ConfigurationError("master_seed must be in [0, 2**64)")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -131,20 +133,8 @@ class ExperimentConfig:
         return ChannelModel(self.absorption, self.efficiency)
 
     def strategy(self) -> EveStrategy:
-        if self.eve_strategy == "none":
-            return EveStrategy.none()
-        if self.eve_strategy == "intercept_resend":
-            return EveStrategy.intercept_resend()
-        scheme_kind = (
-            UsdSchemeKind.NAIVE_RANDOM_BASIS
-            if self.usd_scheme == "naive"
-            else UsdSchemeKind.OPTIMAL_IDP
-        )
-        if self.eve_strategy == "usd_suppress":
-            if scheme_kind is UsdSchemeKind.NAIVE_RANDOM_BASIS:
-                return EveStrategy.usd_suppress(UsdScheme.naive())
-            return EveStrategy.usd_suppress(UsdScheme.optimal())
-        return EveStrategy.basis_mismatch(self.delta, scheme_kind)
+        kind, scheme_kind = EveKind(self.eve_strategy), UsdSchemeKind(self.usd_scheme)
+        return EveStrategy.of(kind, scheme_kind, self.delta)
 
 
 @dataclass(frozen=True)
@@ -210,18 +200,16 @@ class RunReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _check_feasibility(config: ExperimentConfig) -> None:
+def _check_feasibility(kind: ProtocolKind, strategy: EveStrategy) -> None:
     """Fail fast when a discrimination attack cannot exist for the protocol."""
-    if config.eve_strategy not in ("usd_suppress", "basis_mismatch"):
+    if strategy.scheme is None:
         return
-    states = protocol_states(config.protocol_kind())
+    states = protocol_states(kind)
     if usd_feasible(states):
         return
-    eigvals = np.linalg.eigvalsh(gram_matrix(states))
-    rank = int(np.sum(eigvals > 1e-10))
     raise InfeasibleStrategyError(
-        f"unambiguous discrimination of the {len(states)} {config.protocol} states "
-        f"is impossible: Gram matrix rank {rank} < {len(states)}"
+        f"unambiguous discrimination of the {len(states)} {kind.value} states "
+        f"is impossible: Gram matrix rank {gram_rank(states)} < {len(states)}"
     )
 
 
@@ -232,10 +220,10 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     InfeasibleStrategyError for discrimination attacks on four-state
     protocols, before any pulse is simulated.
     """
-    _check_feasibility(config)
     kind = config.protocol_kind()
     channel = config.channel()
     strategy = config.strategy()
+    _check_feasibility(kind, strategy)
     transcript = simulate_session(
         kind, config.n_pulses, channel, strategy, config.master_seed
     )
@@ -299,14 +287,8 @@ def sweep(config: ExperimentConfig, parameter: str, values: list) -> list[RunRep
         )
     reports = []
     for index, value in enumerate(values):
-        point = replace(
-            config,
-            **{
-                parameter: value,
-                "master_seed": derive_seed(config.master_seed, index, STAGE_SWEEP),
-            },
-        )
-        reports.append(run_experiment(point))
+        seed = derive_seed(config.master_seed, index, STAGE_SWEEP)
+        reports.append(run_experiment(replace(config, **{parameter: value, "master_seed": seed})))
     return reports
 
 
@@ -336,7 +318,7 @@ def usd_check(angles: list[tuple[float, float]]) -> dict:
         ],
         "gram_matrix": _complex_pairs(gram),
         "gram_eigenvalues": [float(v) for v in eigvals],
-        "gram_rank": int(np.sum(eigvals > 1e-10)),
+        "gram_rank": gram_rank(states),
         "feasible": bool(feasible),
         "optimal_conclusive_rate": None,
     }
@@ -367,7 +349,7 @@ def _demo_povm(name: str, seed: int) -> Povm:
 
 def no_signaling_demo(
     u: tuple[float, float] = (0.0, 0.0),
-    u_prime: tuple[float, float] = (_HALF_PI, 0.0),
+    u_prime: tuple[float, float] = (HALF_PI, 0.0),
     povm_name: str = "random",
     seed: int = 0,
 ) -> dict:
@@ -401,42 +383,24 @@ def no_signaling_demo(
 
 # -- CSV rendering -----------------------------------------------------------
 
-CSV_COLUMNS = (
-    "protocol",
-    "n_pulses",
-    "absorption",
-    "efficiency",
-    "eve_strategy",
-    "usd_scheme",
-    "delta",
-    "reveal_fraction",
-    "alpha",
-    "qber_threshold",
-    "master_seed",
-    "sent",
-    "arrived",
-    "null",
-    "sifted",
-    "revealed",
-    "key_length",
-    "sift_rate",
-    "qber",
-    "null_ratio",
-    "expected_arrival",
-    "expected_null_ratio",
-    "qber_test_statistic",
-    "qber_test_p_value",
-    "qber_test_flagged",
-    "qber_test_alpha",
-    "null_ratio_test_statistic",
-    "null_ratio_test_p_value",
-    "null_ratio_test_flagged",
-    "null_ratio_test_alpha",
-    "scheme_efficiency",
-    "forwarded_z",
-    "forwarded_x",
-    "rng",
-)
+# a decision's `method` is in the JSON report but not in the CSV
+_DECISION_COLUMNS = tuple(f.name for f in fields(TestDecision) if f.name != "method")
+
+
+def _csv_row(report: RunReport) -> dict:
+    """`to_dict()` flattened in order: sections drop their name, each test
+    prefixes its decision fields with its own."""
+    row = {}
+    for section, value in report.to_dict().items():
+        if section == "tests":
+            for test, decision in value.items():
+                for name in _DECISION_COLUMNS:
+                    row[f"{test}_{name}"] = None if decision is None else decision[name]
+        elif isinstance(value, dict):
+            row.update(value)
+        else:
+            row[section] = value
+    return row
 
 
 def _csv_cell(value) -> str:
@@ -450,32 +414,8 @@ def _csv_cell(value) -> str:
 
 
 def report_csv_rows(reports: list[RunReport]) -> list[str]:
-    """Header line plus one line per report, in CSV_COLUMNS order."""
-    lines = [",".join(CSV_COLUMNS)]
-    for report in reports:
-        flat = dict(report.config.to_dict())
-        flat.update(
-            sent=report.sent,
-            arrived=report.arrived,
-            null=report.null,
-            sifted=report.sifted,
-            revealed=report.revealed,
-            key_length=report.key_length,
-            sift_rate=report.sift_rate,
-            qber=report.qber,
-            null_ratio=report.null_ratio,
-            expected_arrival=report.expected_arrival,
-            expected_null_ratio=report.expected_null_ratio,
-            scheme_efficiency=report.scheme_efficiency,
-            forwarded_z=report.forwarded_z,
-            forwarded_x=report.forwarded_x,
-            rng=report.rng,
-        )
-        for prefix, decision in (
-            ("qber_test", report.qber_test),
-            ("null_ratio_test", report.null_ratio_test),
-        ):
-            for attr in ("statistic", "p_value", "flagged", "alpha"):
-                flat[f"{prefix}_{attr}"] = None if decision is None else getattr(decision, attr)
-        lines.append(",".join(_csv_cell(flat[c]) for c in CSV_COLUMNS))
-    return lines
+    """Header line plus one line per report (nothing for no reports)."""
+    rows = [_csv_row(report) for report in reports]
+    if not rows:
+        return []
+    return [",".join(rows[0])] + [",".join(_csv_cell(v) for v in row.values()) for row in rows]

@@ -1,4 +1,4 @@
-"""B92 and BB84 session machinery: preparation, measurement, sifting, QBER.
+"""B92 and BB84 session records, sifting and QBER estimation.
 
 B92 encodes bit 0 on |z+> and bit 1 on |x+>; Bob keeps only "minus"
 outcomes and decodes x- as 0, z- as 1. He only ever announces that a
@@ -20,15 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .quantum import (
-    QubitState,
-    X_MINUS,
-    X_PLUS,
-    Z_MINUS,
-    Z_PLUS,
-    measurement_probs,
-    state_label,
-)
+from .quantum import QubitState, state_label
 from .rng import RngStream
 
 if TYPE_CHECKING:
@@ -44,47 +36,9 @@ class EstimationError(ValueError):
     """Raised when error estimation is impossible (nothing sifted)."""
 
 
-B92_ENCODING: dict[int, QubitState] = {0: Z_PLUS, 1: X_PLUS}
-BB84_ENCODING: dict[tuple[str, int], QubitState] = {
-    ("z", 0): Z_PLUS,
-    ("z", 1): Z_MINUS,
-    ("x", 0): X_PLUS,
-    ("x", 1): X_MINUS,
-}
-
 BASIS_LABELS = ("z", "x")
 EVE_ACTION_LABELS = ("passed", "measured-resent", "suppressed")
 EVE_PASSED, EVE_MEASURED_RESENT, EVE_SUPPRESSED = 0, 1, 2
-
-
-def alice_prepare(
-    kind: ProtocolKind,
-    bit: int,
-    basis: str | None = None,
-    encoding: dict | None = None,
-) -> QubitState:
-    """Alice's carrier state for one bit (plus a basis choice under BB84)."""
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    if kind is ProtocolKind.B92:
-        table = encoding if encoding is not None else B92_ENCODING
-        return table[bit]
-    if basis not in BASIS_LABELS:
-        raise ValueError(f"BB84 needs a basis in {BASIS_LABELS}, got {basis}")
-    table = encoding if encoding is not None else BB84_ENCODING
-    return table[(basis, bit)]
-
-
-def bob_measure(kind: ProtocolKind, state: QubitState, rng: RngStream) -> tuple[str, str]:
-    """Measure S_z or S_x uniformly at random; same procedure for both protocols.
-
-    Returns (basis, outcome) with outcome "plus" or "minus".
-    """
-    del kind
-    basis = BASIS_LABELS[rng.integers(2)]
-    p_plus, _ = measurement_probs(state, basis)
-    outcome = "plus" if rng.uniform() < p_plus else "minus"
-    return basis, outcome
 
 
 @dataclass(frozen=True)

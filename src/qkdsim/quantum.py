@@ -1,4 +1,4 @@
-"""Exact single-qubit state algebra: states, POVMs, Born sampling, densities.
+"""Exact single-qubit state algebra: states, POVMs, Born probabilities, densities.
 
 Everything is fixed at dimension 2. Amplitudes are plain Python complex
 numbers (finite, validated); operators are 2x2 numpy arrays. Algebraic
@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -142,9 +141,6 @@ class Povm:
         object.__setattr__(self, "elements", mats)
         object.__setattr__(self, "labels", names)
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
 
 def projective_povm(plus: QubitState, minus: QubitState, labels: tuple[str, str]) -> Povm:
     """Two-outcome projective measurement onto an orthonormal pair."""
@@ -162,28 +158,8 @@ def born_probabilities(state: QubitState, povm: Povm) -> np.ndarray:
     return np.clip(probs, 0.0, 1.0)
 
 
-def sample_index(probs: Sequence[float], rng: RngStream) -> int:
-    """Inverse-CDF draw over `probs` in declared order.
-
-    Rounding remainders fall to the last index.
-    """
-    u = rng.uniform()
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return i
-    return len(probs) - 1
-
-
-def sample_outcome(state: QubitState, povm: Povm, rng: RngStream) -> str:
-    """Sample one outcome label by the Born rule; mutates only `rng`."""
-    return povm.labels[sample_index(born_probabilities(state, povm), rng)]
-
-
-@lru_cache(maxsize=None)
 def measurement_probs(state: QubitState, basis: str) -> tuple[float, float]:
-    """Cached (plus, minus) probabilities for the z or x projective basis."""
+    """(plus, minus) probabilities for the z or x projective basis."""
     povm = SZ_POVM if basis == "z" else SX_POVM
     p = born_probabilities(state, povm)
     return (float(p[0]), float(p[1]))

@@ -55,25 +55,16 @@ class RngStream:
     def __init__(self, seed: int) -> None:
         self._state = seed & _MASK
 
-    def next_raw(self) -> int:
-        """Next raw 64-bit output."""
-        self._state = (self._state + _GOLDEN) & _MASK
-        return _mix(self._state)
-
     def uniform(self) -> float:
         """Uniform double in [0, 1) with 53-bit resolution."""
-        return (self.next_raw() >> 11) * _INV_2_53
+        self._state = (self._state + _GOLDEN) & _MASK
+        return (_mix(self._state) >> 11) * _INV_2_53
 
     def integers(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         if n <= 0:
             raise ValueError("n must be positive")
         return min(int(self.uniform() * n), n - 1)
-
-
-def substream(seed: int, *keys: int) -> RngStream:
-    """Stream seeded by `derive_seed(seed, *keys)`."""
-    return RngStream(derive_seed(seed, *keys))
 
 
 # -- vectorized counterparts (numpy uint64, wraparound arithmetic) ----------

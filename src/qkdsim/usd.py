@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -35,31 +34,11 @@ from .quantum import (
     projective_povm,
     projector,
     rotate_y,
-    sample_index,
 )
-from .rng import RngStream
 
 GRAM_RANK_TOL = 1e-10
 UNAMBIGUOUS_TOL = 1e-10
 _DEGENERACY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class UsdOutcome:
-    """Conclusive identification of state 0 or 1, or inconclusive (None)."""
-
-    identified: int | None
-
-    def __post_init__(self) -> None:
-        if self.identified not in (None, 0, 1):
-            raise ValueError("identified must be 0, 1 or None")
-
-    @property
-    def conclusive(self) -> bool:
-        return self.identified is not None
-
-
-INCONCLUSIVE = UsdOutcome(None)
 
 
 class UsdSchemeKind(Enum):
@@ -123,12 +102,6 @@ def idp_povm(state0: QubitState, state1: QubitState) -> Povm:
     return Povm((e0, e1, inconclusive), ("conclusive0", "conclusive1", "inconclusive"))
 
 
-@lru_cache(maxsize=None)
-def _idp_povm_cached(state0: QubitState, state1: QubitState) -> Povm:
-    return idp_povm(state0, state1)
-
-
-@lru_cache(maxsize=None)
 def naive_frame_povms(rotation: float) -> tuple[Povm, Povm]:
     """The naive scheme's two projective measurements in a rotated frame."""
     z_frame = projective_povm(
@@ -138,35 +111,6 @@ def naive_frame_povms(rotation: float) -> tuple[Povm, Povm]:
         rotate_y(X_PLUS, rotation), rotate_y(X_MINUS, rotation), ("plus", "minus")
     )
     return (z_frame, x_frame)
-
-
-@lru_cache(maxsize=None)
-def _scheme_probs(scheme: UsdScheme, state: QubitState) -> tuple[tuple[float, ...], ...]:
-    """Outcome probabilities for each of the scheme's sub-measurements."""
-    if scheme.kind is UsdSchemeKind.NAIVE_RANDOM_BASIS:
-        frames = naive_frame_povms(scheme.rotation)
-        return tuple(tuple(born_probabilities(state, f)) for f in frames)
-    povm = _idp_povm_cached(scheme.state0, scheme.state1)
-    return (tuple(born_probabilities(state, povm)),)
-
-
-def usd_measure(scheme: UsdScheme, state: QubitState, rng: RngStream) -> UsdOutcome:
-    """One discrimination attempt; conclusive outcomes never misidentify.
-
-    Naive: pick the frame-z or frame-x measurement with probability 1/2;
-    a frame "minus" outcome rules out one state and identifies the other
-    (frame-z minus -> state 1, frame-x minus -> state 0). Optimal: sample
-    the three-element POVM directly.
-    """
-    if scheme.kind is UsdSchemeKind.NAIVE_RANDOM_BASIS:
-        frame = rng.integers(2)
-        probs = _scheme_probs(scheme, state)[frame]
-        if sample_index(probs, rng) == 1:
-            return UsdOutcome(1 if frame == 0 else 0)
-        return INCONCLUSIVE
-    probs = _scheme_probs(scheme, state)[0]
-    idx = sample_index(probs, rng)
-    return UsdOutcome(idx) if idx < 2 else INCONCLUSIVE
 
 
 def usd_efficiency(scheme: UsdScheme) -> float:
@@ -182,19 +126,16 @@ def verify_unambiguous_constraints(povm: Povm, states: Sequence[QubitState]) -> 
     Elements labeled "conclusive{i}" correspond to states[i]; returns
     True iff <psi_j|E_i|psi_j> <= 1e-10 for all conclusive i != j.
     """
-    conclusive: dict[int, np.ndarray] = {}
-    for label, element in zip(povm.labels, povm.elements):
+    conclusive: dict[int, int] = {}
+    for index, label in enumerate(povm.labels):
         if label.startswith("conclusive"):
-            conclusive[int(label[len("conclusive"):])] = element
+            conclusive[int(label[len("conclusive"):])] = index
     if sorted(conclusive) != list(range(len(states))):
         raise ValueError("need exactly one conclusive element per state")
-    for i, element in conclusive.items():
-        for j, state in enumerate(states):
-            if i == j:
-                continue
-            v = state.vector
-            if float(np.real(v.conj() @ (element @ v))) > UNAMBIGUOUS_TOL:
-                return False
+    for j, state in enumerate(states):
+        probs = born_probabilities(state, povm)
+        if any(probs[index] > UNAMBIGUOUS_TOL for i, index in conclusive.items() if i != j):
+            return False
     return True
 
 
@@ -208,17 +149,20 @@ def gram_matrix(states: Sequence[QubitState]) -> np.ndarray:
     return gram
 
 
+def gram_rank(states: Sequence[QubitState]) -> int:
+    """Number of Gram eigenvalues above GRAM_RANK_TOL."""
+    eigvals = np.linalg.eigvalsh(gram_matrix(states))
+    return int(np.sum(eigvals > GRAM_RANK_TOL))
+
+
 def usd_feasible(states: Sequence[QubitState]) -> bool:
     """True iff the states are linearly independent (Gram matrix full rank).
 
-    Rank counts Gram eigenvalues above 1e-10; more than two qubit states
-    are always infeasible.
+    More than two qubit states are always infeasible.
     """
     if not states:
         raise ValueError("need at least one state")
-    eigvals = np.linalg.eigvalsh(gram_matrix(states))
-    rank = int(np.sum(eigvals > GRAM_RANK_TOL))
-    return rank == len(states)
+    return gram_rank(states) == len(states)
 
 
 def no_signaling_distributions(

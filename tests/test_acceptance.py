@@ -12,9 +12,11 @@ import subprocess
 import sys
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from enumeration import intercept_resend_b92, intercept_resend_bb84, usd_suppress_b92
+from qkdsim.adversary import ChannelModel, EveKind, EveStrategy
 from qkdsim.harness import (
     ExperimentConfig,
     InfeasibleStrategyError,
@@ -27,8 +29,10 @@ from qkdsim.quantum import (
     Z_PLUS,
     random_povm,
 )
+from qkdsim.protocol import ProtocolKind
 from qkdsim.rng import RngStream
-from qkdsim.usd import UsdScheme, no_signaling_distributions, usd_feasible, usd_measure
+from qkdsim.session import simulate_session
+from qkdsim.usd import UsdScheme, no_signaling_distributions, usd_feasible
 
 N = 100_000
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -44,17 +48,23 @@ def criterion(number: int, description: str):
     print(f"criterion {number:2d}: PASS - {description}")
 
 
-def _conclusive_stats(scheme, state, n, seed):
-    rng = RngStream(seed)
-    conclusive = wrong = 0
-    expect = 0 if state is Z_PLUS else 1
-    for _ in range(n):
-        outcome = usd_measure(scheme, state, rng)
-        if outcome.conclusive:
-            conclusive += 1
-            if outcome.identified != expect:
-                wrong += 1
-    return conclusive / n, wrong
+def _conclusive_stats(scheme, n_pulses, seed):
+    """Per sent state: (conclusive frequency, wrong identifications).
+
+    Counted from the columns of a lossless suppression session: a pulse
+    is conclusive when Eve forwards a state, and wrong when that state is
+    not the one Alice sent. Each state is sent to about n_pulses / 2.
+    """
+    t = simulate_session(
+        ProtocolKind.B92, n_pulses, ChannelModel(), EveStrategy(EveKind.USD_SUPPRESS, scheme), seed
+    )
+    conclusive = t.forwarded_ids >= 0
+    wrong = conclusive & (t.forwarded_ids != t.sent_ids)
+    stats = {}
+    for state in (Z_PLUS, X_PLUS):
+        sent = t.sent_ids == t.state_table.index(state)
+        stats[state] = (np.sum(conclusive & sent) / np.sum(sent), int(np.sum(wrong & sent)))
+    return stats
 
 
 def _run(**overrides):
@@ -65,25 +75,25 @@ def _run(**overrides):
 
 def test_criterion_1_naive_usd_efficiency():
     with criterion(1, "naive USD conclusive rate 0.25 +/- 0.006 on each input"):
-        for seed, state in ((101, Z_PLUS), (102, X_PLUS)):
-            freq, _ = _conclusive_stats(UsdScheme.naive(), state, N, seed)
+        for freq, _ in _conclusive_stats(UsdScheme.naive(), 2 * N, 101).values():
             assert abs(freq - 0.25) <= 0.006
 
 
 def test_criterion_2_zero_misidentification():
     with criterion(2, "0 wrong conclusive outcomes in 1e6 naive and 1e6 optimal trials"):
-        for scheme_seed, scheme in ((201, UsdScheme.naive()), (202, UsdScheme.optimal())):
-            for offset, state in ((0, Z_PLUS), (1, X_PLUS)):
-                _, wrong = _conclusive_stats(scheme, state, 500_000, scheme_seed + offset)
+        for seed, scheme in ((201, UsdScheme.naive()), (202, UsdScheme.optimal())):
+            for freq, wrong in _conclusive_stats(scheme, 1_000_000, seed).values():
+                assert freq > 0.2
                 assert wrong == 0
 
 
 def test_criterion_3_optimal_beats_naive():
     with criterion(3, "optimal conclusive rate (1 - 1/sqrt 2) +/- 0.006, above naive"):
         expected = 1.0 - SQRT_HALF
-        for seed, state in ((301, Z_PLUS), (302, X_PLUS)):
-            optimal_freq, _ = _conclusive_stats(UsdScheme.optimal(), state, N, seed)
-            naive_freq, _ = _conclusive_stats(UsdScheme.naive(), state, N, seed + 10)
+        optimal = _conclusive_stats(UsdScheme.optimal(), 2 * N, 301)
+        naive = _conclusive_stats(UsdScheme.naive(), 2 * N, 311)
+        for state in (Z_PLUS, X_PLUS):
+            optimal_freq, naive_freq = optimal[state][0], naive[state][0]
             assert abs(optimal_freq - expected) <= 0.006
             assert optimal_freq > naive_freq
 

@@ -11,18 +11,13 @@ from enumeration import (
     intercept_resend_bb84,
     usd_suppress_b92,
 )
-from qkdsim.adversary import (
-    ChannelModel,
-    EveStrategy,
-    channel_transmit,
-    eve_apply,
-    forwarded_state_symmetry,
-)
+from qkdsim.adversary import ChannelModel, EveKind, EveStrategy, forwarded_state_symmetry
 from qkdsim.protocol import ProtocolKind, estimate_qber, sift
 from qkdsim.quantum import X_PLUS, Z_PLUS, state_label
 from qkdsim.rng import RngStream
 from qkdsim.session import STAGE_ESTIMATE, pulse_stream, simulate_session
 from qkdsim.usd import UsdScheme, usd_efficiency
+from reference import channel_transmit, eve_apply
 
 LOSSLESS = ChannelModel()
 
@@ -52,7 +47,7 @@ class TestChannel:
         channel = ChannelModel(absorption=0.1, efficiency=0.8)
         expected = channel_loss_probability(0.1, 0.8)
         assert expected == pytest.approx(0.28)
-        transcript = simulate_session(ProtocolKind.B92, n, channel, EveStrategy.none(), 5)
+        transcript = simulate_session(ProtocolKind.B92, n, channel, EveStrategy(EveKind.NONE), 5)
         sigma = math.sqrt(expected * (1 - expected) / n)
         assert transcript.n_null / n == pytest.approx(expected, abs=4 * sigma)
 
@@ -65,21 +60,21 @@ class TestChannel:
 
 class TestEveApply:
     def test_none_passes_state_through(self):
-        state, log = eve_apply(EveStrategy.none(), X_PLUS, RngStream(0))
+        state, log = eve_apply(EveStrategy(EveKind.NONE), X_PLUS, RngStream(0))
         assert state is X_PLUS
         assert log.action == "passed"
 
     def test_intercept_resend_forwards_eigenstates(self):
         rng = RngStream(3)
         for _ in range(500):
-            state, log = eve_apply(EveStrategy.intercept_resend(), X_PLUS, rng)
+            state, log = eve_apply(EveStrategy(EveKind.INTERCEPT_RESEND), X_PLUS, rng)
             assert state_label(state) in ("z+", "z-", "x+", "x-")
             assert log.action == "measured-resent"
 
     def test_usd_suppress_forwards_exact_copies(self):
         """Conclusive pulses carry bit-identical copies of the sent state."""
         rng = RngStream(4)
-        strategy = EveStrategy.usd_suppress()
+        strategy = EveStrategy.of(EveKind.USD_SUPPRESS)
         forwarded = 0
         n = 20_000
         for _ in range(n):
@@ -95,8 +90,8 @@ class TestEveApply:
 
     def test_basis_mismatch_zero_delta_equals_usd_suppress(self):
         """delta = 0 reproduces the matched attack draw for draw."""
-        a = EveStrategy.usd_suppress()
-        b = EveStrategy.basis_mismatch(0.0)
+        a = EveStrategy.of(EveKind.USD_SUPPRESS)
+        b = EveStrategy.of(EveKind.BASIS_MISMATCH, delta=0.0)
         for seed in range(20):
             sa, la = eve_apply(a, X_PLUS, RngStream(seed))
             sb, lb = eve_apply(b, X_PLUS, RngStream(seed))
@@ -108,9 +103,9 @@ class TestEveApply:
 
     def test_strategy_validation(self):
         with pytest.raises(ValueError, match="delta"):
-            EveStrategy.basis_mismatch(2.0)
+            EveStrategy.of(EveKind.BASIS_MISMATCH, delta=2.0)
         with pytest.raises(ValueError, match="scheme"):
-            EveStrategy(kind=EveStrategy.usd_suppress().kind, scheme=None)
+            EveStrategy(kind=EveKind.USD_SUPPRESS, scheme=None)
 
 
 class TestSuppressSignatures:
@@ -118,14 +113,14 @@ class TestSuppressSignatures:
         """Suppression never creates a sifted disagreement."""
         for scheme in (UsdScheme.naive(), UsdScheme.optimal()):
             for seed in range(10):
-                t = _run(ProtocolKind.B92, 20_000, EveStrategy.usd_suppress(scheme), seed)
+                t = _run(ProtocolKind.B92, 20_000, EveStrategy(EveKind.USD_SUPPRESS, scheme), seed)
                 assert t.qber == 0.0
 
     def test_arrival_rate_matches_efficiency(self):
         n = 100_000
         rates = {}
         for name, scheme in (("naive", UsdScheme.naive()), ("optimal", UsdScheme.optimal())):
-            t = _run(ProtocolKind.B92, n, EveStrategy.usd_suppress(scheme), 21)
+            t = _run(ProtocolKind.B92, n, EveStrategy(EveKind.USD_SUPPRESS, scheme), 21)
             eta = usd_efficiency(scheme)
             sigma = math.sqrt(eta * (1 - eta) / n)
             rate = t.n_arrived / n
@@ -136,20 +131,20 @@ class TestSuppressSignatures:
 
     def test_forwarded_state_symmetry(self):
         n = 100_000
-        t = _run(ProtocolKind.B92, n, EveStrategy.usd_suppress(), 22)
+        t = _run(ProtocolKind.B92, n, EveStrategy.of(EveKind.USD_SUPPRESS), 22)
         count_z, count_x = forwarded_state_symmetry(t)
         total = count_z + count_x
         assert total == t.n_arrived  # lossless channel
         assert abs(count_z - count_x) <= 4.0 * math.sqrt(total / 4.0)
 
     def test_honest_forward_counts_match_sent_distribution(self):
-        t = _run(ProtocolKind.B92, 50_000, EveStrategy.none(), 23)
+        t = _run(ProtocolKind.B92, 50_000, EveStrategy(EveKind.NONE), 23)
         count_z, count_x = forwarded_state_symmetry(t)
         assert count_z == int(np.sum(t.alice_bits == 0))
         assert count_x == int(np.sum(t.alice_bits == 1))
 
     def test_all_z_plus_stream_has_no_x_forwards(self):
-        strategy = EveStrategy.usd_suppress()
+        strategy = EveStrategy.of(EveKind.USD_SUPPRESS)
         rng = RngStream(7)
         labels = [state_label(s) for s, _ in
                   (eve_apply(strategy, Z_PLUS, rng) for _ in range(5_000)) if s is not None]
@@ -160,7 +155,7 @@ class TestInterceptResend:
     def test_b92_qber_matches_oracle(self):
         n = 100_000
         oracle = intercept_resend_b92()
-        t = _run(ProtocolKind.B92, n, EveStrategy.intercept_resend(), 31)
+        t = _run(ProtocolKind.B92, n, EveStrategy(EveKind.INTERCEPT_RESEND), 31)
         revealed = len(t.revealed_indices)
         sigma = math.sqrt(oracle["qber"] * (1 - oracle["qber"]) / revealed)
         assert t.qber == pytest.approx(oracle["qber"], abs=4 * sigma)
@@ -173,7 +168,7 @@ class TestInterceptResend:
         n = 100_000
         oracle = intercept_resend_bb84()
         assert oracle["qber"] == pytest.approx(0.25)
-        t = _run(ProtocolKind.BB84, n, EveStrategy.intercept_resend(), 32)
+        t = _run(ProtocolKind.BB84, n, EveStrategy(EveKind.INTERCEPT_RESEND), 32)
         revealed = len(t.revealed_indices)
         sigma = math.sqrt(0.25 * 0.75 / revealed)
         assert t.qber == pytest.approx(0.25, abs=4 * sigma)
@@ -184,14 +179,14 @@ class TestBasisMismatch:
     def test_positive_delta_creates_errors_matching_oracle(self, delta):
         n = 100_000
         oracle = usd_suppress_b92(delta)["qber"]
-        t = _run(ProtocolKind.B92, n, EveStrategy.basis_mismatch(delta), 33)
+        t = _run(ProtocolKind.B92, n, EveStrategy.of(EveKind.BASIS_MISMATCH, delta=delta), 33)
         revealed = len(t.revealed_indices)
         sigma = math.sqrt(oracle * (1 - oracle) / revealed)
         assert t.qber > 0.0
         assert t.qber == pytest.approx(oracle, abs=4 * sigma)
 
     def test_zero_delta_is_error_free(self):
-        t = _run(ProtocolKind.B92, 50_000, EveStrategy.basis_mismatch(0.0), 34)
+        t = _run(ProtocolKind.B92, 50_000, EveStrategy.of(EveKind.BASIS_MISMATCH, delta=0.0), 34)
         assert t.qber == 0.0
 
     def test_frozen_oracle_values(self):

@@ -2,13 +2,13 @@
 
 import json
 import math
+import sys
 from dataclasses import replace
 
 import pytest
 
 from qkdsim.cli import main
 from qkdsim.harness import (
-    CSV_COLUMNS,
     ConfigurationError,
     ExperimentConfig,
     InfeasibleStrategyError,
@@ -60,6 +60,24 @@ class TestConfig:
     def test_invalid_values_rejected(self, patch):
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_dict({**BASE, **patch})
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 42])
+    def test_master_seed_outside_64_bits_rejected(self, seed):
+        """Seeds are not wrapped: 2**64 + 42 would otherwise run seed 42."""
+        with pytest.raises(ConfigurationError, match="master_seed"):
+            ExperimentConfig.from_dict({**BASE, "master_seed": seed})
+
+    def test_master_seed_bounds_accepted(self):
+        for seed in (0, 2**64 - 1):
+            assert ExperimentConfig.from_dict({**BASE, "master_seed": seed}).master_seed == seed
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("protocol", ["b92"]), ("eve_strategy", None), ("usd_scheme", {"naive": 1})],
+    )
+    def test_non_string_kinds_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"unknown {field}"):
+            ExperimentConfig.from_dict({**BASE, field: value})
 
     def test_round_trip(self):
         config = ExperimentConfig.from_dict({**BASE, "eve_strategy": "basis_mismatch", "delta": 0.2})
@@ -194,15 +212,22 @@ class TestCsv:
     def test_header_and_row_shape(self):
         report = run_experiment(ExperimentConfig.from_dict(BASE))
         lines = report_csv_rows([report, report])
-        assert lines[0] == ",".join(CSV_COLUMNS)
+        header = lines[0].split(",")
+        config_fields = list(report.to_dict()["config"])
+        assert header[: len(config_fields)] == config_fields
+        assert header[-4:] == ["scheme_efficiency", "forwarded_z", "forwarded_x", "rng"]
+        assert "null_ratio_test_p_value" in header
+        assert not any(column.endswith("method") for column in header)
+        assert len(header) == 34
         assert len(lines) == 3
-        assert len(lines[1].split(",")) == len(CSV_COLUMNS)
+        assert len(lines[1].split(",")) == len(header)
 
     def test_booleans_and_nones_rendered(self):
         report = run_experiment(
             ExperimentConfig.from_dict({**BASE, "eve_strategy": "usd_suppress"})
         )
-        row = dict(zip(CSV_COLUMNS, report_csv_rows([report])[1].split(",")))
+        header, line = report_csv_rows([report])
+        row = dict(zip(header.split(","), line.split(",")))
         assert row["null_ratio_test_flagged"] == "true"
         assert row["qber_test_flagged"] == "false"
         assert row["protocol"] == "b92"
@@ -297,5 +322,56 @@ class TestCli:
         assert main(["run", "--config", path]) == 3
         assert "Gram" in capsys.readouterr().err
 
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys):
+        path = self._write_config(tmp_path, BASE)
+        assert main(["--seed", str(2**64 + 42), "run", "--config", path]) == 2
+        assert "master_seed" in capsys.readouterr().err
+
+    def test_fractional_n_pulses_sweep_exits_2(self, tmp_path, capsys):
+        path = self._write_config(tmp_path, BASE)
+        argv = ["sweep", "--config", path, "--param", "n_pulses", "--values", "1000,1.7"]
+        assert main(argv) == 2
+        assert "integers" in capsys.readouterr().err
+
+    def test_empty_sweep_values_exit_2(self, tmp_path, capsys):
+        path = self._write_config(tmp_path, BASE)
+        for values in ("", " , "):
+            argv = ["sweep", "--config", path, "--param", "delta", "--values", values]
+            assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
     def test_csv_unsupported_for_usd_check(self, capsys):
         assert main(["--output", "csv", "usd-check", "--states", "0,0"]) == 2
+
+
+def _cache_sizes() -> dict:
+    """currsize of every functools cache reachable from a qkdsim module."""
+    sizes = {}
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "qkdsim"]
+    for module in modules:
+        for name, obj in vars(module).items():
+            candidates = [(name, obj)]
+            if isinstance(obj, type):
+                candidates += [(f"{name}.{attr}", getattr(obj, attr, None)) for attr in vars(obj)]
+            for label, candidate in candidates:
+                info = getattr(candidate, "cache_info", None)
+                if callable(info):
+                    sizes[f"{module.__name__}.{label}"] = info().currsize
+    return sizes
+
+
+def test_no_cache_grows_with_distinct_deltas():
+    """A long delta sweep must not leave an entry per value behind."""
+    values = [i * 1.5 / 200 for i in range(200)]
+    before = _cache_sizes()
+    for scheme in ("naive", "optimal"):
+        config = ExperimentConfig.from_dict(
+            {**BASE, "n_pulses": 200, "eve_strategy": "basis_mismatch", "usd_scheme": scheme}
+        )
+        assert len(sweep(config, "delta", values)) == len(values)
+    grown = {
+        name: size - before.get(name, 0)
+        for name, size in _cache_sizes().items()
+        if size - before.get(name, 0) >= 10
+    }
+    assert grown == {}

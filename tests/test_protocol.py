@@ -6,24 +6,23 @@ import numpy as np
 import pytest
 
 from enumeration import b92_honest, bb84_honest
-from qkdsim.adversary import ChannelModel, EveStrategy
+from qkdsim.adversary import ChannelModel, EveKind, EveStrategy
 from qkdsim.protocol import (
     EstimationError,
     ProtocolKind,
     PulseRecord,
-    alice_prepare,
-    bob_measure,
     estimate_qber,
     sift,
 )
 from qkdsim.quantum import X_MINUS, X_PLUS, Z_MINUS, Z_PLUS, measurement_probs
 from qkdsim.rng import RngStream
 from qkdsim.session import STAGE_ESTIMATE, pulse_stream, simulate_session
+from reference import alice_prepare, bob_measure
 
 
 def _honest_session(kind, n, seed, absorption=0.0, efficiency=1.0):
     transcript = simulate_session(
-        kind, n, ChannelModel(absorption, efficiency), EveStrategy.none(), seed
+        kind, n, ChannelModel(absorption, efficiency), EveStrategy(EveKind.NONE), seed
     )
     sift(kind, transcript)
     return transcript
@@ -65,14 +64,14 @@ class _FixedStream:
 class TestBobMeasure:
     def test_forced_z_basis_on_eigenstate(self):
         # first draw picks the basis (0 -> z), second the outcome
-        basis, outcome = bob_measure(ProtocolKind.B92, Z_PLUS, _FixedStream([0.0, 0.9]))
+        basis, outcome = bob_measure(Z_PLUS, _FixedStream([0.0, 0.9]))
         assert (basis, outcome) == ("z", "plus")
 
     def test_forced_x_basis_is_fair_on_z_plus(self):
         assert measurement_probs(Z_PLUS, "x") == pytest.approx((0.5, 0.5), abs=1e-12)
-        basis, outcome = bob_measure(ProtocolKind.B92, Z_PLUS, _FixedStream([0.9, 0.4]))
+        basis, outcome = bob_measure(Z_PLUS, _FixedStream([0.9, 0.4]))
         assert (basis, outcome) == ("x", "plus")
-        basis, outcome = bob_measure(ProtocolKind.B92, Z_PLUS, _FixedStream([0.9, 0.6]))
+        basis, outcome = bob_measure(Z_PLUS, _FixedStream([0.9, 0.6]))
         assert (basis, outcome) == ("x", "minus")
 
     def test_minus_rate_honest_b92(self):
@@ -112,7 +111,7 @@ class TestSift:
 
     def test_all_lost_gives_empty_sift(self):
         transcript = simulate_session(
-            ProtocolKind.B92, 500, ChannelModel(absorption=1.0), EveStrategy.none(), 3
+            ProtocolKind.B92, 500, ChannelModel(absorption=1.0), EveStrategy(EveKind.NONE), 3
         )
         indices = sift(ProtocolKind.B92, transcript)
         assert len(indices) == 0
@@ -153,7 +152,7 @@ class TestEstimateQber:
 
     def test_empty_sift_raises(self):
         transcript = simulate_session(
-            ProtocolKind.B92, 100, ChannelModel(absorption=1.0), EveStrategy.none(), 3
+            ProtocolKind.B92, 100, ChannelModel(absorption=1.0), EveStrategy(EveKind.NONE), 3
         )
         sift(ProtocolKind.B92, transcript)
         with pytest.raises(EstimationError):

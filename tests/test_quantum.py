@@ -24,11 +24,11 @@ from qkdsim.quantum import (
     projector,
     random_povm,
     rotate_y,
-    sample_outcome,
     state_from_bloch,
     state_label,
 )
 from qkdsim.rng import RngStream
+from reference import sample_outcome
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 

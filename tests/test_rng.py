@@ -9,9 +9,9 @@ from qkdsim.rng import (
     RngStream,
     derive_seed,
     derive_seed_array,
-    substream,
     uniform_array,
 )
+from reference import substream
 
 
 class TestRngStream:

@@ -4,8 +4,8 @@ determinism and substream-permutation properties."""
 import numpy as np
 import pytest
 
-from qkdsim.adversary import ChannelModel, EveStrategy, channel_transmit, eve_apply
-from qkdsim.protocol import BASIS_LABELS, EVE_ACTION_LABELS, ProtocolKind, alice_prepare, bob_measure
+from qkdsim.adversary import ChannelModel, EveKind, EveStrategy
+from qkdsim.protocol import BASIS_LABELS, EVE_ACTION_LABELS, ProtocolKind
 from qkdsim.session import (
     STAGE_ALICE,
     STAGE_BOB,
@@ -14,21 +14,27 @@ from qkdsim.session import (
     pulse_stream,
     simulate_session,
 )
-from qkdsim.usd import UsdScheme
+from qkdsim.usd import UsdSchemeKind
+from reference import alice_prepare, bob_measure, channel_transmit, eve_apply
 
 CASES = [
-    ("b92-honest", ProtocolKind.B92, EveStrategy.none(), ChannelModel(0.1, 0.9)),
-    ("bb84-honest", ProtocolKind.BB84, EveStrategy.none(), ChannelModel()),
-    ("b92-ir", ProtocolKind.B92, EveStrategy.intercept_resend(), ChannelModel(0.2, 1.0)),
-    ("bb84-ir", ProtocolKind.BB84, EveStrategy.intercept_resend(), ChannelModel(0.0, 0.8)),
-    ("b92-usd-naive", ProtocolKind.B92, EveStrategy.usd_suppress(), ChannelModel()),
+    ("b92-honest", ProtocolKind.B92, EveStrategy(EveKind.NONE), ChannelModel(0.1, 0.9)),
+    ("bb84-honest", ProtocolKind.BB84, EveStrategy(EveKind.NONE), ChannelModel()),
+    ("b92-ir", ProtocolKind.B92, EveStrategy(EveKind.INTERCEPT_RESEND), ChannelModel(0.2, 1.0)),
+    ("bb84-ir", ProtocolKind.BB84, EveStrategy(EveKind.INTERCEPT_RESEND), ChannelModel(0.0, 0.8)),
+    ("b92-usd-naive", ProtocolKind.B92, EveStrategy.of(EveKind.USD_SUPPRESS), ChannelModel()),
     (
         "b92-usd-optimal",
         ProtocolKind.B92,
-        EveStrategy.usd_suppress(UsdScheme.optimal()),
+        EveStrategy.of(EveKind.USD_SUPPRESS, UsdSchemeKind.OPTIMAL_IDP),
         ChannelModel(),
     ),
-    ("b92-mismatch", ProtocolKind.B92, EveStrategy.basis_mismatch(0.3), ChannelModel(0.05, 0.95)),
+    (
+        "b92-mismatch",
+        ProtocolKind.B92,
+        EveStrategy.of(EveKind.BASIS_MISMATCH, delta=0.3),
+        ChannelModel(0.05, 0.95),
+    ),
 ]
 
 
@@ -51,7 +57,7 @@ def _scalar_pulse(kind, strategy, channel, seed, index):
 
     bob = pulse_stream(seed, index, STAGE_BOB)
     if forwarded is not None:
-        bob_basis, outcome = bob_measure(kind, forwarded, bob)
+        bob_basis, outcome = bob_measure(forwarded, bob)
     else:
         bob_basis, outcome = BASIS_LABELS[bob.integers(2)], "null"
     return bit, basis, log.action, forwarded is not None, bob_basis, outcome
@@ -88,25 +94,25 @@ class TestDeterminism:
             np.testing.assert_array_equal(a.bob_minus, b.bob_minus)
 
     def test_different_seeds_differ(self):
-        a = simulate_session(ProtocolKind.B92, 2_000, ChannelModel(), EveStrategy.none(), 1)
-        b = simulate_session(ProtocolKind.B92, 2_000, ChannelModel(), EveStrategy.none(), 2)
+        a = simulate_session(ProtocolKind.B92, 2_000, ChannelModel(), EveStrategy(EveKind.NONE), 1)
+        b = simulate_session(ProtocolKind.B92, 2_000, ChannelModel(), EveStrategy(EveKind.NONE), 2)
         assert not np.array_equal(a.alice_bits, b.alice_bits)
 
     def test_counts_consistent(self):
-        t = simulate_session(
-            ProtocolKind.B92, 5_000, ChannelModel(0.3, 0.7), EveStrategy.usd_suppress(), 5
-        )
+        strategy = EveStrategy.of(EveKind.USD_SUPPRESS)
+        t = simulate_session(ProtocolKind.B92, 5_000, ChannelModel(0.3, 0.7), strategy, 5)
         assert t.n_arrived + t.n_null == t.n_pulses
         assert np.sum(t.arrived & t.bob_minus) <= t.n_arrived
 
     def test_rejects_empty_session(self):
         with pytest.raises(ValueError):
-            simulate_session(ProtocolKind.B92, 0, ChannelModel(), EveStrategy.none(), 1)
+            simulate_session(ProtocolKind.B92, 0, ChannelModel(), EveStrategy(EveKind.NONE), 1)
 
 
 def test_statistics_invariant_under_substream_permutation():
     """Reassigning pulse indices permutes records without changing counts."""
-    kind, strategy, channel = ProtocolKind.B92, EveStrategy.usd_suppress(), ChannelModel(0.1, 0.9)
+    kind, channel = ProtocolKind.B92, ChannelModel(0.1, 0.9)
+    strategy = EveStrategy.of(EveKind.USD_SUPPRESS)
     n, seed = 600, 99
     engine = simulate_session(kind, n, channel, strategy, seed)
 

