@@ -64,6 +64,18 @@ class InfeasibleStrategyError(ValueError):
     """Strategy cannot exist against this protocol (CLI exit code 3)."""
 
 
+def _check_seed(seed, name: str) -> None:
+    """Reject a seed that is not an integer in [0, 2**64).
+
+    `RngStream` masks seeds to 64 bits, so -1 would silently run as
+    2**64 - 1 and 2**64 + 42 as 42.
+    """
+    if not _is_strict_int(seed):
+        raise ConfigurationError(f"{name} must be an integer")
+    if not (0 <= seed < 2**64):
+        raise ConfigurationError(f"{name} must be in [0, 2**64)")
+
+
 _KINDS = ((ProtocolKind, "protocol"), (EveKind, "eve_strategy"), (UsdSchemeKind, "usd_scheme"))
 
 
@@ -102,10 +114,7 @@ class ExperimentConfig:
             raise ConfigurationError("alpha must be in (0, 1)")
         if not (0.0 <= self.qber_threshold <= 1.0):
             raise ConfigurationError("qber_threshold must be in [0, 1]")
-        if not _is_strict_int(self.master_seed):
-            raise ConfigurationError("master_seed must be an integer")
-        if not (0 <= self.master_seed < 2**64):
-            raise ConfigurationError("master_seed must be in [0, 2**64)")
+        _check_seed(self.master_seed, "master_seed")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -218,15 +227,21 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
     Deterministic given the config (including master_seed). Raises
     InfeasibleStrategyError for discrimination attacks on four-state
-    protocols, before any pulse is simulated.
+    protocols, before any pulse is simulated, and ConfigurationError when
+    the session's arrays cannot be allocated.
     """
     kind = config.protocol_kind()
     channel = config.channel()
     strategy = config.strategy()
     _check_feasibility(kind, strategy)
-    transcript = simulate_session(
-        kind, config.n_pulses, channel, strategy, config.master_seed
-    )
+    try:
+        transcript = simulate_session(
+            kind, config.n_pulses, channel, strategy, config.master_seed
+        )
+    except MemoryError:
+        raise ConfigurationError(
+            f"n_pulses {config.n_pulses} does not fit in memory; use fewer pulses"
+        ) from None
     sift(kind, transcript)
     n_sifted = len(transcript.sifted_indices)
     if n_sifted > 0:
@@ -359,6 +374,7 @@ def no_signaling_demo(
     checks their densities coincide, and shows that the chosen POVM's
     outcome distributions on the two mixtures agree to arithmetic noise.
     """
+    _check_seed(seed, "seed")
     pair_a = _direction_pair(*u)
     pair_b = _direction_pair(*u_prime)
     povm = _demo_povm(povm_name, seed)

@@ -9,6 +9,13 @@ reconciliation.
 Session transcripts are stored column-wise (one numpy array per field)
 so statistics over 10^5-pulse sessions stay cheap; `records()` exposes
 the same data as per-pulse values.
+
+QBER estimation reveals the positions a partial Fisher-Yates shuffle
+picks from the estimation stream. Its k draws are taken as one
+counter-based block and the swaps are resolved with array operations, so
+the positions and the stream's final state are those of the shuffle
+written as a loop with one `integers` draw per step (the equivalence is
+pinned by tests against that scalar loop).
 """
 
 from __future__ import annotations
@@ -146,13 +153,39 @@ def sift(kind: ProtocolKind, transcript: SessionTranscript) -> np.ndarray:
     return indices
 
 
-def _sample_without_replacement(m: int, k: int, rng: RngStream) -> list[int]:
-    # partial Fisher-Yates: first k entries are a uniform k-subset of range(m)
-    positions = list(range(m))
-    for j in range(k):
-        t = j + rng.integers(m - j)
-        positions[j], positions[t] = positions[t], positions[j]
-    return positions[:k]
+def _sample_without_replacement(m: int, k: int, rng: RngStream) -> np.ndarray:
+    """Sorted first k entries of a partial Fisher-Yates shuffle of range(m).
+
+    Step j swaps slots j and t_j = j + rng.integers(m - j). The k draws
+    come as one `uniforms(k)` block, which leaves the stream where k
+    `integers` calls would. Step i moves into slot t_i the value slot i
+    held just before it: the value the last earlier step targeting slot i
+    moved there, else i. These links point to earlier steps, and pointer
+    doubling follows them to their roots. No step starts from a slot
+    s >= k, so slot s ends with the value the last step targeting it moved
+    there, else s. The chosen values are all the others: each targeted
+    slot >= k, and each value < k that no slot >= k ends with.
+    """
+    steps = np.arange(k, dtype=np.int64)
+    span = m - steps
+    targets = steps + np.minimum((rng.uniforms(k) * span).astype(np.int64), span - 1)
+    # last[s]: last step that targeted slot s, -1 if none. A step that targets
+    # its own slot moves nothing and no other link leads to it.
+    last = np.full(m, -1, dtype=np.int64)
+    np.maximum.at(last, targets, steps)
+    # carried[j] links step j to the step whose start value it moves; rooted, it is that value
+    carried = np.where(last[:k] >= 0, last[:k], steps)
+    while True:
+        rooted = carried[carried]
+        if np.array_equal(rooted, carried):
+            break
+        carried = rooted
+    tail = last[k:]
+    targeted = tail >= 0
+    chosen = np.ones(m, dtype=bool)
+    chosen[k:] = targeted
+    chosen[carried[tail[targeted]]] = False
+    return np.flatnonzero(chosen)
 
 
 def estimate_qber(
@@ -171,7 +204,7 @@ def estimate_qber(
     if m == 0:
         raise EstimationError("cannot estimate the error rate of an empty sifted key")
     k = math.ceil(reveal_fraction * m)
-    positions = np.array(sorted(_sample_without_replacement(m, k, rng)), dtype=np.int64)
+    positions = _sample_without_replacement(m, k, rng)
     disagreements = int(np.sum(transcript.alice_key[positions] != transcript.bob_key[positions]))
     qber = disagreements / k
     revealed = transcript.sifted_indices[positions]

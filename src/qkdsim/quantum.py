@@ -175,6 +175,8 @@ class DensityMatrix:
         mat = np.array(matrix, dtype=complex)
         if mat.shape != (2, 2):
             raise ValueError(f"density matrix has shape {mat.shape}, expected (2, 2)")
+        if not np.all(np.isfinite(mat.view(float))):
+            raise ValueError("density matrix has non-finite entries")
         if np.max(np.abs(mat - mat.conj().T)) > ALGEBRA_TOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(mat) - 1.0) > ALGEBRA_TOL:

@@ -66,6 +66,17 @@ class RngStream:
             raise ValueError("n must be positive")
         return min(int(self.uniform() * n), n - 1)
 
+    def uniforms(self, k: int) -> np.ndarray:
+        """The next k `uniform()` values as one float64 array.
+
+        Draw j is draw 0 of a stream j steps further on, so all k come
+        from one `uniform_array` call. The state advances by k steps,
+        exactly as k `uniform()` calls would leave it.
+        """
+        states = np.uint64(self._state) + np.arange(k, dtype=np.uint64) * _U_GOLDEN
+        self._state = (self._state + k * _GOLDEN) & _MASK
+        return uniform_array(states, 0)
+
 
 # -- vectorized counterparts (numpy uint64, wraparound arithmetic) ----------
 

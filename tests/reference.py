@@ -56,6 +56,15 @@ def sample_outcome(state: QubitState, povm: Povm, rng: RngStream) -> str:
     return povm.labels[sample_index(born_probabilities(state, povm), rng)]
 
 
+def sample_without_replacement(m: int, k: int, rng: RngStream) -> list[int]:
+    """First k entries of a partial Fisher-Yates shuffle of range(m), one draw per step."""
+    positions = list(range(m))
+    for j in range(k):
+        t = j + rng.integers(m - j)
+        positions[j], positions[t] = positions[t], positions[j]
+    return positions[:k]
+
+
 # -- unambiguous discrimination ----------------------------------------------
 
 

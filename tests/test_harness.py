@@ -207,6 +207,11 @@ class TestNoSignalingDemo:
         with pytest.raises(ConfigurationError):
             no_signaling_demo(povm_name="magic")
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, True])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            no_signaling_demo(seed=seed)
+
 
 class TestCsv:
     def test_header_and_row_shape(self):
@@ -298,6 +303,23 @@ class TestCli:
         assert main(["no-signaling-demo", "--povm", "sz"]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["densities_equal"]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_demo_seed_outside_64_bits_exits_2(self, seed, capsys):
+        """-1 must not run as 2**64 - 1, nor 2**64 as 0."""
+        assert main(["--seed", str(seed), "no-signaling-demo"]) == 2
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [["run"], ["sweep", "--param", "delta", "--values", "0.1"]]
+    )
+    def test_unallocatable_n_pulses_exits_2(self, tmp_path, capsys, command):
+        """10**12 pulses fail at the first 8 TB array, before anything is written."""
+        path = self._write_config(tmp_path, {**BASE, "n_pulses": 10**12})
+        assert main([command[0], "--config", path, *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert "n_pulses 1000000000000 does not fit in memory" in captured.err
+        assert captured.out == ""
 
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["run", "--config", "/nonexistent.json"]) == 2

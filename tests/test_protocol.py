@@ -1,6 +1,7 @@
 """Preparation, measurement, sifting and error estimation."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,13 +12,14 @@ from qkdsim.protocol import (
     EstimationError,
     ProtocolKind,
     PulseRecord,
+    _sample_without_replacement,
     estimate_qber,
     sift,
 )
 from qkdsim.quantum import X_MINUS, X_PLUS, Z_MINUS, Z_PLUS, measurement_probs
 from qkdsim.rng import RngStream
 from qkdsim.session import STAGE_ESTIMATE, pulse_stream, simulate_session
-from reference import alice_prepare, bob_measure
+from reference import alice_prepare, bob_measure, sample_without_replacement
 
 
 def _honest_session(kind, n, seed, absorption=0.0, efficiency=1.0):
@@ -120,6 +122,34 @@ class TestSift:
         transcript = _honest_session(ProtocolKind.B92, 5_000, seed=14)
         minus = set(np.nonzero(transcript.arrived & transcript.bob_minus)[0])
         assert set(transcript.sifted_indices.tolist()) <= minus
+
+
+def _assert_matches_oracle(m, k, seed):
+    oracle, engine = RngStream(seed), RngStream(seed)
+    expected = sorted(sample_without_replacement(m, k, oracle))
+    positions = _sample_without_replacement(m, k, engine)
+    assert positions.tolist() == expected, (m, k, seed)
+    assert engine._state == oracle._state, (m, k, seed)
+
+
+class TestRevealSampling:
+    """The array sampler against the scalar Fisher-Yates oracle, draw for draw."""
+
+    def test_random_cases_match_oracle(self):
+        cases = random.Random(20260101)
+        for _ in range(1_200):
+            m = cases.choice((2, 3, 5, 17, 64, 257, 1_000, 4_099))
+            k = cases.randint(1, m)
+            _assert_matches_oracle(m, k, cases.getrandbits(64))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_edges_match_oracle(self, seed):
+        for m in (1, 2, 9, 1_000):
+            for k in sorted({0, 1, m - 1, m}):
+                _assert_matches_oracle(m, k, seed)
+
+    def test_large_reveal_matches_oracle(self):
+        _assert_matches_oracle(200_000, 100_000, 7)
 
 
 class TestEstimateQber:

@@ -223,6 +223,12 @@ class TestDensityMatrices:
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.5, math.nan)])
+    def test_density_rejects_non_finite_entries(self, bad):
+        """Every comparison with NaN is False, so finiteness is checked first."""
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(np.array([[bad, 0.0], [0.0, 0.5]]))
+
     def test_density_equal(self):
         half = DensityMatrix(0.5 * np.eye(2))
         assert density_equal(half, half, 1e-12)

@@ -48,6 +48,16 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(0).integers(0)
 
+    @pytest.mark.parametrize("seed", [0, 31, 2**64 - 1])
+    def test_uniforms_block_equals_successive_draws(self, seed):
+        for k in (0, 1, 2, 1_000):
+            block, scalar = RngStream(seed), RngStream(seed)
+            values = block.uniforms(k)
+            assert values.dtype == np.float64 and values.shape == (k,)
+            assert values.tolist() == [scalar.uniform() for _ in range(k)]
+            assert block._state == scalar._state
+            assert block.uniform() == scalar.uniform()
+
     def test_seed_masked_to_64_bits(self):
         assert RngStream(1 << 64).uniform() == RngStream(0).uniform()
 
