@@ -139,17 +139,18 @@ def sift(kind: ProtocolKind, transcript: SessionTranscript) -> np.ndarray:
     BB84 keeps arrived pulses whose bases matched (minus decodes as 1).
     """
     if kind is ProtocolKind.B92:
-        mask = transcript.arrived & transcript.bob_minus
-        bob_bits = np.where(transcript.bob_bases == 1, 0, 1)
+        indices = np.flatnonzero(transcript.arrived & transcript.bob_minus)
+        bob_key = 1 - transcript.bob_bases[indices]
     else:
         if transcript.alice_bases is None:
             raise ValueError("BB84 sifting needs Alice's basis column")
-        mask = transcript.arrived & (transcript.bob_bases == transcript.alice_bases)
-        bob_bits = transcript.bob_minus.astype(np.int8)
-    indices = np.nonzero(mask)[0]
+        indices = np.flatnonzero(
+            transcript.arrived & (transcript.bob_bases == transcript.alice_bases)
+        )
+        bob_key = transcript.bob_minus[indices]
     transcript.sifted_indices = indices
     transcript.alice_key = transcript.alice_bits[indices].astype(np.int8)
-    transcript.bob_key = bob_bits[indices].astype(np.int8)
+    transcript.bob_key = bob_key.astype(np.int8)
     return indices
 
 

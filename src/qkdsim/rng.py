@@ -83,26 +83,46 @@ class RngStream:
 _U_GOLDEN = np.uint64(_GOLDEN)
 _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _U_MIX1
-    z = (z ^ (z >> np.uint64(27))) * _U_MIX2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64's finalizer applied to `z` in place, through one temporary."""
+    t = np.empty_like(z)
+    for shift, multiplier in ((_S30, _U_MIX1), (_S27, _U_MIX2)):
+        np.right_shift(z, shift, out=t)
+        z ^= t
+        z *= multiplier
+    np.right_shift(z, _S31, out=t)
+    z ^= t
+    return z
 
 
 def derive_seed_array(seed: int, indices: np.ndarray, *keys: int) -> np.ndarray:
-    """Vectorized `derive_seed(seed, i, *keys)` over an index array."""
-    h = np.full(indices.shape, seed & _MASK, dtype=np.uint64)
-    for key_values in (indices.astype(np.uint64),) + tuple(
-        np.uint64(k & _MASK) for k in keys
-    ):
-        h = _mix_array((h ^ key_values) + _U_GOLDEN)
-    return _mix_array(h + _U_GOLDEN)
+    """Vectorized `derive_seed(seed, i, *keys)` over an index array.
+
+    Returns a new array; `indices` is left as it was.
+    """
+    h = indices.astype(np.uint64)
+    h ^= np.uint64(seed & _MASK)
+    h += _U_GOLDEN
+    _mix_array(h)
+    for key in keys:
+        h ^= np.uint64(key & _MASK)
+        h += _U_GOLDEN
+        _mix_array(h)
+    h += _U_GOLDEN
+    return _mix_array(h)
 
 
 def uniform_array(seeds: np.ndarray, draw_index: int) -> np.ndarray:
-    """The `draw_index`-th uniform of each stream in `seeds`, as float64."""
-    counter = seeds + np.uint64(((draw_index + 1) * _GOLDEN) & _MASK)
-    raw = _mix_array(counter)
-    return (raw >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    """The `draw_index`-th uniform of each stream in `seeds`, as float64.
+
+    Returns a new array; `seeds` is left as it was.
+    """
+    raw = seeds + np.uint64(((draw_index + 1) * _GOLDEN) & _MASK)
+    _mix_array(raw)
+    raw >>= _S11
+    u = raw.astype(np.float64)
+    u *= _INV_2_53
+    return u

@@ -11,11 +11,14 @@ consumes draws from its own substream in a fixed order:
 
 Eve and Bob are both a `StageTable` read by one sampler, so the only
 branch on Eve's strategy is in building her table. Because no stage ever
-touches another pulse's stream, the whole session is computed as numpy
-array operations over all pulses at once while remaining draw-for-draw
-identical to a Python loop over `RngStream` substreams (the equivalence
-is pinned by tests against a scalar reference). Transcripts are pure
-functions of (configuration, master seed) either way.
+touches another pulse's stream, the session runs block by block: every
+stage runs as numpy array operations over one block of `BLOCK` pulse
+indices and writes its results into the block's slice of the transcript
+columns, which are allocated at full length up front. The transcript does
+not depend on the block size, and it is draw-for-draw identical to a
+Python loop over `RngStream` substreams (both equivalences are pinned by
+tests, the latter against a scalar reference). Transcripts are pure
+functions of (configuration, master seed).
 """
 
 from __future__ import annotations
@@ -50,6 +53,12 @@ STAGE_CHANNEL = 2
 STAGE_BOB = 3
 STAGE_ESTIMATE = 4
 STAGE_SWEEP = 5
+
+# Pulses per engine block. A block's few working arrays (indices, seeds,
+# uniforms, the mixing temporary, table rows) take 8 bytes a pulse each,
+# 256 KiB at this size, so together they fit in a 2 MiB L2 cache, where
+# whole-session arrays (8 MB per 10^6 pulses) would stream through memory.
+BLOCK = 1 << 15
 
 
 def pulse_stream(master_seed: int, index: int, stage: int) -> RngStream:
@@ -102,18 +111,30 @@ def _stage_table(states: tuple[QubitState, ...], rows, frames) -> StageTable:
     return StageTable(len(frames), thresholds, forward)
 
 
-def _basis_frames(resend: bool) -> tuple:
+class _BasisProbs(dict):
+    """`measurement_probs` per (state, basis), each computed once. Eve's
+    intercept-resend table and Bob's table read the same pairs; one
+    instance lives for one session, so it never grows past a few entries."""
+
+    def __missing__(self, key: tuple[QubitState, str]) -> tuple[float, float]:
+        self[key] = probs = measurement_probs(*key)
+        return probs
+
+
+def _basis_frames(basis_probs: _BasisProbs, resend: bool) -> tuple:
     """The projective z and x measurements; `resend` forwards the eigenstate found."""
     z, x = ((Z_PLUS, Z_MINUS), (X_PLUS, X_MINUS)) if resend else ((None, None),) * 2
-    return ((lambda s: measurement_probs(s, "z"), z), (lambda s: measurement_probs(s, "x"), x))
+    return ((lambda s: basis_probs[s, "z"], z), (lambda s: basis_probs[s, "x"], x))
 
 
-def _eve_frames(strategy: EveStrategy) -> tuple[tuple, tuple[QubitState, ...]]:
+def _eve_frames(
+    strategy: EveStrategy, basis_probs: _BasisProbs
+) -> tuple[tuple, tuple[QubitState, ...]]:
     """Eve's frames and the states she can forward, in state-table order."""
     if strategy.kind is EveKind.NONE:
         return (), ()
     if strategy.kind is EveKind.INTERCEPT_RESEND:
-        return _basis_frames(resend=True), (Z_PLUS, Z_MINUS, X_PLUS, X_MINUS)
+        return _basis_frames(basis_probs, resend=True), (Z_PLUS, Z_MINUS, X_PLUS, X_MINUS)
     scheme = strategy.scheme
     if scheme.kind is UsdSchemeKind.NAIVE_RANDOM_BASIS:
         z_frame, x_frame = naive_frame_povms(scheme.rotation)
@@ -145,11 +166,9 @@ def _sample_stage(
     if table.n_frames == 2:
         frame = _coin(uniform_array(seeds, 0))
     u = uniform_array(seeds, table.n_frames - 1)
-    del seeds
     row = state_ids.astype(np.intp) * table.n_frames + frame
     for column in table.thresholds.T:
         outcome += u >= column.take(row)
-    del u
     row *= table.forward.shape[1]
     row += outcome
     return frame, outcome, table.forward.take(row)
@@ -166,34 +185,50 @@ def simulate_session(
     if n_pulses < 1:
         raise ValueError("n_pulses must be at least 1")
     sent_states = protocol_states(kind)
-    eve_frames, resent = _eve_frames(strategy)
+    basis_probs = _BasisProbs()
+    eve_frames, resent = _eve_frames(strategy, basis_probs)
     states = tuple(dict.fromkeys(sent_states + resent))
     eve = _stage_table(states, range(len(sent_states)), eve_frames)
     enters_bob = np.unique(eve.forward[eve.forward >= 0]) if eve.n_frames else range(len(states))
-    bob = _stage_table(states, enters_bob, _basis_frames(resend=False))
-    idx = np.arange(n_pulses, dtype=np.uint64)
-
-    seeds = derive_seed_array(master_seed, idx, STAGE_ALICE)
-    bits = _coin(uniform_array(seeds, 0))
-    alice_bases = None if kind is ProtocolKind.B92 else _coin(uniform_array(seeds, 1))
-    del seeds
-    sent_ids = bits.astype(np.int16)
-    if alice_bases is not None:
-        sent_ids += 2 * alice_bases
-
-    _, _, forwarded_ids = _sample_stage(eve, sent_ids, master_seed, idx, STAGE_EVE)
+    bob = _stage_table(states, enters_bob, _basis_frames(basis_probs, resend=False))
     forwarded_action = np.int8(EVE_MEASURED_RESENT if eve.n_frames else EVE_PASSED)
-    eve_actions = np.where(forwarded_ids >= 0, forwarded_action, np.int8(EVE_SUPPRESSED))
 
-    seeds = derive_seed_array(master_seed, idx, STAGE_CHANNEL)
-    arrived = (forwarded_ids >= 0) & (uniform_array(seeds, 0) >= channel.loss_probability)
-    del seeds
+    alice_bits = np.empty(n_pulses, dtype=np.int8)
+    alice_bases = None if kind is ProtocolKind.B92 else np.empty(n_pulses, dtype=np.int8)
+    sent_ids = np.empty(n_pulses, dtype=np.int16)
+    eve_actions = np.empty(n_pulses, dtype=np.int8)
+    forwarded_ids = np.empty(n_pulses, dtype=np.int16)
+    arrived = np.empty(n_pulses, dtype=bool)
+    bob_bases = np.empty(n_pulses, dtype=np.int8)
+    bob_minus = np.empty(n_pulses, dtype=bool)
 
-    # suppressed pulses never arrive, so the row Bob reads for them is immaterial
-    bob_bases, outcome, _ = _sample_stage(
-        bob, np.maximum(forwarded_ids, 0), master_seed, idx, STAGE_BOB
-    )
-    bob_minus = arrived & (outcome == 1)
+    for a in range(0, n_pulses, BLOCK):
+        b = min(a + BLOCK, n_pulses)
+        idx = np.arange(a, b, dtype=np.uint64)
+
+        seeds = derive_seed_array(master_seed, idx, STAGE_ALICE)
+        alice_bits[a:b] = _coin(uniform_array(seeds, 0))
+        sent = sent_ids[a:b]
+        sent[:] = alice_bits[a:b]
+        if alice_bases is not None:
+            alice_bases[a:b] = _coin(uniform_array(seeds, 1))
+            sent += 2 * alice_bases[a:b]
+
+        _, _, forwarded = _sample_stage(eve, sent, master_seed, idx, STAGE_EVE)
+        forwarded_ids[a:b] = forwarded
+        reached = forwarded >= 0
+        eve_actions[a:b] = np.where(reached, forwarded_action, np.int8(EVE_SUPPRESSED))
+
+        seeds = derive_seed_array(master_seed, idx, STAGE_CHANNEL)
+        reached &= uniform_array(seeds, 0) >= channel.loss_probability
+        arrived[a:b] = reached
+
+        # suppressed pulses never arrive, so the row Bob reads for them is immaterial
+        frame, outcome, _ = _sample_stage(
+            bob, np.maximum(forwarded, 0), master_seed, idx, STAGE_BOB
+        )
+        bob_bases[a:b] = frame
+        bob_minus[a:b] = reached & (outcome == 1)
 
     return SessionTranscript(
         protocol=kind,
@@ -201,7 +236,7 @@ def simulate_session(
         strategy=strategy,
         master_seed=master_seed,
         n_pulses=n_pulses,
-        alice_bits=bits,
+        alice_bits=alice_bits,
         alice_bases=alice_bases,
         sent_ids=sent_ids,
         state_table=states,

@@ -1,7 +1,8 @@
 """Golden digests: the sha256 of `qkdsim` stdout for fixed configs.
 
 Every valid {protocol x eve_strategy x usd_scheme} combination is pinned,
-plus lossy channels, nonzero delta, a CSV run and a CSV delta sweep. A
+plus lossy channels, nonzero delta, a CSV run, a CSV delta sweep and two
+sessions long enough to span several engine blocks. A
 refactor of the engine must leave every digest unchanged; a deliberate
 change of output re-pins them with
 
@@ -24,6 +25,7 @@ from qkdsim.cli import main
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 N = 20_000
+MULTIBLOCK_N = 100_003
 
 
 def _config(protocol, strategy="none", scheme="naive", **extra):
@@ -66,6 +68,13 @@ CASES = {
         _config("b92", "basis_mismatch", "optimal", n_pulses=4_000),
         ["--output", "csv", "sweep"],
         SWEEP,
+    ),
+    # several engine blocks, the last one partial
+    "b92-usd-suppress-naive-lossy-multiblock": (
+        _config("b92", "usd_suppress", n_pulses=MULTIBLOCK_N, **LOSSY), ["run"], []
+    ),
+    "bb84-intercept-resend-multiblock": (
+        _config("bb84", "intercept_resend", n_pulses=MULTIBLOCK_N), ["run"], []
     ),
 }
 

@@ -81,6 +81,15 @@ class TestDerivation:
         for i in (0, 1, 31, 63):
             assert int(seeds[i]) == derive_seed(123, i, 2)
 
+    def test_vectorized_helpers_leave_inputs_unchanged(self):
+        idx = np.arange(1_000, dtype=np.uint64)
+        seeds = derive_seed_array(5, idx, 1, 2)
+        np.testing.assert_array_equal(idx, np.arange(1_000, dtype=np.uint64))
+        kept = seeds.copy()
+        for draw in range(3):
+            uniform_array(seeds, draw)
+        np.testing.assert_array_equal(seeds, kept)
+
     def test_vectorized_uniforms_match_scalar_streams(self):
         idx = np.arange(32, dtype=np.uint64)
         seeds = derive_seed_array(77, idx, 3)

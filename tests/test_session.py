@@ -1,12 +1,16 @@
 """The array engine against a hand-composed scalar pipeline, plus
-determinism and substream-permutation properties."""
+determinism, block-size independence and substream-permutation
+properties."""
 
 import numpy as np
 import pytest
 
+from qkdsim import session
 from qkdsim.adversary import ChannelModel, EveKind, EveStrategy
 from qkdsim.protocol import BASIS_LABELS, EVE_ACTION_LABELS, ProtocolKind
+from qkdsim.quantum import measurement_probs
 from qkdsim.session import (
+    BLOCK,
     STAGE_ALICE,
     STAGE_BOB,
     STAGE_CHANNEL,
@@ -63,25 +67,79 @@ def _scalar_pulse(kind, strategy, channel, seed, index):
     return bit, basis, log.action, forwarded is not None, bob_basis, outcome
 
 
+def _assert_pulse_matches_scalar(t, kind, strategy, channel, seed, i):
+    bit, basis, action, arrived, bob_basis, outcome = _scalar_pulse(
+        kind, strategy, channel, seed, i
+    )
+    assert bit == t.alice_bits[i]
+    if basis is not None:
+        assert basis == BASIS_LABELS[t.alice_bases[i]]
+    assert action == EVE_ACTION_LABELS[t.eve_actions[i]]
+    assert arrived == bool(t.arrived[i])
+    assert bob_basis == BASIS_LABELS[t.bob_bases[i]]
+    engine_outcome = "null" if not t.arrived[i] else ("minus" if t.bob_minus[i] else "plus")
+    assert outcome == engine_outcome
+
+
 @pytest.mark.parametrize("name,kind,strategy,channel", CASES, ids=[c[0] for c in CASES])
 def test_engine_matches_scalar_composition(name, kind, strategy, channel):
-    """Array engine reproduces the per-pulse substream pipeline exactly."""
+    """Array engine reproduces the per-pulse substream pipeline exactly,
+    including on both sides of every block boundary of a longer session."""
     n, seed = 400, 2024
     t = simulate_session(kind, n, channel, strategy, seed)
     for i in range(n):
-        bit, basis, action, arrived, bob_basis, outcome = _scalar_pulse(
-            kind, strategy, channel, seed, i
-        )
-        assert bit == t.alice_bits[i]
-        if basis is not None:
-            assert basis == BASIS_LABELS[t.alice_bases[i]]
-        assert action == EVE_ACTION_LABELS[t.eve_actions[i]]
-        assert arrived == bool(t.arrived[i])
-        assert bob_basis == BASIS_LABELS[t.bob_bases[i]]
-        engine_outcome = (
-            "null" if not t.arrived[i] else ("minus" if t.bob_minus[i] else "plus")
-        )
-        assert outcome == engine_outcome
+        _assert_pulse_matches_scalar(t, kind, strategy, channel, seed, i)
+
+    t = simulate_session(kind, 2 * BLOCK + 3, channel, strategy, seed)
+    for i in (0, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 2):
+        _assert_pulse_matches_scalar(t, kind, strategy, channel, seed, i)
+
+
+COLUMNS = (
+    "alice_bits",
+    "alice_bases",
+    "sent_ids",
+    "eve_actions",
+    "forwarded_ids",
+    "arrived",
+    "bob_bases",
+    "bob_minus",
+)
+
+
+@pytest.mark.parametrize("block,n", [(1, 203), (7, 1_003), (4096, 2 * 4096 + 5)])
+def test_transcript_independent_of_block_size(block, n, monkeypatch):
+    """Any split of the pulse range gives the default block's transcript."""
+    seed = 31
+    expected = [simulate_session(kind, n, ch, strategy, seed) for _, kind, strategy, ch in CASES]
+    monkeypatch.setattr(session, "BLOCK", block)
+    for (_, kind, strategy, ch), want in zip(CASES, expected):
+        got = simulate_session(kind, n, ch, strategy, seed)
+        assert got.state_table == want.state_table
+        for column in COLUMNS:
+            a, b = getattr(got, column), getattr(want, column)
+            if b is None:
+                assert a is None
+            else:
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.BB84, ProtocolKind.B92], ids=["bb84", "b92"])
+def test_basis_probabilities_computed_once_per_session(kind, monkeypatch):
+    """Eve's intercept-resend table and Bob's table share each (state, basis)
+    lookup: 4 eigenstates x 2 bases, 8 calls, not one set per table."""
+    seen = []
+
+    def counting(state, basis):
+        seen.append((state, basis))
+        return measurement_probs(state, basis)
+
+    monkeypatch.setattr(session, "measurement_probs", counting)
+    for _ in range(2):  # nothing is kept from one session to the next
+        seen.clear()
+        simulate_session(kind, 100, ChannelModel(), EveStrategy(EveKind.INTERCEPT_RESEND), 3)
+        assert len(seen) == len(set(seen)) == 8
 
 
 class TestDeterminism:
