@@ -83,8 +83,18 @@ class EveStrategy:
 
 
 def forwarded_state_symmetry(transcript: SessionTranscript) -> tuple[int, int]:
-    """Counts of |z+> vs |x+> among the pulses Eve actually forwarded."""
+    """Counts of |z+> vs |x+> among the pulses Eve actually forwarded.
+
+    Counts each state id labelled z+ or x+ directly; suppressed pulses
+    (id -1) match no label.
+    """
     forwarded = transcript.forwarded_ids
-    labels = np.array(transcript.state_labels)
-    counts = np.bincount(forwarded[forwarded >= 0], minlength=len(labels))
-    return int(counts[labels == "z+"].sum()), int(counts[labels == "x+"].sum())
+
+    def count(label: str) -> int:
+        return sum(
+            int(np.count_nonzero(forwarded == i))
+            for i, name in enumerate(transcript.state_labels)
+            if name == label
+        )
+
+    return count("z+"), count("x+")

@@ -10,9 +10,9 @@ absorption and detector efficiency predict.
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
+import numpy as np
 from scipy import stats
 
 from .adversary import ChannelModel
@@ -43,7 +43,8 @@ class TestDecision:
             raise ValueError("inconsistent decision: flagged must equal p_value < alpha")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # the fields are flat values, so asdict's deep copy buys nothing
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def expected_rates(channel: ChannelModel) -> ExpectedRates:
@@ -57,62 +58,76 @@ def expected_rates(channel: ChannelModel) -> ExpectedRates:
     )
 
 
-def _binomial_tail(k: int, n: int, p: float) -> float:
-    """P[X >= k] for X ~ Binomial(n, p)."""
-    if k <= 0:
-        return 1.0
-    return float(stats.binom.sf(k - 1, n, p))
+def binomial_tails(k, n, p) -> np.ndarray:
+    """P[X >= k] for X ~ Binomial(n, p), elementwise, from one scipy call.
+
+    The values equal `stats.binom.sf(k - 1, n, p)` called per element,
+    bit for bit; the tail is exactly 1 where k <= 0.
+    """
+    k, n, p = np.broadcast_arrays(np.asarray(k, dtype=np.int64), n, p)
+    tails = np.ones(k.shape)
+    some = k > 0
+    tails[some] = stats.binom.sf(k[some] - 1, n[some], p[some])
+    return tails
 
 
-def _normal_tail(k: int, n: int, p: float) -> float:
+def _normal_tails(k: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Normal approximation to P[X >= k] with continuity correction."""
-    sigma = math.sqrt(n * p * (1.0 - p))
-    if sigma == 0.0:
-        return 1.0 if k <= n * p else 0.0
-    return float(stats.norm.sf((k - 0.5 - n * p) / sigma))
+    sigma = np.sqrt(n * p * (1.0 - p))
+    degenerate = sigma == 0.0
+    z = (k - 0.5 - n * p) / np.where(degenerate, 1.0, sigma)
+    return np.where(degenerate, (k <= n * p).astype(float), stats.norm.sf(z))
 
 
-def null_ratio_test(
-    n_sent: int,
-    n_null: int,
-    expected: ExpectedRates,
-    alpha: float,
-    method: str = "exact",
-) -> TestDecision:
+def _batch(*values) -> tuple[bool, list[np.ndarray]]:
+    """(whether every value was a scalar, the values as equal-length 1-d arrays)."""
+    single = all(np.ndim(v) == 0 for v in values)
+    return single, [np.atleast_1d(v) for v in np.broadcast_arrays(*values)]
+
+
+def null_ratio_test(n_sent, n_null, expected, alpha, method: str = "exact"):
     """One-sided test of the observed null count against channel expectations.
 
     Flags when nulls are significantly high for Binomial(n_sent, p_null)
     with p_null = 1 - expected_arrival. The exact tail is the default;
     the normal approximation is accepted only above 10^4 pulses and the
     choice is recorded on the decision.
+
+    Scalar arguments give one `TestDecision`. Sequences (one entry per
+    session, `expected` a sequence of `ExpectedRates`) give a list, with
+    every tail from one vectorised call.
     """
-    if n_sent <= 0:
+    arrival = (
+        expected.expected_arrival
+        if isinstance(expected, ExpectedRates)
+        else [e.expected_arrival for e in expected]
+    )
+    single, (n_sent, n_null, arrival, alpha) = _batch(n_sent, n_null, arrival, alpha)
+    if np.any(n_sent <= 0):
         raise ValueError("n_sent must be positive")
-    if not (0 <= n_null <= n_sent):
+    if np.any(n_null < 0) or np.any(n_null > n_sent):
         raise ValueError("n_null must lie in [0, n_sent]")
-    p_null = 1.0 - expected.expected_arrival
+    p_null = 1.0 - arrival
     if method == "exact":
-        p_value = _binomial_tail(n_null, n_sent, p_null)
+        p_values = binomial_tails(n_null, n_sent, p_null)
         recorded = "exact-binomial"
     elif method == "normal":
-        if n_sent <= NORMAL_APPROX_MIN_N:
+        if np.any(n_sent <= NORMAL_APPROX_MIN_N):
             raise ValueError(
                 f"normal approximation needs more than {NORMAL_APPROX_MIN_N} pulses"
             )
-        p_value = _normal_tail(n_null, n_sent, p_null)
+        p_values = _normal_tails(n_null, n_sent, p_null)
         recorded = "normal-approx"
     else:
         raise ValueError(f"unknown method {method!r}")
-    return TestDecision(
-        statistic=n_null / n_sent,
-        p_value=p_value,
-        flagged=p_value < alpha,
-        alpha=alpha,
-        method=recorded,
-    )
+    decisions = [
+        TestDecision(statistic=k / n, p_value=p, flagged=p < a, alpha=a, method=recorded)
+        for n, k, p, a in zip(n_sent.tolist(), n_null.tolist(), p_values.tolist(), alpha.tolist())
+    ]
+    return decisions[0] if single else decisions
 
 
-def qber_test(qber: float, n_revealed: int, threshold: float) -> TestDecision:
+def qber_test(qber, n_revealed, threshold):
     """Threshold test on the revealed error rate.
 
     Flags iff the observed rate exceeds the threshold. The p-value is the
@@ -120,28 +135,34 @@ def qber_test(qber: float, n_revealed: int, threshold: float) -> TestDecision:
     disagreements at per-bit error probability `threshold`; alpha is
     placed between the attainable tail values on either side of the
     threshold count so that the flag and the p-value agree exactly.
+
+    Scalar arguments give one `TestDecision`; sequences give a list, with
+    all the tails from one vectorised call.
     """
-    if n_revealed <= 0:
+    single, (qber, n_revealed, threshold) = _batch(qber, n_revealed, threshold)
+    if np.any(n_revealed <= 0):
         raise ValueError("n_revealed must be positive")
-    if not (0.0 <= qber <= 1.0):
+    if not np.all((0.0 <= qber) & (qber <= 1.0)):
         raise ValueError("qber must be in [0, 1]")
-    if not (0.0 <= threshold <= 1.0):
+    if not np.all((0.0 <= threshold) & (threshold <= 1.0)):
         raise ValueError("threshold must be in [0, 1]")
-    k = int(round(qber * n_revealed))
+    k = np.rint(qber * n_revealed).astype(np.int64)
     # smallest disagreement count whose rate exceeds the threshold
-    k_star = int(math.floor(n_revealed * threshold)) + 1
-    while k_star > 0 and (k_star - 1) / n_revealed > threshold:
-        k_star -= 1
-    while k_star <= n_revealed and k_star / n_revealed <= threshold:
-        k_star += 1
-    alpha = 0.5 * (
-        _binomial_tail(k_star - 1, n_revealed, threshold)
-        + _binomial_tail(k_star, n_revealed, threshold)
-    )
-    p_value = _binomial_tail(k, n_revealed, threshold)
-    return TestDecision(
-        statistic=qber,
-        p_value=p_value,
-        flagged=k >= k_star,
-        alpha=alpha,
-    )
+    k_star = np.floor(n_revealed * threshold).astype(np.int64) + 1
+    while np.any(high := (k_star > 0) & ((k_star - 1) / n_revealed > threshold)):
+        k_star -= high
+    while np.any(low := (k_star <= n_revealed) & (k_star / n_revealed <= threshold)):
+        k_star += low
+    tails = binomial_tails(
+        np.concatenate([k_star - 1, k_star, k]),
+        np.tile(n_revealed, 3),
+        np.tile(threshold, 3),
+    ).reshape(3, -1)
+    alpha = 0.5 * (tails[0] + tails[1])
+    decisions = [
+        TestDecision(statistic=q, p_value=p, flagged=f, alpha=a)
+        for q, p, f, a in zip(
+            qber.tolist(), tails[2].tolist(), (k >= k_star).tolist(), alpha.tolist()
+        )
+    ]
+    return decisions[0] if single else decisions

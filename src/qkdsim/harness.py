@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -33,8 +33,10 @@ from .quantum import (
 )
 from .rng import GENERATOR_NAME, RngStream, derive_seed
 from .session import (
+    BLOCK,
     STAGE_ESTIMATE,
     STAGE_SWEEP,
+    Session,
     protocol_states,
     pulse_stream,
     simulate_session,
@@ -133,7 +135,8 @@ class ExperimentConfig:
             raise ConfigurationError(str(exc)) from exc
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # the fields are flat values, so asdict's deep copy buys nothing
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def protocol_kind(self) -> ProtocolKind:
         return ProtocolKind(self.protocol)
@@ -228,64 +231,108 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     Deterministic given the config (including master_seed). Raises
     InfeasibleStrategyError for discrimination attacks on four-state
     protocols, before any pulse is simulated, and ConfigurationError when
-    the session's arrays cannot be allocated.
+    the session's arrays cannot be allocated. The session runs as a batch
+    of one.
     """
-    kind = config.protocol_kind()
-    channel = config.channel()
-    strategy = config.strategy()
-    _check_feasibility(kind, strategy)
+    return _run_batch([config])[0]
+
+
+def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
+    """Reports of sessions that share protocol, Eve and scheme kinds, run
+    as one engine batch; each equals the report of its config run alone."""
+    kind = configs[0].protocol_kind()
+    channels = [c.channel() for c in configs]
+    strategies = [c.strategy() for c in configs]
+    _check_feasibility(kind, strategies[0])
+    sessions = [
+        Session(c.n_pulses, channel, strategy, c.master_seed)
+        for c, channel, strategy in zip(configs, channels, strategies)
+    ]
     try:
-        transcript = simulate_session(
-            kind, config.n_pulses, channel, strategy, config.master_seed
-        )
+        batch = simulate_session(kind, sessions)
     except MemoryError:
+        n_pulses = sum(c.n_pulses for c in configs)
         raise ConfigurationError(
-            f"n_pulses {config.n_pulses} does not fit in memory; use fewer pulses"
+            f"n_pulses {n_pulses} does not fit in memory; use fewer pulses"
         ) from None
-    sift(kind, transcript)
-    n_sifted = len(transcript.sifted_indices)
-    if n_sifted > 0:
-        qber, revealed = estimate_qber(
-            transcript,
-            config.reveal_fraction,
-            pulse_stream(config.master_seed, 0, STAGE_ESTIMATE),
+
+    transcripts, estimates = [], []
+    for i, config in enumerate(configs):
+        transcript = batch.transcript(i)
+        sift(kind, transcript)
+        if len(transcript.sifted_indices) > 0:
+            qber, revealed = estimate_qber(
+                transcript,
+                config.reveal_fraction,
+                pulse_stream(config.master_seed, 0, STAGE_ESTIMATE),
+            )
+            estimates.append((qber, len(revealed)))
+        else:
+            estimates.append((None, 0))
+        transcripts.append(transcript)
+
+    expected = [expected_rates(channel) for channel in channels]
+    null_decisions = null_ratio_test(
+        [c.n_pulses for c in configs],
+        [t.n_null for t in transcripts],
+        expected,
+        [c.alpha for c in configs],
+    )
+    revealing = [i for i, (_, n_revealed) in enumerate(estimates) if n_revealed > 0]
+    qber_decisions = {}
+    if revealing:
+        decided = qber_test(
+            [estimates[i][0] for i in revealing],
+            [estimates[i][1] for i in revealing],
+            [configs[i].qber_threshold for i in revealing],
         )
-        n_revealed = len(revealed)
-    else:
-        qber, n_revealed = None, 0
+        qber_decisions = dict(zip(revealing, decided))
 
-    n_arrived = transcript.n_arrived
-    n_null = transcript.n_null
-    expected = expected_rates(channel)
-    null_decision = null_ratio_test(config.n_pulses, n_null, expected, config.alpha)
-    qber_decision = (
-        qber_test(qber, n_revealed, config.qber_threshold) if n_revealed > 0 else None
-    )
-    count_z, count_x = forwarded_state_symmetry(transcript)
-    efficiency = None if strategy.scheme is None else usd_efficiency(strategy.scheme)
-
-    return RunReport(
-        config=config,
-        sent=config.n_pulses,
-        arrived=n_arrived,
-        null=n_null,
-        sifted=n_sifted,
-        revealed=n_revealed,
-        key_length=0 if transcript.alice_key is None else len(transcript.alice_key),
-        sift_rate=n_sifted / config.n_pulses,
-        qber=qber,
-        null_ratio=None if n_arrived == 0 else n_null / n_arrived,
-        expected_arrival=expected.expected_arrival,
-        expected_null_ratio=expected.expected_null_ratio,
-        qber_test=qber_decision,
-        null_ratio_test=null_decision,
-        scheme_efficiency=efficiency,
-        forwarded_z=count_z,
-        forwarded_x=count_x,
-    )
+    reports = []
+    for i, config in enumerate(configs):
+        transcript, strategy = transcripts[i], strategies[i]
+        (qber, n_revealed), n_sifted = estimates[i], len(transcript.sifted_indices)
+        n_arrived = transcript.n_arrived
+        count_z, count_x = forwarded_state_symmetry(transcript)
+        reports.append(
+            RunReport(
+                config=config,
+                sent=config.n_pulses,
+                arrived=n_arrived,
+                null=config.n_pulses - n_arrived,
+                sifted=n_sifted,
+                revealed=n_revealed,
+                key_length=len(transcript.alice_key),
+                sift_rate=n_sifted / config.n_pulses,
+                qber=qber,
+                null_ratio=None if n_arrived == 0 else (config.n_pulses - n_arrived) / n_arrived,
+                expected_arrival=expected[i].expected_arrival,
+                expected_null_ratio=expected[i].expected_null_ratio,
+                qber_test=qber_decisions.get(i),
+                null_ratio_test=null_decisions[i],
+                scheme_efficiency=None if strategy.scheme is None else usd_efficiency(strategy.scheme),
+                forwarded_z=count_z,
+                forwarded_x=count_x,
+            )
+        )
+    return reports
 
 
 SWEEP_PARAMETERS = ("delta", "n_pulses", "absorption", "efficiency", "alpha")
+
+
+def _batches(configs: list[ExperimentConfig]):
+    """Runs of consecutive configs with at most `BLOCK` pulses in all; a
+    config of more pulses is a batch by itself."""
+    batch, pulses = [], 0
+    for config in configs:
+        if batch and pulses + config.n_pulses > BLOCK:
+            yield batch
+            batch, pulses = [], 0
+        batch.append(config)
+        pulses += config.n_pulses
+    if batch:
+        yield batch
 
 
 def sweep(config: ExperimentConfig, parameter: str, values: list) -> list[RunReport]:
@@ -294,17 +341,24 @@ def sweep(config: ExperimentConfig, parameter: str, values: list) -> list[RunRep
     Each point's seed is derived from (master_seed, value index) alone,
     so every report equals a standalone run at that derived seed; points
     share no state, and truncating the value list never changes the
-    reports that remain.
+    reports that remain. Every point's config is validated before any
+    runs. Consecutive points then run as engine batches of at most
+    `session.BLOCK` pulses in all (a longer point alone), so a sweep of
+    short sessions pays the engine's per-call costs once per batch, and
+    holds at most one block of transcript (or one long point's) at a time.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigurationError(
             f"unknown sweep parameter {parameter!r}; choose from {SWEEP_PARAMETERS}"
         )
-    reports = []
-    for index, value in enumerate(values):
-        seed = derive_seed(config.master_seed, index, STAGE_SWEEP)
-        reports.append(run_experiment(replace(config, **{parameter: value, "master_seed": seed})))
-    return reports
+    configs = [
+        replace(
+            config,
+            **{parameter: value, "master_seed": derive_seed(config.master_seed, index, STAGE_SWEEP)},
+        )
+        for index, value in enumerate(values)
+    ]
+    return [report for batch in _batches(configs) for report in _run_batch(batch)]
 
 
 def _complex_list(vector) -> list:

@@ -154,6 +154,10 @@ def sift(kind: ProtocolKind, transcript: SessionTranscript) -> np.ndarray:
     return indices
 
 
+# Below this many sifted pulses the sampler's position arrays are int32.
+INT32_POSITIONS = 2**31
+
+
 def _sample_without_replacement(m: int, k: int, rng: RngStream) -> np.ndarray:
     """Sorted first k entries of a partial Fisher-Yates shuffle of range(m).
 
@@ -165,17 +169,30 @@ def _sample_without_replacement(m: int, k: int, rng: RngStream) -> np.ndarray:
     doubling follows them to their roots. No step starts from a slot
     s >= k, so slot s ends with the value the last step targeting it moved
     there, else s. The chosen values are all the others: each targeted
-    slot >= k, and each value < k that no slot >= k ends with.
+    slot >= k, and each value < k that no slot >= k ends with. Slots and
+    steps are int32 below `INT32_POSITIONS`, which halves the m-entry
+    `last` array and the k-entry working arrays.
     """
-    steps = np.arange(k, dtype=np.int64)
+    index = np.int32 if m < INT32_POSITIONS else np.int64
+    steps = np.arange(k, dtype=index)
     span = m - steps
-    targets = steps + np.minimum((rng.uniforms(k) * span).astype(np.int64), span - 1)
+    draws = rng.uniforms(k)
+    draws *= span
+    targets = draws.astype(index)
+    del draws
+    span -= 1
+    np.minimum(targets, span, out=targets)
+    del span
+    targets += steps
     # last[s]: last step that targeted slot s, -1 if none. A step that targets
     # its own slot moves nothing and no other link leads to it.
-    last = np.full(m, -1, dtype=np.int64)
+    last = np.full(m, -1, dtype=index)
     np.maximum.at(last, targets, steps)
+    del targets
     # carried[j] links step j to the step whose start value it moves; rooted, it is that value
-    carried = np.where(last[:k] >= 0, last[:k], steps)
+    head = last[:k]
+    carried = np.where(head >= 0, head, steps)
+    del steps
     while True:
         rooted = carried[carried]
         if np.array_equal(rooted, carried):

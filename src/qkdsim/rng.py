@@ -98,13 +98,15 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def derive_seed_array(seed: int, indices: np.ndarray, *keys: int) -> np.ndarray:
+def derive_seed_array(seed, indices: np.ndarray, *keys: int) -> np.ndarray:
     """Vectorized `derive_seed(seed, i, *keys)` over an index array.
 
-    Returns a new array; `indices` is left as it was.
+    `seed` is one int, or numpy uint64 values broadcast against `indices`
+    (one seed per index, say). Returns a new array; `indices` is left as
+    it was.
     """
     h = indices.astype(np.uint64)
-    h ^= np.uint64(seed & _MASK)
+    h ^= seed if isinstance(seed, (np.ndarray, np.uint64)) else np.uint64(seed & _MASK)
     h += _U_GOLDEN
     _mix_array(h)
     for key in keys:

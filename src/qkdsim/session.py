@@ -11,19 +11,26 @@ consumes draws from its own substream in a fixed order:
 
 Eve and Bob are both a `StageTable` read by one sampler, so the only
 branch on Eve's strategy is in building her table. Because no stage ever
-touches another pulse's stream, the session runs block by block: every
-stage runs as numpy array operations over one block of `BLOCK` pulse
-indices and writes its results into the block's slice of the transcript
-columns, which are allocated at full length up front. The transcript does
-not depend on the block size, and it is draw-for-draw identical to a
-Python loop over `RngStream` substreams (both equivalences are pinned by
-tests, the latter against a scalar reference). Transcripts are pure
-functions of (configuration, master seed).
+touches another pulse's stream, the engine runs a *batch* of sessions
+(one protocol, one Eve kind and discrimination scheme; any lengths,
+channels, deltas and master seeds) as one pulse range cut into blocks of
+`BLOCK` pulses. Every stage runs as numpy array operations over a block
+and writes its results into the block's slice of the batch's transcript
+columns, allocated at full length up front. Each pulse draws from its own
+session's master seed at its index within that session, loses with its
+session's loss probability and reads its session's rows of the stacked
+stage tables, so a session's transcript is the same whatever batch it
+runs in and whatever the block size. A single run is a batch of one, and
+its transcript is draw-for-draw identical to a Python loop over
+`RngStream` substreams (all three equivalences are pinned by tests, the
+last against a scalar reference). Transcripts are pure functions of
+(configuration, master seed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -113,8 +120,9 @@ def _stage_table(states: tuple[QubitState, ...], rows, frames) -> StageTable:
 
 class _BasisProbs(dict):
     """`measurement_probs` per (state, basis), each computed once. Eve's
-    intercept-resend table and Bob's table read the same pairs; one
-    instance lives for one session, so it never grows past a few entries."""
+    intercept-resend table and Bob's table read the same pairs, and the
+    sessions of a batch share the sent states; one instance lives for one
+    batch, so it holds at most a few entries per session."""
 
     def __missing__(self, key: tuple[QubitState, str]) -> tuple[float, float]:
         self[key] = probs = measurement_probs(*key)
@@ -149,13 +157,31 @@ def _eve_frames(
     return frames, scheme.states()
 
 
+def _stack(tables: list[StageTable]) -> StageTable:
+    """The sessions' tables one above the other; a session's rows start at
+    its first state id times the frame count."""
+    return StageTable(
+        tables[0].n_frames,
+        np.concatenate([t.thresholds for t in tables]),
+        np.concatenate([t.forward for t in tables]),
+    )
+
+
 def _sample_stage(
-    table: StageTable, state_ids: np.ndarray, master_seed: int, idx: np.ndarray, stage: int
+    table: StageTable,
+    state_ids: np.ndarray,
+    base,
+    master_seed,
+    idx: np.ndarray,
+    stage: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frame, outcome (int8) and forwarded state id (int16) of every pulse.
 
-    Two frames: draw 0 picks the frame and draw 1 the outcome; one frame:
-    draw 0 picks the outcome; no frames: no draws, the state passes on.
+    `state_ids` and the forwarded ids number the states of each pulse's
+    own session; `base` is that session's first row block in the stacked
+    table. Two frames: draw 0 picks the frame and draw 1 the outcome; one
+    frame: draw 0 picks the outcome; no frames: no draws, the state
+    passes on.
     """
     n = state_ids.shape[0]
     frame = np.zeros(n, dtype=np.int8)
@@ -166,7 +192,11 @@ def _sample_stage(
     if table.n_frames == 2:
         frame = _coin(uniform_array(seeds, 0))
     u = uniform_array(seeds, table.n_frames - 1)
-    row = state_ids.astype(np.intp) * table.n_frames + frame
+    del seeds
+    row = state_ids.astype(np.intp)
+    row += base
+    row *= table.n_frames
+    row += frame
     for column in table.thresholds.T:
         outcome += u >= column.take(row)
     row *= table.forward.shape[1]
@@ -174,24 +204,128 @@ def _sample_stage(
     return frame, outcome, table.forward.take(row)
 
 
-def simulate_session(
-    kind: ProtocolKind,
-    n_pulses: int,
-    channel: ChannelModel,
-    strategy: EveStrategy,
-    master_seed: int,
-) -> SessionTranscript:
-    """Simulate one session; deterministic given (arguments, master seed)."""
-    if n_pulses < 1:
+@dataclass(frozen=True)
+class Session:
+    """One session of a batch: its length, channel, Eve and master seed."""
+
+    n_pulses: int
+    channel: ChannelModel
+    strategy: EveStrategy
+    master_seed: int
+
+
+@dataclass
+class SessionBatch:
+    """Column-wise record of consecutive sessions of one protocol.
+
+    Session i owns pulses `starts[i]:starts[i + 1]` of every column, and
+    its state ids index `state_tables[i]`. `transcript(i)` views that
+    slice as the session's own transcript, with pulse indices from 0.
+    """
+
+    protocol: ProtocolKind
+    sessions: tuple[Session, ...]
+    n_pulses: int
+    starts: np.ndarray
+    state_tables: tuple[tuple[QubitState, ...], ...]
+    alice_bits: np.ndarray
+    alice_bases: np.ndarray | None
+    sent_ids: np.ndarray
+    eve_actions: np.ndarray
+    forwarded_ids: np.ndarray
+    arrived: np.ndarray
+    bob_bases: np.ndarray
+    bob_minus: np.ndarray
+
+    def transcript(self, i: int) -> SessionTranscript:
+        a, b = int(self.starts[i]), int(self.starts[i + 1])
+        session = self.sessions[i]
+        return SessionTranscript(
+            protocol=self.protocol,
+            channel=session.channel,
+            strategy=session.strategy,
+            master_seed=session.master_seed,
+            n_pulses=session.n_pulses,
+            alice_bits=self.alice_bits[a:b],
+            alice_bases=None if self.alice_bases is None else self.alice_bases[a:b],
+            sent_ids=self.sent_ids[a:b],
+            state_table=self.state_tables[i],
+            eve_actions=self.eve_actions[a:b],
+            forwarded_ids=self.forwarded_ids[a:b],
+            arrived=self.arrived[a:b],
+            bob_bases=self.bob_bases[a:b],
+            bob_minus=self.bob_minus[a:b],
+        )
+
+
+def _block_sessions(starts: np.ndarray, a: int, b: int):
+    """Per-pulse lookup of session values for pulses [a, b), and each
+    pulse's index within its session.
+
+    The lookup maps an array of one value per session to the block's
+    pulses: within one session it returns that session's value, which
+    then broadcasts; across sessions it repeats each value over the
+    session's pulses.
+    """
+    first = int(np.searchsorted(starts, a, side="right")) - 1
+    last = int(np.searchsorted(starts, b - 1, side="right")) - 1
+    if first == last:
+        offset = int(starts[first])
+        return (lambda values: values[first]), np.arange(a - offset, b - offset, dtype=np.uint64)
+    counts = np.diff(np.clip(starts[first : last + 2], a, b))
+
+    def spread(values: np.ndarray) -> np.ndarray:
+        return np.repeat(values[first : last + 1], counts)
+
+    idx = np.arange(a, b, dtype=np.uint64)
+    idx -= spread(starts.astype(np.uint64))
+    return spread, idx
+
+
+def _kinds(strategy: EveStrategy) -> tuple:
+    return strategy.kind, None if strategy.scheme is None else strategy.scheme.kind
+
+
+def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> SessionBatch:
+    """Simulate a batch of sessions in one pass over their pulses.
+
+    The sessions share the protocol, Eve's kind and her discrimination
+    scheme's kind; each is deterministic given (its fields, master seed)
+    and does not depend on the others.
+    """
+    if not sessions:
+        raise ValueError("a batch needs at least one session")
+    if any(s.n_pulses < 1 for s in sessions):
         raise ValueError("n_pulses must be at least 1")
+    if len({_kinds(s.strategy) for s in sessions}) > 1:
+        raise ValueError("the sessions of a batch must share Eve's kind and scheme kind")
+
+    # one pair of stage tables per distinct strategy, stacked; a session
+    # finds its rows from the id of its table's first state
     sent_states = protocol_states(kind)
     basis_probs = _BasisProbs()
-    eve_frames, resent = _eve_frames(strategy, basis_probs)
-    states = tuple(dict.fromkeys(sent_states + resent))
-    eve = _stage_table(states, range(len(sent_states)), eve_frames)
-    enters_bob = np.unique(eve.forward[eve.forward >= 0]) if eve.n_frames else range(len(states))
-    bob = _stage_table(states, enters_bob, _basis_frames(basis_probs, resend=False))
+    eve_tables, bob_tables, built = [], [], {}
+    n_states = 0
+    for s in sessions:
+        if s.strategy in built:
+            continue
+        eve_frames, resent = _eve_frames(s.strategy, basis_probs)
+        states = tuple(dict.fromkeys(sent_states + resent))
+        eve = _stage_table(states, range(len(sent_states)), eve_frames)
+        enters_bob = np.unique(eve.forward[eve.forward >= 0]) if eve.n_frames else range(len(states))
+        eve_tables.append(eve)
+        bob_tables.append(_stage_table(states, enters_bob, _basis_frames(basis_probs, resend=False)))
+        built[s.strategy] = (n_states, states)
+        n_states += len(states)
+    eve, bob = _stack(eve_tables), _stack(bob_tables)
     forwarded_action = np.int8(EVE_MEASURED_RESENT if eve.n_frames else EVE_PASSED)
+
+    state_base = np.array([built[s.strategy][0] for s in sessions], dtype=np.int32)
+    master_seeds = np.array([s.master_seed for s in sessions], dtype=np.uint64)
+    loss = np.array([s.channel.loss_probability for s in sessions])
+    starts = np.zeros(len(sessions) + 1, dtype=np.int64)
+    np.cumsum([s.n_pulses for s in sessions], out=starts[1:])
+    n_pulses = int(starts[-1])
 
     alice_bits = np.empty(n_pulses, dtype=np.int8)
     alice_bases = None if kind is ProtocolKind.B92 else np.empty(n_pulses, dtype=np.int8)
@@ -204,7 +338,8 @@ def simulate_session(
 
     for a in range(0, n_pulses, BLOCK):
         b = min(a + BLOCK, n_pulses)
-        idx = np.arange(a, b, dtype=np.uint64)
+        spread, idx = _block_sessions(starts, a, b)
+        master_seed, base = spread(master_seeds), spread(state_base)
 
         seeds = derive_seed_array(master_seed, idx, STAGE_ALICE)
         alice_bits[a:b] = _coin(uniform_array(seeds, 0))
@@ -213,33 +348,32 @@ def simulate_session(
         if alice_bases is not None:
             alice_bases[a:b] = _coin(uniform_array(seeds, 1))
             sent += 2 * alice_bases[a:b]
+        del seeds  # each stage's seeds are dropped after its last draw
 
-        _, _, forwarded = _sample_stage(eve, sent, master_seed, idx, STAGE_EVE)
+        _, _, forwarded = _sample_stage(eve, sent, base, master_seed, idx, STAGE_EVE)
         forwarded_ids[a:b] = forwarded
         reached = forwarded >= 0
         eve_actions[a:b] = np.where(reached, forwarded_action, np.int8(EVE_SUPPRESSED))
 
-        seeds = derive_seed_array(master_seed, idx, STAGE_CHANNEL)
-        reached &= uniform_array(seeds, 0) >= channel.loss_probability
+        reached &= uniform_array(derive_seed_array(master_seed, idx, STAGE_CHANNEL), 0) >= spread(loss)
         arrived[a:b] = reached
 
         # suppressed pulses never arrive, so the row Bob reads for them is immaterial
         frame, outcome, _ = _sample_stage(
-            bob, np.maximum(forwarded, 0), master_seed, idx, STAGE_BOB
+            bob, np.maximum(forwarded, 0), base, master_seed, idx, STAGE_BOB
         )
         bob_bases[a:b] = frame
         bob_minus[a:b] = reached & (outcome == 1)
 
-    return SessionTranscript(
+    return SessionBatch(
         protocol=kind,
-        channel=channel,
-        strategy=strategy,
-        master_seed=master_seed,
+        sessions=tuple(sessions),
         n_pulses=n_pulses,
+        starts=starts,
+        state_tables=tuple(built[s.strategy][1] for s in sessions),
         alice_bits=alice_bits,
         alice_bases=alice_bases,
         sent_ids=sent_ids,
-        state_table=states,
         eve_actions=eve_actions,
         forwarded_ids=forwarded_ids,
         arrived=arrived,

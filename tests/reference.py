@@ -4,7 +4,8 @@ checked against.
 Each function handles one pulse with an `RngStream` and consumes draws in
 the order `qkdsim.session` documents, so composing them pulse by pulse
 must reproduce an engine transcript draw for draw. Nothing in the
-package imports this module.
+package imports this module. `one_session` is the engine's side of such
+comparisons: the transcript of a batch of one session.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ from qkdsim.quantum import (
     state_label,
 )
 from qkdsim.rng import RngStream, derive_seed
+from qkdsim.session import Session, simulate_session
 from qkdsim.usd import UsdScheme, UsdSchemeKind, idp_povm, naive_frame_povms
+
+def one_session(kind, n_pulses, channel, strategy, master_seed):
+    """The engine's transcript of one session, run as a batch of one."""
+    return simulate_session(kind, [Session(n_pulses, channel, strategy, master_seed)]).transcript(0)
+
 
 # -- random streams and Born sampling ---------------------------------------
 

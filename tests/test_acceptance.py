@@ -31,8 +31,8 @@ from qkdsim.quantum import (
 )
 from qkdsim.protocol import ProtocolKind
 from qkdsim.rng import RngStream
-from qkdsim.session import simulate_session
 from qkdsim.usd import UsdScheme, no_signaling_distributions, usd_feasible
+from reference import one_session
 
 N = 100_000
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -55,7 +55,7 @@ def _conclusive_stats(scheme, n_pulses, seed):
     is conclusive when Eve forwards a state, and wrong when that state is
     not the one Alice sent. Each state is sent to about n_pulses / 2.
     """
-    t = simulate_session(
+    t = one_session(
         ProtocolKind.B92, n_pulses, ChannelModel(), EveStrategy(EveKind.USD_SUPPRESS, scheme), seed
     )
     conclusive = t.forwarded_ids >= 0

@@ -15,15 +15,15 @@ from qkdsim.adversary import ChannelModel, EveKind, EveStrategy, forwarded_state
 from qkdsim.protocol import ProtocolKind, estimate_qber, sift
 from qkdsim.quantum import X_PLUS, Z_PLUS, state_label
 from qkdsim.rng import RngStream
-from qkdsim.session import STAGE_ESTIMATE, pulse_stream, simulate_session
+from qkdsim.session import STAGE_ESTIMATE, pulse_stream
 from qkdsim.usd import UsdScheme, usd_efficiency
-from reference import channel_transmit, eve_apply
+from reference import channel_transmit, eve_apply, one_session
 
 LOSSLESS = ChannelModel()
 
 
 def _run(kind, n, strategy, seed, channel=LOSSLESS, reveal=1.0):
-    transcript = simulate_session(kind, n, channel, strategy, seed)
+    transcript = one_session(kind, n, channel, strategy, seed)
     sift(kind, transcript)
     if len(transcript.sifted_indices):
         estimate_qber(transcript, reveal, pulse_stream(seed, 0, STAGE_ESTIMATE))
@@ -47,7 +47,7 @@ class TestChannel:
         channel = ChannelModel(absorption=0.1, efficiency=0.8)
         expected = channel_loss_probability(0.1, 0.8)
         assert expected == pytest.approx(0.28)
-        transcript = simulate_session(ProtocolKind.B92, n, channel, EveStrategy(EveKind.NONE), 5)
+        transcript = one_session(ProtocolKind.B92, n, channel, EveStrategy(EveKind.NONE), 5)
         sigma = math.sqrt(expected * (1 - expected) / n)
         assert transcript.n_null / n == pytest.approx(expected, abs=4 * sigma)
 

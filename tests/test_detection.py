@@ -2,17 +2,69 @@
 
 import math
 
+import random
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from qkdsim.adversary import ChannelModel
 from qkdsim.detection import (
     TestDecision,
+    binomial_tails,
     expected_rates,
     null_ratio_test,
     qber_test,
 )
 from qkdsim.harness import ExperimentConfig, run_experiment
+
+
+def _tail(k, n, p):
+    return 1.0 if k <= 0 else float(stats.binom.sf(k - 1, n, p))
+
+
+def _scalar_qber_decision(qber, n, threshold):
+    """The threshold test written per point with Python ints and floats."""
+    k = int(round(qber * n))
+    k_star = int(math.floor(n * threshold)) + 1
+    while k_star > 0 and (k_star - 1) / n > threshold:
+        k_star -= 1
+    while k_star <= n and k_star / n <= threshold:
+        k_star += 1
+    alpha = 0.5 * (_tail(k_star - 1, n, threshold) + _tail(k_star, n, threshold))
+    return TestDecision(qber, _tail(k, n, threshold), k >= k_star, alpha)
+
+
+class TestBatchedTails:
+    """The vectorised tails and tests against one scalar call per element."""
+
+    def test_tails_bit_identical_to_scalar_calls(self):
+        draws = random.Random(5)
+        k, n, p = [], [], []
+        for _ in range(3_000):
+            n.append(draws.randint(1, 50_000))
+            k.append(draws.randint(-2, n[-1] + 2))
+            p.append(draws.choice((0.0, 1.0, draws.random(), draws.random() * 1e-3)))
+        assert binomial_tails(k, n, p).tolist() == [_tail(*args) for args in zip(k, n, p)]
+
+    def test_sequences_give_the_scalar_decisions(self):
+        draws = random.Random(6)
+        channels = [ChannelModel(draws.random() * 0.5, 0.5 + draws.random() * 0.5) for _ in range(40)]
+        sent = [draws.randint(1, 5_000) for _ in channels]
+        nulls = [draws.randint(0, s) for s in sent]
+        alphas = [draws.choice((0.001, 0.05, 0.5)) for _ in channels]
+        expected = [expected_rates(c) for c in channels]
+        assert null_ratio_test(sent, nulls, expected, alphas) == [
+            TestDecision(k / n, p_value, p_value < alpha, alpha)
+            for n, k, e, alpha in zip(sent, nulls, expected, alphas)
+            for p_value in [_tail(k, n, 1.0 - e.expected_arrival)]
+        ]
+        revealed = [draws.randint(1, 3_000) for _ in range(40)]
+        qbers = [draws.randint(0, r) / r for r in revealed]
+        thresholds = [draws.choice((0.0, 0.05, 0.11, 1 / 3, 1.0)) for _ in revealed]
+        assert qber_test(qbers, revealed, thresholds) == [
+            _scalar_qber_decision(*args) for args in zip(qbers, revealed, thresholds)
+        ]
 
 
 class TestExpectedRates:

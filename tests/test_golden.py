@@ -1,8 +1,11 @@
 """Golden digests: the sha256 of `qkdsim` stdout for fixed configs.
 
 Every valid {protocol x eve_strategy x usd_scheme} combination is pinned,
-plus lossy channels, nonzero delta, a CSV run, a CSV delta sweep and two
-sessions long enough to span several engine blocks. A
+plus lossy channels, nonzero delta, a CSV run, two sessions long enough
+to span several engine blocks, and sweeps over each kind of parameter:
+a delta sweep long enough to fill more than one batch of sessions,
+pulse counts above, at and below one block, per-point losses and a BB84
+intercept-resend efficiency sweep. A
 refactor of the engine must leave every digest unchanged; a deliberate
 change of output re-pins them with
 
@@ -42,6 +45,8 @@ def _config(protocol, strategy="none", scheme="naive", **extra):
 
 LOSSY = {"absorption": 0.15, "efficiency": 0.85}
 SWEEP = ["--param", "delta", "--values", "0,0.1,0.3,0.6,1.2"]
+# 70 points of 500 pulses: 35,000 pulses, more than one 32,768-pulse block
+LONG_DELTA_SWEEP = ["--param", "delta", "--values", ",".join(repr(i * 0.02) for i in range(70))]
 
 # name -> (config, argv before --config, argv after --config)
 CASES = {
@@ -68,6 +73,26 @@ CASES = {
         _config("b92", "basis_mismatch", "optimal", n_pulses=4_000),
         ["--output", "csv", "sweep"],
         SWEEP,
+    ),
+    "b92-basis-mismatch-naive-long-sweep-csv": (
+        _config("b92", "basis_mismatch", n_pulses=500, reveal_fraction=1.0),
+        ["--output", "csv", "sweep"],
+        LONG_DELTA_SWEEP,
+    ),
+    "b92-usd-suppress-naive-lossy-n-pulses-sweep": (
+        _config("b92", "usd_suppress", **LOSSY),
+        ["sweep"],
+        ["--param", "n_pulses", "--values", "10,40000,7,32768,1"],
+    ),
+    "b92-usd-suppress-naive-absorption-sweep-csv": (
+        _config("b92", "usd_suppress", n_pulses=2_000),
+        ["--output", "csv", "sweep"],
+        ["--param", "absorption", "--values", "0,0.1,0.35,0.6,0.95"],
+    ),
+    "bb84-intercept-resend-efficiency-sweep-csv": (
+        _config("bb84", "intercept_resend", n_pulses=3_000),
+        ["--output", "csv", "sweep"],
+        ["--param", "efficiency", "--values", "1,0.9,0.5,0.2"],
     ),
     # several engine blocks, the last one partial
     "b92-usd-suppress-naive-lossy-multiblock": (

@@ -1,14 +1,22 @@
 """Config ingestion, report assembly, sweeps, feasibility checks and the CLI."""
 
+import contextlib
+import io
 import json
 import math
 import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
+from qkdsim import harness
 from qkdsim.cli import main
 from qkdsim.harness import (
+    SWEEP_PARAMETERS,
     ConfigurationError,
     ExperimentConfig,
     InfeasibleStrategyError,
@@ -19,7 +27,7 @@ from qkdsim.harness import (
     usd_check,
 )
 from qkdsim.rng import derive_seed
-from qkdsim.session import STAGE_SWEEP
+from qkdsim.session import BLOCK, STAGE_SWEEP
 
 HALF_PI = math.pi / 2
 BASE = {"protocol": "b92", "n_pulses": 2_000, "master_seed": 9}
@@ -171,6 +179,117 @@ class TestSweep:
                 )
             )
             assert standalone.to_json() == reports[index].to_json()
+
+
+    @pytest.mark.parametrize("block", [1, 600, 1_000])
+    def test_reports_independent_of_batching(self, block, monkeypatch):
+        """Whichever points share a batch, every report stays the same."""
+        config = ExperimentConfig.from_dict(
+            {**BASE, "n_pulses": 300, "eve_strategy": "basis_mismatch", "usd_scheme": "optimal"}
+        )
+        values = [0.0, 0.2, 0.0, 0.7, 1.1, 0.05, 0.0]
+        want = [r.to_json() for r in sweep(config, "delta", values)]
+        monkeypatch.setattr(harness, "BLOCK", block)
+        assert [r.to_json() for r in sweep(config, "delta", values)] == want
+
+    def test_invalid_point_rejected_before_any_point_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "simulate_session", lambda *a: ran.append(a))
+        with pytest.raises(ConfigurationError, match="delta"):
+            sweep(ExperimentConfig.from_dict(BASE), "delta", [0.1, 0.2, 5.0])
+        assert ran == []
+
+
+def _cli(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+# (protocol, eve_strategy, usd_scheme); bb84 with usd_suppress is infeasible
+_COMBOS = [
+    ("b92", "basis_mismatch", "naive"),
+    ("b92", "basis_mismatch", "optimal"),
+    ("b92", "usd_suppress", "naive"),
+    ("b92", "none", "naive"),
+    ("bb84", "intercept_resend", "naive"),
+    ("bb84", "usd_suppress", "optimal"),
+]
+_NAN = float("nan")
+_VALID = {
+    "delta": st.floats(0.0, 1.5),
+    "n_pulses": st.integers(1, 400) | st.just(BLOCK + 1),
+    "absorption": st.floats(0.0, 0.99),
+    "efficiency": st.floats(0.01, 1.0),
+    "alpha": st.floats(1e-6, 0.999),
+}
+_INVALID = {
+    "delta": st.sampled_from([-0.1, HALF_PI, 2.0, _NAN, math.inf]),
+    "n_pulses": st.sampled_from([0, -3, 1.5]),
+    "absorption": st.sampled_from([-0.01, 1.0, 1.5, _NAN]),
+    "efficiency": st.sampled_from([0.0, -0.5, 1.01, _NAN]),
+    "alpha": st.sampled_from([0.0, 1.0, -1.0, _NAN]),
+}
+
+
+@st.composite
+def _sweeps(draw):
+    """A base config, a parameter and a value list; about half the lists
+    carry one invalid value at a random place."""
+    protocol, strategy, scheme = draw(st.sampled_from(_COMBOS))
+    base = {
+        "protocol": protocol,
+        "eve_strategy": strategy,
+        "usd_scheme": scheme,
+        "n_pulses": draw(st.sampled_from([1, 40, 300])),
+        "reveal_fraction": draw(st.sampled_from([0.2, 1.0])),
+        "master_seed": draw(st.integers(0, 2**64 - 1)),
+    }
+    parameter = draw(st.sampled_from(SWEEP_PARAMETERS))
+    values = draw(st.lists(_VALID[parameter], min_size=1, max_size=6))
+    bad = draw(st.none() | _INVALID[parameter])
+    if bad is not None:
+        values.insert(draw(st.integers(0, len(values))), bad)
+    return base, parameter, values
+
+
+def _sweep_case(parameter, values, protocol="b92", strategy="basis_mismatch", n_pulses=300):
+    base = {"protocol": protocol, "eve_strategy": strategy, "usd_scheme": "naive",
+            "n_pulses": n_pulses, "reveal_fraction": 1.0, "master_seed": 77}
+    return base, parameter, values
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_sweeps())
+# small points that share a batch, then a point above BLOCK alone between them
+@example(_sweep_case("n_pulses", [300, 20, BLOCK + 5, 7, 1]))
+@example(_sweep_case("delta", [0.0, 0.4, 1.2, 0.0]))
+@example(_sweep_case("delta", [0.1, HALF_PI]))
+@example(_sweep_case("absorption", [0.1, 0.2], protocol="bb84", strategy="usd_suppress"))
+def test_sweep_is_standalone_runs_or_a_clean_error(case):
+    """Through the CLI a sweep either exits 0 with one CSV row per value,
+    each byte-equal to a standalone `run` at the point's derived seed, or
+    exits 2 or 3 with nothing on stdout."""
+    base, parameter, values = case
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "base.json"
+        path.write_text(json.dumps(base), encoding="utf-8")
+        text = ",".join(repr(v) for v in values)
+        code, out = _cli(["--output", "csv", "sweep", "--config", str(path),
+                          "--param", parameter, "--values", text])
+        event(f"exit {code}")
+        if code != 0:
+            assert code in (2, 3) and out == ""
+            return
+        lines = out.splitlines()
+        assert len(lines) == len(values) + 1
+        for index, value in enumerate(values):
+            seed = derive_seed(base["master_seed"], index, STAGE_SWEEP)
+            path.write_text(json.dumps({**base, parameter: value, "master_seed": seed}))
+            code, alone = _cli(["--output", "csv", "run", "--config", str(path)])
+            assert code == 0
+            assert alone.splitlines() == [lines[0], lines[index + 1]]
 
 
 class TestUsdCheck:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from enumeration import b92_honest, bb84_honest
+from qkdsim import protocol
 from qkdsim.adversary import ChannelModel, EveKind, EveStrategy
 from qkdsim.protocol import (
     EstimationError,
@@ -18,12 +19,12 @@ from qkdsim.protocol import (
 )
 from qkdsim.quantum import X_MINUS, X_PLUS, Z_MINUS, Z_PLUS, measurement_probs
 from qkdsim.rng import RngStream
-from qkdsim.session import STAGE_ESTIMATE, pulse_stream, simulate_session
-from reference import alice_prepare, bob_measure, sample_without_replacement
+from qkdsim.session import STAGE_ESTIMATE, pulse_stream
+from reference import alice_prepare, bob_measure, one_session, sample_without_replacement
 
 
 def _honest_session(kind, n, seed, absorption=0.0, efficiency=1.0):
-    transcript = simulate_session(
+    transcript = one_session(
         kind, n, ChannelModel(absorption, efficiency), EveStrategy(EveKind.NONE), seed
     )
     sift(kind, transcript)
@@ -112,7 +113,7 @@ class TestSift:
         np.testing.assert_array_equal(transcript.alice_key, transcript.bob_key)
 
     def test_all_lost_gives_empty_sift(self):
-        transcript = simulate_session(
+        transcript = one_session(
             ProtocolKind.B92, 500, ChannelModel(absorption=1.0), EveStrategy(EveKind.NONE), 3
         )
         indices = sift(ProtocolKind.B92, transcript)
@@ -151,6 +152,19 @@ class TestRevealSampling:
     def test_large_reveal_matches_oracle(self):
         _assert_matches_oracle(200_000, 100_000, 7)
 
+    @pytest.mark.parametrize("m", [2**17 - 1, 2**17 + 1])
+    def test_sizes_around_a_power_of_two_match_oracle(self, m):
+        _assert_matches_oracle(m, m // 2, 11)
+
+    @pytest.mark.parametrize("limit", [1, 2**17])
+    def test_int64_positions_match_oracle(self, limit, monkeypatch):
+        """The int64 path, taken from 2**31 sifted pulses on, forced by
+        lowering the limit: to 1, and to 2**17, which m = 2**17 - 1 stays
+        below."""
+        monkeypatch.setattr(protocol, "INT32_POSITIONS", limit)
+        for m in (2**17 - 1, 2**17, 2**17 + 1):
+            _assert_matches_oracle(m, m // 3, 12)
+
 
 class TestEstimateQber:
     def test_honest_sessions_have_zero_qber(self):
@@ -181,7 +195,7 @@ class TestEstimateQber:
         assert len(set(revealed.tolist())) == len(revealed)
 
     def test_empty_sift_raises(self):
-        transcript = simulate_session(
+        transcript = one_session(
             ProtocolKind.B92, 100, ChannelModel(absorption=1.0), EveStrategy(EveKind.NONE), 3
         )
         sift(ProtocolKind.B92, transcript)

@@ -81,6 +81,14 @@ class TestDerivation:
         for i in (0, 1, 31, 63):
             assert int(seeds[i]) == derive_seed(123, i, 2)
 
+    def test_vectorized_derivation_takes_one_seed_per_index(self):
+        idx = np.array([0, 1, 7, 2**40], dtype=np.uint64)
+        master = [0, 2**64 - 1, 99, 2**63]
+        seeds = derive_seed_array(np.array(master, dtype=np.uint64), idx, 3)
+        assert seeds.tolist() == [derive_seed(m, int(i), 3) for m, i in zip(master, idx)]
+        one = derive_seed_array(np.uint64(2**64 - 1), idx, 3)
+        assert one.tolist() == [derive_seed(2**64 - 1, int(i), 3) for i in idx]
+
     def test_vectorized_helpers_leave_inputs_unchanged(self):
         idx = np.arange(1_000, dtype=np.uint64)
         seeds = derive_seed_array(5, idx, 1, 2)

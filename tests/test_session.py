@@ -1,12 +1,12 @@
 """The array engine against a hand-composed scalar pipeline, plus
-determinism, block-size independence and substream-permutation
+determinism, block-size and batch independence and substream-permutation
 properties."""
 
 import numpy as np
 import pytest
 
 from qkdsim import session
-from qkdsim.adversary import ChannelModel, EveKind, EveStrategy
+from qkdsim.adversary import ChannelModel, EveKind, EveStrategy, forwarded_state_symmetry
 from qkdsim.protocol import BASIS_LABELS, EVE_ACTION_LABELS, ProtocolKind
 from qkdsim.quantum import measurement_probs
 from qkdsim.session import (
@@ -15,11 +15,12 @@ from qkdsim.session import (
     STAGE_BOB,
     STAGE_CHANNEL,
     STAGE_EVE,
+    Session,
     pulse_stream,
     simulate_session,
 )
 from qkdsim.usd import UsdSchemeKind
-from reference import alice_prepare, bob_measure, channel_transmit, eve_apply
+from reference import alice_prepare, bob_measure, channel_transmit, eve_apply, one_session
 
 CASES = [
     ("b92-honest", ProtocolKind.B92, EveStrategy(EveKind.NONE), ChannelModel(0.1, 0.9)),
@@ -86,11 +87,11 @@ def test_engine_matches_scalar_composition(name, kind, strategy, channel):
     """Array engine reproduces the per-pulse substream pipeline exactly,
     including on both sides of every block boundary of a longer session."""
     n, seed = 400, 2024
-    t = simulate_session(kind, n, channel, strategy, seed)
+    t = one_session(kind, n, channel, strategy, seed)
     for i in range(n):
         _assert_pulse_matches_scalar(t, kind, strategy, channel, seed, i)
 
-    t = simulate_session(kind, 2 * BLOCK + 3, channel, strategy, seed)
+    t = one_session(kind, 2 * BLOCK + 3, channel, strategy, seed)
     for i in (0, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 2):
         _assert_pulse_matches_scalar(t, kind, strategy, channel, seed, i)
 
@@ -111,18 +112,83 @@ COLUMNS = (
 def test_transcript_independent_of_block_size(block, n, monkeypatch):
     """Any split of the pulse range gives the default block's transcript."""
     seed = 31
-    expected = [simulate_session(kind, n, ch, strategy, seed) for _, kind, strategy, ch in CASES]
+    expected = [one_session(kind, n, ch, strategy, seed) for _, kind, strategy, ch in CASES]
     monkeypatch.setattr(session, "BLOCK", block)
     for (_, kind, strategy, ch), want in zip(CASES, expected):
-        got = simulate_session(kind, n, ch, strategy, seed)
-        assert got.state_table == want.state_table
-        for column in COLUMNS:
-            a, b = getattr(got, column), getattr(want, column)
-            if b is None:
-                assert a is None
-            else:
-                assert a.dtype == b.dtype
-                np.testing.assert_array_equal(a, b)
+        _assert_same_transcript(one_session(kind, n, ch, strategy, seed), want)
+
+
+def _assert_same_transcript(got, want):
+    assert got.n_pulses == want.n_pulses
+    assert got.state_table == want.state_table
+    for column in COLUMNS:
+        a, b = getattr(got, column), getattr(want, column)
+        if b is None:
+            assert a is None
+        else:
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
+def _mismatch(delta):
+    return EveStrategy.of(EveKind.BASIS_MISMATCH, UsdSchemeKind.OPTIMAL_IDP, delta)
+
+
+# lengths, channels, deltas and seeds differ from session to session; the
+# zero deltas give two-state tables and the others four-state ones
+BATCH = [
+    Session(5, ChannelModel(0.1, 0.9), _mismatch(0.0), 11),
+    Session(300, ChannelModel(), _mismatch(0.4), 2**64 - 1),
+    Session(1, ChannelModel(0.5, 1.0), _mismatch(1.2), 0),
+    Session(4_100, ChannelModel(0.0, 0.7), _mismatch(0.4), 12),
+    Session(77, ChannelModel(0.3, 0.3), _mismatch(0.0), 13),
+]
+
+
+@pytest.mark.parametrize("block", [3, 64, 4096, BLOCK])
+def test_batched_sessions_equal_standalone_sessions(block, monkeypatch):
+    """A session's transcript does not depend on the batch around it, nor
+    on where block boundaries fall inside or across sessions."""
+    alone = [one_session(ProtocolKind.B92, *vars(s).values()) for s in BATCH]
+    monkeypatch.setattr(session, "BLOCK", block)
+    batch = simulate_session(ProtocolKind.B92, BATCH)
+    assert batch.n_pulses == sum(s.n_pulses for s in BATCH)
+    for i, want in enumerate(alone):
+        _assert_same_transcript(batch.transcript(i), want)
+
+
+@pytest.mark.parametrize("name,kind,strategy,channel", CASES, ids=[c[0] for c in CASES])
+def test_batch_of_every_case_matches_scalar_composition(name, kind, strategy, channel):
+    """Every strategy batched with itself: the second session's pulses are
+    the scalar pipeline's at its own seed and local indices."""
+    batch = simulate_session(
+        kind, [Session(50, channel, strategy, 1), Session(60, channel, strategy, 2)]
+    )
+    t = batch.transcript(1)
+    for i in range(t.n_pulses):
+        _assert_pulse_matches_scalar(t, kind, strategy, channel, 2, i)
+
+
+def test_batch_rejects_mixed_kinds_and_empty_batches():
+    sessions = [
+        Session(10, ChannelModel(), EveStrategy.of(EveKind.USD_SUPPRESS), 1),
+        Session(10, ChannelModel(), _mismatch(0.2), 2),
+    ]
+    with pytest.raises(ValueError, match="share"):
+        simulate_session(ProtocolKind.B92, sessions)
+    with pytest.raises(ValueError, match="at least one session"):
+        simulate_session(ProtocolKind.B92, [])
+
+
+@pytest.mark.parametrize("name,kind,strategy,channel", CASES, ids=[c[0] for c in CASES])
+def test_forwarded_state_symmetry_equals_bincount(name, kind, strategy, channel):
+    """The direct per-id counts equal a bincount over forwarded pulses,
+    summed over the ids labelled z+ and x+."""
+    t = one_session(kind, 3_000, channel, strategy, 8)
+    labels = np.array(t.state_labels)
+    counts = np.bincount(t.forwarded_ids[t.forwarded_ids >= 0], minlength=len(labels))
+    expected = (int(counts[labels == "z+"].sum()), int(counts[labels == "x+"].sum()))
+    assert forwarded_state_symmetry(t) == expected
 
 
 @pytest.mark.parametrize("kind", [ProtocolKind.BB84, ProtocolKind.B92], ids=["bb84", "b92"])
@@ -138,33 +204,33 @@ def test_basis_probabilities_computed_once_per_session(kind, monkeypatch):
     monkeypatch.setattr(session, "measurement_probs", counting)
     for _ in range(2):  # nothing is kept from one session to the next
         seen.clear()
-        simulate_session(kind, 100, ChannelModel(), EveStrategy(EveKind.INTERCEPT_RESEND), 3)
+        one_session(kind, 100, ChannelModel(), EveStrategy(EveKind.INTERCEPT_RESEND), 3)
         assert len(seen) == len(set(seen)) == 8
 
 
 class TestDeterminism:
     def test_equal_seeds_equal_transcripts(self):
         for _, kind, strategy, channel in CASES[:3]:
-            a = simulate_session(kind, 2_000, channel, strategy, 7)
-            b = simulate_session(kind, 2_000, channel, strategy, 7)
+            a = one_session(kind, 2_000, channel, strategy, 7)
+            b = one_session(kind, 2_000, channel, strategy, 7)
             np.testing.assert_array_equal(a.alice_bits, b.alice_bits)
             np.testing.assert_array_equal(a.arrived, b.arrived)
             np.testing.assert_array_equal(a.bob_minus, b.bob_minus)
 
     def test_different_seeds_differ(self):
-        a = simulate_session(ProtocolKind.B92, 2_000, ChannelModel(), EveStrategy(EveKind.NONE), 1)
-        b = simulate_session(ProtocolKind.B92, 2_000, ChannelModel(), EveStrategy(EveKind.NONE), 2)
+        a = one_session(ProtocolKind.B92, 2_000, ChannelModel(), EveStrategy(EveKind.NONE), 1)
+        b = one_session(ProtocolKind.B92, 2_000, ChannelModel(), EveStrategy(EveKind.NONE), 2)
         assert not np.array_equal(a.alice_bits, b.alice_bits)
 
     def test_counts_consistent(self):
         strategy = EveStrategy.of(EveKind.USD_SUPPRESS)
-        t = simulate_session(ProtocolKind.B92, 5_000, ChannelModel(0.3, 0.7), strategy, 5)
+        t = one_session(ProtocolKind.B92, 5_000, ChannelModel(0.3, 0.7), strategy, 5)
         assert t.n_arrived + t.n_null == t.n_pulses
         assert np.sum(t.arrived & t.bob_minus) <= t.n_arrived
 
     def test_rejects_empty_session(self):
         with pytest.raises(ValueError):
-            simulate_session(ProtocolKind.B92, 0, ChannelModel(), EveStrategy(EveKind.NONE), 1)
+            one_session(ProtocolKind.B92, 0, ChannelModel(), EveStrategy(EveKind.NONE), 1)
 
 
 def test_statistics_invariant_under_substream_permutation():
@@ -172,7 +238,7 @@ def test_statistics_invariant_under_substream_permutation():
     kind, channel = ProtocolKind.B92, ChannelModel(0.1, 0.9)
     strategy = EveStrategy.of(EveKind.USD_SUPPRESS)
     n, seed = 600, 99
-    engine = simulate_session(kind, n, channel, strategy, seed)
+    engine = one_session(kind, n, channel, strategy, seed)
 
     permuted = [
         _scalar_pulse(kind, strategy, channel, seed, n - 1 - i) for i in range(n)
