@@ -16,7 +16,6 @@ from enum import Enum
 
 import numpy as np
 
-from .protocol import SessionTranscript
 from .quantum import X_PLUS, Z_PLUS, rotate_y
 from .usd import UsdScheme, UsdSchemeKind
 
@@ -82,18 +81,20 @@ class EveStrategy:
         return cls(kind, scheme, rotation)
 
 
-def forwarded_state_symmetry(transcript: SessionTranscript) -> tuple[int, int]:
+def forwarded_state_symmetry(
+    forwarded_ids: np.ndarray, labels: tuple[str, ...]
+) -> tuple[int, int]:
     """Counts of |z+> vs |x+> among the pulses Eve actually forwarded.
 
-    Counts each state id labelled z+ or x+ directly; suppressed pulses
-    (id -1) match no label.
+    `labels` names the states of the session's state table. Counts each
+    state id labelled z+ or x+ directly; suppressed pulses (id -1) match
+    no label.
     """
-    forwarded = transcript.forwarded_ids
 
     def count(label: str) -> int:
         return sum(
-            int(np.count_nonzero(forwarded == i))
-            for i, name in enumerate(transcript.state_labels)
+            int(np.count_nonzero(forwarded_ids == i))
+            for i, name in enumerate(labels)
             if name == label
         )
 

@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import stats
+from scipy.special import betainc
 
 from .adversary import ChannelModel
-
-NORMAL_APPROX_MIN_N = 10_000
 
 
 @dataclass(frozen=True)
@@ -61,22 +59,17 @@ def expected_rates(channel: ChannelModel) -> ExpectedRates:
 def binomial_tails(k, n, p) -> np.ndarray:
     """P[X >= k] for X ~ Binomial(n, p), elementwise, from one scipy call.
 
-    The values equal `stats.binom.sf(k - 1, n, p)` called per element,
-    bit for bit; the tail is exactly 1 where k <= 0.
+    Uses P[X >= k] = I_p(k, n - k + 1), the regularised incomplete beta
+    function (Abramowitz & Stegun 26.5.24); the values equal
+    `scipy.stats.binom.sf(k - 1, n, p)` called per element, bit for bit.
+    The tail is exactly 1 where k <= 0 and exactly 0 where k > n.
     """
     k, n, p = np.broadcast_arrays(np.asarray(k, dtype=np.int64), n, p)
     tails = np.ones(k.shape)
     some = k > 0
-    tails[some] = stats.binom.sf(k[some] - 1, n[some], p[some])
+    tails[some] = betainc(k[some], n[some] - k[some] + 1, p[some])
+    tails[k > n] = 0.0
     return tails
-
-
-def _normal_tails(k: np.ndarray, n: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Normal approximation to P[X >= k] with continuity correction."""
-    sigma = np.sqrt(n * p * (1.0 - p))
-    degenerate = sigma == 0.0
-    z = (k - 0.5 - n * p) / np.where(degenerate, 1.0, sigma)
-    return np.where(degenerate, (k <= n * p).astype(float), stats.norm.sf(z))
 
 
 def _batch(*values) -> tuple[bool, list[np.ndarray]]:
@@ -85,13 +78,12 @@ def _batch(*values) -> tuple[bool, list[np.ndarray]]:
     return single, [np.atleast_1d(v) for v in np.broadcast_arrays(*values)]
 
 
-def null_ratio_test(n_sent, n_null, expected, alpha, method: str = "exact"):
-    """One-sided test of the observed null count against channel expectations.
+def null_ratio_test(n_sent, n_null, expected, alpha):
+    """One-sided exact binomial test of the observed null count against
+    channel expectations.
 
     Flags when nulls are significantly high for Binomial(n_sent, p_null)
-    with p_null = 1 - expected_arrival. The exact tail is the default;
-    the normal approximation is accepted only above 10^4 pulses and the
-    choice is recorded on the decision.
+    with p_null = 1 - expected_arrival.
 
     Scalar arguments give one `TestDecision`. Sequences (one entry per
     session, `expected` a sequence of `ExpectedRates`) give a list, with
@@ -107,21 +99,9 @@ def null_ratio_test(n_sent, n_null, expected, alpha, method: str = "exact"):
         raise ValueError("n_sent must be positive")
     if np.any(n_null < 0) or np.any(n_null > n_sent):
         raise ValueError("n_null must lie in [0, n_sent]")
-    p_null = 1.0 - arrival
-    if method == "exact":
-        p_values = binomial_tails(n_null, n_sent, p_null)
-        recorded = "exact-binomial"
-    elif method == "normal":
-        if np.any(n_sent <= NORMAL_APPROX_MIN_N):
-            raise ValueError(
-                f"normal approximation needs more than {NORMAL_APPROX_MIN_N} pulses"
-            )
-        p_values = _normal_tails(n_null, n_sent, p_null)
-        recorded = "normal-approx"
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    p_values = binomial_tails(n_null, n_sent, 1.0 - arrival)
     decisions = [
-        TestDecision(statistic=k / n, p_value=p, flagged=p < a, alpha=a, method=recorded)
+        TestDecision(statistic=k / n, p_value=p, flagged=p < a, alpha=a)
         for n, k, p, a in zip(n_sent.tolist(), n_null.tolist(), p_values.tolist(), alpha.tolist())
     ]
     return decisions[0] if single else decisions

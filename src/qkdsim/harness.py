@@ -30,6 +30,7 @@ from .quantum import (
     mixture_density,
     random_povm,
     state_from_bloch,
+    state_label,
 )
 from .rng import GENERATOR_NAME, RngStream, derive_seed
 from .session import (
@@ -256,25 +257,29 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
             f"n_pulses {n_pulses} does not fit in memory; use fewer pulses"
         ) from None
 
-    transcripts, estimates = [], []
+    # each distinct state table is labelled once, however many sessions share it
+    labels = {table: tuple(map(state_label, table)) for table in dict.fromkeys(batch.state_tables)}
+    columns = (batch.alice_bits, batch.alice_bases, batch.arrived, batch.bob_bases, batch.bob_minus)
+    estimates, counts = [], []
     for i, config in enumerate(configs):
-        transcript = batch.transcript(i)
-        sift(kind, transcript)
-        if len(transcript.sifted_indices) > 0:
+        a, b = batch.starts[i], batch.starts[i + 1]
+        errors = sift(kind, *(None if column is None else column[a:b] for column in columns))
+        if len(errors) > 0:
             qber, revealed = estimate_qber(
-                transcript,
+                errors,
                 config.reveal_fraction,
                 pulse_stream(config.master_seed, 0, STAGE_ESTIMATE),
             )
             estimates.append((qber, len(revealed)))
         else:
             estimates.append((None, 0))
-        transcripts.append(transcript)
+        symmetry = forwarded_state_symmetry(batch.forwarded_ids[a:b], labels[batch.state_tables[i]])
+        counts.append((int(np.count_nonzero(batch.arrived[a:b])), len(errors), symmetry))
 
     expected = [expected_rates(channel) for channel in channels]
     null_decisions = null_ratio_test(
         [c.n_pulses for c in configs],
-        [t.n_null for t in transcripts],
+        [c.n_pulses - n_arrived for c, (n_arrived, _, _) in zip(configs, counts)],
         expected,
         [c.alpha for c in configs],
     )
@@ -290,10 +295,8 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
 
     reports = []
     for i, config in enumerate(configs):
-        transcript, strategy = transcripts[i], strategies[i]
-        (qber, n_revealed), n_sifted = estimates[i], len(transcript.sifted_indices)
-        n_arrived = transcript.n_arrived
-        count_z, count_x = forwarded_state_symmetry(transcript)
+        strategy = strategies[i]
+        (qber, n_revealed), (n_arrived, n_sifted, (count_z, count_x)) = estimates[i], counts[i]
         reports.append(
             RunReport(
                 config=config,
@@ -302,7 +305,7 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
                 null=config.n_pulses - n_arrived,
                 sifted=n_sifted,
                 revealed=n_revealed,
-                key_length=len(transcript.alice_key),
+                key_length=n_sifted - n_revealed,
                 sift_rate=n_sifted / config.n_pulses,
                 qber=qber,
                 null_ratio=None if n_arrived == 0 else (config.n_pulses - n_arrived) / n_arrived,
@@ -429,8 +432,10 @@ def no_signaling_demo(
     outcome distributions on the two mixtures agree to arithmetic noise.
     """
     _check_seed(seed, "seed")
-    pair_a = _direction_pair(*u)
-    pair_b = _direction_pair(*u_prime)
+    try:
+        pair_a, pair_b = _direction_pair(*u), _direction_pair(*u_prime)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
     povm = _demo_povm(povm_name, seed)
     rho_a = mixture_density(pair_a, (0.5, 0.5))
     rho_b = mixture_density(pair_b, (0.5, 0.5))

@@ -2,7 +2,7 @@
 
 Everything is fixed at dimension 2. Amplitudes are plain Python complex
 numbers (finite, validated); operators are 2x2 numpy arrays. Algebraic
-identities are enforced to 1e-12, probability sums to 1e-9.
+identities are enforced to 1e-12.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from .rng import RngStream
 
 ALGEBRA_TOL = 1e-12
-PROB_SUM_TOL = 1e-9
 
 _IDENTITY = np.eye(2, dtype=complex)
 

@@ -15,16 +15,17 @@ touches another pulse's stream, the engine runs a *batch* of sessions
 (one protocol, one Eve kind and discrimination scheme; any lengths,
 channels, deltas and master seeds) as one pulse range cut into blocks of
 `BLOCK` pulses. Every stage runs as numpy array operations over a block
-and writes its results into the block's slice of the batch's transcript
-columns, allocated at full length up front. Each pulse draws from its own
-session's master seed at its index within that session, loses with its
-session's loss probability and reads its session's rows of the stacked
-stage tables, so a session's transcript is the same whatever batch it
-runs in and whatever the block size. A single run is a batch of one, and
-its transcript is draw-for-draw identical to a Python loop over
-`RngStream` substreams (all three equivalences are pinned by tests, the
-last against a scalar reference). Transcripts are pure functions of
-(configuration, master seed).
+and writes its results into the block's slice of the batch's columns,
+allocated at full length up front; the returned `SessionBatch` is the
+only record of a session. Each pulse draws from its own session's master
+seed at its index within that session, loses with its session's loss
+probability and reads its session's rows of the stacked stage tables, so
+a session's slice of the columns is the same whatever batch it runs in
+and whatever the block size. A single run is a batch of one, and its
+columns are draw-for-draw identical to a Python loop over `RngStream`
+substreams (all three equivalences are pinned by tests, the last against
+a scalar reference). The columns are pure functions of (configuration,
+master seed).
 """
 
 from __future__ import annotations
@@ -35,13 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .adversary import ChannelModel, EveKind, EveStrategy
-from .protocol import (
-    EVE_MEASURED_RESENT,
-    EVE_PASSED,
-    EVE_SUPPRESSED,
-    ProtocolKind,
-    SessionTranscript,
-)
+from .protocol import ProtocolKind
 from .quantum import (
     QubitState,
     X_MINUS,
@@ -219,8 +214,9 @@ class SessionBatch:
     """Column-wise record of consecutive sessions of one protocol.
 
     Session i owns pulses `starts[i]:starts[i + 1]` of every column, and
-    its state ids index `state_tables[i]`. `transcript(i)` views that
-    slice as the session's own transcript, with pulse indices from 0.
+    its state ids index `state_tables[i]`; a forwarded id of -1 means Eve
+    suppressed the pulse. `bob_minus` is False wherever the pulse did not
+    arrive.
     """
 
     protocol: ProtocolKind
@@ -230,32 +226,10 @@ class SessionBatch:
     state_tables: tuple[tuple[QubitState, ...], ...]
     alice_bits: np.ndarray
     alice_bases: np.ndarray | None
-    sent_ids: np.ndarray
-    eve_actions: np.ndarray
     forwarded_ids: np.ndarray
     arrived: np.ndarray
     bob_bases: np.ndarray
     bob_minus: np.ndarray
-
-    def transcript(self, i: int) -> SessionTranscript:
-        a, b = int(self.starts[i]), int(self.starts[i + 1])
-        session = self.sessions[i]
-        return SessionTranscript(
-            protocol=self.protocol,
-            channel=session.channel,
-            strategy=session.strategy,
-            master_seed=session.master_seed,
-            n_pulses=session.n_pulses,
-            alice_bits=self.alice_bits[a:b],
-            alice_bases=None if self.alice_bases is None else self.alice_bases[a:b],
-            sent_ids=self.sent_ids[a:b],
-            state_table=self.state_tables[i],
-            eve_actions=self.eve_actions[a:b],
-            forwarded_ids=self.forwarded_ids[a:b],
-            arrived=self.arrived[a:b],
-            bob_bases=self.bob_bases[a:b],
-            bob_minus=self.bob_minus[a:b],
-        )
 
 
 def _block_sessions(starts: np.ndarray, a: int, b: int):
@@ -318,7 +292,6 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
         built[s.strategy] = (n_states, states)
         n_states += len(states)
     eve, bob = _stack(eve_tables), _stack(bob_tables)
-    forwarded_action = np.int8(EVE_MEASURED_RESENT if eve.n_frames else EVE_PASSED)
 
     state_base = np.array([built[s.strategy][0] for s in sessions], dtype=np.int32)
     master_seeds = np.array([s.master_seed for s in sessions], dtype=np.uint64)
@@ -329,8 +302,6 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
 
     alice_bits = np.empty(n_pulses, dtype=np.int8)
     alice_bases = None if kind is ProtocolKind.B92 else np.empty(n_pulses, dtype=np.int8)
-    sent_ids = np.empty(n_pulses, dtype=np.int16)
-    eve_actions = np.empty(n_pulses, dtype=np.int8)
     forwarded_ids = np.empty(n_pulses, dtype=np.int16)
     arrived = np.empty(n_pulses, dtype=bool)
     bob_bases = np.empty(n_pulses, dtype=np.int8)
@@ -343,17 +314,16 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
 
         seeds = derive_seed_array(master_seed, idx, STAGE_ALICE)
         alice_bits[a:b] = _coin(uniform_array(seeds, 0))
-        sent = sent_ids[a:b]
-        sent[:] = alice_bits[a:b]
+        sent = alice_bits[a:b].astype(np.int16)
         if alice_bases is not None:
             alice_bases[a:b] = _coin(uniform_array(seeds, 1))
             sent += 2 * alice_bases[a:b]
         del seeds  # each stage's seeds are dropped after its last draw
 
         _, _, forwarded = _sample_stage(eve, sent, base, master_seed, idx, STAGE_EVE)
+        del sent
         forwarded_ids[a:b] = forwarded
         reached = forwarded >= 0
-        eve_actions[a:b] = np.where(reached, forwarded_action, np.int8(EVE_SUPPRESSED))
 
         reached &= uniform_array(derive_seed_array(master_seed, idx, STAGE_CHANNEL), 0) >= spread(loss)
         arrived[a:b] = reached
@@ -373,8 +343,6 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
         state_tables=tuple(built[s.strategy][1] for s in sessions),
         alice_bits=alice_bits,
         alice_bases=alice_bases,
-        sent_ids=sent_ids,
-        eve_actions=eve_actions,
         forwarded_ids=forwarded_ids,
         arrived=arrived,
         bob_bases=bob_bases,

@@ -5,7 +5,10 @@ Each function handles one pulse with an `RngStream` and consumes draws in
 the order `qkdsim.session` documents, so composing them pulse by pulse
 must reproduce an engine transcript draw for draw. Nothing in the
 package imports this module. `one_session` is the engine's side of such
-comparisons: the transcript of a batch of one session.
+comparisons: the `SessionBatch` of a batch of one session. The engine
+keeps neither Alice's state ids nor Eve's actions, since both follow from
+other columns; `sent_ids`, `eve_actions` and `session_columns` derive
+them for comparisons.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from qkdsim.adversary import ChannelModel, EveKind, EveStrategy
-from qkdsim.protocol import BASIS_LABELS, ProtocolKind
+import numpy as np
+
+from qkdsim.adversary import ChannelModel, EveKind, EveStrategy, forwarded_state_symmetry
+from qkdsim.protocol import ProtocolKind, sift
 from qkdsim.quantum import (
     Povm,
     QubitState,
@@ -31,9 +36,54 @@ from qkdsim.rng import RngStream, derive_seed
 from qkdsim.session import Session, simulate_session
 from qkdsim.usd import UsdScheme, UsdSchemeKind, idp_povm, naive_frame_povms
 
+BASIS_LABELS = ("z", "x")
+COLUMNS = ("alice_bits", "alice_bases", "forwarded_ids", "arrived", "bob_bases", "bob_minus")
+
+
 def one_session(kind, n_pulses, channel, strategy, master_seed):
-    """The engine's transcript of one session, run as a batch of one."""
-    return simulate_session(kind, [Session(n_pulses, channel, strategy, master_seed)]).transcript(0)
+    """The engine's record of one session: a batch of one."""
+    return simulate_session(kind, [Session(n_pulses, channel, strategy, master_seed)])
+
+
+def session_columns(batch, i: int = 0) -> dict:
+    """Session i's slice of every batch column (None stays None), its
+    state table, and Alice's state ids derived from the slice."""
+    a, b = batch.starts[i], batch.starts[i + 1]
+    columns = {name: getattr(batch, name) for name in COLUMNS}
+    columns = {name: None if c is None else c[a:b] for name, c in columns.items()}
+    columns["sent_ids"] = sent_ids(columns["alice_bits"], columns["alice_bases"])
+    columns["state_table"] = batch.state_tables[i]
+    return columns
+
+
+def sent_ids(alice_bits, alice_bases):
+    """Alice's state ids: bit + 2 * basis (BB84), the bit alone (B92)."""
+    ids = alice_bits.astype(np.int16)
+    if alice_bases is not None:
+        ids += 2 * alice_bases
+    return ids
+
+
+def eve_actions(strategy: EveStrategy, forwarded_ids) -> np.ndarray:
+    """Eve's action per pulse as `eve_apply` names it: a pulse she forwards
+    nothing for (id -1) was suppressed; any other was passed on unmeasured
+    with no Eve, else measured and resent."""
+    forwarded = "passed" if strategy.kind is EveKind.NONE else "measured-resent"
+    return np.where(forwarded_ids >= 0, forwarded, "suppressed")
+
+
+def sift_session(batch, i: int = 0):
+    """`protocol.sift` over session i of a batch: its disagreement bits."""
+    c = session_columns(batch, i)
+    return sift(
+        batch.protocol, c["alice_bits"], c["alice_bases"], c["arrived"], c["bob_bases"], c["bob_minus"]
+    )
+
+
+def symmetry(batch, i: int = 0) -> tuple[int, int]:
+    """`forwarded_state_symmetry` of session i, with its table's labels."""
+    labels = tuple(state_label(s) for s in batch.state_tables[i])
+    return forwarded_state_symmetry(session_columns(batch, i)["forwarded_ids"], labels)
 
 
 # -- random streams and Born sampling ---------------------------------------

@@ -32,7 +32,7 @@ from qkdsim.quantum import (
 from qkdsim.protocol import ProtocolKind
 from qkdsim.rng import RngStream
 from qkdsim.usd import UsdScheme, no_signaling_distributions, usd_feasible
-from reference import one_session
+from reference import one_session, sent_ids
 
 N = 100_000
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -58,11 +58,12 @@ def _conclusive_stats(scheme, n_pulses, seed):
     t = one_session(
         ProtocolKind.B92, n_pulses, ChannelModel(), EveStrategy(EveKind.USD_SUPPRESS, scheme), seed
     )
+    sent_id = sent_ids(t.alice_bits, t.alice_bases)
     conclusive = t.forwarded_ids >= 0
-    wrong = conclusive & (t.forwarded_ids != t.sent_ids)
+    wrong = conclusive & (t.forwarded_ids != sent_id)
     stats = {}
     for state in (Z_PLUS, X_PLUS):
-        sent = t.sent_ids == t.state_table.index(state)
+        sent = sent_id == t.state_tables[0].index(state)
         stats[state] = (np.sum(conclusive & sent) / np.sum(sent), int(np.sum(wrong & sent)))
     return stats
 

@@ -11,23 +11,23 @@ from enumeration import (
     intercept_resend_bb84,
     usd_suppress_b92,
 )
-from qkdsim.adversary import ChannelModel, EveKind, EveStrategy, forwarded_state_symmetry
-from qkdsim.protocol import ProtocolKind, estimate_qber, sift
+from qkdsim.adversary import ChannelModel, EveKind, EveStrategy
+from qkdsim.protocol import ProtocolKind, estimate_qber
 from qkdsim.quantum import X_PLUS, Z_PLUS, state_label
 from qkdsim.rng import RngStream
 from qkdsim.session import STAGE_ESTIMATE, pulse_stream
 from qkdsim.usd import UsdScheme, usd_efficiency
-from reference import channel_transmit, eve_apply, one_session
+from reference import channel_transmit, eve_apply, one_session, sift_session, symmetry
 
 LOSSLESS = ChannelModel()
 
 
 def _run(kind, n, strategy, seed, channel=LOSSLESS, reveal=1.0):
-    transcript = one_session(kind, n, channel, strategy, seed)
-    sift(kind, transcript)
-    if len(transcript.sifted_indices):
-        estimate_qber(transcript, reveal, pulse_stream(seed, 0, STAGE_ESTIMATE))
-    return transcript
+    """A session's batch, its sifted count, QBER and revealed count."""
+    t = one_session(kind, n, channel, strategy, seed)
+    errors = sift_session(t)
+    qber, revealed = estimate_qber(errors, reveal, pulse_stream(seed, 0, STAGE_ESTIMATE))
+    return t, len(errors), qber, len(revealed)
 
 
 class TestChannel:
@@ -47,9 +47,9 @@ class TestChannel:
         channel = ChannelModel(absorption=0.1, efficiency=0.8)
         expected = channel_loss_probability(0.1, 0.8)
         assert expected == pytest.approx(0.28)
-        transcript = one_session(ProtocolKind.B92, n, channel, EveStrategy(EveKind.NONE), 5)
+        t = one_session(ProtocolKind.B92, n, channel, EveStrategy(EveKind.NONE), 5)
         sigma = math.sqrt(expected * (1 - expected) / n)
-        assert transcript.n_null / n == pytest.approx(expected, abs=4 * sigma)
+        assert (n - np.count_nonzero(t.arrived)) / n == pytest.approx(expected, abs=4 * sigma)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -113,17 +113,19 @@ class TestSuppressSignatures:
         """Suppression never creates a sifted disagreement."""
         for scheme in (UsdScheme.naive(), UsdScheme.optimal()):
             for seed in range(10):
-                t = _run(ProtocolKind.B92, 20_000, EveStrategy(EveKind.USD_SUPPRESS, scheme), seed)
-                assert t.qber == 0.0
+                _, _, qber, _ = _run(
+                    ProtocolKind.B92, 20_000, EveStrategy(EveKind.USD_SUPPRESS, scheme), seed
+                )
+                assert qber == 0.0
 
     def test_arrival_rate_matches_efficiency(self):
         n = 100_000
         rates = {}
         for name, scheme in (("naive", UsdScheme.naive()), ("optimal", UsdScheme.optimal())):
-            t = _run(ProtocolKind.B92, n, EveStrategy(EveKind.USD_SUPPRESS, scheme), 21)
+            t, *_ = _run(ProtocolKind.B92, n, EveStrategy(EveKind.USD_SUPPRESS, scheme), 21)
             eta = usd_efficiency(scheme)
             sigma = math.sqrt(eta * (1 - eta) / n)
-            rate = t.n_arrived / n
+            rate = np.count_nonzero(t.arrived) / n
             assert rate == pytest.approx(eta, abs=4 * sigma)
             rates[name] = rate
         assert 0.25 < rates["optimal"] < 1.0
@@ -131,15 +133,15 @@ class TestSuppressSignatures:
 
     def test_forwarded_state_symmetry(self):
         n = 100_000
-        t = _run(ProtocolKind.B92, n, EveStrategy.of(EveKind.USD_SUPPRESS), 22)
-        count_z, count_x = forwarded_state_symmetry(t)
+        t, *_ = _run(ProtocolKind.B92, n, EveStrategy.of(EveKind.USD_SUPPRESS), 22)
+        count_z, count_x = symmetry(t)
         total = count_z + count_x
-        assert total == t.n_arrived  # lossless channel
+        assert total == np.count_nonzero(t.arrived)  # lossless channel
         assert abs(count_z - count_x) <= 4.0 * math.sqrt(total / 4.0)
 
     def test_honest_forward_counts_match_sent_distribution(self):
-        t = _run(ProtocolKind.B92, 50_000, EveStrategy(EveKind.NONE), 23)
-        count_z, count_x = forwarded_state_symmetry(t)
+        t, *_ = _run(ProtocolKind.B92, 50_000, EveStrategy(EveKind.NONE), 23)
+        count_z, count_x = symmetry(t)
         assert count_z == int(np.sum(t.alice_bits == 0))
         assert count_x == int(np.sum(t.alice_bits == 1))
 
@@ -155,12 +157,13 @@ class TestInterceptResend:
     def test_b92_qber_matches_oracle(self):
         n = 100_000
         oracle = intercept_resend_b92()
-        t = _run(ProtocolKind.B92, n, EveStrategy(EveKind.INTERCEPT_RESEND), 31)
-        revealed = len(t.revealed_indices)
+        _, sifted, qber, revealed = _run(
+            ProtocolKind.B92, n, EveStrategy(EveKind.INTERCEPT_RESEND), 31
+        )
         sigma = math.sqrt(oracle["qber"] * (1 - oracle["qber"]) / revealed)
-        assert t.qber == pytest.approx(oracle["qber"], abs=4 * sigma)
+        assert qber == pytest.approx(oracle["qber"], abs=4 * sigma)
         rate_sigma = math.sqrt(oracle["sift_rate"] * (1 - oracle["sift_rate"]) / n)
-        assert len(t.sifted_indices) / n == pytest.approx(
+        assert sifted / n == pytest.approx(
             oracle["sift_rate"], abs=4 * rate_sigma
         )
 
@@ -168,10 +171,11 @@ class TestInterceptResend:
         n = 100_000
         oracle = intercept_resend_bb84()
         assert oracle["qber"] == pytest.approx(0.25)
-        t = _run(ProtocolKind.BB84, n, EveStrategy(EveKind.INTERCEPT_RESEND), 32)
-        revealed = len(t.revealed_indices)
+        _, _, qber, revealed = _run(
+            ProtocolKind.BB84, n, EveStrategy(EveKind.INTERCEPT_RESEND), 32
+        )
         sigma = math.sqrt(0.25 * 0.75 / revealed)
-        assert t.qber == pytest.approx(0.25, abs=4 * sigma)
+        assert qber == pytest.approx(0.25, abs=4 * sigma)
 
 
 class TestBasisMismatch:
@@ -179,15 +183,18 @@ class TestBasisMismatch:
     def test_positive_delta_creates_errors_matching_oracle(self, delta):
         n = 100_000
         oracle = usd_suppress_b92(delta)["qber"]
-        t = _run(ProtocolKind.B92, n, EveStrategy.of(EveKind.BASIS_MISMATCH, delta=delta), 33)
-        revealed = len(t.revealed_indices)
+        _, _, qber, revealed = _run(
+            ProtocolKind.B92, n, EveStrategy.of(EveKind.BASIS_MISMATCH, delta=delta), 33
+        )
         sigma = math.sqrt(oracle * (1 - oracle) / revealed)
-        assert t.qber > 0.0
-        assert t.qber == pytest.approx(oracle, abs=4 * sigma)
+        assert qber > 0.0
+        assert qber == pytest.approx(oracle, abs=4 * sigma)
 
     def test_zero_delta_is_error_free(self):
-        t = _run(ProtocolKind.B92, 50_000, EveStrategy.of(EveKind.BASIS_MISMATCH, delta=0.0), 34)
-        assert t.qber == 0.0
+        _, _, qber, _ = _run(
+            ProtocolKind.B92, 50_000, EveStrategy.of(EveKind.BASIS_MISMATCH, delta=0.0), 34
+        )
+        assert qber == 0.0
 
     def test_frozen_oracle_values(self):
         """Spot values pinned once, independently of the simulator."""

@@ -6,7 +6,7 @@ import json
 import math
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -26,6 +26,7 @@ from qkdsim.harness import (
     sweep,
     usd_check,
 )
+from qkdsim.quantum import state_label
 from qkdsim.rng import derive_seed
 from qkdsim.session import BLOCK, STAGE_SWEEP
 
@@ -292,6 +293,109 @@ def test_sweep_is_standalone_runs_or_a_clean_error(case):
             assert alone.splitlines() == [lines[0], lines[index + 1]]
 
 
+_FIELDS = [f.name for f in fields(ExperimentConfig)]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=3,
+)
+# a valid value per field, so that some drawn configs run
+_FIELD_VALUES = {
+    "protocol": st.sampled_from(["b92", "bb84"]),
+    "n_pulses": st.integers(1, 2_000),
+    "absorption": st.floats(0.0, 0.99),
+    "efficiency": st.floats(0.01, 1.0),
+    "eve_strategy": st.sampled_from(["none", "intercept_resend", "usd_suppress", "basis_mismatch"]),
+    "usd_scheme": st.sampled_from(["naive", "optimal"]),
+    "delta": st.floats(0.0, 1.5),
+    "reveal_fraction": st.floats(0.01, 1.0),
+    "alpha": st.floats(1e-6, 0.999),
+    "qber_threshold": st.floats(0.0, 1.0),
+    "master_seed": st.integers(0, 2**64 - 1),
+}
+
+
+@st.composite
+def _config_objects(draw):
+    """A JSON object over config fields, at times missing a required one
+    or carrying a junk key; each value is, five times in six, a valid one
+    for its field, else any JSON value."""
+    keys = {"protocol", "n_pulses"} | draw(st.sets(st.sampled_from(_FIELDS)))
+    if draw(st.integers(0, 3)) == 0:
+        keys.discard(draw(st.sampled_from(["protocol", "n_pulses"])))
+    if draw(st.integers(0, 3)) == 0:
+        keys.add(draw(st.text(max_size=6)))
+    config = {
+        key: draw(_FIELD_VALUES[key] if key in _FIELD_VALUES and draw(st.integers(0, 5)) else _JSON)
+        for key in sorted(keys)
+    }
+    n_pulses = config.get("n_pulses")
+    if isinstance(n_pulses, int) and not isinstance(n_pulses, bool) and n_pulses > 2_000:
+        config["n_pulses"] = 2_000  # keeps every example short
+    return config
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_config_objects())
+@example({"protocol": "b92", "n_pulses": 500, "eve_strategy": "usd_suppress"})
+@example({"protocol": "bb84", "n_pulses": 500, "eve_strategy": "usd_suppress"})
+@example({"protocol": "b92", "n_pulses": 50, "absorption": True, "efficiency": [1]})
+def test_run_of_any_json_object_is_a_report_or_a_clean_error(config):
+    """`qkdsim run` on any JSON object exits 0 with a report, or 2 or 3
+    with nothing on stdout; it never raises."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, out = _cli(["run", "--config", str(path)])
+    event(f"exit {code}")
+    if code == 0:
+        assert json.loads(out)["counts"]["sent"] == config["n_pulses"]
+    else:
+        assert code in (2, 3) and out == ""
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.floats(), st.floats(), st.floats(0.0, 3.2), st.floats(0.0, 6.3))
+@example(4.0, 0.0, 0.0, 0.0)
+@example(0.0, 2 * math.pi, HALF_PI, 0.0)
+@example(math.pi, math.nextafter(2 * math.pi, 0.0), 0.0, math.pi)
+def test_demo_of_any_direction_pair_is_a_report_or_a_clean_error(theta, phi, theta2, phi2):
+    """`no-signaling-demo` exits 0 or 2 for any pair of float directions."""
+    code, out = _cli(["no-signaling-demo", "--povm", "sz",
+                      f"--u={theta!r},{phi!r}", f"--u-prime={theta2!r},{phi2!r}"])
+    event(f"exit {code}")
+    if code == 0:
+        assert json.loads(out)["densities_equal"]
+    else:
+        assert code == 2 and out == ""
+
+
+def test_sweep_labels_each_state_table_once_per_batch(tmp_path, monkeypatch):
+    """Forwarded-state labels come from one `state_label` call per state of
+    each distinct table in a batch, not one set per sweep point."""
+    calls = []
+
+    def counting(state, *args, **kwargs):
+        calls.append(state)
+        return state_label(state, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qkdsim" and hasattr(module, "state_label"):
+            monkeypatch.setattr(module, "state_label", counting)
+    base = {**BASE, "n_pulses": 300}
+    values = [i * 0.004 for i in range(200)]
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(base), encoding="utf-8")
+    code, out = _cli(["--output", "csv", "sweep", "--config", str(path),
+                      "--param", "absorption", "--values", ",".join(map(repr, values))])
+    assert code == 0 and len(out.splitlines()) == len(values) + 1
+    config = ExperimentConfig.from_dict(base)
+    n_batches = len(list(harness._batches([replace(config, absorption=v) for v in values])))
+    assert n_batches == 2
+    # one honest B92 table of two states per batch
+    assert 0 < len(calls) <= 2 * n_batches
+
+
 class TestUsdCheck:
     def test_b92_pair(self):
         report = usd_check([(0.0, 0.0), (HALF_PI, 0.0)])
@@ -428,6 +532,15 @@ class TestCli:
         """-1 must not run as 2**64 - 1, nor 2**64 as 0."""
         assert main(["--seed", str(seed), "no-signaling-demo"]) == 2
         assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--u=4,0", "--u-prime=0,7", "--u=nan,0"])
+    def test_demo_direction_off_the_sphere_exits_2(self, flag, capsys):
+        """theta outside [0, pi] or phi outside [0, 2 pi) is a bad input,
+        not a traceback."""
+        assert main(["no-signaling-demo", flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "out of range" in captured.err
 
     @pytest.mark.parametrize(
         "command", [["run"], ["sweep", "--param", "delta", "--values", "0.1"]]

@@ -12,23 +12,30 @@ from qkdsim.adversary import ChannelModel, EveKind, EveStrategy
 from qkdsim.protocol import (
     EstimationError,
     ProtocolKind,
-    PulseRecord,
     _sample_without_replacement,
     estimate_qber,
-    sift,
 )
 from qkdsim.quantum import X_MINUS, X_PLUS, Z_MINUS, Z_PLUS, measurement_probs
 from qkdsim.rng import RngStream
 from qkdsim.session import STAGE_ESTIMATE, pulse_stream
-from reference import alice_prepare, bob_measure, one_session, sample_without_replacement
+from reference import (
+    alice_prepare,
+    bob_measure,
+    one_session,
+    sample_without_replacement,
+    sift_session,
+)
 
 
 def _honest_session(kind, n, seed, absorption=0.0, efficiency=1.0):
-    transcript = one_session(
+    return one_session(
         kind, n, ChannelModel(absorption, efficiency), EveStrategy(EveKind.NONE), seed
     )
-    sift(kind, transcript)
-    return transcript
+
+
+def _honest_errors(kind, n, seed):
+    """Disagreement bits of an honest lossless session."""
+    return sift_session(_honest_session(kind, n, seed))
 
 
 class TestAlicePrepare:
@@ -89,40 +96,55 @@ class TestBobMeasure:
 class TestSift:
     def test_b92_honest_rate_and_agreement(self):
         n = 100_000
-        transcript = _honest_session(ProtocolKind.B92, n, seed=9)
-        rate = len(transcript.sifted_indices) / n
+        errors = _honest_errors(ProtocolKind.B92, n, seed=9)
         sigma = math.sqrt(0.25 * 0.75 / n)
-        assert rate == pytest.approx(0.25, abs=4 * sigma)
-        np.testing.assert_array_equal(transcript.alice_key, transcript.bob_key)
+        assert len(errors) / n == pytest.approx(0.25, abs=4 * sigma)
+        assert errors.dtype == bool and not errors.any()
 
     def test_b92_sifted_records_decode_unambiguously(self):
-        """Every sifted record pairs (0, x-) or (1, z-) in honest sessions."""
-        transcript = _honest_session(ProtocolKind.B92, 2_000, seed=10)
-        for i in transcript.sifted_indices[:200]:
-            record = transcript.record(int(i))
-            assert record.bob_outcome == "minus"
-            expected_basis = "x" if record.alice_bit == 0 else "z"
-            assert record.bob_basis == expected_basis
+        """Every sifted pulse pairs (0, x-) or (1, z-) in honest sessions:
+        Alice's bit is 1 minus Bob's basis id (z = 0, x = 1)."""
+        t = _honest_session(ProtocolKind.B92, 2_000, seed=10)
+        sifted = t.arrived & t.bob_minus
+        assert np.count_nonzero(sifted) > 400
+        np.testing.assert_array_equal(t.alice_bits[sifted], 1 - t.bob_bases[sifted])
 
     def test_bb84_honest_rate_and_agreement(self):
         n = 100_000
-        transcript = _honest_session(ProtocolKind.BB84, n, seed=12)
+        errors = _honest_errors(ProtocolKind.BB84, n, seed=12)
         oracle = bb84_honest()["sift_rate"]
         sigma = math.sqrt(oracle * (1 - oracle) / n)
-        assert len(transcript.sifted_indices) / n == pytest.approx(oracle, abs=4 * sigma)
-        np.testing.assert_array_equal(transcript.alice_key, transcript.bob_key)
+        assert len(errors) / n == pytest.approx(oracle, abs=4 * sigma)
+        assert errors.dtype == bool and not errors.any()
 
     def test_all_lost_gives_empty_sift(self):
-        transcript = one_session(
+        t = one_session(
             ProtocolKind.B92, 500, ChannelModel(absorption=1.0), EveStrategy(EveKind.NONE), 3
         )
-        indices = sift(ProtocolKind.B92, transcript)
-        assert len(indices) == 0
+        assert len(sift_session(t)) == 0
 
     def test_sifted_subset_of_minus_outcomes(self):
-        transcript = _honest_session(ProtocolKind.B92, 5_000, seed=14)
-        minus = set(np.nonzero(transcript.arrived & transcript.bob_minus)[0])
-        assert set(transcript.sifted_indices.tolist()) <= minus
+        t = _honest_session(ProtocolKind.B92, 5_000, seed=14)
+        assert len(sift_session(t)) == np.count_nonzero(t.arrived & t.bob_minus)
+
+    @pytest.mark.parametrize("kind", [ProtocolKind.B92, ProtocolKind.BB84], ids=["b92", "bb84"])
+    def test_disagreements_are_those_of_the_decoded_keys(self, kind):
+        """The disagreement bits equal Alice's and Bob's decoded keys
+        compared position by position, under intercept-resend and loss."""
+        t = one_session(kind, 20_000, ChannelModel(0.1, 0.9), EveStrategy(EveKind.INTERCEPT_RESEND), 4)
+        columns = (t.alice_bits, t.alice_bases, t.arrived, t.bob_bases, t.bob_minus)
+        before = [None if c is None else c.copy() for c in columns]
+        errors = sift_session(t)
+        if kind is ProtocolKind.B92:
+            indices = np.flatnonzero(t.arrived & t.bob_minus)
+            bob_key = 1 - t.bob_bases[indices]
+        else:
+            indices = np.flatnonzero(t.arrived & (t.bob_bases == t.alice_bases))
+            bob_key = t.bob_minus[indices].astype(np.int8)
+        np.testing.assert_array_equal(errors, t.alice_bits[indices] != bob_key)
+        assert errors.any()
+        for c, b in zip(columns, before):  # sifting writes nothing
+            np.testing.assert_array_equal(c, b)
 
 
 def _assert_matches_oracle(m, k, seed):
@@ -169,67 +191,52 @@ class TestRevealSampling:
 class TestEstimateQber:
     def test_honest_sessions_have_zero_qber(self):
         for seed in range(5):
-            transcript = _honest_session(ProtocolKind.B92, 20_000, seed=seed)
-            qber, _ = estimate_qber(transcript, 0.5, pulse_stream(seed, 0, STAGE_ESTIMATE))
+            errors = _honest_errors(ProtocolKind.B92, 20_000, seed=seed)
+            qber, _ = estimate_qber(errors, 0.5, pulse_stream(seed, 0, STAGE_ESTIMATE))
             assert qber == 0.0
 
     def test_reveal_count_is_ceiling(self):
+        errors = _honest_errors(ProtocolKind.B92, 10_000, seed=2)
         for fraction in (0.1, 0.25, 0.333, 1.0):
-            transcript = _honest_session(ProtocolKind.B92, 10_000, seed=2)
-            m = len(transcript.sifted_indices)
-            _, revealed = estimate_qber(transcript, fraction, RngStream(0))
-            assert len(revealed) == math.ceil(fraction * m)
-            assert len(transcript.alice_key) == m - len(revealed)
+            _, revealed = estimate_qber(errors, fraction, RngStream(0))
+            assert len(revealed) == math.ceil(fraction * len(errors))
 
     def test_full_reveal_empties_key(self):
-        transcript = _honest_session(ProtocolKind.B92, 5_000, seed=4)
-        estimate_qber(transcript, 1.0, RngStream(1))
-        assert len(transcript.alice_key) == 0
-        assert len(transcript.bob_key) == 0
+        errors = _honest_errors(ProtocolKind.B92, 5_000, seed=4)
+        _, revealed = estimate_qber(errors, 1.0, RngStream(1))
+        np.testing.assert_array_equal(revealed, np.arange(len(errors)))
 
     def test_revealed_indices_are_sifted_indices(self):
-        transcript = _honest_session(ProtocolKind.B92, 5_000, seed=6)
-        sifted = set(transcript.sifted_indices.tolist())
-        _, revealed = estimate_qber(transcript, 0.3, RngStream(2))
-        assert set(revealed.tolist()) <= sifted
-        assert len(set(revealed.tolist())) == len(revealed)
+        """Revealed positions are distinct positions of the sifted key, sorted."""
+        errors = _honest_errors(ProtocolKind.B92, 5_000, seed=6)
+        _, revealed = estimate_qber(errors, 0.3, RngStream(2))
+        assert np.all(np.diff(revealed) > 0)
+        assert 0 <= revealed[0] and revealed[-1] < len(errors)
+
+    def test_qber_is_the_revealed_disagreement_rate(self):
+        errors = np.zeros(1_000, dtype=bool)
+        errors[::7] = True
+        before = errors.copy()
+        qber, revealed = estimate_qber(errors, 0.4, RngStream(3))
+        assert qber == np.count_nonzero(errors[revealed]) / len(revealed) > 0.0
+        np.testing.assert_array_equal(errors, before)
 
     def test_empty_sift_raises(self):
-        transcript = one_session(
+        t = one_session(
             ProtocolKind.B92, 100, ChannelModel(absorption=1.0), EveStrategy(EveKind.NONE), 3
         )
-        sift(ProtocolKind.B92, transcript)
         with pytest.raises(EstimationError):
-            estimate_qber(transcript, 0.5, RngStream(0))
+            estimate_qber(sift_session(t), 0.5, RngStream(0))
 
     def test_bad_fraction_rejected(self):
-        transcript = _honest_session(ProtocolKind.B92, 1_000, seed=8)
+        errors = _honest_errors(ProtocolKind.B92, 1_000, seed=8)
         for fraction in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                estimate_qber(transcript, fraction, RngStream(0))
+                estimate_qber(errors, fraction, RngStream(0))
 
     def test_estimation_deterministic(self):
-        a = _honest_session(ProtocolKind.B92, 10_000, seed=15)
-        b = _honest_session(ProtocolKind.B92, 10_000, seed=15)
+        a = _honest_errors(ProtocolKind.B92, 10_000, seed=15)
+        b = _honest_errors(ProtocolKind.B92, 10_000, seed=15)
         _, rev_a = estimate_qber(a, 0.2, pulse_stream(15, 0, STAGE_ESTIMATE))
         _, rev_b = estimate_qber(b, 0.2, pulse_stream(15, 0, STAGE_ESTIMATE))
         np.testing.assert_array_equal(rev_a, rev_b)
-
-
-class TestPulseRecord:
-    def test_lost_pulse_must_be_null(self):
-        with pytest.raises(ValueError, match="null"):
-            PulseRecord(0, 0, None, Z_PLUS, "passed", "z+", False, "z", "plus")
-
-    def test_suppressed_pulse_cannot_arrive(self):
-        with pytest.raises(ValueError, match="suppressed"):
-            PulseRecord(0, 0, None, Z_PLUS, "suppressed", None, True, "z", "plus")
-
-    def test_records_roundtrip_transcript(self):
-        transcript = _honest_session(ProtocolKind.BB84, 300, seed=16, absorption=0.2)
-        records = transcript.records()
-        assert len(records) == 300
-        for record in records[:50]:
-            assert record.arrived == bool(transcript.arrived[record.index])
-            if not record.arrived:
-                assert record.bob_outcome == "null"

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from qkdsim import session
-from qkdsim.adversary import ChannelModel, EveKind, EveStrategy, forwarded_state_symmetry
-from qkdsim.protocol import BASIS_LABELS, EVE_ACTION_LABELS, ProtocolKind
-from qkdsim.quantum import measurement_probs
+from qkdsim.adversary import ChannelModel, EveKind, EveStrategy
+from qkdsim.protocol import ProtocolKind
+from qkdsim.quantum import measurement_probs, state_label
 from qkdsim.session import (
     BLOCK,
     STAGE_ALICE,
@@ -20,7 +20,18 @@ from qkdsim.session import (
     simulate_session,
 )
 from qkdsim.usd import UsdSchemeKind
-from reference import alice_prepare, bob_measure, channel_transmit, eve_apply, one_session
+from reference import (
+    BASIS_LABELS,
+    COLUMNS,
+    alice_prepare,
+    bob_measure,
+    channel_transmit,
+    eve_actions,
+    eve_apply,
+    one_session,
+    session_columns,
+    symmetry,
+)
 
 CASES = [
     ("b92-honest", ProtocolKind.B92, EveStrategy(EveKind.NONE), ChannelModel(0.1, 0.9)),
@@ -65,20 +76,23 @@ def _scalar_pulse(kind, strategy, channel, seed, index):
         bob_basis, outcome = bob_measure(forwarded, bob)
     else:
         bob_basis, outcome = BASIS_LABELS[bob.integers(2)], "null"
-    return bit, basis, log.action, forwarded is not None, bob_basis, outcome
+    return bit, basis, state, log.action, forwarded is not None, bob_basis, outcome
 
 
 def _assert_pulse_matches_scalar(t, kind, strategy, channel, seed, i):
-    bit, basis, action, arrived, bob_basis, outcome = _scalar_pulse(
+    """Pulse i of the columns `t` (a `session_columns` dict) against the
+    scalar pipeline, Alice's state ids and Eve's actions included."""
+    bit, basis, state, action, arrived, bob_basis, outcome = _scalar_pulse(
         kind, strategy, channel, seed, i
     )
-    assert bit == t.alice_bits[i]
+    assert bit == t["alice_bits"][i]
     if basis is not None:
-        assert basis == BASIS_LABELS[t.alice_bases[i]]
-    assert action == EVE_ACTION_LABELS[t.eve_actions[i]]
-    assert arrived == bool(t.arrived[i])
-    assert bob_basis == BASIS_LABELS[t.bob_bases[i]]
-    engine_outcome = "null" if not t.arrived[i] else ("minus" if t.bob_minus[i] else "plus")
+        assert basis == BASIS_LABELS[t["alice_bases"][i]]
+    assert state == t["state_table"][t["sent_ids"][i]]
+    assert action == eve_actions(strategy, t["forwarded_ids"][i])
+    assert arrived == bool(t["arrived"][i])
+    assert bob_basis == BASIS_LABELS[t["bob_bases"][i]]
+    engine_outcome = "null" if not t["arrived"][i] else ("minus" if t["bob_minus"][i] else "plus")
     assert outcome == engine_outcome
 
 
@@ -87,25 +101,13 @@ def test_engine_matches_scalar_composition(name, kind, strategy, channel):
     """Array engine reproduces the per-pulse substream pipeline exactly,
     including on both sides of every block boundary of a longer session."""
     n, seed = 400, 2024
-    t = one_session(kind, n, channel, strategy, seed)
+    t = session_columns(one_session(kind, n, channel, strategy, seed))
     for i in range(n):
         _assert_pulse_matches_scalar(t, kind, strategy, channel, seed, i)
 
-    t = one_session(kind, 2 * BLOCK + 3, channel, strategy, seed)
+    t = session_columns(one_session(kind, 2 * BLOCK + 3, channel, strategy, seed))
     for i in (0, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 2):
         _assert_pulse_matches_scalar(t, kind, strategy, channel, seed, i)
-
-
-COLUMNS = (
-    "alice_bits",
-    "alice_bases",
-    "sent_ids",
-    "eve_actions",
-    "forwarded_ids",
-    "arrived",
-    "bob_bases",
-    "bob_minus",
-)
 
 
 @pytest.mark.parametrize("block,n", [(1, 203), (7, 1_003), (4096, 2 * 4096 + 5)])
@@ -115,19 +117,24 @@ def test_transcript_independent_of_block_size(block, n, monkeypatch):
     expected = [one_session(kind, n, ch, strategy, seed) for _, kind, strategy, ch in CASES]
     monkeypatch.setattr(session, "BLOCK", block)
     for (_, kind, strategy, ch), want in zip(CASES, expected):
-        _assert_same_transcript(one_session(kind, n, ch, strategy, seed), want)
+        got = one_session(kind, n, ch, strategy, seed)
+        assert got.n_pulses == want.n_pulses
+        _assert_same_columns(session_columns(got), session_columns(want), strategy)
 
 
-def _assert_same_transcript(got, want):
-    assert got.n_pulses == want.n_pulses
-    assert got.state_table == want.state_table
-    for column in COLUMNS:
-        a, b = getattr(got, column), getattr(want, column)
+def _assert_same_columns(got, want, strategy):
+    """Equal `session_columns` dicts, down to dtypes; Eve's actions too."""
+    assert got["state_table"] == want["state_table"]
+    for column in (*COLUMNS, "sent_ids"):
+        a, b = got[column], want[column]
         if b is None:
             assert a is None
         else:
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(
+        eve_actions(strategy, got["forwarded_ids"]), eve_actions(strategy, want["forwarded_ids"])
+    )
 
 
 def _mismatch(delta):
@@ -153,8 +160,8 @@ def test_batched_sessions_equal_standalone_sessions(block, monkeypatch):
     monkeypatch.setattr(session, "BLOCK", block)
     batch = simulate_session(ProtocolKind.B92, BATCH)
     assert batch.n_pulses == sum(s.n_pulses for s in BATCH)
-    for i, want in enumerate(alone):
-        _assert_same_transcript(batch.transcript(i), want)
+    for i, (s, want) in enumerate(zip(BATCH, alone)):
+        _assert_same_columns(session_columns(batch, i), session_columns(want), s.strategy)
 
 
 @pytest.mark.parametrize("name,kind,strategy,channel", CASES, ids=[c[0] for c in CASES])
@@ -164,8 +171,8 @@ def test_batch_of_every_case_matches_scalar_composition(name, kind, strategy, ch
     batch = simulate_session(
         kind, [Session(50, channel, strategy, 1), Session(60, channel, strategy, 2)]
     )
-    t = batch.transcript(1)
-    for i in range(t.n_pulses):
+    t = session_columns(batch, 1)
+    for i in range(60):
         _assert_pulse_matches_scalar(t, kind, strategy, channel, 2, i)
 
 
@@ -185,10 +192,10 @@ def test_forwarded_state_symmetry_equals_bincount(name, kind, strategy, channel)
     """The direct per-id counts equal a bincount over forwarded pulses,
     summed over the ids labelled z+ and x+."""
     t = one_session(kind, 3_000, channel, strategy, 8)
-    labels = np.array(t.state_labels)
+    labels = np.array([state_label(s) for s in t.state_tables[0]])
     counts = np.bincount(t.forwarded_ids[t.forwarded_ids >= 0], minlength=len(labels))
     expected = (int(counts[labels == "z+"].sum()), int(counts[labels == "x+"].sum()))
-    assert forwarded_state_symmetry(t) == expected
+    assert symmetry(t) == expected
 
 
 @pytest.mark.parametrize("kind", [ProtocolKind.BB84, ProtocolKind.B92], ids=["bb84", "b92"])
@@ -225,8 +232,9 @@ class TestDeterminism:
     def test_counts_consistent(self):
         strategy = EveStrategy.of(EveKind.USD_SUPPRESS)
         t = one_session(ProtocolKind.B92, 5_000, ChannelModel(0.3, 0.7), strategy, 5)
-        assert t.n_arrived + t.n_null == t.n_pulses
-        assert np.sum(t.arrived & t.bob_minus) <= t.n_arrived
+        # a lost pulse has no minus outcome, and a suppressed one never arrives
+        assert np.sum(t.bob_minus) == np.sum(t.arrived & t.bob_minus) <= np.sum(t.arrived)
+        assert not np.any(t.arrived[t.forwarded_ids < 0])
 
     def test_rejects_empty_session(self):
         with pytest.raises(ValueError):
@@ -244,5 +252,5 @@ def test_statistics_invariant_under_substream_permutation():
         _scalar_pulse(kind, strategy, channel, seed, n - 1 - i) for i in range(n)
     ]
     assert sum(bit for bit, *_ in permuted) == int(np.sum(engine.alice_bits))
-    assert sum(arr for *_, arr, _b, _o in permuted) == engine.n_arrived
+    assert sum(arr for *_, arr, _b, _o in permuted) == int(np.count_nonzero(engine.arrived))
     assert sum(o == "minus" for *_, o in permuted) == int(np.sum(engine.bob_minus))
