@@ -80,6 +80,7 @@ def _check_seed(seed, name: str) -> None:
 
 
 _KINDS = ((ProtocolKind, "protocol"), (EveKind, "eve_strategy"), (UsdSchemeKind, "usd_scheme"))
+_FLOAT_FIELDS = ("absorption", "efficiency", "delta", "reveal_fraction", "alpha", "qber_threshold")
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,10 @@ class ExperimentConfig:
                 raise ConfigurationError(f"unknown {name} {getattr(self, name)!r}") from None
         if not _is_strict_int(self.n_pulses) or self.n_pulses < 1:
             raise ConfigurationError("n_pulses must be a positive integer")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigurationError(f"{name} must be a number")
         for name in ("absorption", "efficiency"):
             if not (0.0 <= getattr(self, name) <= 1.0):
                 raise ConfigurationError(f"{name} must be in [0, 1]")

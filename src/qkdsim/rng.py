@@ -106,7 +106,7 @@ def derive_seed_array(seed, indices: np.ndarray, *keys: int) -> np.ndarray:
     it was.
     """
     h = indices.astype(np.uint64)
-    h ^= seed if isinstance(seed, (np.ndarray, np.uint64)) else np.uint64(seed & _MASK)
+    h ^= np.uint64(seed & _MASK)
     h += _U_GOLDEN
     _mix_array(h)
     for key in keys:

@@ -10,7 +10,7 @@ consumes draws from its own substream in a fixed order:
     bob:     draw 0 basis, draw 1 outcome
 
 Eve and Bob are both a `StageTable` read by one sampler, so the only
-branch on Eve's strategy is in building her table. Because no stage ever
+branch on Eve's strategy is in choosing her POVMs. Because no stage ever
 touches another pulse's stream, the engine runs a *batch* of sessions
 (one protocol, one Eve kind and discrimination scheme; any lengths,
 channels, deltas and master seeds) as one pulse range cut into blocks of
@@ -38,14 +38,18 @@ import numpy as np
 from .adversary import ChannelModel, EveKind, EveStrategy
 from .protocol import ProtocolKind
 from .quantum import (
+    SX_POVM,
+    SZ_POVM,
+    Povm,
     QubitState,
     X_MINUS,
     X_PLUS,
     Z_MINUS,
     Z_PLUS,
-    born_probabilities,
-    measurement_probs,
 )
+
+# not called here; kept because bench/tracing.py wraps both names on this module
+from .quantum import born_probabilities, measurement_probs  # noqa: F401
 from .rng import RngStream, derive_seed, derive_seed_array, uniform_array
 from .usd import UsdSchemeKind, idp_povm, naive_frame_povms
 
@@ -85,71 +89,54 @@ class StageTable:
     """A measurement stage: row `state * n_frames + frame` holds the frame's
     cumulative Born probabilities on the state for all outcomes but the
     last, summed left to right as an inverse-CDF walk does (`thresholds`),
-    and the state id each outcome forwards, -1 for none (`forward`). Rows
-    of states that cannot enter the stage are never read; with no frames
-    every state passes through unmeasured."""
+    and the state id each outcome forwards, -1 for none (`forward`). Every
+    state has a row, read or not; with no frames every state passes
+    through unmeasured."""
 
     n_frames: int
     thresholds: np.ndarray
     forward: np.ndarray
 
 
-def _stage_table(states: tuple[QubitState, ...], rows, frames) -> StageTable:
-    """Table over `rows` (the state ids that can enter) for `frames`, each
-    a pair (Born probabilities of a state, state forwarded per outcome or
-    None)."""
+def _stage_table(states: tuple[QubitState, ...], povms: tuple[Povm, ...], targets) -> StageTable:
+    """Table of every state in `states` under each frame's POVM; `targets`
+    gives per frame the state each outcome forwards (None for none), and
+    is empty for a stage that forwards nothing.
+
+    All rows come from one stacked Born product <v|E v> over elements of
+    shape (frames, outcomes, 2, 2), in `born_probabilities`' operation
+    order and clamped as it clamps, so each row equals that function's
+    output bit for bit.
+    """
     ids = {state: i for i, state in enumerate(states)}
-    n_outcomes = len(frames[0][1]) if frames else 1
-    thresholds = np.zeros((len(states) * len(frames), n_outcomes - 1))
-    forward = np.full((len(states) * len(frames), n_outcomes), -1, dtype=np.int16)
-    for state_id in rows:
-        for f, (probs, targets) in enumerate(frames):
-            row = state_id * len(frames) + f
-            acc = 0.0
-            for k, p in enumerate(probs(states[state_id])[:-1]):
-                acc += p
-                thresholds[row, k] = acc
-            forward[row] = [-1 if t is None else ids[t] for t in targets]
-    return StageTable(len(frames), thresholds, forward)
+    n_rows = len(states) * len(povms)
+    n_outcomes = len(povms[0].elements) if povms else 1
+    elements = np.array([p.elements for p in povms], dtype=complex).reshape(-1, n_outcomes, 2, 2)
+    v = np.array([s.vector for s in states]).reshape(-1, 1, 1, 2, 1)
+    probs = np.clip((v.conj().swapaxes(-1, -2) @ (elements @ v)).real, 0.0, 1.0)
+    thresholds = np.cumsum(probs[..., :-1, 0, 0], axis=-1).reshape(n_rows, n_outcomes - 1)
+    forward = np.full((len(states), len(povms), n_outcomes), -1, dtype=np.int16)
+    for f, frame in enumerate(targets):
+        forward[:, f] = [-1 if t is None else ids[t] for t in frame]
+    return StageTable(len(povms), thresholds, forward.reshape(n_rows, n_outcomes))
 
 
-class _BasisProbs(dict):
-    """`measurement_probs` per (state, basis), each computed once. Eve's
-    intercept-resend table and Bob's table read the same pairs, and the
-    sessions of a batch share the sent states; one instance lives for one
-    batch, so it holds at most a few entries per session."""
-
-    def __missing__(self, key: tuple[QubitState, str]) -> tuple[float, float]:
-        self[key] = probs = measurement_probs(*key)
-        return probs
-
-
-def _basis_frames(basis_probs: _BasisProbs, resend: bool) -> tuple:
-    """The projective z and x measurements; `resend` forwards the eigenstate found."""
-    z, x = ((Z_PLUS, Z_MINUS), (X_PLUS, X_MINUS)) if resend else ((None, None),) * 2
-    return ((lambda s: basis_probs[s, "z"], z), (lambda s: basis_probs[s, "x"], x))
-
-
-def _eve_frames(
-    strategy: EveStrategy, basis_probs: _BasisProbs
-) -> tuple[tuple, tuple[QubitState, ...]]:
-    """Eve's frames and the states she can forward, in state-table order."""
+def _eve_measurement(strategy: EveStrategy) -> tuple[tuple[Povm, ...], tuple, tuple]:
+    """Eve's frames, the state each frame's outcomes forward, and the
+    states she can forward, in state-table order."""
     if strategy.kind is EveKind.NONE:
-        return (), ()
+        return (), (), ()
     if strategy.kind is EveKind.INTERCEPT_RESEND:
-        return _basis_frames(basis_probs, resend=True), (Z_PLUS, Z_MINUS, X_PLUS, X_MINUS)
+        # she resends the eigenstate she found
+        eigenstates = ((Z_PLUS, Z_MINUS), (X_PLUS, X_MINUS))
+        return (SZ_POVM, SX_POVM), eigenstates, eigenstates[0] + eigenstates[1]
     scheme = strategy.scheme
     if scheme.kind is UsdSchemeKind.NAIVE_RANDOM_BASIS:
-        z_frame, x_frame = naive_frame_povms(scheme.rotation)
         # a frame's "minus" rules out one state and so identifies the other
-        frames = (
-            (lambda s: born_probabilities(s, z_frame), (None, scheme.state1)),
-            (lambda s: born_probabilities(s, x_frame), (None, scheme.state0)),
-        )
-    else:
-        povm = idp_povm(scheme.state0, scheme.state1)
-        frames = ((lambda s: born_probabilities(s, povm), (scheme.state0, scheme.state1, None)),)
-    return frames, scheme.states()
+        targets = ((None, scheme.state1), (None, scheme.state0))
+        return naive_frame_povms(scheme.rotation), targets, scheme.states()
+    targets = ((scheme.state0, scheme.state1, None),)
+    return (idp_povm(scheme.state0, scheme.state1),), targets, scheme.states()
 
 
 def _stack(tables: list[StageTable]) -> StageTable:
@@ -166,24 +153,23 @@ def _sample_stage(
     table: StageTable,
     state_ids: np.ndarray,
     base,
-    master_seed,
-    idx: np.ndarray,
+    keys: np.ndarray,
     stage: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frame, outcome (int8) and forwarded state id (int16) of every pulse.
 
     `state_ids` and the forwarded ids number the states of each pulse's
     own session; `base` is that session's first row block in the stacked
-    table. Two frames: draw 0 picks the frame and draw 1 the outcome; one
-    frame: draw 0 picks the outcome; no frames: no draws, the state
-    passes on.
+    table, and `keys` are the pulses' stream keys (see `_block_sessions`).
+    Two frames: draw 0 picks the frame and draw 1 the outcome; one frame:
+    draw 0 picks the outcome; no frames: no draws, the state passes on.
     """
     n = state_ids.shape[0]
     frame = np.zeros(n, dtype=np.int8)
     outcome = np.zeros(n, dtype=np.int8)
     if table.n_frames == 0:
         return frame, outcome, state_ids.copy()
-    seeds = derive_seed_array(master_seed, idx, stage)
+    seeds = derive_seed_array(0, keys, stage)
     if table.n_frames == 2:
         frame = _coin(uniform_array(seeds, 0))
     u = uniform_array(seeds, table.n_frames - 1)
@@ -232,9 +218,11 @@ class SessionBatch:
     bob_minus: np.ndarray
 
 
-def _block_sessions(starts: np.ndarray, a: int, b: int):
+def _block_sessions(starts: np.ndarray, master_seeds: np.ndarray, a: int, b: int):
     """Per-pulse lookup of session values for pulses [a, b), and each
-    pulse's index within its session.
+    pulse's stream key: its index within its session XOR its session's
+    master seed, so `derive_seed_array(0, keys, stage)` equals
+    `derive_seed_array(master_seed, index, stage)`.
 
     The lookup maps an array of one value per session to the block's
     pulses: within one session it returns that session's value, which
@@ -245,15 +233,18 @@ def _block_sessions(starts: np.ndarray, a: int, b: int):
     last = int(np.searchsorted(starts, b - 1, side="right")) - 1
     if first == last:
         offset = int(starts[first])
-        return (lambda values: values[first]), np.arange(a - offset, b - offset, dtype=np.uint64)
+        keys = np.arange(a - offset, b - offset, dtype=np.uint64)
+        keys ^= master_seeds[first]
+        return (lambda values: values[first]), keys
     counts = np.diff(np.clip(starts[first : last + 2], a, b))
 
     def spread(values: np.ndarray) -> np.ndarray:
         return np.repeat(values[first : last + 1], counts)
 
-    idx = np.arange(a, b, dtype=np.uint64)
-    idx -= spread(starts.astype(np.uint64))
-    return spread, idx
+    keys = np.arange(a, b, dtype=np.uint64)
+    keys -= spread(starts.astype(np.uint64))
+    keys ^= spread(master_seeds)
+    return spread, keys
 
 
 def _kinds(strategy: EveStrategy) -> tuple:
@@ -277,18 +268,15 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
     # one pair of stage tables per distinct strategy, stacked; a session
     # finds its rows from the id of its table's first state
     sent_states = protocol_states(kind)
-    basis_probs = _BasisProbs()
     eve_tables, bob_tables, built = [], [], {}
     n_states = 0
     for s in sessions:
         if s.strategy in built:
             continue
-        eve_frames, resent = _eve_frames(s.strategy, basis_probs)
+        povms, targets, resent = _eve_measurement(s.strategy)
         states = tuple(dict.fromkeys(sent_states + resent))
-        eve = _stage_table(states, range(len(sent_states)), eve_frames)
-        enters_bob = np.unique(eve.forward[eve.forward >= 0]) if eve.n_frames else range(len(states))
-        eve_tables.append(eve)
-        bob_tables.append(_stage_table(states, enters_bob, _basis_frames(basis_probs, resend=False)))
+        eve_tables.append(_stage_table(states, povms, targets))
+        bob_tables.append(_stage_table(states, (SZ_POVM, SX_POVM), ()))
         built[s.strategy] = (n_states, states)
         n_states += len(states)
     eve, bob = _stack(eve_tables), _stack(bob_tables)
@@ -309,10 +297,10 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
 
     for a in range(0, n_pulses, BLOCK):
         b = min(a + BLOCK, n_pulses)
-        spread, idx = _block_sessions(starts, a, b)
-        master_seed, base = spread(master_seeds), spread(state_base)
+        spread, keys = _block_sessions(starts, master_seeds, a, b)
+        base = spread(state_base)
 
-        seeds = derive_seed_array(master_seed, idx, STAGE_ALICE)
+        seeds = derive_seed_array(0, keys, STAGE_ALICE)
         alice_bits[a:b] = _coin(uniform_array(seeds, 0))
         sent = alice_bits[a:b].astype(np.int16)
         if alice_bases is not None:
@@ -320,18 +308,16 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
             sent += 2 * alice_bases[a:b]
         del seeds  # each stage's seeds are dropped after its last draw
 
-        _, _, forwarded = _sample_stage(eve, sent, base, master_seed, idx, STAGE_EVE)
+        _, _, forwarded = _sample_stage(eve, sent, base, keys, STAGE_EVE)
         del sent
         forwarded_ids[a:b] = forwarded
         reached = forwarded >= 0
 
-        reached &= uniform_array(derive_seed_array(master_seed, idx, STAGE_CHANNEL), 0) >= spread(loss)
+        reached &= uniform_array(derive_seed_array(0, keys, STAGE_CHANNEL), 0) >= spread(loss)
         arrived[a:b] = reached
 
         # suppressed pulses never arrive, so the row Bob reads for them is immaterial
-        frame, outcome, _ = _sample_stage(
-            bob, np.maximum(forwarded, 0), base, master_seed, idx, STAGE_BOB
-        )
+        frame, outcome, _ = _sample_stage(bob, np.maximum(forwarded, 0), base, keys, STAGE_BOB)
         bob_bases[a:b] = frame
         bob_minus[a:b] = reached & (outcome == 1)
 

@@ -340,6 +340,7 @@ def _config_objects(draw):
 @example({"protocol": "b92", "n_pulses": 500, "eve_strategy": "usd_suppress"})
 @example({"protocol": "bb84", "n_pulses": 500, "eve_strategy": "usd_suppress"})
 @example({"protocol": "b92", "n_pulses": 50, "absorption": True, "efficiency": [1]})
+@example({"protocol": "b92", "n_pulses": 100, "efficiency": True, "delta": False})
 def test_run_of_any_json_object_is_a_report_or_a_clean_error(config):
     """`qkdsim run` on any JSON object exits 0 with a report, or 2 or 3
     with nothing on stdout; it never raises."""
@@ -349,9 +350,26 @@ def test_run_of_any_json_object_is_a_report_or_a_clean_error(config):
         code, out = _cli(["run", "--config", str(path)])
     event(f"exit {code}")
     if code == 0:
-        assert json.loads(out)["counts"]["sent"] == config["n_pulses"]
+        report = json.loads(out)
+        assert report["counts"]["sent"] == config["n_pulses"]
+        assert not any(isinstance(value, bool) for value in report["config"].values())
     else:
         assert code in (2, 3) and out == ""
+
+
+@pytest.mark.parametrize("value", [True, False, "0.1"], ids=["true", "false", "string"])
+@pytest.mark.parametrize(
+    "field", ["absorption", "efficiency", "delta", "reveal_fraction", "alpha", "qber_threshold"]
+)
+def test_float_field_that_is_not_a_number_exits_2(field, value, tmp_path, capsys):
+    """A JSON boolean or string in a float field is a config error naming
+    the field, not a 0 or 1 that passes the range check."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**BASE, field: value}), encoding="utf-8")
+    code = main(["run", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"{field} must be a number" in captured.err
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -366,6 +384,23 @@ def test_demo_of_any_direction_pair_is_a_report_or_a_clean_error(theta, phi, the
     event(f"exit {code}")
     if code == 0:
         assert json.loads(out)["densities_equal"]
+    else:
+        assert code == 2 and out == ""
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.floats(), st.floats()), max_size=10))
+@example([])
+@example([(0.0, 0.0), (HALF_PI, 0.0)])
+@example([(math.nan, 0.0)])
+@example([(0.0, math.inf), (1e308, -math.inf)])
+def test_usd_check_of_any_float_pairs_is_a_report_or_a_clean_error(pairs):
+    """`usd-check --states` exits 0 or 2 for 0 to 10 pairs of any floats."""
+    text = ",".join(f"{theta!r},{phi!r}" for theta, phi in pairs)
+    code, out = _cli(["usd-check", f"--states={text}"])
+    event(f"exit {code}")
+    if code == 0:
+        assert len(json.loads(out)["states"]) == len(pairs)
     else:
         assert code == 2 and out == ""
 

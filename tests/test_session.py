@@ -2,13 +2,24 @@
 determinism, block-size and batch independence and substream-permutation
 properties."""
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
 from qkdsim import session
-from qkdsim.adversary import ChannelModel, EveKind, EveStrategy
+from qkdsim.adversary import HALF_PI, ChannelModel, EveKind, EveStrategy
 from qkdsim.protocol import ProtocolKind
-from qkdsim.quantum import measurement_probs, state_label
+from qkdsim.quantum import (
+    SX_POVM,
+    SZ_POVM,
+    X_MINUS,
+    X_PLUS,
+    Z_MINUS,
+    Z_PLUS,
+    born_probabilities,
+    state_label,
+)
 from qkdsim.session import (
     BLOCK,
     STAGE_ALICE,
@@ -19,7 +30,7 @@ from qkdsim.session import (
     pulse_stream,
     simulate_session,
 )
-from qkdsim.usd import UsdSchemeKind
+from qkdsim.usd import UsdSchemeKind, idp_povm, naive_frame_povms
 from reference import (
     BASIS_LABELS,
     COLUMNS,
@@ -198,21 +209,63 @@ def test_forwarded_state_symmetry_equals_bincount(name, kind, strategy, channel)
     assert symmetry(t) == expected
 
 
-@pytest.mark.parametrize("kind", [ProtocolKind.BB84, ProtocolKind.B92], ids=["bb84", "b92"])
-def test_basis_probabilities_computed_once_per_session(kind, monkeypatch):
-    """Eve's intercept-resend table and Bob's table share each (state, basis)
-    lookup: 4 eigenstates x 2 bases, 8 calls, not one set per table."""
-    seen = []
+def _measurement(strategy):
+    """Eve's frames and the state each outcome forwards, spelled out per
+    strategy from the attack's definition."""
+    if strategy.kind is EveKind.NONE:
+        return (), ()
+    if strategy.kind is EveKind.INTERCEPT_RESEND:
+        return (SZ_POVM, SX_POVM), ((Z_PLUS, Z_MINUS), (X_PLUS, X_MINUS))
+    scheme = strategy.scheme
+    if scheme.kind is UsdSchemeKind.NAIVE_RANDOM_BASIS:
+        return naive_frame_povms(scheme.rotation), ((None, scheme.state1), (None, scheme.state0))
+    return (idp_povm(scheme.state0, scheme.state1),), ((scheme.state0, scheme.state1, None),)
 
-    def counting(state, basis):
-        seen.append((state, basis))
-        return measurement_probs(state, basis)
 
-    monkeypatch.setattr(session, "measurement_probs", counting)
-    for _ in range(2):  # nothing is kept from one session to the next
-        seen.clear()
-        one_session(kind, 100, ChannelModel(), EveStrategy(EveKind.INTERCEPT_RESEND), 3)
-        assert len(seen) == len(set(seen)) == 8
+def _assert_table(table, states, povms, targets):
+    """Every state's row (entering the stage or not) holds the left-to-right
+    running sum of its Born probabilities, bit for bit, and the targets."""
+    ids = {state: i for i, state in enumerate(states)}
+    assert table.n_frames == len(povms)
+    assert table.thresholds.shape[0] == table.forward.shape[0] == len(states) * len(povms)
+    for state_id, state in enumerate(states):
+        for f, (povm, frame_targets) in enumerate(zip(povms, targets)):
+            row = state_id * len(povms) + f
+            expected = np.array(list(accumulate(born_probabilities(state, povm)[:-1])))
+            assert np.array_equal(table.thresholds[row].view(np.uint64), expected.view(np.uint64))
+            forward = [-1 if t is None else ids[t] for t in frame_targets]
+            assert table.forward[row].tolist() == forward
+
+
+_DELTAS = np.linspace(0.0, HALF_PI, 200, endpoint=False).tolist()
+
+
+@pytest.mark.parametrize(
+    "kind,strategies",
+    [(kind, [strategy]) for _, kind, strategy, _ in CASES]
+    + [
+        (ProtocolKind.B92, [EveStrategy.of(EveKind.BASIS_MISMATCH, scheme, d) for d in _DELTAS])
+        for scheme in UsdSchemeKind
+    ],
+    ids=[c[0] for c in CASES] + [f"mismatch-{scheme.value}" for scheme in UsdSchemeKind],
+)
+def test_stage_tables_equal_born_probabilities(kind, strategies, monkeypatch):
+    """The engine's Eve and Bob tables for each distinct strategy of a
+    batch equal per-state `born_probabilities` running sums bit for bit."""
+    built = []
+
+    def keep(tables):
+        built.append(tables)
+        return stack(tables)
+
+    stack = session._stack
+    monkeypatch.setattr(session, "_stack", keep)
+    batch = simulate_session(kind, [Session(1, ChannelModel(), s, 0) for s in strategies])
+    eve_tables, bob_tables = built
+    assert len(eve_tables) == len(bob_tables) == len(strategies)
+    for strategy, states, eve, bob in zip(strategies, batch.state_tables, eve_tables, bob_tables):
+        _assert_table(eve, states, *_measurement(strategy))
+        _assert_table(bob, states, (SZ_POVM, SX_POVM), ((None, None),) * 2)
 
 
 class TestDeterminism:
