@@ -17,6 +17,7 @@ from .harness import (
     ConfigurationError,
     ExperimentConfig,
     InfeasibleStrategyError,
+    check_seed,
     no_signaling_demo,
     report_csv_rows,
     run_experiment,
@@ -163,6 +164,8 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 _emit_json([r.to_dict() for r in reports])
         elif args.command == "usd-check":
+            if seed is not None:
+                check_seed(seed, "seed")  # unused here, but out of range is still an error
             _emit_json(usd_check(_parse_angle_pairs(args.states)))
         else:
             _emit_json(

@@ -11,6 +11,7 @@ absorption and detector efficiency predict.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import betainc
@@ -34,7 +35,7 @@ class TestDecision:
     p_value: float
     flagged: bool
     alpha: float
-    method: str = "exact-binomial"
+    method: ClassVar[str] = "exact-binomial"
 
     def __post_init__(self) -> None:
         if self.flagged != (self.p_value < self.alpha):
@@ -42,7 +43,7 @@ class TestDecision:
 
     def to_dict(self) -> dict:
         # the fields are flat values, so asdict's deep copy buys nothing
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "method": self.method}
 
 
 def expected_rates(channel: ChannelModel) -> ExpectedRates:
@@ -72,54 +73,41 @@ def binomial_tails(k, n, p) -> np.ndarray:
     return tails
 
 
-def _batch(*values) -> tuple[bool, list[np.ndarray]]:
-    """(whether every value was a scalar, the values as equal-length 1-d arrays)."""
-    single = all(np.ndim(v) == 0 for v in values)
-    return single, [np.atleast_1d(v) for v in np.broadcast_arrays(*values)]
-
-
-def null_ratio_test(n_sent, n_null, expected, alpha):
+def null_ratio_test(n_sent, n_null, expected_arrival, alpha) -> list[TestDecision]:
     """One-sided exact binomial test of the observed null count against
     channel expectations.
 
     Flags when nulls are significantly high for Binomial(n_sent, p_null)
-    with p_null = 1 - expected_arrival.
-
-    Scalar arguments give one `TestDecision`. Sequences (one entry per
-    session, `expected` a sequence of `ExpectedRates`) give a list, with
-    every tail from one vectorised call.
+    with p_null = 1 - expected_arrival. Each argument holds one entry per
+    session; the result holds one decision per session, with every tail
+    from one vectorised call.
     """
-    arrival = (
-        expected.expected_arrival
-        if isinstance(expected, ExpectedRates)
-        else [e.expected_arrival for e in expected]
+    n_sent, n_null, arrival, alpha = np.broadcast_arrays(
+        *np.atleast_1d(n_sent, n_null, expected_arrival, alpha)
     )
-    single, (n_sent, n_null, arrival, alpha) = _batch(n_sent, n_null, arrival, alpha)
     if np.any(n_sent <= 0):
         raise ValueError("n_sent must be positive")
     if np.any(n_null < 0) or np.any(n_null > n_sent):
         raise ValueError("n_null must lie in [0, n_sent]")
     p_values = binomial_tails(n_null, n_sent, 1.0 - arrival)
-    decisions = [
+    return [
         TestDecision(statistic=k / n, p_value=p, flagged=p < a, alpha=a)
         for n, k, p, a in zip(n_sent.tolist(), n_null.tolist(), p_values.tolist(), alpha.tolist())
     ]
-    return decisions[0] if single else decisions
 
 
-def qber_test(qber, n_revealed, threshold):
+def qber_test(qber, n_revealed, threshold) -> list[TestDecision]:
     """Threshold test on the revealed error rate.
 
     Flags iff the observed rate exceeds the threshold. The p-value is the
     exact binomial tail of seeing at least the observed number of
     disagreements at per-bit error probability `threshold`; alpha is
     placed between the attainable tail values on either side of the
-    threshold count so that the flag and the p-value agree exactly.
-
-    Scalar arguments give one `TestDecision`; sequences give a list, with
-    all the tails from one vectorised call.
+    threshold count so that the flag and the p-value agree exactly. Each
+    argument holds one entry per session; the result holds one decision
+    per session, with all the tails from one vectorised call.
     """
-    single, (qber, n_revealed, threshold) = _batch(qber, n_revealed, threshold)
+    qber, n_revealed, threshold = np.broadcast_arrays(*np.atleast_1d(qber, n_revealed, threshold))
     if np.any(n_revealed <= 0):
         raise ValueError("n_revealed must be positive")
     if not np.all((0.0 <= qber) & (qber <= 1.0)):
@@ -139,10 +127,9 @@ def qber_test(qber, n_revealed, threshold):
         np.tile(threshold, 3),
     ).reshape(3, -1)
     alpha = 0.5 * (tails[0] + tails[1])
-    decisions = [
+    return [
         TestDecision(statistic=q, p_value=p, flagged=f, alpha=a)
         for q, p, f, a in zip(
             qber.tolist(), tails[2].tolist(), (k >= k_star).tolist(), alpha.tolist()
         )
     ]
-    return decisions[0] if single else decisions

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -67,7 +68,7 @@ class InfeasibleStrategyError(ValueError):
     """Strategy cannot exist against this protocol (CLI exit code 3)."""
 
 
-def _check_seed(seed, name: str) -> None:
+def check_seed(seed, name: str) -> None:
     """Reject a seed that is not an integer in [0, 2**64).
 
     `RngStream` masks seeds to 64 bits, so -1 would silently run as
@@ -122,7 +123,7 @@ class ExperimentConfig:
             raise ConfigurationError("alpha must be in (0, 1)")
         if not (0.0 <= self.qber_threshold <= 1.0):
             raise ConfigurationError("qber_threshold must be in [0, 1]")
-        _check_seed(self.master_seed, "master_seed")
+        check_seed(self.master_seed, "master_seed")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -157,50 +158,46 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Aggregated counts, statistics and test decisions for one session."""
+    """What one session measured: counts, QBER estimate, test decisions
+    and discrimination diagnostics. `to_dict` derives the rest from these
+    and the config."""
 
     config: ExperimentConfig
-    sent: int
     arrived: int
-    null: int
     sifted: int
     revealed: int
-    key_length: int
-    sift_rate: float
     qber: float | None
-    null_ratio: float | None
-    expected_arrival: float
-    expected_null_ratio: float
     qber_test: TestDecision | None
     null_ratio_test: TestDecision
     scheme_efficiency: float | None
     forwarded_z: int
     forwarded_x: int
-    rng: str = GENERATOR_NAME
+    rng: ClassVar[str] = GENERATOR_NAME
 
     def __post_init__(self) -> None:
-        if self.arrived + self.null != self.sent:
-            raise ValueError("inconsistent counts: arrived + null != sent")
-        if self.sifted > self.arrived:
-            raise ValueError("inconsistent counts: sifted > arrived")
+        if not (self.revealed <= self.sifted <= self.arrived <= self.config.n_pulses):
+            raise ValueError("inconsistent counts: need revealed <= sifted <= arrived <= sent")
 
     def to_dict(self) -> dict:
+        sent = self.config.n_pulses
+        null = sent - self.arrived
+        expected = expected_rates(self.config.channel())
         return {
             "config": self.config.to_dict(),
             "counts": {
-                "sent": self.sent,
+                "sent": sent,
                 "arrived": self.arrived,
-                "null": self.null,
+                "null": null,
                 "sifted": self.sifted,
                 "revealed": self.revealed,
-                "key_length": self.key_length,
+                "key_length": self.sifted - self.revealed,
             },
             "statistics": {
-                "sift_rate": self.sift_rate,
+                "sift_rate": self.sifted / sent,
                 "qber": self.qber,
-                "null_ratio": self.null_ratio,
-                "expected_arrival": self.expected_arrival,
-                "expected_null_ratio": self.expected_null_ratio,
+                "null_ratio": None if self.arrived == 0 else null / self.arrived,
+                "expected_arrival": expected.expected_arrival,
+                "expected_null_ratio": expected.expected_null_ratio,
             },
             "tests": {
                 "qber_test": None if self.qber_test is None else self.qber_test.to_dict(),
@@ -247,13 +244,8 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
     """Reports of sessions that share protocol, Eve and scheme kinds, run
     as one engine batch; each equals the report of its config run alone."""
     kind = configs[0].protocol_kind()
-    channels = [c.channel() for c in configs]
-    strategies = [c.strategy() for c in configs]
-    _check_feasibility(kind, strategies[0])
-    sessions = [
-        Session(c.n_pulses, channel, strategy, c.master_seed)
-        for c, channel, strategy in zip(configs, channels, strategies)
-    ]
+    sessions = [Session(c.n_pulses, c.channel(), c.strategy(), c.master_seed) for c in configs]
+    _check_feasibility(kind, sessions[0].strategy)
     try:
         batch = simulate_session(kind, sessions)
     except MemoryError:
@@ -265,65 +257,53 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
     # each distinct state table is labelled once, however many sessions share it
     labels = {table: tuple(map(state_label, table)) for table in dict.fromkeys(batch.state_tables)}
     columns = (batch.alice_bits, batch.alice_bases, batch.arrived, batch.bob_bases, batch.bob_minus)
-    estimates, counts = [], []
+    arrived, sifted, revealed, qber, symmetry = [], [], [], [], []
     for i, config in enumerate(configs):
         a, b = batch.starts[i], batch.starts[i + 1]
         errors = sift(kind, *(None if column is None else column[a:b] for column in columns))
+        estimate, positions = None, ()
         if len(errors) > 0:
-            qber, revealed = estimate_qber(
+            estimate, positions = estimate_qber(
                 errors,
                 config.reveal_fraction,
                 pulse_stream(config.master_seed, 0, STAGE_ESTIMATE),
             )
-            estimates.append((qber, len(revealed)))
-        else:
-            estimates.append((None, 0))
-        symmetry = forwarded_state_symmetry(batch.forwarded_ids[a:b], labels[batch.state_tables[i]])
-        counts.append((int(np.count_nonzero(batch.arrived[a:b])), len(errors), symmetry))
+        arrived.append(int(np.count_nonzero(batch.arrived[a:b])))
+        sifted.append(len(errors))
+        revealed.append(len(positions))
+        qber.append(estimate)
+        symmetry.append(
+            forwarded_state_symmetry(batch.forwarded_ids[a:b], labels[batch.state_tables[i]])
+        )
 
-    expected = [expected_rates(channel) for channel in channels]
     null_decisions = null_ratio_test(
         [c.n_pulses for c in configs],
-        [c.n_pulses - n_arrived for c, (n_arrived, _, _) in zip(configs, counts)],
-        expected,
+        [c.n_pulses - n for c, n in zip(configs, arrived)],
+        [expected_rates(s.channel).expected_arrival for s in sessions],
         [c.alpha for c in configs],
     )
-    revealing = [i for i, (_, n_revealed) in enumerate(estimates) if n_revealed > 0]
-    qber_decisions = {}
-    if revealing:
-        decided = qber_test(
-            [estimates[i][0] for i in revealing],
-            [estimates[i][1] for i in revealing],
-            [configs[i].qber_threshold for i in revealing],
+    revealing = [i for i, n in enumerate(revealed) if n > 0]
+    decided = qber_test(
+        [qber[i] for i in revealing],
+        [revealed[i] for i in revealing],
+        [configs[i].qber_threshold for i in revealing],
+    )
+    qber_decisions = dict(zip(revealing, decided))
+    return [
+        RunReport(
+            config=config,
+            arrived=arrived[i],
+            sifted=sifted[i],
+            revealed=revealed[i],
+            qber=qber[i],
+            qber_test=qber_decisions.get(i),
+            null_ratio_test=null_decisions[i],
+            scheme_efficiency=None if scheme is None else usd_efficiency(scheme),
+            forwarded_z=symmetry[i][0],
+            forwarded_x=symmetry[i][1],
         )
-        qber_decisions = dict(zip(revealing, decided))
-
-    reports = []
-    for i, config in enumerate(configs):
-        strategy = strategies[i]
-        (qber, n_revealed), (n_arrived, n_sifted, (count_z, count_x)) = estimates[i], counts[i]
-        reports.append(
-            RunReport(
-                config=config,
-                sent=config.n_pulses,
-                arrived=n_arrived,
-                null=config.n_pulses - n_arrived,
-                sifted=n_sifted,
-                revealed=n_revealed,
-                key_length=n_sifted - n_revealed,
-                sift_rate=n_sifted / config.n_pulses,
-                qber=qber,
-                null_ratio=None if n_arrived == 0 else (config.n_pulses - n_arrived) / n_arrived,
-                expected_arrival=expected[i].expected_arrival,
-                expected_null_ratio=expected[i].expected_null_ratio,
-                qber_test=qber_decisions.get(i),
-                null_ratio_test=null_decisions[i],
-                scheme_efficiency=None if strategy.scheme is None else usd_efficiency(strategy.scheme),
-                forwarded_z=count_z,
-                forwarded_x=count_x,
-            )
-        )
-    return reports
+        for i, (config, scheme) in enumerate(zip(configs, [s.strategy.scheme for s in sessions]))
+    ]
 
 
 SWEEP_PARAMETERS = ("delta", "n_pulses", "absorption", "efficiency", "alpha")
@@ -436,7 +416,7 @@ def no_signaling_demo(
     checks their densities coincide, and shows that the chosen POVM's
     outcome distributions on the two mixtures agree to arithmetic noise.
     """
-    _check_seed(seed, "seed")
+    check_seed(seed, "seed")
     try:
         pair_a, pair_b = _direction_pair(*u), _direction_pair(*u_prime)
     except ValueError as exc:
@@ -464,7 +444,7 @@ def no_signaling_demo(
 # -- CSV rendering -----------------------------------------------------------
 
 # a decision's `method` is in the JSON report but not in the CSV
-_DECISION_COLUMNS = tuple(f.name for f in fields(TestDecision) if f.name != "method")
+_DECISION_COLUMNS = tuple(f.name for f in fields(TestDecision))
 
 
 def _csv_row(report: RunReport) -> dict:

@@ -104,6 +104,24 @@ def state_label(state: QubitState, tol: float = 1e-9) -> str:
     return "other"
 
 
+def _check_operators(mats: list[np.ndarray], what: str) -> np.ndarray:
+    """The 2x2 operators `mats` as one read-only (k, 2, 2) stack, checked
+    finite, Hermitian and positive semidefinite to ALGEBRA_TOL; `what`
+    names one operator in the error messages."""
+    for mat in mats:
+        if mat.shape != (2, 2):
+            raise ValueError(f"{what} has shape {mat.shape}, expected (2, 2)")
+    stack = np.stack(mats)
+    if not np.all(np.isfinite(stack.view(float))):
+        raise ValueError(f"{what} has non-finite entries")
+    if np.max(np.abs(stack - stack.conj().swapaxes(1, 2))) > ALGEBRA_TOL:
+        raise ValueError(f"{what} is not Hermitian")
+    if np.linalg.eigvalsh(stack).min() < -ALGEBRA_TOL:
+        raise ValueError(f"{what} is not positive semidefinite")
+    stack.setflags(write=False)
+    return stack
+
+
 @dataclass(frozen=True)
 class Povm:
     """Positive operators summing to identity, with one label per element.
@@ -117,27 +135,16 @@ class Povm:
     labels: tuple
 
     def __init__(self, elements: Sequence[np.ndarray], labels: Sequence[str]) -> None:
-        mats = tuple(np.array(e, dtype=complex) for e in elements)
+        mats = [np.array(e, dtype=complex) for e in elements]
         names = tuple(str(label) for label in labels)
         if len(mats) != len(names):
             raise ValueError("elements and labels must have equal length")
         if not mats:
             raise ValueError("POVM needs at least one element")
-        total = np.zeros((2, 2), dtype=complex)
-        for mat in mats:
-            if mat.shape != (2, 2):
-                raise ValueError(f"POVM element has shape {mat.shape}, expected (2, 2)")
-            if not np.all(np.isfinite(mat.view(float))):
-                raise ValueError("POVM element has non-finite entries")
-            if np.max(np.abs(mat - mat.conj().T)) > ALGEBRA_TOL:
-                raise ValueError("POVM element is not Hermitian")
-            if np.linalg.eigvalsh(mat).min() < -ALGEBRA_TOL:
-                raise ValueError("POVM element is not positive semidefinite")
-            mat.setflags(write=False)
-            total = total + mat
-        if np.max(np.abs(total - _IDENTITY)) > ALGEBRA_TOL:
+        stack = _check_operators(mats, "POVM element")
+        if np.max(np.abs(stack.sum(axis=0) - _IDENTITY)) > ALGEBRA_TOL:
             raise ValueError("POVM elements do not sum to the identity")
-        object.__setattr__(self, "elements", mats)
+        object.__setattr__(self, "elements", tuple(stack))
         object.__setattr__(self, "labels", names)
 
 
@@ -171,18 +178,9 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __init__(self, matrix: np.ndarray) -> None:
-        mat = np.array(matrix, dtype=complex)
-        if mat.shape != (2, 2):
-            raise ValueError(f"density matrix has shape {mat.shape}, expected (2, 2)")
-        if not np.all(np.isfinite(mat.view(float))):
-            raise ValueError("density matrix has non-finite entries")
-        if np.max(np.abs(mat - mat.conj().T)) > ALGEBRA_TOL:
-            raise ValueError("density matrix is not Hermitian")
+        (mat,) = _check_operators([np.array(matrix, dtype=complex)], "density matrix")
         if abs(np.trace(mat) - 1.0) > ALGEBRA_TOL:
             raise ValueError("density matrix trace is not 1")
-        if np.linalg.eigvalsh(mat).min() < -ALGEBRA_TOL:
-            raise ValueError("density matrix is not positive semidefinite")
-        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
 

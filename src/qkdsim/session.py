@@ -206,7 +206,6 @@ class SessionBatch:
     """
 
     protocol: ProtocolKind
-    sessions: tuple[Session, ...]
     n_pulses: int
     starts: np.ndarray
     state_tables: tuple[tuple[QubitState, ...], ...]
@@ -323,7 +322,6 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
 
     return SessionBatch(
         protocol=kind,
-        sessions=tuple(sessions),
         n_pulses=n_pulses,
         starts=starts,
         state_tables=tuple(built[s.strategy][1] for s in sessions),

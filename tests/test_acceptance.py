@@ -106,7 +106,7 @@ def test_criterion_4_honest_b92():
         for seed in (401, 402, 403):
             report = _run(master_seed=seed, alpha=0.001)
             assert report.qber == 0.0
-            assert abs(report.sift_rate - 0.25) <= 0.006
+            assert abs(report.to_dict()["statistics"]["sift_rate"] - 0.25) <= 0.006
             assert not report.qber_test.flagged
             assert not report.null_ratio_test.flagged
 
@@ -133,7 +133,8 @@ def test_criterion_5_usd_suppress_signature():
             report = _run(master_seed=seed, eve_strategy="usd_suppress", reveal_fraction=1.0)
             assert report.qber == 0.0
             assert not report.qber_test.flagged
-            assert abs(report.null / report.sent - 0.75) <= 0.006
+            counts = report.to_dict()["counts"]
+            assert abs(counts["null"] / counts["sent"] - 0.75) <= 0.006
             assert report.null_ratio_test.p_value < 1e-9
             assert report.null_ratio_test.flagged
 

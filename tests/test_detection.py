@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,10 @@ from qkdsim.harness import ExperimentConfig, run_experiment
 
 def _tail(k, n, p):
     return 1.0 if k <= 0 else float(stats.binom.sf(k - 1, n, p))
+
+
+def _arrival(channel):
+    return expected_rates(channel).expected_arrival
 
 
 def _scalar_qber_decision(qber, n, threshold):
@@ -58,7 +63,8 @@ class TestBatchedTails:
         nulls = [draws.randint(0, s) for s in sent]
         alphas = [draws.choice((0.001, 0.05, 0.5)) for _ in channels]
         expected = [expected_rates(c) for c in channels]
-        assert null_ratio_test(sent, nulls, expected, alphas) == [
+        arrivals = [e.expected_arrival for e in expected]
+        assert null_ratio_test(sent, nulls, arrivals, alphas) == [
             TestDecision(k / n, p_value, p_value < alpha, alpha)
             for n, k, e, alpha in zip(sent, nulls, expected, alphas)
             for p_value in [_tail(k, n, 1.0 - e.expected_arrival)]
@@ -92,41 +98,41 @@ class TestExpectedRates:
 
 class TestNullRatioTest:
     def test_no_nulls_is_clean(self):
-        decision = null_ratio_test(10_000, 0, expected_rates(ChannelModel()), 0.001)
+        (decision,) = null_ratio_test([10_000], [0], [_arrival(ChannelModel())], [0.001])
         assert decision.p_value == 1.0
         assert not decision.flagged
 
     def test_suppression_scale_excess_is_decisive(self):
-        decision = null_ratio_test(100_000, 75_000, expected_rates(ChannelModel()), 0.001)
+        (decision,) = null_ratio_test([100_000], [75_000], [_arrival(ChannelModel())], [0.001])
         assert decision.p_value < 1e-9
         assert decision.flagged
 
     def test_p_value_monotone_in_null_count(self):
-        expected = expected_rates(ChannelModel(0.2, 0.9))
+        arrival = _arrival(ChannelModel(0.2, 0.9))
         p_values = [
-            null_ratio_test(10_000, k, expected, 0.001).p_value
+            null_ratio_test([10_000], [k], [arrival], [0.001])[0].p_value
             for k in range(0, 10_001, 250)
         ]
         assert all(a >= b for a, b in zip(p_values, p_values[1:]))
 
     def test_method_recorded(self):
-        expected = expected_rates(ChannelModel(0.2, 1.0))
-        assert null_ratio_test(100, 20, expected, 0.01).method == "exact-binomial"
+        arrival = _arrival(ChannelModel(0.2, 1.0))
+        assert null_ratio_test([100], [20], [arrival], [0.01])[0].method == "exact-binomial"
 
     def test_bad_counts_rejected(self):
-        expected = expected_rates(ChannelModel())
+        arrival = _arrival(ChannelModel())
         with pytest.raises(ValueError):
-            null_ratio_test(0, 0, expected, 0.01)
+            null_ratio_test([0], [0], [arrival], [0.01])
         with pytest.raises(ValueError):
-            null_ratio_test(10, 11, expected, 0.01)
+            null_ratio_test([10], [11], [arrival], [0.01])
 
     def test_false_positive_rate_calibrated(self):
         """Honest null counts flag at most 0.5% of the time at alpha 1e-3."""
         n, p_null = 100_000, 0.28
-        expected = expected_rates(ChannelModel(absorption=p_null))
+        arrival = _arrival(ChannelModel(absorption=p_null))
         counts = np.random.default_rng(12345).binomial(n, p_null, size=1_000)
         flagged = sum(
-            null_ratio_test(n, int(k), expected, 0.001).flagged for k in counts
+            null_ratio_test([n], [int(k)], [arrival], [0.001])[0].flagged for k in counts
         )
         assert flagged / 1_000 <= 0.005
 
@@ -134,23 +140,23 @@ class TestNullRatioTest:
 class TestQberTest:
     def test_zero_qber_never_flags_positive_threshold(self):
         for threshold in (0.001, 0.05, 0.25):
-            decision = qber_test(0.0, 5_000, threshold)
+            (decision,) = qber_test([0.0], [5_000], [threshold])
             assert not decision.flagged
             assert decision.p_value == 1.0
 
     def test_zero_threshold_flags_any_disagreement(self):
-        assert qber_test(1 / 5_000, 5_000, 0.0).flagged
-        assert not qber_test(0.0, 5_000, 0.0).flagged
+        assert qber_test([1 / 5_000], [5_000], [0.0])[0].flagged
+        assert not qber_test([0.0], [5_000], [0.0])[0].flagged
 
     def test_intercept_resend_scale_error_flags(self):
-        decision = qber_test(1 / 3, 30_000, 0.05)
+        (decision,) = qber_test([1 / 3], [30_000], [0.05])
         assert decision.flagged
         assert decision.p_value < 1e-9
 
     def test_flag_iff_above_threshold(self):
         n = 1_000
         for k in (0, 49, 50, 51, 100):
-            decision = qber_test(k / n, n, 0.05)
+            (decision,) = qber_test([k / n], [n], [0.05])
             assert decision.flagged == (k / n > 0.05)
 
     def test_decision_internally_consistent_across_grid(self):
@@ -158,13 +164,21 @@ class TestQberTest:
         for n in (10, 383, 5_000):
             for threshold in (0.0, 0.03, 0.5, 1.0):
                 for k in (0, 1, n // 3, n - 1, n):
-                    qber_test(k / n, n, threshold)
+                    qber_test([k / n], [n], [threshold])
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            qber_test(0.1, 0, 0.05)
+            qber_test([0.1], [0], [0.05])
         with pytest.raises(ValueError):
-            qber_test(1.2, 10, 0.05)
+            qber_test([1.2], [10], [0.05])
+
+    def test_every_input_gives_a_list(self):
+        """No scalar mode: empty, one-element and scalar inputs all give lists."""
+        assert [f.name for f in fields(TestDecision)] == ["statistic", "p_value", "flagged", "alpha"]
+        assert null_ratio_test([], [], [], []) == [] and qber_test([], [], []) == []
+        assert null_ratio_test(100, 20, 0.8, 0.01) == null_ratio_test([100], [20], [0.8], [0.01])
+        assert qber_test(0.1, 100, 0.05) == qber_test([0.1], [100], [0.05])
+        assert len(qber_test(0.1, 100, 0.05)) == 1
 
     def test_inconsistent_decision_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):

@@ -20,6 +20,7 @@ from qkdsim.harness import (
     ConfigurationError,
     ExperimentConfig,
     InfeasibleStrategyError,
+    RunReport,
     no_signaling_demo,
     report_csv_rows,
     run_experiment,
@@ -96,9 +97,26 @@ class TestConfig:
 class TestRunExperiment:
     def test_counts_consistent(self):
         report = run_experiment(ExperimentConfig.from_dict({**BASE, "absorption": 0.2}))
-        assert report.arrived + report.null == report.sent
-        assert report.sifted <= report.arrived
-        assert report.key_length == report.sifted - report.revealed
+        counts = report.to_dict()["counts"]
+        assert counts["arrived"] + counts["null"] == counts["sent"]
+        assert counts["sifted"] <= counts["arrived"]
+        assert counts["key_length"] == counts["sifted"] - counts["revealed"]
+
+    def test_report_holds_only_measured_values(self):
+        assert [f.name for f in fields(RunReport)] == [
+            "config", "arrived", "sifted", "revealed", "qber", "qber_test",
+            "null_ratio_test", "scheme_efficiency", "forwarded_z", "forwarded_x",
+        ]
+
+    def test_revealed_above_sifted_rejected(self):
+        report = run_experiment(ExperimentConfig.from_dict(BASE))
+        with pytest.raises(ValueError, match="inconsistent counts"):
+            replace(report, revealed=report.sifted + 1)
+
+    def test_arrived_above_sent_rejected(self):
+        report = run_experiment(ExperimentConfig.from_dict(BASE))
+        with pytest.raises(ValueError, match="inconsistent counts"):
+            replace(report, arrived=report.config.n_pulses + 1)
 
     def test_report_reproducible_from_config_echo(self):
         report = run_experiment(ExperimentConfig.from_dict(BASE))
@@ -405,6 +423,55 @@ def test_usd_check_of_any_float_pairs_is_a_report_or_a_clean_error(pairs):
         assert code == 2 and out == ""
 
 
+# each subcommand with its own arguments; `{config}` is a 50-pulse config file
+_SUBCOMMANDS = {
+    "run": ["run", "--config", "{config}"],
+    "sweep": ["sweep", "--config", "{config}", "--param", "delta", "--values", "0,0.3"],
+    "usd-check": ["usd-check", "--states", "0,0,1.5707963267948966,0"],
+    "no-signaling-demo": ["no-signaling-demo", "--povm", "random"],
+}
+
+
+def _exit_code_and_stdout(argv) -> tuple[int, str]:
+    """`_cli`, with argparse's SystemExit read as the exit code it carries."""
+    try:
+        return _cli(argv)
+    except SystemExit as exc:
+        return exc.code, ""
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(sorted(_SUBCOMMANDS)),
+    st.integers(),
+    st.sampled_from(["json", "csv", "junk"]),
+)
+@example("usd-check", -1, "json")
+@example("usd-check", 2**64, "json")
+@example("run", 2**64 - 1, "csv")
+@example("no-signaling-demo", 0, "csv")
+def test_global_flags_before_or_after_any_subcommand(command, seed, output):
+    """`--seed` and `--output` mean the same before and after each
+    subcommand: the exit code is 0 or 2, stdout is empty on 2, and both
+    placements write the same bytes."""
+    flags = ["--seed", str(seed), "--output", output]
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "config.json"
+        path.write_text(json.dumps({**BASE, "n_pulses": 50}), encoding="utf-8")
+        args = [arg.format(config=path) for arg in _SUBCOMMANDS[command]]
+        before = _exit_code_and_stdout(flags + args)
+        after = _exit_code_and_stdout(args + flags)
+    event(f"exit {before[0]}")
+    code, out = before
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""
+    if 0 <= seed < 2**64:
+        assert after == before
+    else:
+        assert code == 2 and after == (2, "")
+
+
 def test_sweep_labels_each_state_table_once_per_batch(tmp_path, monkeypatch):
     """Forwarded-state labels come from one `state_label` call per state of
     each distinct table in a batch, not one set per sweep point."""
@@ -567,6 +634,14 @@ class TestCli:
         """-1 must not run as 2**64 - 1, nor 2**64 as 0."""
         assert main(["--seed", str(seed), "no-signaling-demo"]) == 2
         assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_usd_check_seed_outside_64_bits_exits_2(self, seed, capsys):
+        """usd-check draws nothing, but the seed range rule holds for every subcommand."""
+        assert main(["--seed", str(seed), "usd-check", "--states", "0,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be in [0, 2**64)" in captured.err
 
     @pytest.mark.parametrize("flag", ["--u=4,0", "--u-prime=0,7", "--u=nan,0"])
     def test_demo_direction_off_the_sphere_exits_2(self, flag, capsys):
