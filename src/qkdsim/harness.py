@@ -106,6 +106,9 @@ class ExperimentConfig:
                 raise ConfigurationError(f"unknown {name} {getattr(self, name)!r}") from None
         if not _is_strict_int(self.n_pulses) or self.n_pulses < 1:
             raise ConfigurationError("n_pulses must be a positive integer")
+        if self.n_pulses >= 2**63:
+            # pulse offsets are int64; no such session could be allocated anyway
+            raise ConfigurationError("n_pulses must be below 2**63")
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -104,22 +104,28 @@ def state_label(state: QubitState, tol: float = 1e-9) -> str:
     return "other"
 
 
-def _check_operators(mats: list[np.ndarray], what: str) -> np.ndarray:
-    """The 2x2 operators `mats` as one read-only (k, 2, 2) stack, checked
-    finite, Hermitian and positive semidefinite to ALGEBRA_TOL; `what`
-    names one operator in the error messages."""
-    for mat in mats:
-        if mat.shape != (2, 2):
-            raise ValueError(f"{what} has shape {mat.shape}, expected (2, 2)")
-    stack = np.stack(mats)
-    if not np.all(np.isfinite(stack.view(float))):
+def _check_operators(mats, what: str, complete: bool = False) -> np.ndarray:
+    """The 2x2 operators `mats` as one read-only array, checked finite,
+    Hermitian and positive semidefinite to ALGEBRA_TOL; `what` names one
+    operator in the error messages. `mats` is a sequence of operators, or
+    an array of shape (..., 2, 2) with any leading batch dimensions. With
+    `complete`, the outcome axis -3 holds each POVM's elements, and every
+    POVM must sum to the identity."""
+    if not isinstance(mats, np.ndarray):
+        for mat in mats:
+            if mat.shape != (2, 2):
+                raise ValueError(f"{what} has shape {mat.shape}, expected (2, 2)")
+        mats = np.stack(mats)
+    if not np.all(np.isfinite(mats.view(float))):
         raise ValueError(f"{what} has non-finite entries")
-    if np.max(np.abs(stack - stack.conj().swapaxes(1, 2))) > ALGEBRA_TOL:
+    if np.max(np.abs(mats - mats.conj().swapaxes(-1, -2))) > ALGEBRA_TOL:
         raise ValueError(f"{what} is not Hermitian")
-    if np.linalg.eigvalsh(stack).min() < -ALGEBRA_TOL:
+    if np.linalg.eigvalsh(mats).min() < -ALGEBRA_TOL:
         raise ValueError(f"{what} is not positive semidefinite")
-    stack.setflags(write=False)
-    return stack
+    if complete and np.max(np.abs(mats.sum(axis=-3) - _IDENTITY)) > ALGEBRA_TOL:
+        raise ValueError("POVM elements do not sum to the identity")
+    mats.setflags(write=False)
+    return mats
 
 
 @dataclass(frozen=True)
@@ -141,9 +147,7 @@ class Povm:
             raise ValueError("elements and labels must have equal length")
         if not mats:
             raise ValueError("POVM needs at least one element")
-        stack = _check_operators(mats, "POVM element")
-        if np.max(np.abs(stack.sum(axis=0) - _IDENTITY)) > ALGEBRA_TOL:
-            raise ValueError("POVM elements do not sum to the identity")
+        stack = _check_operators(mats, "POVM element", complete=True)
         object.__setattr__(self, "elements", tuple(stack))
         object.__setattr__(self, "labels", names)
 

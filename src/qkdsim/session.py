@@ -10,7 +10,11 @@ consumes draws from its own substream in a fixed order:
     bob:     draw 0 basis, draw 1 outcome
 
 Eve and Bob are both a `StageTable` read by one sampler, so the only
-branch on Eve's strategy is in choosing her POVMs. Because no stage ever
+branch on Eve's strategy is in choosing her POVM elements. A batch has
+one Eve table and one Bob table: the elements of all its distinct
+strategies are built as one array by `usd`'s batch builders, with no
+per-strategy `Povm` object, checked once, and turned into every row by
+one stacked Born product and one running sum. Because no stage ever
 touches another pulse's stream, the engine runs a *batch* of sessions
 (one protocol, one Eve kind and discrimination scheme; any lengths,
 channels, deltas and master seeds) as one pulse range cut into blocks of
@@ -40,18 +44,19 @@ from .protocol import ProtocolKind
 from .quantum import (
     SX_POVM,
     SZ_POVM,
-    Povm,
     QubitState,
     X_MINUS,
     X_PLUS,
     Z_MINUS,
     Z_PLUS,
+    _check_operators,
 )
-
-# not called here; kept because bench/tracing.py wraps both names on this module
-from .quantum import born_probabilities, measurement_probs  # noqa: F401
 from .rng import RngStream, derive_seed, derive_seed_array, uniform_array
-from .usd import UsdSchemeKind, idp_povm, naive_frame_povms
+from .usd import UsdSchemeKind, idp_elements, naive_frame_elements
+
+# not called here; kept because bench/tracing.py wraps these four names on this module
+from .quantum import born_probabilities, measurement_probs  # noqa: F401
+from .usd import idp_povm, naive_frame_povms  # noqa: F401
 
 STAGE_ALICE = 0
 STAGE_EVE = 1
@@ -98,55 +103,52 @@ class StageTable:
     forward: np.ndarray
 
 
-def _stage_table(states: tuple[QubitState, ...], povms: tuple[Povm, ...], targets) -> StageTable:
-    """Table of every state in `states` under each frame's POVM; `targets`
-    gives per frame the state each outcome forwards (None for none), and
-    is empty for a stage that forwards nothing.
+# Bob's z and x frames, shape (frames, outcomes, 2, 2); intercept-resend measures in them too
+_BASES = np.array([SZ_POVM.elements, SX_POVM.elements])
 
-    All rows come from one stacked Born product <v|E v> over elements of
-    shape (frames, outcomes, 2, 2), in `born_probabilities`' operation
-    order and clamped as it clamps, so each row equals that function's
-    output bit for bit.
+
+def _stage_table(vectors: np.ndarray, elements: np.ndarray, forward: np.ndarray) -> StageTable:
+    """Table of the states `vectors`, shape (rows, 2), each under its own
+    frames: `elements` has shape (rows or 1, frames, outcomes, 2, 2), and
+    `forward`, shape (rows or 1, frames, outcomes), the state id each
+    outcome forwards.
+
+    All rows come from one stacked Born product <v|E v>, in
+    `born_probabilities`' operation order and clamped as it clamps, so
+    each row equals that function's output bit for bit.
     """
-    ids = {state: i for i, state in enumerate(states)}
-    n_rows = len(states) * len(povms)
-    n_outcomes = len(povms[0].elements) if povms else 1
-    elements = np.array([p.elements for p in povms], dtype=complex).reshape(-1, n_outcomes, 2, 2)
-    v = np.array([s.vector for s in states]).reshape(-1, 1, 1, 2, 1)
+    n_rows = len(vectors) * elements.shape[1]
+    n_outcomes = elements.shape[2]
+    v = vectors.reshape(-1, 1, 1, 2, 1)
     probs = np.clip((v.conj().swapaxes(-1, -2) @ (elements @ v)).real, 0.0, 1.0)
     thresholds = np.cumsum(probs[..., :-1, 0, 0], axis=-1).reshape(n_rows, n_outcomes - 1)
-    forward = np.full((len(states), len(povms), n_outcomes), -1, dtype=np.int16)
-    for f, frame in enumerate(targets):
-        forward[:, f] = [-1 if t is None else ids[t] for t in frame]
-    return StageTable(len(povms), thresholds, forward.reshape(n_rows, n_outcomes))
+    forward = np.broadcast_to(forward, (len(vectors),) + elements.shape[1:3])
+    return StageTable(elements.shape[1], thresholds, forward.reshape(n_rows, n_outcomes))
 
 
-def _eve_measurement(strategy: EveStrategy) -> tuple[tuple[Povm, ...], tuple, tuple]:
-    """Eve's frames, the state each frame's outcomes forward, and the
-    states she can forward, in state-table order."""
-    if strategy.kind is EveKind.NONE:
-        return (), (), ()
-    if strategy.kind is EveKind.INTERCEPT_RESEND:
+def _eve_measurement(strategies: list[EveStrategy]) -> tuple[np.ndarray, list, list]:
+    """Eve's elements for each of `strategies` (one kind and scheme kind),
+    shape (strategies, frames, outcomes, 2, 2), and per strategy the state
+    each frame's outcomes forward and the states she can forward."""
+    n = len(strategies)
+    kind = strategies[0].kind
+    if kind is EveKind.NONE:
+        return np.empty((n, 0, 1, 2, 2), dtype=complex), [()] * n, [()] * n
+    if kind is EveKind.INTERCEPT_RESEND:
         # she resends the eigenstate she found
         eigenstates = ((Z_PLUS, Z_MINUS), (X_PLUS, X_MINUS))
-        return (SZ_POVM, SX_POVM), eigenstates, eigenstates[0] + eigenstates[1]
-    scheme = strategy.scheme
-    if scheme.kind is UsdSchemeKind.NAIVE_RANDOM_BASIS:
+        elements = np.broadcast_to(_BASES, (n,) + _BASES.shape)
+        return elements, [eigenstates] * n, [eigenstates[0] + eigenstates[1]] * n
+    schemes = [s.scheme for s in strategies]
+    if schemes[0].kind is UsdSchemeKind.NAIVE_RANDOM_BASIS:
         # a frame's "minus" rules out one state and so identifies the other
-        targets = ((None, scheme.state1), (None, scheme.state0))
-        return naive_frame_povms(scheme.rotation), targets, scheme.states()
-    targets = ((scheme.state0, scheme.state1, None),)
-    return (idp_povm(scheme.state0, scheme.state1),), targets, scheme.states()
-
-
-def _stack(tables: list[StageTable]) -> StageTable:
-    """The sessions' tables one above the other; a session's rows start at
-    its first state id times the frame count."""
-    return StageTable(
-        tables[0].n_frames,
-        np.concatenate([t.thresholds for t in tables]),
-        np.concatenate([t.forward for t in tables]),
-    )
+        elements = naive_frame_elements([scheme.rotation for scheme in schemes])
+        targets = [((None, scheme.state1), (None, scheme.state0)) for scheme in schemes]
+    else:
+        elements = idp_elements([scheme.states() for scheme in schemes])
+        targets = [((scheme.state0, scheme.state1, None),) for scheme in schemes]
+    _check_operators(elements, "POVM element", complete=True)
+    return elements, targets, [scheme.states() for scheme in schemes]
 
 
 def _sample_stage(
@@ -264,21 +266,24 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
     if len({_kinds(s.strategy) for s in sessions}) > 1:
         raise ValueError("the sessions of a batch must share Eve's kind and scheme kind")
 
-    # one pair of stage tables per distinct strategy, stacked; a session
-    # finds its rows from the id of its table's first state
+    # one Eve and one Bob table for the batch's distinct strategies, each
+    # strategy's states in turn; a session finds its rows from the id of
+    # its strategy's first state
+    strategies = list(dict.fromkeys(s.strategy for s in sessions))
+    elements, targets, resent = _eve_measurement(strategies)
     sent_states = protocol_states(kind)
-    eve_tables, bob_tables, built = [], [], {}
-    n_states = 0
-    for s in sessions:
-        if s.strategy in built:
-            continue
-        povms, targets, resent = _eve_measurement(s.strategy)
-        states = tuple(dict.fromkeys(sent_states + resent))
-        eve_tables.append(_stage_table(states, povms, targets))
-        bob_tables.append(_stage_table(states, (SZ_POVM, SX_POVM), ()))
-        built[s.strategy] = (n_states, states)
-        n_states += len(states)
-    eve, bob = _stack(eve_tables), _stack(bob_tables)
+    built, states, owner, forward = {}, [], [], []
+    for j, strategy in enumerate(strategies):
+        table = tuple(dict.fromkeys(sent_states + resent[j]))
+        ids = {state: i for i, state in enumerate(table)}
+        built[strategy] = (len(states), table)
+        states += table
+        owner += [j] * len(table)
+        forward.append([[-1 if t is None else ids[t] for t in frame] for frame in targets[j]])
+    vectors = np.array([(state.amp0, state.amp1) for state in states], dtype=complex)
+    forward = np.array(forward, dtype=np.int16).reshape(elements.shape[:3])
+    eve = _stage_table(vectors, elements[owner], forward[owner])
+    bob = _stage_table(vectors, _BASES[None], np.int16(-1))
 
     state_base = np.array([built[s.strategy][0] for s in sessions], dtype=np.int32)
     master_seeds = np.array([s.master_seed for s in sessions], dtype=np.uint64)

@@ -14,6 +14,7 @@ under every POVM.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -30,11 +31,11 @@ from .quantum import (
     born_probabilities,
     inner_product,
     mixture_density,
-    orthogonal_state,
-    projective_povm,
-    projector,
     rotate_y,
 )
+
+# not called here; kept because bench/tracing.py wraps these names on this module
+from .quantum import orthogonal_state, projective_povm, projector  # noqa: F401
 
 GRAM_RANK_TOL = 1e-10
 UNAMBIGUOUS_TOL = 1e-10
@@ -82,35 +83,81 @@ class UsdScheme:
         return (self.state0, self.state1)
 
 
-def idp_povm(state0: QubitState, state1: QubitState) -> Povm:
-    """Optimal three-outcome unambiguous-discrimination POVM.
+def idp_elements(pairs: Sequence[tuple[QubitState, QubitState]]) -> np.ndarray:
+    """Elements of the optimal three-outcome unambiguous-discrimination
+    POVM for each state pair, shape (pairs, 1 frame, 3 outcomes, 2, 2):
+    conclusive0, conclusive1, inconclusive.
 
     E_0 is the projector onto the complement of psi1 scaled by 1/(1+s)
     with s = |<psi0|psi1>|, the largest factor that keeps the inconclusive
     element positive semidefinite; symmetrically for E_1. Each conclusive
     outcome then fires with probability 1 - s on its own state and never
-    on the other.
+    on the other. Each step is `inner_product`'s, `orthogonal_state`'s or
+    `projector`'s arithmetic done elementwise and rounded as they round,
+    so every pair's elements equal that scalar construction's bit for bit.
     """
-    s = abs(inner_product(state0, state1))
-    if s > 1.0 - _DEGENERACY_TOL:
+    amps = np.array([(a.amp0, a.amp1, b.amp0, b.amp1) for a, b in pairs], dtype=complex)
+    a0, a1, b0, b1 = amps.T
+    overlap = _product(a0.conj(), b0) + _product(a1.conj(), b1)
+    s = np.hypot(overlap.real, overlap.imag)
+    if np.any(s > 1.0 - _DEGENERACY_TOL):
         raise ValueError("states too close to parallel for unambiguous discrimination")
-    scale = 1.0 / (1.0 + s)
-    e0 = scale * projector(orthogonal_state(state1))
-    e1 = scale * projector(orthogonal_state(state0))
+    scale = (1.0 / (1.0 + s))[:, None, None]
+    e0 = scale * _outer(np.stack([-b1.conj(), b0.conj()], axis=-1))
+    e1 = scale * _outer(np.stack([-a1.conj(), a0.conj()], axis=-1))
     inconclusive = np.eye(2, dtype=complex) - e0 - e1
-    inconclusive = (inconclusive + inconclusive.conj().T) / 2.0
-    return Povm((e0, e1, inconclusive), ("conclusive0", "conclusive1", "inconclusive"))
+    inconclusive = (inconclusive + inconclusive.conj().swapaxes(-1, -2)) / 2.0
+    return np.stack([e0, e1, inconclusive], axis=1)[:, None]
+
+
+def idp_povm(state0: QubitState, state1: QubitState) -> Povm:
+    """The optimal discrimination POVM of one pair (see `idp_elements`)."""
+    (elements,) = idp_elements([(state0, state1)])[:, 0]
+    return Povm(elements, ("conclusive0", "conclusive1", "inconclusive"))
+
+
+# the naive frames before rotation: (z, x) frames of (plus, minus) amplitude pairs
+_FRAME_STATES = np.array([[Z_PLUS.vector, Z_MINUS.vector], [X_PLUS.vector, X_MINUS.vector]])
+
+
+def naive_frame_elements(rotations: Sequence[float]) -> np.ndarray:
+    """The naive scheme's two projective frames rotated by each of
+    `rotations`, shape (rotations, 2 frames, 2 outcomes, 2, 2): the z frame
+    then the x frame, each plus then minus.
+
+    Each element is the projector onto a frame state rotated as `rotate_y`
+    rotates it, with the half-angle cosine and sine taken by `math`; all
+    the factors are real, so numpy's complex products round as Python's
+    do, and the elements equal `projective_povm(rotate_y(...), ...)`'s bit
+    for bit.
+    """
+    half = [r / 2.0 for r in rotations]
+    c = np.array([math.cos(h) for h in half], dtype=complex).reshape(-1, 1, 1)
+    s = np.array([math.sin(h) for h in half], dtype=complex).reshape(-1, 1, 1)
+    amp0, amp1 = _FRAME_STATES[..., 0], _FRAME_STATES[..., 1]
+    return _outer(np.stack([c * amp0 - s * amp1, s * amp0 + c * amp1], axis=-1))
 
 
 def naive_frame_povms(rotation: float) -> tuple[Povm, Povm]:
     """The naive scheme's two projective measurements in a rotated frame."""
-    z_frame = projective_povm(
-        rotate_y(Z_PLUS, rotation), rotate_y(Z_MINUS, rotation), ("plus", "minus")
-    )
-    x_frame = projective_povm(
-        rotate_y(X_PLUS, rotation), rotate_y(X_MINUS, rotation), ("plus", "minus")
-    )
-    return (z_frame, x_frame)
+    z_frame, x_frame = naive_frame_elements([rotation])[0]
+    return (Povm(z_frame, ("plus", "minus")), Povm(x_frame, ("plus", "minus")))
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y elementwise, each real product rounded before the sum as in
+    Python's complex product; numpy's vectorised complex multiply may
+    fuse them and differ in the last bit."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _outer(v: np.ndarray) -> np.ndarray:
+    """|v><v| of every vector along the last axis, by numpy's multiply as
+    `projector`'s `np.outer` forms it."""
+    return v[..., :, None] * v.conj()[..., None, :]
 
 
 def usd_efficiency(scheme: UsdScheme) -> float:

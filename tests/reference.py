@@ -29,7 +29,12 @@ from qkdsim.quantum import (
     Z_MINUS,
     Z_PLUS,
     born_probabilities,
+    inner_product,
     measurement_probs,
+    orthogonal_state,
+    projective_povm,
+    projector,
+    rotate_y,
     state_label,
 )
 from qkdsim.rng import RngStream, derive_seed
@@ -141,6 +146,27 @@ class UsdOutcome:
 
 
 INCONCLUSIVE = UsdOutcome(None)
+
+
+def scalar_idp_povm(state0: QubitState, state1: QubitState) -> Povm:
+    """The optimal discrimination POVM built pair by pair with the scalar
+    state algebra: the oracle `usd.idp_elements` is checked against."""
+    s = abs(inner_product(state0, state1))
+    scale = 1.0 / (1.0 + s)
+    e0 = scale * projector(orthogonal_state(state1))
+    e1 = scale * projector(orthogonal_state(state0))
+    inconclusive = np.eye(2, dtype=complex) - e0 - e1
+    inconclusive = (inconclusive + inconclusive.conj().T) / 2.0
+    return Povm((e0, e1, inconclusive), ("conclusive0", "conclusive1", "inconclusive"))
+
+
+def scalar_naive_frame_povms(rotation: float) -> tuple[Povm, Povm]:
+    """The naive scheme's two frames built from `rotate_y`'d states: the
+    oracle `usd.naive_frame_elements` is checked against."""
+    return tuple(
+        projective_povm(rotate_y(plus, rotation), rotate_y(minus, rotation), ("plus", "minus"))
+        for plus, minus in ((Z_PLUS, Z_MINUS), (X_PLUS, X_MINUS))
+    )
 
 
 @lru_cache(maxsize=None)

@@ -663,6 +663,24 @@ class TestCli:
         assert "n_pulses 1000000000000 does not fit in memory" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "n_pulses,command",
+        [
+            (2**63, ["run"]),
+            (100, ["sweep", "--param", "n_pulses", "--values", "1e19"]),
+            (100, ["sweep", "--param", "n_pulses", "--values", "10,9223372036854775808"]),
+        ],
+        ids=["run-2**63", "sweep-1e19", "sweep-2**63"],
+    )
+    def test_n_pulses_beyond_int64_exits_2(self, tmp_path, capsys, n_pulses, command):
+        """2**63 pulses or more would wrap the int64 pulse offsets: a config
+        error naming n_pulses, before anything is written."""
+        path = self._write_config(tmp_path, {**BASE, "n_pulses": n_pulses})
+        assert main([command[0], "--config", path, *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert "n_pulses must be below 2**63" in captured.err
+        assert captured.out == ""
+
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["run", "--config", "/nonexistent.json"]) == 2
 

@@ -15,6 +15,7 @@ from qkdsim.quantum import (
     X_PLUS,
     Z_MINUS,
     Z_PLUS,
+    _check_operators,
     born_probabilities,
     density_equal,
     inner_product,
@@ -146,6 +147,54 @@ class TestPovmValidation:
                 assert np.linalg.eigvalsh(e).min() >= -1e-12
                 total += e
             np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
+
+
+def _frame_stack() -> np.ndarray:
+    """Forty valid POVMs of two frames each: the z and x bases rotated by
+    0 to 1.5, shape (40, 2 frames, 2 outcomes, 2, 2)."""
+    bases = ((Z_PLUS, Z_MINUS), (X_PLUS, X_MINUS))
+    return np.array([
+        [projective_povm(rotate_y(p, r), rotate_y(m, r), ("p", "m")).elements for p, m in bases]
+        for r in np.linspace(0.0, 1.5, 40)
+    ])
+
+
+class TestStackedCheck:
+    """`_check_operators` over leading batch dimensions: one bad POVM
+    among many fails with the message a lone `Povm` gives."""
+
+    def test_valid_stack_passes_read_only(self):
+        stack = _check_operators(_frame_stack(), "POVM element", complete=True)
+        assert stack.shape == (40, 2, 2, 2, 2) and not stack.flags.writeable
+
+    def test_rejects_one_non_hermitian(self):
+        stack = _frame_stack()
+        stack[17, 1, 0, 0, 1] += 0.1
+        with pytest.raises(ValueError, match="^POVM element is not Hermitian$"):
+            _check_operators(stack, "POVM element", complete=True)
+
+    def test_rejects_one_not_psd(self):
+        stack = _frame_stack()
+        stack[23, 0] = [np.diag([1.5, -0.5]), np.diag([-0.5, 1.5])]
+        with pytest.raises(ValueError, match="^POVM element is not positive semidefinite$"):
+            _check_operators(stack, "POVM element", complete=True)
+
+    def test_rejects_one_incomplete(self):
+        stack = _frame_stack()
+        stack[5, 1, 0] *= 0.5
+        with pytest.raises(ValueError, match="^POVM elements do not sum to the identity$"):
+            _check_operators(stack, "POVM element", complete=True)
+
+    def test_completeness_is_per_povm(self):
+        """A surplus in one POVM and the same deficit in another cancel in a
+        batch-wide sum, but fail each POVM's own sum."""
+        stack = _frame_stack()
+        moved = 1e-6 * stack[4, 0, 0]
+        stack[4, 0, 0] -= moved
+        stack[3, 0, 0] += moved
+        assert np.max(np.abs(stack.sum(axis=(0, 2)) - 40 * np.eye(2))) < 1e-12
+        with pytest.raises(ValueError, match="^POVM elements do not sum to the identity$"):
+            _check_operators(stack, "POVM element", complete=True)
 
 
 class TestBornRule:

@@ -13,6 +13,7 @@ from qkdsim.protocol import ProtocolKind
 from qkdsim.quantum import (
     SX_POVM,
     SZ_POVM,
+    Povm,
     X_MINUS,
     X_PLUS,
     Z_MINUS,
@@ -222,50 +223,86 @@ def _measurement(strategy):
     return (idp_povm(scheme.state0, scheme.state1),), ((scheme.state0, scheme.state1, None),)
 
 
-def _assert_table(table, states, povms, targets):
+def _assert_table(table, first, states, povms, targets):
     """Every state's row (entering the stage or not) holds the left-to-right
-    running sum of its Born probabilities, bit for bit, and the targets."""
+    running sum of its Born probabilities, bit for bit, and the targets;
+    the strategy's rows start at its first state id `first`."""
     ids = {state: i for i, state in enumerate(states)}
     assert table.n_frames == len(povms)
-    assert table.thresholds.shape[0] == table.forward.shape[0] == len(states) * len(povms)
     for state_id, state in enumerate(states):
         for f, (povm, frame_targets) in enumerate(zip(povms, targets)):
-            row = state_id * len(povms) + f
+            row = (first + state_id) * len(povms) + f
             expected = np.array(list(accumulate(born_probabilities(state, povm)[:-1])))
             assert np.array_equal(table.thresholds[row].view(np.uint64), expected.view(np.uint64))
             forward = [-1 if t is None else ids[t] for t in frame_targets]
             assert table.forward[row].tolist() == forward
 
 
-_DELTAS = np.linspace(0.0, HALF_PI, 200, endpoint=False).tolist()
+def _mismatch_batches(name, deltas):
+    return [
+        (ProtocolKind.B92, [EveStrategy.of(EveKind.BASIS_MISMATCH, scheme, d) for d in deltas])
+        for scheme in UsdSchemeKind
+    ], [f"{name}-{scheme.value}" for scheme in UsdSchemeKind]
+
+
+_SWEEPS = [
+    _mismatch_batches("mismatch", np.linspace(0.0, HALF_PI, 200, endpoint=False).tolist()),
+    # delta 0 (and a delta whose half rounds to 0) leaves a two-state table
+    # between four-state ones, and repeats share one block of rows
+    _mismatch_batches("mixed-zero", [0.3, 0.0, 1e-3, 0.0, 5e-324, 1.2, 0.3]),
+    _mismatch_batches("thousand", np.linspace(0.0, HALF_PI, 1_000, endpoint=False).tolist()),
+]
 
 
 @pytest.mark.parametrize(
     "kind,strategies",
     [(kind, [strategy]) for _, kind, strategy, _ in CASES]
-    + [
-        (ProtocolKind.B92, [EveStrategy.of(EveKind.BASIS_MISMATCH, scheme, d) for d in _DELTAS])
-        for scheme in UsdSchemeKind
-    ],
-    ids=[c[0] for c in CASES] + [f"mismatch-{scheme.value}" for scheme in UsdSchemeKind],
+    + [batch for batches, _ in _SWEEPS for batch in batches],
+    ids=[c[0] for c in CASES] + [name for _, names in _SWEEPS for name in names],
 )
 def test_stage_tables_equal_born_probabilities(kind, strategies, monkeypatch):
-    """The engine's Eve and Bob tables for each distinct strategy of a
-    batch equal per-state `born_probabilities` running sums bit for bit."""
-    built = []
+    """The engine's Eve and Bob tables of a batch hold, for each distinct
+    strategy in turn, rows equal to per-state `born_probabilities` running
+    sums on that strategy's own POVMs, bit for bit."""
+    tables = []
 
-    def keep(tables):
-        built.append(tables)
-        return stack(tables)
+    def keep(*args):
+        tables.append(build(*args))
+        return tables[-1]
 
-    stack = session._stack
-    monkeypatch.setattr(session, "_stack", keep)
+    build = session._stage_table
+    monkeypatch.setattr(session, "_stage_table", keep)
     batch = simulate_session(kind, [Session(1, ChannelModel(), s, 0) for s in strategies])
-    eve_tables, bob_tables = built
-    assert len(eve_tables) == len(bob_tables) == len(strategies)
-    for strategy, states, eve, bob in zip(strategies, batch.state_tables, eve_tables, bob_tables):
-        _assert_table(eve, states, *_measurement(strategy))
-        _assert_table(bob, states, (SZ_POVM, SX_POVM), ((None, None),) * 2)
+    eve, bob = tables
+    first = 0
+    for strategy, states in dict(zip(strategies, batch.state_tables)).items():
+        _assert_table(eve, first, states, *_measurement(strategy))
+        _assert_table(bob, first, states, (SZ_POVM, SX_POVM), ((None, None),) * 2)
+        first += len(states)
+    assert eve.thresholds.shape[0] == eve.forward.shape[0] == first * eve.n_frames
+    assert bob.thresholds.shape[0] == bob.forward.shape[0] == first * 2
+
+
+def test_batch_builds_no_povm_objects(monkeypatch):
+    """Sixty mismatch sessions, thirty per scheme, build their tables
+    straight from element arrays: `Povm.__init__` never runs."""
+    deltas = np.linspace(0.0, 1.5, 30).tolist()
+    batches = [
+        [Session(500, ChannelModel(), EveStrategy.of(EveKind.BASIS_MISMATCH, scheme, d), i)
+         for i, d in enumerate(deltas)]
+        for scheme in UsdSchemeKind
+    ]
+    calls = []
+    init = Povm.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Povm, "__init__", counted)
+    for sessions in batches:
+        simulate_session(ProtocolKind.B92, sessions)
+    assert len(calls) == 0
 
 
 class TestDeterminism:

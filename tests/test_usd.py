@@ -18,19 +18,23 @@ from qkdsim.quantum import (
     orthogonal_state,
     projector,
     random_povm,
+    rotate_y,
     state_from_bloch,
 )
+from qkdsim.adversary import HALF_PI
 from qkdsim.rng import RngStream
 from qkdsim.usd import (
     UsdScheme,
+    idp_elements,
     idp_povm,
+    naive_frame_elements,
     naive_frame_povms,
     no_signaling_distributions,
     usd_efficiency,
     usd_feasible,
     verify_unambiguous_constraints,
 )
-from reference import usd_measure
+from reference import scalar_idp_povm, scalar_naive_frame_povms, usd_measure
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 BB84_STATES = (Z_PLUS, Z_MINUS, X_PLUS, X_MINUS)
@@ -260,3 +264,52 @@ class TestFramePovms:
         for rotation in (0.1, 0.4, 1.2):
             for povm in naive_frame_povms(rotation):
                 np.testing.assert_allclose(sum(povm.elements), np.eye(2), atol=1e-12)
+
+
+# 2,000 rotations: a grid from 0, the smallest subnormal and the largest below pi/2
+_ROTATIONS = [5e-324, math.nextafter(HALF_PI, 0.0)] + np.linspace(
+    0.0, HALF_PI, 1_998, endpoint=False
+).tolist()
+
+
+def _bits(elements) -> np.ndarray:
+    return np.asarray(elements, dtype=complex).view(np.uint64)
+
+
+class TestBatchElementBuilders:
+    """The batch builders equal the per-point POVMs' elements and the
+    scalar reference bit for bit, row by row."""
+
+    def test_naive_frames_equal_per_point_povms(self):
+        elements = naive_frame_elements(_ROTATIONS)
+        assert elements.shape == (len(_ROTATIONS), 2, 2, 2, 2)
+        for rotation, row in zip(_ROTATIONS, elements):
+            per_point = [povm.elements for povm in naive_frame_povms(rotation)]
+            scalar = [povm.elements for povm in scalar_naive_frame_povms(rotation)]
+            assert np.array_equal(_bits(row), _bits(per_point))
+            assert np.array_equal(_bits(row), _bits(scalar))
+
+    def test_idp_equals_per_point_povms_on_rotated_pairs(self):
+        pairs = [(rotate_y(Z_PLUS, d), rotate_y(X_PLUS, d)) for d in _ROTATIONS]
+        elements = idp_elements(pairs)
+        assert elements.shape == (len(pairs), 1, 3, 2, 2)
+        for pair, row in zip(pairs, elements):
+            assert np.array_equal(_bits(row[0]), _bits(idp_povm(*pair).elements))
+            assert np.array_equal(_bits(row[0]), _bits(scalar_idp_povm(*pair).elements))
+
+    def test_idp_equals_scalar_reference_on_complex_pairs(self):
+        """With complex amplitudes every product's rounding shows: the
+        overlap and its modulus are rounded as the scalar algebra rounds them."""
+        rng = RngStream(23)
+        pairs = [
+            tuple(state_from_bloch(rng.uniform() * math.pi, rng.uniform() * 2 * math.pi)
+                  for _ in range(2))
+            for _ in range(500)
+        ]
+        for pair, row in zip(pairs, idp_elements(pairs)):
+            assert np.array_equal(_bits(row[0]), _bits(scalar_idp_povm(*pair).elements))
+
+    def test_idp_rejects_a_parallel_pair_among_many(self):
+        pairs = [(Z_PLUS, X_PLUS), (X_PLUS, X_PLUS), (Z_PLUS, Z_MINUS)]
+        with pytest.raises(ValueError, match="parallel"):
+            idp_elements(pairs)
