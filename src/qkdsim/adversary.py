@@ -5,8 +5,10 @@ suppresses reaches Bob as an ordinary missing detection. The suppress
 strategy runs an unambiguous measurement and forwards an exact copy of
 the identified protocol state on conclusive outcomes, nothing otherwise;
 it produces zero sifted-key errors by construction and shows up only in
-the null rate. The basis-mismatch variant is the same strategy run in a
-frame rotated by delta, forwarding Eve's conjectured states.
+the null rate. A strategy is its kind, the scheme kind of the two
+discrimination attacks and the rotation of Eve's frame, in which she
+discriminates |z+> and |x+>; the basis-mismatch variant rotates it by
+delta and forwards her conjectured states.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .quantum import X_PLUS, Z_PLUS, rotate_y
-from .usd import UsdScheme, UsdSchemeKind
+from .quantum import X_PLUS, Z_PLUS, QubitState, rotate_y
+from .usd import UsdSchemeKind
 
 HALF_PI = 1.5707963267948966
 
@@ -47,17 +49,21 @@ class EveKind(Enum):
     BASIS_MISMATCH = "basis_mismatch"
 
 
+_DISCRIMINATING = (EveKind.USD_SUPPRESS, EveKind.BASIS_MISMATCH)
+
+
 @dataclass(frozen=True)
 class EveStrategy:
     kind: EveKind
-    scheme: UsdScheme | None = None
-    delta: float = 0.0
+    scheme: UsdSchemeKind | None = None
+    rotation: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.delta < HALF_PI):
-            raise ValueError(f"delta must be in [0, pi/2), got {self.delta}")
-        if self.kind in (EveKind.USD_SUPPRESS, EveKind.BASIS_MISMATCH) and self.scheme is None:
-            raise ValueError(f"{self.kind.value} needs a discrimination scheme")
+        if not (0.0 <= self.rotation < HALF_PI):
+            raise ValueError(f"delta must be in [0, pi/2), got {self.rotation}")
+        if (self.scheme is None) == (self.kind in _DISCRIMINATING):
+            need = "needs a" if self.scheme is None else "takes no"
+            raise ValueError(f"{self.kind.value} {need} discrimination scheme")
 
     @classmethod
     def of(
@@ -66,19 +72,14 @@ class EveStrategy:
         scheme_kind: UsdSchemeKind = UsdSchemeKind.NAIVE_RANDOM_BASIS,
         delta: float = 0.0,
     ) -> "EveStrategy":
-        """The strategy of this kind; only the mismatch attack rotates by delta.
-
-        The discrimination attacks run `scheme_kind` on the standard pair
-        rotated by their delta, so usd_suppress is basis_mismatch at 0.
-        """
-        if kind in (EveKind.NONE, EveKind.INTERCEPT_RESEND):
+        """The strategy of this kind; only basis_mismatch rotates, by delta."""
+        if kind not in _DISCRIMINATING:
             return cls(kind)
-        rotation = delta if kind is EveKind.BASIS_MISMATCH else 0.0
-        if scheme_kind is UsdSchemeKind.NAIVE_RANDOM_BASIS:
-            scheme = UsdScheme.naive(rotation)
-        else:
-            scheme = UsdScheme.optimal(rotate_y(Z_PLUS, rotation), rotate_y(X_PLUS, rotation))
-        return cls(kind, scheme, rotation)
+        return cls(kind, scheme_kind, delta if kind is EveKind.BASIS_MISMATCH else 0.0)
+
+    def states(self) -> tuple[QubitState, QubitState]:
+        """The pair Eve discriminates: |z+> and |x+> in her frame."""
+        return rotate_y(Z_PLUS, self.rotation), rotate_y(X_PLUS, self.rotation)
 
 
 def forwarded_state_symmetry(

@@ -116,8 +116,14 @@ class ExperimentConfig:
         for name in ("absorption", "efficiency"):
             if not (0.0 <= getattr(self, name) <= 1.0):
                 raise ConfigurationError(f"{name} must be in [0, 1]")
-        if (1.0 - self.absorption) * self.efficiency <= 0.0:
+        arrival = (1.0 - self.absorption) * self.efficiency
+        if arrival <= 0.0:
             raise ConfigurationError("channel never delivers a pulse; nothing to test")
+        if not math.isfinite((1.0 - arrival) / arrival):
+            raise ConfigurationError(
+                f"channel (absorption {self.absorption!r}, efficiency {self.efficiency!r}) "
+                "delivers a pulse too rarely: its expected null ratio is not finite"
+            )
         if not (0.0 <= self.delta < HALF_PI):
             raise ConfigurationError("delta must be in [0, pi/2)")
         if not (0.0 < self.reveal_fraction <= 1.0):
@@ -162,8 +168,9 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class RunReport:
     """What one session measured: counts, QBER estimate, test decisions
-    and discrimination diagnostics. `to_dict` derives the rest from these
-    and the config."""
+    and the states Eve forwarded. `to_dict` derives the rest, the
+    channel's expectations and the scheme's efficiency, from these and
+    the config."""
 
     config: ExperimentConfig
     arrived: int
@@ -172,7 +179,6 @@ class RunReport:
     qber: float | None
     qber_test: TestDecision | None
     null_ratio_test: TestDecision
-    scheme_efficiency: float | None
     forwarded_z: int
     forwarded_x: int
     rng: ClassVar[str] = GENERATOR_NAME
@@ -185,6 +191,8 @@ class RunReport:
         sent = self.config.n_pulses
         null = sent - self.arrived
         expected = expected_rates(self.config.channel())
+        s = self.config.strategy()
+        efficiency = None if s.scheme is None else usd_efficiency(s.scheme, *s.states())
         return {
             "config": self.config.to_dict(),
             "counts": {
@@ -207,7 +215,7 @@ class RunReport:
                 "null_ratio_test": self.null_ratio_test.to_dict(),
             },
             "usd": {
-                "scheme_efficiency": self.scheme_efficiency,
+                "scheme_efficiency": efficiency,
                 "forwarded_z": self.forwarded_z,
                 "forwarded_x": self.forwarded_x,
             },
@@ -301,11 +309,10 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
             qber=qber[i],
             qber_test=qber_decisions.get(i),
             null_ratio_test=null_decisions[i],
-            scheme_efficiency=None if scheme is None else usd_efficiency(scheme),
             forwarded_z=symmetry[i][0],
             forwarded_x=symmetry[i][1],
         )
-        for i, (config, scheme) in enumerate(zip(configs, [s.strategy.scheme for s in sessions]))
+        for i, config in enumerate(configs)
     ]
 
 

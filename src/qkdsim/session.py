@@ -139,16 +139,16 @@ def _eve_measurement(strategies: list[EveStrategy]) -> tuple[np.ndarray, list, l
         eigenstates = ((Z_PLUS, Z_MINUS), (X_PLUS, X_MINUS))
         elements = np.broadcast_to(_BASES, (n,) + _BASES.shape)
         return elements, [eigenstates] * n, [eigenstates[0] + eigenstates[1]] * n
-    schemes = [s.scheme for s in strategies]
-    if schemes[0].kind is UsdSchemeKind.NAIVE_RANDOM_BASIS:
+    pairs = [s.states() for s in strategies]
+    if strategies[0].scheme is UsdSchemeKind.NAIVE_RANDOM_BASIS:
         # a frame's "minus" rules out one state and so identifies the other
-        elements = naive_frame_elements([scheme.rotation for scheme in schemes])
-        targets = [((None, scheme.state1), (None, scheme.state0)) for scheme in schemes]
+        elements = naive_frame_elements([s.rotation for s in strategies])
+        targets = [((None, state1), (None, state0)) for state0, state1 in pairs]
     else:
-        elements = idp_elements([scheme.states() for scheme in schemes])
-        targets = [((scheme.state0, scheme.state1, None),) for scheme in schemes]
+        elements = idp_elements(pairs)
+        targets = [((state0, state1, None),) for state0, state1 in pairs]
     _check_operators(elements, "POVM element", complete=True)
-    return elements, targets, [scheme.states() for scheme in schemes]
+    return elements, targets, pairs
 
 
 def _sample_stage(
@@ -248,10 +248,6 @@ def _block_sessions(starts: np.ndarray, master_seeds: np.ndarray, a: int, b: int
     return spread, keys
 
 
-def _kinds(strategy: EveStrategy) -> tuple:
-    return strategy.kind, None if strategy.scheme is None else strategy.scheme.kind
-
-
 def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> SessionBatch:
     """Simulate a batch of sessions in one pass over their pulses.
 
@@ -263,7 +259,7 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
         raise ValueError("a batch needs at least one session")
     if any(s.n_pulses < 1 for s in sessions):
         raise ValueError("n_pulses must be at least 1")
-    if len({_kinds(s.strategy) for s in sessions}) > 1:
+    if len({(s.strategy.kind, s.strategy.scheme) for s in sessions}) > 1:
         raise ValueError("the sessions of a batch must share Eve's kind and scheme kind")
 
     # one Eve and one Bob table for the batch's distinct strategies, each

@@ -1,10 +1,11 @@
 """Unambiguous discrimination of two nonorthogonal qubit states.
 
-Two schemes are implemented. The naive scheme measures one of two
-projective bases at random and turns "minus" outcomes into conclusive
-identifications; it succeeds with probability 1/4 on the standard pair.
-The optimal scheme is the three-outcome POVM saturating the two-state
-bound, succeeding with probability 1 - |<psi0|psi1>|.
+Two schemes are built here as POVM elements; Eve's strategies, which
+pick one and its frame, are in `adversary`. The naive scheme measures
+one of two projective frames at random and turns "minus" outcomes into
+conclusive identifications; it succeeds with probability 1/4 on the
+standard pair. The optimal scheme is the three-outcome POVM saturating
+the two-state bound, succeeding with probability 1 - |<psi0|psi1>|.
 
 Feasibility for n states is decided by the Gram-matrix rank; the
 no-signaling check exposes why more than two symmetric states cannot be
@@ -15,7 +16,6 @@ under every POVM.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -31,11 +31,10 @@ from .quantum import (
     born_probabilities,
     inner_product,
     mixture_density,
-    rotate_y,
 )
 
 # not called here; kept because bench/tracing.py wraps these names on this module
-from .quantum import orthogonal_state, projective_povm, projector  # noqa: F401
+from .quantum import orthogonal_state, projective_povm, projector, rotate_y  # noqa: F401
 
 GRAM_RANK_TOL = 1e-10
 UNAMBIGUOUS_TOL = 1e-10
@@ -45,42 +44,6 @@ _DEGENERACY_TOL = 1e-12
 class UsdSchemeKind(Enum):
     NAIVE_RANDOM_BASIS = "naive"
     OPTIMAL_IDP = "optimal"
-
-
-@dataclass(frozen=True)
-class UsdScheme:
-    """A discrimination scheme for one linearly independent state pair.
-
-    The naive scheme is tied to the {z+, x+} geometry; `rotation` carries
-    that template into a rotated frame (used by the basis-mismatch
-    attack). The optimal scheme accepts any independent pair.
-    """
-
-    kind: UsdSchemeKind
-    state0: QubitState = Z_PLUS
-    state1: QubitState = X_PLUS
-    rotation: float = field(default=0.0)
-
-    def __post_init__(self) -> None:
-        overlap = abs(inner_product(self.state0, self.state1))
-        if overlap > 1.0 - _DEGENERACY_TOL:
-            raise ValueError("scheme states must be linearly independent")
-
-    @classmethod
-    def naive(cls, rotation: float = 0.0) -> "UsdScheme":
-        return cls(
-            UsdSchemeKind.NAIVE_RANDOM_BASIS,
-            rotate_y(Z_PLUS, rotation),
-            rotate_y(X_PLUS, rotation),
-            rotation,
-        )
-
-    @classmethod
-    def optimal(cls, state0: QubitState = Z_PLUS, state1: QubitState = X_PLUS) -> "UsdScheme":
-        return cls(UsdSchemeKind.OPTIMAL_IDP, state0, state1)
-
-    def states(self) -> tuple[QubitState, QubitState]:
-        return (self.state0, self.state1)
 
 
 def idp_elements(pairs: Sequence[tuple[QubitState, QubitState]]) -> np.ndarray:
@@ -160,11 +123,11 @@ def _outer(v: np.ndarray) -> np.ndarray:
     return v[..., :, None] * v.conj()[..., None, :]
 
 
-def usd_efficiency(scheme: UsdScheme) -> float:
+def usd_efficiency(kind: UsdSchemeKind, state0: QubitState, state1: QubitState) -> float:
     """Average conclusive probability over the two inputs at equal priors."""
-    if scheme.kind is UsdSchemeKind.NAIVE_RANDOM_BASIS:
+    if kind is UsdSchemeKind.NAIVE_RANDOM_BASIS:
         return 0.25
-    return 1.0 - abs(inner_product(scheme.state0, scheme.state1))
+    return 1.0 - abs(inner_product(state0, state1))
 
 
 def verify_unambiguous_constraints(povm: Povm, states: Sequence[QubitState]) -> bool:

@@ -39,7 +39,7 @@ from qkdsim.quantum import (
 )
 from qkdsim.rng import RngStream, derive_seed
 from qkdsim.session import Session, simulate_session
-from qkdsim.usd import UsdScheme, UsdSchemeKind, idp_povm, naive_frame_povms
+from qkdsim.usd import UsdSchemeKind, idp_povm, naive_frame_povms
 
 BASIS_LABELS = ("z", "x")
 COLUMNS = ("alice_bits", "alice_bases", "forwarded_ids", "arrived", "bob_bases", "bob_minus")
@@ -175,16 +175,16 @@ def _idp_povm_cached(state0: QubitState, state1: QubitState) -> Povm:
 
 
 @lru_cache(maxsize=None)
-def _scheme_probs(scheme: UsdScheme, state: QubitState) -> tuple[tuple[float, ...], ...]:
-    """Outcome probabilities for each of the scheme's sub-measurements."""
-    if scheme.kind is UsdSchemeKind.NAIVE_RANDOM_BASIS:
-        frames = naive_frame_povms(scheme.rotation)
+def _scheme_probs(strategy: EveStrategy, state: QubitState) -> tuple[tuple[float, ...], ...]:
+    """Outcome probabilities for each of the strategy's sub-measurements."""
+    if strategy.scheme is UsdSchemeKind.NAIVE_RANDOM_BASIS:
+        frames = naive_frame_povms(strategy.rotation)
         return tuple(tuple(born_probabilities(state, f)) for f in frames)
-    povm = _idp_povm_cached(scheme.state0, scheme.state1)
+    povm = _idp_povm_cached(*strategy.states())
     return (tuple(born_probabilities(state, povm)),)
 
 
-def usd_measure(scheme: UsdScheme, state: QubitState, rng: RngStream) -> UsdOutcome:
+def usd_measure(strategy: EveStrategy, state: QubitState, rng: RngStream) -> UsdOutcome:
     """One discrimination attempt; conclusive outcomes never misidentify.
 
     Naive: pick the frame-z or frame-x measurement with probability 1/2;
@@ -192,13 +192,13 @@ def usd_measure(scheme: UsdScheme, state: QubitState, rng: RngStream) -> UsdOutc
     (frame-z minus -> state 1, frame-x minus -> state 0). Optimal: sample
     the three-element POVM directly.
     """
-    if scheme.kind is UsdSchemeKind.NAIVE_RANDOM_BASIS:
+    if strategy.scheme is UsdSchemeKind.NAIVE_RANDOM_BASIS:
         frame = rng.integers(2)
-        probs = _scheme_probs(scheme, state)[frame]
+        probs = _scheme_probs(strategy, state)[frame]
         if sample_index(probs, rng) == 1:
             return UsdOutcome(1 if frame == 0 else 0)
         return INCONCLUSIVE
-    probs = _scheme_probs(scheme, state)[0]
+    probs = _scheme_probs(strategy, state)[0]
     idx = sample_index(probs, rng)
     return UsdOutcome(idx) if idx < 2 else INCONCLUSIVE
 
@@ -238,9 +238,9 @@ def eve_apply(
         p_plus, _ = measurement_probs(state, basis)
         resent = _EIGENSTATES[basis][0 if rng.uniform() < p_plus else 1]
         return resent, EveLog("measured-resent", state_label(resent), None)
-    outcome = usd_measure(strategy.scheme, state, rng)
+    outcome = usd_measure(strategy, state, rng)
     if outcome.conclusive:
-        forwarded = strategy.scheme.states()[outcome.identified]
+        forwarded = strategy.states()[outcome.identified]
         return forwarded, EveLog("measured-resent", state_label(forwarded), outcome.identified)
     return None, EveLog("suppressed", None, None)
 

@@ -31,7 +31,7 @@ from qkdsim.quantum import (
 )
 from qkdsim.protocol import ProtocolKind
 from qkdsim.rng import RngStream
-from qkdsim.usd import UsdScheme, no_signaling_distributions, usd_feasible
+from qkdsim.usd import UsdSchemeKind, no_signaling_distributions, usd_feasible
 from reference import one_session, sent_ids
 
 N = 100_000
@@ -76,13 +76,14 @@ def _run(**overrides):
 
 def test_criterion_1_naive_usd_efficiency():
     with criterion(1, "naive USD conclusive rate 0.25 +/- 0.006 on each input"):
-        for freq, _ in _conclusive_stats(UsdScheme.naive(), 2 * N, 101).values():
+        for freq, _ in _conclusive_stats(UsdSchemeKind.NAIVE_RANDOM_BASIS, 2 * N, 101).values():
             assert abs(freq - 0.25) <= 0.006
 
 
 def test_criterion_2_zero_misidentification():
     with criterion(2, "0 wrong conclusive outcomes in 1e6 naive and 1e6 optimal trials"):
-        for seed, scheme in ((201, UsdScheme.naive()), (202, UsdScheme.optimal())):
+        naive, optimal = UsdSchemeKind.NAIVE_RANDOM_BASIS, UsdSchemeKind.OPTIMAL_IDP
+        for seed, scheme in ((201, naive), (202, optimal)):
             for freq, wrong in _conclusive_stats(scheme, 1_000_000, seed).values():
                 assert freq > 0.2
                 assert wrong == 0
@@ -91,8 +92,8 @@ def test_criterion_2_zero_misidentification():
 def test_criterion_3_optimal_beats_naive():
     with criterion(3, "optimal conclusive rate (1 - 1/sqrt 2) +/- 0.006, above naive"):
         expected = 1.0 - SQRT_HALF
-        optimal = _conclusive_stats(UsdScheme.optimal(), 2 * N, 301)
-        naive = _conclusive_stats(UsdScheme.naive(), 2 * N, 311)
+        optimal = _conclusive_stats(UsdSchemeKind.OPTIMAL_IDP, 2 * N, 301)
+        naive = _conclusive_stats(UsdSchemeKind.NAIVE_RANDOM_BASIS, 2 * N, 311)
         for state in (Z_PLUS, X_PLUS):
             optimal_freq, naive_freq = optimal[state][0], naive[state][0]
             assert abs(optimal_freq - expected) <= 0.006

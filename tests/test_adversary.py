@@ -1,6 +1,7 @@
 """Channel loss and Eve's strategies: signatures, symmetry, forwarding."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from enumeration import (
 )
 from qkdsim.adversary import ChannelModel, EveKind, EveStrategy
 from qkdsim.protocol import ProtocolKind, estimate_qber
-from qkdsim.quantum import X_PLUS, Z_PLUS, state_label
+from qkdsim.quantum import X_PLUS, Z_PLUS, rotate_y, state_label
 from qkdsim.rng import RngStream
 from qkdsim.session import STAGE_ESTIMATE, pulse_stream
-from qkdsim.usd import UsdScheme, usd_efficiency
+from qkdsim.usd import UsdSchemeKind, usd_efficiency
 from reference import channel_transmit, eve_apply, one_session, sift_session, symmetry
 
 LOSSLESS = ChannelModel()
@@ -106,12 +107,32 @@ class TestEveApply:
             EveStrategy.of(EveKind.BASIS_MISMATCH, delta=2.0)
         with pytest.raises(ValueError, match="scheme"):
             EveStrategy(kind=EveKind.USD_SUPPRESS, scheme=None)
+        with pytest.raises(ValueError, match="none takes no discrimination scheme"):
+            EveStrategy(EveKind.NONE, UsdSchemeKind.NAIVE_RANDOM_BASIS)
+
+
+class TestStrategy:
+    def test_three_flat_values(self):
+        assert [f.name for f in fields(EveStrategy)] == ["kind", "scheme", "rotation"]
+
+    def test_only_the_mismatch_attack_rotates(self):
+        assert EveStrategy.of(EveKind.USD_SUPPRESS, UsdSchemeKind.OPTIMAL_IDP, 0.3).rotation == 0.0
+        assert EveStrategy.of(EveKind.BASIS_MISMATCH, UsdSchemeKind.OPTIMAL_IDP, 0.3).rotation == 0.3
+
+    def test_honest_kinds_carry_no_scheme(self):
+        for kind in (EveKind.NONE, EveKind.INTERCEPT_RESEND):
+            assert EveStrategy.of(kind, UsdSchemeKind.OPTIMAL_IDP, 0.3) == EveStrategy(kind)
+
+    def test_states_are_the_standard_pair_in_her_frame(self):
+        strategy = EveStrategy.of(EveKind.BASIS_MISMATCH, delta=0.3)
+        assert strategy.states() == (rotate_y(Z_PLUS, 0.3), rotate_y(X_PLUS, 0.3))
+        assert EveStrategy.of(EveKind.USD_SUPPRESS).states() == (Z_PLUS, X_PLUS)
 
 
 class TestSuppressSignatures:
     def test_zero_error_for_all_seeds(self):
         """Suppression never creates a sifted disagreement."""
-        for scheme in (UsdScheme.naive(), UsdScheme.optimal()):
+        for scheme in UsdSchemeKind:
             for seed in range(10):
                 _, _, qber, _ = _run(
                     ProtocolKind.B92, 20_000, EveStrategy(EveKind.USD_SUPPRESS, scheme), seed
@@ -121,13 +142,13 @@ class TestSuppressSignatures:
     def test_arrival_rate_matches_efficiency(self):
         n = 100_000
         rates = {}
-        for name, scheme in (("naive", UsdScheme.naive()), ("optimal", UsdScheme.optimal())):
+        for scheme in UsdSchemeKind:
             t, *_ = _run(ProtocolKind.B92, n, EveStrategy(EveKind.USD_SUPPRESS, scheme), 21)
-            eta = usd_efficiency(scheme)
+            eta = usd_efficiency(scheme, Z_PLUS, X_PLUS)
             sigma = math.sqrt(eta * (1 - eta) / n)
             rate = np.count_nonzero(t.arrived) / n
             assert rate == pytest.approx(eta, abs=4 * sigma)
-            rates[name] = rate
+            rates[scheme.value] = rate
         assert 0.25 < rates["optimal"] < 1.0
         assert rates["optimal"] > rates["naive"]
 

@@ -105,7 +105,7 @@ class TestRunExperiment:
     def test_report_holds_only_measured_values(self):
         assert [f.name for f in fields(RunReport)] == [
             "config", "arrived", "sifted", "revealed", "qber", "qber_test",
-            "null_ratio_test", "scheme_efficiency", "forwarded_z", "forwarded_x",
+            "null_ratio_test", "forwarded_z", "forwarded_x",
         ]
 
     def test_revealed_above_sifted_rejected(self):
@@ -146,11 +146,18 @@ class TestRunExperiment:
 
     def test_scheme_diagnostics_present_only_for_usd(self):
         honest = run_experiment(ExperimentConfig.from_dict(BASE))
-        assert honest.scheme_efficiency is None
+        assert honest.to_dict()["usd"]["scheme_efficiency"] is None
         attack = run_experiment(
             ExperimentConfig.from_dict({**BASE, "eve_strategy": "usd_suppress"})
         )
-        assert attack.scheme_efficiency == 0.25
+        assert attack.to_dict()["usd"]["scheme_efficiency"] == 0.25
+
+    def test_bb84_honest_run_with_optimal_scheme_configured(self, tmp_path, capsys):
+        """usd_scheme is ignored by strategies that discriminate nothing."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"protocol": "bb84", "n_pulses": 500, "usd_scheme": "optimal"}))
+        assert main(["run", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["usd"]["scheme_efficiency"] is None
 
 
 class TestSweep:
@@ -721,6 +728,40 @@ class TestCli:
             argv = ["sweep", "--config", path, "--param", "delta", "--values", values]
             assert main(argv) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "channel",
+        [{"efficiency": 5e-324}, {"absorption": 0.9999999999999999, "efficiency": 1e-300}],
+        ids=["efficiency-5e-324", "absorption-and-efficiency"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--config"],
+            ["--output", "csv", "run", "--config"],
+            ["sweep", "--param", "delta", "--values", "0.1", "--config"],
+        ],
+        ids=["run", "run-csv", "sweep"],
+    )
+    def test_channel_with_infinite_expected_null_ratio_exits_2(
+        self, tmp_path, capsys, channel, argv
+    ):
+        """An arrival probability below 1/DBL_MAX would report an expected
+        null ratio of inf, which is not JSON: a config error naming the
+        channel, before anything is written."""
+        path = self._write_config(tmp_path, {**BASE, **channel})
+        assert main([*argv, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "channel (absorption" in captured.err
+
+    def test_sweep_to_infinite_expected_null_ratio_exits_2(self, tmp_path, capsys):
+        path = self._write_config(tmp_path, BASE)
+        argv = ["sweep", "--config", path, "--param", "efficiency", "--values", "0.5,5e-324"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "delivers a pulse too rarely" in captured.err
 
     def test_csv_unsupported_for_usd_check(self, capsys):
         assert main(["--output", "csv", "usd-check", "--states", "0,0"]) == 2

@@ -217,10 +217,10 @@ def _measurement(strategy):
         return (), ()
     if strategy.kind is EveKind.INTERCEPT_RESEND:
         return (SZ_POVM, SX_POVM), ((Z_PLUS, Z_MINUS), (X_PLUS, X_MINUS))
-    scheme = strategy.scheme
-    if scheme.kind is UsdSchemeKind.NAIVE_RANDOM_BASIS:
-        return naive_frame_povms(scheme.rotation), ((None, scheme.state1), (None, scheme.state0))
-    return (idp_povm(scheme.state0, scheme.state1),), ((scheme.state0, scheme.state1, None),)
+    state0, state1 = strategy.states()
+    if strategy.scheme is UsdSchemeKind.NAIVE_RANDOM_BASIS:
+        return naive_frame_povms(strategy.rotation), ((None, state1), (None, state0))
+    return (idp_povm(state0, state1),), ((state0, state1, None),)
 
 
 def _assert_table(table, first, states, povms, targets):

@@ -21,10 +21,10 @@ from qkdsim.quantum import (
     rotate_y,
     state_from_bloch,
 )
-from qkdsim.adversary import HALF_PI
+from qkdsim.adversary import HALF_PI, EveKind, EveStrategy
 from qkdsim.rng import RngStream
 from qkdsim.usd import (
-    UsdScheme,
+    UsdSchemeKind,
     idp_elements,
     idp_povm,
     naive_frame_elements,
@@ -38,66 +38,62 @@ from reference import scalar_idp_povm, scalar_naive_frame_povms, usd_measure
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 BB84_STATES = (Z_PLUS, Z_MINUS, X_PLUS, X_MINUS)
+NAIVE = EveStrategy.of(EveKind.USD_SUPPRESS)
+OPTIMAL = EveStrategy.of(EveKind.USD_SUPPRESS, UsdSchemeKind.OPTIMAL_IDP)
 
 
-def _conclusive_frequency(scheme, state, n, seed):
+def _conclusive_frequency(strategy, state, n, seed):
     rng = RngStream(seed)
-    return sum(usd_measure(scheme, state, rng).conclusive for _ in range(n)) / n
+    return sum(usd_measure(strategy, state, rng).conclusive for _ in range(n)) / n
 
 
 class TestMeasurement:
     def test_naive_never_misidentifies(self):
         """Wrong conclusive outcomes have exactly zero Born weight."""
-        scheme = UsdScheme.naive()
         rng = RngStream(1)
         for _ in range(100_000):
-            out = usd_measure(scheme, Z_PLUS, rng)
+            out = usd_measure(NAIVE, Z_PLUS, rng)
             assert out.identified != 1
-            out = usd_measure(scheme, X_PLUS, rng)
+            out = usd_measure(NAIVE, X_PLUS, rng)
             assert out.identified != 0
 
     def test_naive_conclusive_rate_quarter(self):
         n = 100_000
         sigma = math.sqrt(0.25 * 0.75 / n)
         for seed, state in ((5, Z_PLUS), (6, X_PLUS)):
-            freq = _conclusive_frequency(UsdScheme.naive(), state, n, seed)
+            freq = _conclusive_frequency(NAIVE, state, n, seed)
             assert freq == pytest.approx(0.25, abs=4 * sigma)
 
     def test_optimal_conclusive_rate(self):
         n = 100_000
         expected = 1.0 - SQRT_HALF
         sigma = math.sqrt(expected * (1 - expected) / n)
-        scheme = UsdScheme.optimal()
         for seed, state in ((7, Z_PLUS), (8, X_PLUS)):
-            freq = _conclusive_frequency(scheme, state, n, seed)
+            freq = _conclusive_frequency(OPTIMAL, state, n, seed)
             assert freq == pytest.approx(expected, abs=4 * sigma)
 
     def test_optimal_beats_naive(self):
         n = 50_000
-        naive = _conclusive_frequency(UsdScheme.naive(), Z_PLUS, n, 11)
-        optimal = _conclusive_frequency(UsdScheme.optimal(), Z_PLUS, n, 11)
+        naive = _conclusive_frequency(NAIVE, Z_PLUS, n, 11)
+        optimal = _conclusive_frequency(OPTIMAL, Z_PLUS, n, 11)
         assert optimal > naive
 
     def test_deterministic_given_seed(self):
-        scheme = UsdScheme.optimal()
-        a = [usd_measure(scheme, X_PLUS, RngStream(3)).identified for _ in range(20)]
-        b = [usd_measure(scheme, X_PLUS, RngStream(3)).identified for _ in range(20)]
+        a = [usd_measure(OPTIMAL, X_PLUS, RngStream(3)).identified for _ in range(20)]
+        b = [usd_measure(OPTIMAL, X_PLUS, RngStream(3)).identified for _ in range(20)]
         assert a == b
-
-    def test_scheme_rejects_parallel_states(self):
-        with pytest.raises(ValueError, match="independent"):
-            UsdScheme.optimal(Z_PLUS, Z_PLUS)
 
 
 class TestEfficiency:
     def test_naive_standard_pair_exact(self):
-        assert usd_efficiency(UsdScheme.naive()) == 0.25
+        assert usd_efficiency(UsdSchemeKind.NAIVE_RANDOM_BASIS, Z_PLUS, X_PLUS) == 0.25
 
     def test_optimal_standard_pair(self):
-        assert usd_efficiency(UsdScheme.optimal()) == pytest.approx(1.0 - SQRT_HALF, abs=1e-15)
+        efficiency = usd_efficiency(UsdSchemeKind.OPTIMAL_IDP, Z_PLUS, X_PLUS)
+        assert efficiency == pytest.approx(1.0 - SQRT_HALF, abs=1e-15)
 
     def test_optimal_orthogonal_pair_is_one(self):
-        assert usd_efficiency(UsdScheme.optimal(Z_PLUS, Z_MINUS)) == pytest.approx(1.0)
+        assert usd_efficiency(UsdSchemeKind.OPTIMAL_IDP, Z_PLUS, Z_MINUS) == pytest.approx(1.0)
 
     def test_efficiency_matches_born_rule(self):
         """Closed form cross-checked against the constructed POVM."""
@@ -105,7 +101,8 @@ class TestEfficiency:
         avg = 0.5 * (
             born_probabilities(Z_PLUS, povm)[0] + born_probabilities(X_PLUS, povm)[1]
         )
-        assert avg == pytest.approx(usd_efficiency(UsdScheme.optimal()), abs=1e-12)
+        efficiency = usd_efficiency(UsdSchemeKind.OPTIMAL_IDP, Z_PLUS, X_PLUS)
+        assert avg == pytest.approx(efficiency, abs=1e-12)
 
 
 class TestIdpPovm:
