@@ -5,7 +5,10 @@ plus lossy channels, nonzero delta, a CSV run, two sessions long enough
 to span several engine blocks, and sweeps over each kind of parameter:
 a delta sweep long enough to fill more than one batch of sessions,
 pulse counts above, at and below one block, per-point losses and a BB84
-intercept-resend efficiency sweep. A
+intercept-resend efficiency sweep, and two multi-session batches that
+reveal less than every sifted bit: B92 points of 1 to 3 pulses (nothing
+sifted) mixed with 500-pulse points, and a lossy BB84 intercept-resend
+absorption sweep. A
 refactor of the engine must leave every digest unchanged; a deliberate
 change of output re-pins them with
 
@@ -47,6 +50,13 @@ LOSSY = {"absorption": 0.15, "efficiency": 0.85}
 SWEEP = ["--param", "delta", "--values", "0,0.1,0.3,0.6,1.2"]
 # 70 points of 500 pulses: 35,000 pulses, more than one 32,768-pulse block
 LONG_DELTA_SWEEP = ["--param", "delta", "--values", ",".join(repr(i * 0.02) for i in range(70))]
+
+# 1-3-pulse points sift nothing; the 500-pulse points share their batch
+TINY_N_PULSES_SWEEP = ["--param", "n_pulses", "--values", "1,500,2,3,500,1,500,2"]
+# 60 points of 400 pulses, one batch
+BB84_ABSORPTION_SWEEP = [
+    "--param", "absorption", "--values", ",".join(repr(i * 0.01) for i in range(60))
+]
 
 # name -> (config, argv before --config, argv after --config)
 CASES = {
@@ -93,6 +103,16 @@ CASES = {
         _config("bb84", "intercept_resend", n_pulses=3_000),
         ["--output", "csv", "sweep"],
         ["--param", "efficiency", "--values", "1,0.9,0.5,0.2"],
+    ),
+    "b92-basis-mismatch-naive-tiny-n-pulses-sweep-csv": (
+        _config("b92", "basis_mismatch", delta=0.3, reveal_fraction=0.3),
+        ["--output", "csv", "sweep"],
+        TINY_N_PULSES_SWEEP,
+    ),
+    "bb84-intercept-resend-lossy-absorption-sweep": (
+        _config("bb84", "intercept_resend", n_pulses=400, reveal_fraction=0.2, efficiency=0.85),
+        ["sweep"],
+        BB84_ABSORPTION_SWEEP,
     ),
     # several engine blocks, the last one partial
     "b92-usd-suppress-naive-lossy-multiblock": (
