@@ -18,6 +18,7 @@ from enum import Enum
 
 import numpy as np
 
+from .protocol import session_counts
 from .quantum import X_PLUS, Z_PLUS, QubitState, rotate_y
 from .usd import UsdSchemeKind
 
@@ -83,20 +84,22 @@ class EveStrategy:
 
 
 def forwarded_state_symmetry(
-    forwarded_ids: np.ndarray, labels: tuple[str, ...]
-) -> tuple[int, int]:
-    """Counts of |z+> vs |x+> among the pulses Eve actually forwarded.
+    forwarded_ids: np.ndarray, starts: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per session, counts of |z+> vs |x+> among the pulses Eve actually
+    forwarded.
 
-    `labels` names the states of the session's state table. Counts each
-    state id labelled z+ or x+ directly; suppressed pulses (id -1) match
-    no label.
+    Session i owns `forwarded_ids[starts[i]:starts[i + 1]]`, and
+    `labels[i, v]` names its state id v. Each state id labelled z+ or x+ in
+    any session is counted with one pass over the batch; suppressed
+    pulses (id -1) match no label.
     """
-
-    def count(label: str) -> int:
-        return sum(
-            int(np.count_nonzero(forwarded_ids == i))
-            for i, name in enumerate(labels)
-            if name == label
-        )
-
-    return count("z+"), count("x+")
+    is_z, is_x = labels == "z+", labels == "x+"
+    count_z = np.zeros(len(labels), dtype=np.int64)
+    count_x = np.zeros(len(labels), dtype=np.int64)
+    # Python ints: a numpy int64 id would promote the int16 column to compare it
+    for state_id in np.flatnonzero((is_z | is_x).any(axis=0)).tolist():
+        hits = session_counts(forwarded_ids == state_id, starts)
+        count_z += hits * is_z[:, state_id]
+        count_x += hits * is_x[:, state_id]
+    return count_z, count_x

@@ -13,13 +13,22 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from itertools import chain
+from operator import attrgetter
 from typing import ClassVar
 
 import numpy as np
 
 from .adversary import HALF_PI, ChannelModel, EveKind, EveStrategy, forwarded_state_symmetry
 from .detection import TestDecision, expected_rates, null_ratio_test, qber_test
-from .protocol import ProtocolKind, estimate_qber, sift
+from .protocol import (
+    ProtocolKind,
+    disagreements,
+    estimate_qber,
+    estimate_qber_batch,
+    session_counts,
+    sift_mask,
+)
 from .quantum import (
     Povm,
     QubitState,
@@ -33,7 +42,7 @@ from .quantum import (
     state_from_bloch,
     state_label,
 )
-from .rng import GENERATOR_NAME, RngStream, derive_seed
+from .rng import GENERATOR_NAME, RngStream, derive_seed, derive_seed_array
 from .session import (
     BLOCK,
     STAGE_ESTIMATE,
@@ -53,6 +62,9 @@ from .usd import (
     usd_efficiency,
     usd_feasible,
 )
+
+# not called here; kept because bench/tracing.py wraps this name on this module
+from .protocol import sift  # noqa: F401
 
 
 def _is_strict_int(value) -> bool:
@@ -188,42 +200,81 @@ class RunReport:
             raise ValueError("inconsistent counts: need revealed <= sifted <= arrived <= sent")
 
     def to_dict(self) -> dict:
-        sent = self.config.n_pulses
-        null = sent - self.arrived
-        expected = expected_rates(self.config.channel())
-        s = self.config.strategy()
-        efficiency = None if s.scheme is None else usd_efficiency(s.scheme, *s.states())
-        return {
-            "config": self.config.to_dict(),
-            "counts": {
-                "sent": sent,
-                "arrived": self.arrived,
-                "null": null,
-                "sifted": self.sifted,
-                "revealed": self.revealed,
-                "key_length": self.sifted - self.revealed,
-            },
-            "statistics": {
-                "sift_rate": self.sifted / sent,
-                "qber": self.qber,
-                "null_ratio": None if self.arrived == 0 else null / self.arrived,
-                "expected_arrival": expected.expected_arrival,
-                "expected_null_ratio": expected.expected_null_ratio,
-            },
-            "tests": {
-                "qber_test": None if self.qber_test is None else self.qber_test.to_dict(),
-                "null_ratio_test": self.null_ratio_test.to_dict(),
-            },
-            "usd": {
-                "scheme_efficiency": efficiency,
-                "forwarded_z": self.forwarded_z,
-                "forwarded_x": self.forwarded_x,
-            },
-            "rng": self.rng,
-        }
+        report = {}
+        for section, value in _report_columns([self]).items():
+            if section == "tests":
+                report[section] = {
+                    test: None if decision is None else decision.to_dict()
+                    for test, (decision,) in value.items()
+                }
+            elif isinstance(value, dict):
+                report[section] = {name: cell for name, (cell,) in value.items()}
+            else:
+                (report[section],) = value
+        return report
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+
+
+_CHANNEL = attrgetter("absorption", "efficiency")
+_STRATEGY = attrgetter("eve_strategy", "usd_scheme", "delta")
+
+
+def _per_distinct(compute, items: list, key) -> list:
+    """`compute(item)` for every item, computed once per distinct `key(item)`."""
+    keys = list(map(key, items))
+    computed = {k: compute(item) for k, item in dict(zip(keys, items)).items()}
+    return list(map(computed.__getitem__, keys))
+
+
+def _scheme_efficiency(config: ExperimentConfig) -> float | None:
+    s = config.strategy()
+    return None if s.scheme is None else usd_efficiency(s.scheme, *s.states())
+
+
+def _report_columns(reports: list[RunReport]) -> dict:
+    """`RunReport.to_dict` of every report at once: the same sections and
+    keys, in the same order, each holding a list with one value per
+    report; a test holds its decisions, None where it did not run. The
+    channel's expectations come once per distinct channel, the scheme's
+    efficiency once per distinct strategy."""
+    configs = [r.config for r in reports]
+    config = {f.name: list(map(attrgetter(f.name), configs)) for f in fields(ExperimentConfig)}
+    sent = config["n_pulses"]
+    arrived = [r.arrived for r in reports]
+    sifted = [r.sifted for r in reports]
+    revealed = [r.revealed for r in reports]
+    null = [n - a for n, a in zip(sent, arrived)]
+    expected = _per_distinct(lambda c: expected_rates(c.channel()), configs, _CHANNEL)
+    return {
+        "config": config,
+        "counts": {
+            "sent": sent,
+            "arrived": arrived,
+            "null": null,
+            "sifted": sifted,
+            "revealed": revealed,
+            "key_length": [s - r for s, r in zip(sifted, revealed)],
+        },
+        "statistics": {
+            "sift_rate": [s / n for s, n in zip(sifted, sent)],
+            "qber": [r.qber for r in reports],
+            "null_ratio": [None if a == 0 else k / a for k, a in zip(null, arrived)],
+            "expected_arrival": [e.expected_arrival for e in expected],
+            "expected_null_ratio": [e.expected_null_ratio for e in expected],
+        },
+        "tests": {
+            "qber_test": [r.qber_test for r in reports],
+            "null_ratio_test": [r.null_ratio_test for r in reports],
+        },
+        "usd": {
+            "scheme_efficiency": _per_distinct(_scheme_efficiency, configs, _STRATEGY),
+            "forwarded_z": [r.forwarded_z for r in reports],
+            "forwarded_x": [r.forwarded_x for r in reports],
+        },
+        "rng": [r.rng for r in reports],
+    }
 
 
 def _check_feasibility(kind: ProtocolKind, strategy: EveStrategy) -> None:
@@ -251,9 +302,45 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     return _run_batch([config])[0]
 
 
+def _state_labels(batch) -> np.ndarray:
+    """Each session's state names, one row per session and one column per
+    state id (padded with ""): `state_label` runs once per distinct state
+    of the batch."""
+    labels = {s: state_label(s) for s in dict.fromkeys(chain.from_iterable(batch.tables))}
+    width = max(map(len, batch.tables))
+    rows = [[labels[s] for s in table] + [""] * (width - len(table)) for table in batch.tables]
+    return np.array(rows)[batch.table_ids]
+
+
+def _reveal(configs: list[ExperimentConfig], errors: np.ndarray, sifted: list[int]):
+    """Each session's QBER estimate (None if it sifted nothing) and its
+    number of revealed positions."""
+    if len(configs) == 1:
+        # a lone session may be long, and the one-stream sampler is faster there
+        config = configs[0]
+        if len(errors) == 0:
+            return [None], [0]
+        stream = pulse_stream(config.master_seed, 0, STAGE_ESTIMATE)
+        qber, positions = estimate_qber(errors, config.reveal_fraction, stream)
+        return [qber], [len(positions)]
+    # derive_seed(master_seed, 0, STAGE_ESTIMATE) of every session: its pulse_stream
+    master_seeds = np.array([c.master_seed for c in configs], dtype=np.uint64)
+    seeds = derive_seed_array(master_seeds, np.zeros(len(configs), np.uint64), STAGE_ESTIMATE)
+    fractions = np.array([c.reveal_fraction for c in configs])
+    qber, revealed = estimate_qber_batch(errors, np.array(sifted), fractions, seeds)
+    revealed = revealed.tolist()
+    return [q if n else None for q, n in zip(qber.tolist(), revealed)], revealed
+
+
 def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
     """Reports of sessions that share protocol, Eve and scheme kinds, run
-    as one engine batch; each equals the report of its config run alone."""
+    as one engine batch; each equals the report of its config run alone.
+
+    The bookkeeping after the engine runs over the whole batch's columns
+    at once: sifting is local to a pulse, so sessions only cut its counts,
+    every session's reveal positions come from one batch sampler, and the
+    forwarded states are counted with one pass per state id.
+    """
     kind = configs[0].protocol_kind()
     sessions = [Session(c.n_pulses, c.channel(), c.strategy(), c.master_seed) for c in configs]
     _check_feasibility(kind, sessions[0].strategy)
@@ -265,32 +352,24 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
             f"n_pulses {n_pulses} does not fit in memory; use fewer pulses"
         ) from None
 
-    # each distinct state table is labelled once, however many sessions share it
-    labels = {table: tuple(map(state_label, table)) for table in dict.fromkeys(batch.state_tables)}
-    columns = (batch.alice_bits, batch.alice_bases, batch.arrived, batch.bob_bases, batch.bob_minus)
-    arrived, sifted, revealed, qber, symmetry = [], [], [], [], []
-    for i, config in enumerate(configs):
-        a, b = batch.starts[i], batch.starts[i + 1]
-        errors = sift(kind, *(None if column is None else column[a:b] for column in columns))
-        estimate, positions = None, ()
-        if len(errors) > 0:
-            estimate, positions = estimate_qber(
-                errors,
-                config.reveal_fraction,
-                pulse_stream(config.master_seed, 0, STAGE_ESTIMATE),
-            )
-        arrived.append(int(np.count_nonzero(batch.arrived[a:b])))
-        sifted.append(len(errors))
-        revealed.append(len(positions))
-        qber.append(estimate)
-        symmetry.append(
-            forwarded_state_symmetry(batch.forwarded_ids[a:b], labels[batch.state_tables[i]])
+    mask = sift_mask(kind, batch.alice_bases, batch.arrived, batch.bob_bases, batch.bob_minus)
+    errors = disagreements(kind, batch.alice_bits, batch.bob_bases, batch.bob_minus)[mask]
+    sifted = session_counts(mask, batch.starts).tolist()
+    del mask  # a long session's mask is as long as its columns
+    arrived = session_counts(batch.arrived, batch.starts).tolist()
+    qber, revealed = _reveal(configs, errors, sifted)
+    forwarded_z, forwarded_x = (
+        counts.tolist()
+        for counts in forwarded_state_symmetry(
+            batch.forwarded_ids, batch.starts, _state_labels(batch)
         )
+    )
 
+    sent = [c.n_pulses for c in configs]
     null_decisions = null_ratio_test(
-        [c.n_pulses for c in configs],
-        [c.n_pulses - n for c, n in zip(configs, arrived)],
-        [expected_rates(s.channel).expected_arrival for s in sessions],
+        sent,
+        [n - a for n, a in zip(sent, arrived)],
+        _per_distinct(lambda c: expected_rates(c.channel()).expected_arrival, configs, _CHANNEL),
         [c.alpha for c in configs],
     )
     revealing = [i for i, n in enumerate(revealed) if n > 0]
@@ -309,8 +388,8 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
             qber=qber[i],
             qber_test=qber_decisions.get(i),
             null_ratio_test=null_decisions[i],
-            forwarded_z=symmetry[i][0],
-            forwarded_x=symmetry[i][1],
+            forwarded_z=forwarded_z[i],
+            forwarded_x=forwarded_x[i],
         )
         for i, config in enumerate(configs)
     ]
@@ -344,6 +423,11 @@ def sweep(config: ExperimentConfig, parameter: str, values: list) -> list[RunRep
     `session.BLOCK` pulses in all (a longer point alone), so a sweep of
     short sessions pays the engine's per-call costs once per batch, and
     holds at most one block of transcript (or one long point's) at a time.
+    The bookkeeping after the engine is batch array code as well: one
+    sift over the batch's columns, one reduction per count, one reveal
+    sampler for all the points (`protocol.estimate_qber_batch`), and one
+    `state_label` call per distinct state; `report_csv_rows` then builds
+    and formats the CSV a column at a time.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigurationError(
@@ -457,35 +541,47 @@ def no_signaling_demo(
 _DECISION_COLUMNS = tuple(f.name for f in fields(TestDecision))
 
 
-def _csv_row(report: RunReport) -> dict:
-    """`to_dict()` flattened in order: sections drop their name, each test
-    prefixes its decision fields with its own."""
-    row = {}
-    for section, value in report.to_dict().items():
-        if section == "tests":
-            for test, decision in value.items():
-                for name in _DECISION_COLUMNS:
-                    row[f"{test}_{name}"] = None if decision is None else decision[name]
-        elif isinstance(value, dict):
-            row.update(value)
-        else:
-            row[section] = value
-    return row
+def _csv_format(kind: type):
+    if kind is type(None):
+        return lambda value: ""
+    if issubclass(kind, bool):
+        return lambda value: "true" if value else "false"
+    if issubclass(kind, float):
+        return repr
+    return str
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _csv_cells(values: list) -> list[str]:
+    """One column's cells: None empty, bools lower case, floats by `repr`,
+    anything else by `str`. Each type's rule is looked up once, and each
+    distinct object formatted once, so a column that repeats one config
+    value repeats one string."""
+    formats = {kind: _csv_format(kind) for kind in set(map(type, values))}
+    objects = dict(zip(map(id, values), values))
+    text = {key: formats[type(value)](value) for key, value in objects.items()}
+    return list(map(text.__getitem__, map(id, values)))
 
 
 def report_csv_rows(reports: list[RunReport]) -> list[str]:
-    """Header line plus one line per report (nothing for no reports)."""
-    rows = [_csv_row(report) for report in reports]
-    if not rows:
+    """Header line plus one line per report (nothing for no reports).
+
+    The columns are `to_dict()` flattened in order: sections drop their
+    name, and each test prefixes its decision fields with its own. They
+    are built and formatted a whole column at a time.
+    """
+    if not reports:
         return []
-    return [",".join(rows[0])] + [",".join(_csv_cell(v) for v in row.values()) for row in rows]
+    columns = {}
+    for section, value in _report_columns(reports).items():
+        if section == "tests":
+            for test, decisions in value.items():
+                for name in _DECISION_COLUMNS:
+                    columns[f"{test}_{name}"] = [
+                        None if d is None else getattr(d, name) for d in decisions
+                    ]
+        elif isinstance(value, dict):
+            columns.update(value)
+        else:
+            columns[section] = value
+    cells = map(_csv_cells, columns.values())
+    return [",".join(columns)] + [",".join(row) for row in zip(*cells)]

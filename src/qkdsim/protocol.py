@@ -6,16 +6,21 @@ minus occurred, never its direction, so sifting consumes nothing but the
 minus flag. BB84 uses the standard four-state encoding with basis
 reconciliation.
 
-Both steps are pure functions. `sift` reads one session's column slices
-and returns the disagreement bit of every sifted pulse, in pulse order;
-that is all the estimate and the report need of the keys.
+Both steps are pure functions. Sifting is local to a pulse: `sift_mask`
+says which pulses are sifted and `disagreements` which would decode to
+the wrong bit, so they run over a whole batch of sessions' columns at
+once, and `sift` composes them into the disagreement bit of every sifted
+pulse, in pulse order; that is all the estimate and the report need of
+the keys. `session_counts` cuts a batch column's flags into per-session
+counts.
 
 QBER estimation reveals the positions a partial Fisher-Yates shuffle
 picks from the estimation stream. Its k draws are taken as one
 counter-based block and the swaps are resolved with array operations, so
 the positions and the stream's final state are those of the shuffle
 written as a loop with one `integers` draw per step (the equivalence is
-pinned by tests against that scalar loop).
+pinned by tests against that scalar loop). `estimate_qber_batch` does the
+same for many sessions at once, every session's draws from one call.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .rng import RngStream
+from .rng import RngStream, stream_uniforms
 
 
 class ProtocolKind(Enum):
@@ -37,6 +42,33 @@ class EstimationError(ValueError):
     """Raised when error estimation is impossible (nothing sifted)."""
 
 
+def sift_mask(
+    kind: ProtocolKind,
+    alice_bases: np.ndarray | None,
+    arrived: np.ndarray,
+    bob_bases: np.ndarray,
+    bob_minus: np.ndarray,
+) -> np.ndarray:
+    """Which pulses are sifted. B92 keeps exactly the minus outcomes; BB84
+    keeps arrived pulses whose bases matched."""
+    if kind is ProtocolKind.B92:
+        return arrived & bob_minus
+    if alice_bases is None:
+        raise ValueError("BB84 sifting needs Alice's basis column")
+    return arrived & (bob_bases == alice_bases)
+
+
+def disagreements(
+    kind: ProtocolKind, alice_bits: np.ndarray, bob_bases: np.ndarray, bob_minus: np.ndarray
+) -> np.ndarray:
+    """Per pulse, whether Bob's bit would disagree with Alice's. B92: Bob
+    decodes x- as 0 and z- as 1, so the bits disagree where Alice's bit
+    equals Bob's basis id. BB84: minus decodes as 1."""
+    if kind is ProtocolKind.B92:
+        return alice_bits == bob_bases
+    return alice_bits != bob_minus
+
+
 def sift(
     kind: ProtocolKind,
     alice_bits: np.ndarray,
@@ -45,17 +77,19 @@ def sift(
     bob_bases: np.ndarray,
     bob_minus: np.ndarray,
 ) -> np.ndarray:
-    """Disagreement bits of one session's sifted pulses, in pulse order.
+    """Disagreement bits of the sifted pulses, in pulse order."""
+    return disagreements(kind, alice_bits, bob_bases, bob_minus)[
+        sift_mask(kind, alice_bases, arrived, bob_bases, bob_minus)
+    ]
 
-    B92 keeps exactly the minus outcomes; Bob decodes x- as 0 and z- as 1,
-    so a sifted bit disagrees where Alice's bit equals Bob's basis id.
-    BB84 keeps arrived pulses whose bases matched; minus decodes as 1.
-    """
-    if kind is ProtocolKind.B92:
-        return (alice_bits == bob_bases)[arrived & bob_minus]
-    if alice_bases is None:
-        raise ValueError("BB84 sifting needs Alice's basis column")
-    return (alice_bits != bob_minus)[arrived & (bob_bases == alice_bases)]
+
+def session_counts(flags: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Set entries of `flags`, a batch column, in each session's range
+    `starts[i]:starts[i + 1]` (ranges are never empty). A lone session may
+    be long, so it is counted without `reduceat`'s int64 copy of the column."""
+    if len(starts) == 2:
+        return np.array([np.count_nonzero(flags)])
+    return np.add.reduceat(flags, starts[:-1], dtype=np.int64)
 
 
 # Below this many sifted pulses the sampler's position arrays are int32.
@@ -128,3 +162,76 @@ def estimate_qber(
     k = math.ceil(reveal_fraction * m)
     positions = _sample_without_replacement(m, k, rng)
     return int(np.count_nonzero(errors[positions])) / k, positions
+
+
+def _sample_batch_without_replacement(
+    m: np.ndarray, k: np.ndarray, seeds: np.ndarray
+) -> np.ndarray:
+    """`_sample_without_replacement(m[i], k[i], RngStream(seeds[i]))` for
+    every session i at once, the sessions' ranges laid end to end: the
+    chosen positions of all of them in that batch-wide numbering, sorted.
+
+    Step j of session i draws the stream's uniform j, so every session's
+    draws come from one `stream_uniforms` call. Steps then get batch-wide
+    ids and slots batch-wide positions, and resolve exactly as in the
+    one-session sampler: no step targets another session's slots, so every
+    link stays inside its session. All indices are int32, so the m must sum
+    to less than 2**31; a multi-session batch holds at most `BLOCK` pulses.
+    """
+    n_steps = int(k.sum())
+    steps = np.arange(n_steps, dtype=np.int32)
+    local = steps - np.repeat((np.cumsum(k) - k).astype(np.int32), k)
+    draws = stream_uniforms(np.repeat(seeds, k), local)
+    span = np.repeat(m.astype(np.int32), k) - local
+    draws *= span
+    targets = draws.astype(np.int32)
+    del draws
+    span -= 1
+    np.minimum(targets, span, out=targets)
+    del span
+    # each step's own slot; a step targets its own slot plus its draw
+    own = local + np.repeat((np.cumsum(m) - m).astype(np.int32), k)
+    del local
+    targets += own
+    last = np.full(int(m.sum()), -1, dtype=np.int32)
+    np.maximum.at(last, targets, steps)
+    del targets
+    head = last[own]
+    carried = np.where(head >= 0, head, steps)
+    del steps
+    while True:
+        rooted = carried[carried]
+        if np.array_equal(rooted, carried):
+            break
+        carried = rooted
+    in_head = np.zeros(len(last), dtype=bool)
+    in_head[own] = True
+    # every head slot, and every other slot a step moved a value into, but
+    # not the start slots of the values that ended in those other slots
+    chosen = in_head | (last >= 0)
+    moved = last[~in_head]
+    chosen[own[carried[moved[moved >= 0]]]] = False
+    return np.flatnonzero(chosen)
+
+
+def estimate_qber_batch(
+    errors: np.ndarray, sifted: np.ndarray, reveal_fractions: np.ndarray, seeds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`estimate_qber` of many sessions at once.
+
+    Session i's disagreement bits are the next `sifted[i]` of `errors`,
+    and its estimation stream is `RngStream(seeds[i])`. Returns each
+    session's error rate over its revealed positions (NaN if it sifted
+    nothing, so revealed nothing) and its number of revealed positions,
+    both as `estimate_qber` would return them session by session.
+    """
+    if not np.all((0.0 < reveal_fractions) & (reveal_fractions <= 1.0)):
+        raise ValueError("reveal fractions must be in (0, 1]")
+    k = np.ceil(reveal_fractions * sifted).astype(np.int64)
+    positions = _sample_batch_without_replacement(sifted, k, seeds)
+    wrong = np.zeros(len(positions) + 1, dtype=np.int64)
+    np.cumsum(errors[positions], out=wrong[1:])
+    ends = np.cumsum(k)
+    qber = np.full(len(k), np.nan)
+    np.divide(wrong[ends] - wrong[ends - k], k, out=qber, where=k > 0)
+    return qber, k

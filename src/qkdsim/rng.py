@@ -128,3 +128,12 @@ def uniform_array(seeds: np.ndarray, draw_index: int) -> np.ndarray:
     u = raw.astype(np.float64)
     u *= _INV_2_53
     return u
+
+
+def stream_uniforms(states: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Uniform `steps[i]` (counting from 0) of the stream whose state is
+    `states[i]`, elementwise: what the `steps[i] + 1`-th `uniform()` call
+    of `RngStream(states[i])` returns. A stream's draws are counter-based,
+    so draws of many streams at many steps come from one call.
+    """
+    return uniform_array(states + steps.astype(np.uint64, copy=False) * _U_GOLDEN, 0)

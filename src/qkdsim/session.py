@@ -202,21 +202,27 @@ class SessionBatch:
     """Column-wise record of consecutive sessions of one protocol.
 
     Session i owns pulses `starts[i]:starts[i + 1]` of every column, and
-    its state ids index `state_tables[i]`; a forwarded id of -1 means Eve
-    suppressed the pulse. `bob_minus` is False wherever the pulse did not
-    arrive.
+    its state ids index `tables[table_ids[i]]`, one table per distinct
+    strategy of the batch; a forwarded id of -1 means Eve suppressed the
+    pulse. `bob_minus` is False wherever the pulse did not arrive.
     """
 
     protocol: ProtocolKind
     n_pulses: int
     starts: np.ndarray
-    state_tables: tuple[tuple[QubitState, ...], ...]
+    tables: tuple[tuple[QubitState, ...], ...]
+    table_ids: np.ndarray
     alice_bits: np.ndarray
     alice_bases: np.ndarray | None
     forwarded_ids: np.ndarray
     arrived: np.ndarray
     bob_bases: np.ndarray
     bob_minus: np.ndarray
+
+    @property
+    def state_tables(self) -> tuple[tuple[QubitState, ...], ...]:
+        """Each session's state table."""
+        return tuple(self.tables[j] for j in self.table_ids.tolist())
 
 
 def _block_sessions(starts: np.ndarray, master_seeds: np.ndarray, a: int, b: int):
@@ -265,14 +271,17 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
     # one Eve and one Bob table for the batch's distinct strategies, each
     # strategy's states in turn; a session finds its rows from the id of
     # its strategy's first state
-    strategies = list(dict.fromkeys(s.strategy for s in sessions))
+    index: dict[EveStrategy, int] = {}
+    table_ids = np.array([index.setdefault(s.strategy, len(index)) for s in sessions], np.int32)
+    strategies = list(index)
     elements, targets, resent = _eve_measurement(strategies)
     sent_states = protocol_states(kind)
-    built, states, owner, forward = {}, [], [], []
-    for j, strategy in enumerate(strategies):
+    tables, first, states, owner, forward = [], [], [], [], []
+    for j in range(len(strategies)):
         table = tuple(dict.fromkeys(sent_states + resent[j]))
         ids = {state: i for i, state in enumerate(table)}
-        built[strategy] = (len(states), table)
+        tables.append(table)
+        first.append(len(states))
         states += table
         owner += [j] * len(table)
         forward.append([[-1 if t is None else ids[t] for t in frame] for frame in targets[j]])
@@ -281,7 +290,7 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
     eve = _stage_table(vectors, elements[owner], forward[owner])
     bob = _stage_table(vectors, _BASES[None], np.int16(-1))
 
-    state_base = np.array([built[s.strategy][0] for s in sessions], dtype=np.int32)
+    state_base = np.array(first, dtype=np.int32)[table_ids]
     master_seeds = np.array([s.master_seed for s in sessions], dtype=np.uint64)
     loss = np.array([s.channel.loss_probability for s in sessions])
     starts = np.zeros(len(sessions) + 1, dtype=np.int64)
@@ -325,7 +334,8 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
         protocol=kind,
         n_pulses=n_pulses,
         starts=starts,
-        state_tables=tuple(built[s.strategy][1] for s in sessions),
+        tables=tuple(tables),
+        table_ids=table_ids,
         alice_bits=alice_bits,
         alice_bases=alice_bases,
         forwarded_ids=forwarded_ids,

@@ -8,7 +8,8 @@ package imports this module. `one_session` is the engine's side of such
 comparisons: the `SessionBatch` of a batch of one session. The engine
 keeps neither Alice's state ids nor Eve's actions, since both follow from
 other columns; `sent_ids`, `eve_actions` and `session_columns` derive
-them for comparisons.
+them for comparisons. `csv_lines` renders reports to CSV one report and
+one cell at a time, the oracle for the column-wise `report_csv_rows`.
 """
 
 from __future__ import annotations
@@ -86,9 +87,52 @@ def sift_session(batch, i: int = 0):
 
 
 def symmetry(batch, i: int = 0) -> tuple[int, int]:
-    """`forwarded_state_symmetry` of session i, with its table's labels."""
-    labels = tuple(state_label(s) for s in batch.state_tables[i])
-    return forwarded_state_symmetry(session_columns(batch, i)["forwarded_ids"], labels)
+    """`forwarded_state_symmetry` of session i alone, with its table's labels."""
+    labels = np.array([[state_label(s) for s in batch.state_tables[i]]])
+    forwarded_ids = session_columns(batch, i)["forwarded_ids"]
+    z, x = forwarded_state_symmetry(forwarded_ids, np.array([0, len(forwarded_ids)]), labels)
+    return int(z[0]), int(x[0])
+
+
+# -- report rendering ---------------------------------------------------------
+
+# a decision's `method` is in the JSON report but not in the CSV
+_DECISION_COLUMNS = ("statistic", "p_value", "flagged", "alpha")
+
+
+def csv_row(report) -> dict:
+    """One report's CSV row, flattened from `to_dict()` in order: sections
+    drop their name, each test prefixes its decision fields with its own."""
+    row = {}
+    for section, value in report.to_dict().items():
+        if section == "tests":
+            for test, decision in value.items():
+                for name in _DECISION_COLUMNS:
+                    row[f"{test}_{name}"] = None if decision is None else decision[name]
+        elif isinstance(value, dict):
+            row.update(value)
+        else:
+            row[section] = value
+    return row
+
+
+def csv_cell(value) -> str:
+    """One CSV cell: None empty, bools lower case, floats by repr, else str."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def csv_lines(reports) -> list[str]:
+    """`report_csv_rows` rendered one report and one cell at a time."""
+    rows = [csv_row(report) for report in reports]
+    if not rows:
+        return []
+    return [",".join(rows[0])] + [",".join(csv_cell(v) for v in row.values()) for row in rows]
 
 
 # -- random streams and Born sampling ---------------------------------------

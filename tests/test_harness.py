@@ -30,6 +30,7 @@ from qkdsim.harness import (
 from qkdsim.quantum import state_label
 from qkdsim.rng import derive_seed
 from qkdsim.session import BLOCK, STAGE_SWEEP
+from reference import csv_lines, csv_row
 
 HALF_PI = math.pi / 2
 BASE = {"protocol": "b92", "n_pulses": 2_000, "master_seed": 9}
@@ -558,6 +559,28 @@ class TestCsv:
         assert len(header) == 34
         assert len(lines) == 3
         assert len(lines[1].split(",")) == len(header)
+
+    def test_columns_equal_rows_flattened_cell_by_cell(self):
+        """Column-wise rendering equals `to_dict()` flattened and formatted
+        one report and one cell at a time: int-valued float fields from
+        JSON stay ints, a point that sifted nothing has no qber and no qber
+        test, one that received nothing has no null ratio, and bools are
+        lower case."""
+        base = ExperimentConfig.from_dict(json.loads(
+            '{"protocol": "b92", "n_pulses": 400, "absorption": 0, "efficiency": 1,'
+            ' "eve_strategy": "basis_mismatch", "reveal_fraction": 0.3, "master_seed": 3}'
+        ))
+        reports = [
+            *sweep(base, "n_pulses", [1, 400, 2, 3, 1, 500, 2]),
+            *sweep(replace(base, usd_scheme="optimal"), "absorption", [0, 0.5, 0.97]),
+            run_experiment(replace(base, protocol="bb84", eve_strategy="intercept_resend")),
+        ]
+        assert report_csv_rows(reports) == csv_lines(reports)
+        rows = [csv_row(r) for r in reports]
+        assert {type(row["absorption"]) for row in rows} == {int, float}
+        assert any(row["qber"] is None and row["qber_test_flagged"] is None for row in rows)
+        assert any(row["null_ratio"] is None for row in rows)
+        assert {row["null_ratio_test_flagged"] for row in rows} == {True, False}
 
     def test_booleans_and_nones_rendered(self):
         report = run_experiment(

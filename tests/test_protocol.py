@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from enumeration import b92_honest, bb84_honest
 from qkdsim import protocol
@@ -12,8 +14,11 @@ from qkdsim.adversary import ChannelModel, EveKind, EveStrategy
 from qkdsim.protocol import (
     EstimationError,
     ProtocolKind,
+    _sample_batch_without_replacement,
     _sample_without_replacement,
     estimate_qber,
+    estimate_qber_batch,
+    session_counts,
 )
 from qkdsim.quantum import X_MINUS, X_PLUS, Z_MINUS, Z_PLUS, measurement_probs
 from qkdsim.rng import RngStream
@@ -240,3 +245,66 @@ class TestEstimateQber:
         _, rev_a = estimate_qber(a, 0.2, pulse_stream(15, 0, STAGE_ESTIMATE))
         _, rev_b = estimate_qber(b, 0.2, pulse_stream(15, 0, STAGE_ESTIMATE))
         np.testing.assert_array_equal(rev_a, rev_b)
+
+
+@st.composite
+def _reveal_session(draw):
+    """(m, k, seed): k = m and k = 1 are drawn often, m = 0 reveals nothing."""
+    m = draw(st.integers(0, 120))
+    k = 0 if m == 0 else draw(st.sampled_from([1, m]) | st.integers(1, m))
+    return m, k, draw(st.integers(0, 2**64 - 1))
+
+
+def _one_by_one(sessions) -> list[int]:
+    """Each session's positions from its own stream, shifted past the
+    sessions before it."""
+    positions, offset = [], 0
+    for m, k, seed in sessions:
+        if m:
+            positions += (_sample_without_replacement(m, k, RngStream(seed)) + offset).tolist()
+        offset += m
+    return positions
+
+
+class TestBatchRevealSampling:
+    """The batch sampler against the one-session sampler, session by session."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_reveal_session(), min_size=1, max_size=12))
+    @example([(0, 0, 0), (1, 1, 2**64 - 1), (7, 7, 3), (9, 1, 4), (0, 0, 5)])
+    def test_positions_equal_each_session_sampled_alone(self, sessions):
+        m, k, seeds = zip(*sessions)
+        positions = _sample_batch_without_replacement(
+            np.array(m), np.array(k), np.array(seeds, dtype=np.uint64)
+        )
+        assert positions.tolist() == _one_by_one(sessions)
+
+    def test_estimates_equal_each_session_estimated_alone(self):
+        cases = random.Random(20261018)
+        sifted = np.array([cases.choice((0, 1, 2, 3, 40, 333)) for _ in range(60)])
+        fractions = np.array([cases.choice((0.01, 0.2, 0.3, 0.5, 1.0)) for _ in sifted])
+        seeds = np.array([cases.getrandbits(64) for _ in sifted], dtype=np.uint64)
+        errors = np.array([cases.random() < 0.3 for _ in range(sifted.sum())])
+        qber, revealed = estimate_qber_batch(errors, sifted, fractions, seeds)
+        starts = np.concatenate([[0], np.cumsum(sifted)])
+        for i, (m, fraction, seed) in enumerate(zip(sifted, fractions, seeds.tolist())):
+            if m == 0:
+                assert revealed[i] == 0 and math.isnan(qber[i])
+                continue
+            alone = errors[starts[i] : starts[i + 1]]
+            want, positions = estimate_qber(alone, fraction, RngStream(seed))
+            assert (qber[i], revealed[i]) == (want, len(positions))
+        assert 0.0 < np.nanmax(qber) and np.count_nonzero(sifted == 0) > 0
+
+    def test_bad_fraction_rejected(self):
+        with pytest.raises(ValueError):
+            estimate_qber_batch(
+                np.zeros(3, bool), np.array([1, 2]), np.array([0.5, 0.0]), np.zeros(2, np.uint64)
+            )
+
+
+@pytest.mark.parametrize("starts", [[0, 10], [0, 1, 5, 6, 10]], ids=["alone", "batch"])
+def test_session_counts_equal_slice_counts(starts):
+    flags = np.array([1, 0, 1, 1, 0, 0, 1, 1, 1, 0], dtype=bool)
+    counts = session_counts(flags, np.array(starts))
+    assert counts.tolist() == [int(flags[a:b].sum()) for a, b in zip(starts, starts[1:])]

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from qkdsim import session
-from qkdsim.adversary import HALF_PI, ChannelModel, EveKind, EveStrategy
+from qkdsim.adversary import (
+    HALF_PI,
+    ChannelModel,
+    EveKind,
+    EveStrategy,
+    forwarded_state_symmetry,
+)
 from qkdsim.protocol import ProtocolKind
 from qkdsim.quantum import (
     SX_POVM,
@@ -208,6 +214,24 @@ def test_forwarded_state_symmetry_equals_bincount(name, kind, strategy, channel)
     counts = np.bincount(t.forwarded_ids[t.forwarded_ids >= 0], minlength=len(labels))
     expected = (int(counts[labels == "z+"].sum()), int(counts[labels == "x+"].sum()))
     assert symmetry(t) == expected
+
+
+def test_forwarded_state_symmetry_of_a_batch_equals_each_session_alone():
+    """One pass over a batch counts each session's z+ and x+ forwards by
+    its own table's labels, as counting the session alone does; sessions
+    of one strategy share one table."""
+    sessions = [*BATCH, Session(40, ChannelModel(), _mismatch(0.0), 14)]
+    batch = simulate_session(ProtocolKind.B92, sessions)
+    assert len(batch.tables) == len({s.strategy for s in sessions})
+    assert batch.state_tables == tuple(batch.tables[j] for j in batch.table_ids)
+    width = max(map(len, batch.tables))
+    labels = np.array(
+        [[state_label(s) for s in t] + [""] * (width - len(t)) for t in batch.state_tables]
+    )
+    count_z, count_x = forwarded_state_symmetry(batch.forwarded_ids, batch.starts, labels)
+    alone = [symmetry(batch, i) for i in range(len(sessions))]
+    assert list(zip(count_z.tolist(), count_x.tolist())) == alone
+    assert any(z > 0 and x > 0 for z, x in alone)
 
 
 def _measurement(strategy):
