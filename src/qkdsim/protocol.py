@@ -20,7 +20,8 @@ counter-based block and the swaps are resolved with array operations, so
 the positions and the stream's final state are those of the shuffle
 written as a loop with one `integers` draw per step (the equivalence is
 pinned by tests against that scalar loop). `estimate_qber_batch` does the
-same for many sessions at once, every session's draws from one call.
+same for many sessions at once, every session's draws from one call and
+the swaps of all of them resolved by the same code as one shuffle.
 """
 
 from __future__ import annotations
@@ -96,35 +97,39 @@ def session_counts(flags: np.ndarray, starts: np.ndarray) -> np.ndarray:
 INT32_POSITIONS = 2**31
 
 
-def _sample_without_replacement(m: int, k: int, rng: RngStream) -> np.ndarray:
-    """Sorted first k entries of a partial Fisher-Yates shuffle of range(m).
-
-    Step j swaps slots j and t_j = j + rng.integers(m - j). The k draws
-    come as one `uniforms(k)` block, which leaves the stream where k
-    `integers` calls would. Step i moves into slot t_i the value slot i
-    held just before it: the value the last earlier step targeting slot i
-    moved there, else i. These links point to earlier steps, and pointer
-    doubling follows them to their roots. No step starts from a slot
-    s >= k, so slot s ends with the value the last step targeting it moved
-    there, else s. The chosen values are all the others: each targeted
-    slot >= k, and each value < k that no slot >= k ends with. Slots and
-    steps are int32 below `INT32_POSITIONS`, which halves the m-entry
-    `last` array and the k-entry working arrays.
-    """
-    index = np.int32 if m < INT32_POSITIONS else np.int64
-    steps = np.arange(k, dtype=index)
-    span = m - steps
-    draws = rng.uniforms(k)
+def _draw_offsets(draws: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """floor(draws * span) as ints of `span`'s dtype, kept below `span`:
+    each step's pick among the `span` slots it may swap with, counted from
+    its own. `draws` and `span` are overwritten."""
     draws *= span
-    targets = draws.astype(index)
+    offsets = draws.astype(span.dtype)
     del draws
     span -= 1
-    np.minimum(targets, span, out=targets)
-    del span
+    np.minimum(offsets, span, out=offsets)
+    return offsets
+
+
+def _resolve(n_slots: int, offsets: np.ndarray) -> np.ndarray:
+    """Sorted chosen values of a partial Fisher-Yates shuffle of
+    range(n_slots) whose step j swaps slots j and j + offsets[j].
+
+    Step i moves into slot t_i the value slot i held just before it: the
+    value the last earlier step targeting slot i moved there, else i. These
+    links point to earlier steps, and pointer doubling follows them to
+    their roots. No step starts from a slot s >= k = len(offsets), so slot
+    s ends with the value the last step targeting it moved there, else s.
+    The chosen values are all the others: each targeted slot >= k, and
+    each value < k that no slot >= k ends with. Slots and steps have the
+    dtype of `offsets`, which is overwritten.
+    """
+    k = len(offsets)
+    steps = np.arange(k, dtype=offsets.dtype)
+    targets = offsets
+    del offsets
     targets += steps
     # last[s]: last step that targeted slot s, -1 if none. A step that targets
     # its own slot moves nothing and no other link leads to it.
-    last = np.full(m, -1, dtype=index)
+    last = np.full(n_slots, -1, dtype=targets.dtype)
     np.maximum.at(last, targets, steps)
     del targets
     # carried[j] links step j to the step whose start value it moves; rooted, it is that value
@@ -138,10 +143,24 @@ def _sample_without_replacement(m: int, k: int, rng: RngStream) -> np.ndarray:
         carried = rooted
     tail = last[k:]
     targeted = tail >= 0
-    chosen = np.ones(m, dtype=bool)
+    chosen = np.ones(n_slots, dtype=bool)
     chosen[k:] = targeted
     chosen[carried[tail[targeted]]] = False
     return np.flatnonzero(chosen)
+
+
+def _sample_without_replacement(m: int, k: int, rng: RngStream) -> np.ndarray:
+    """Sorted first k entries of a partial Fisher-Yates shuffle of range(m).
+
+    Step j swaps slots j and j + rng.integers(m - j). The k draws come as
+    one `uniforms(k)` block, which leaves the stream where k `integers`
+    calls would, and `_resolve` applies the swaps. Slots and steps are
+    int32 below `INT32_POSITIONS`, which halves the m-entry `last` array
+    and the k-entry working arrays. The arrays are passed on, not named,
+    so each is freed as soon as it is used up.
+    """
+    index = np.int32 if m < INT32_POSITIONS else np.int64
+    return _resolve(m, _draw_offsets(rng.uniforms(k), np.arange(m, m - k, -1, dtype=index)))
 
 
 def estimate_qber(
@@ -172,46 +191,32 @@ def _sample_batch_without_replacement(
     chosen positions of all of them in that batch-wide numbering, sorted.
 
     Step j of session i draws the stream's uniform j, so every session's
-    draws come from one `stream_uniforms` call. Steps then get batch-wide
-    ids and slots batch-wide positions, and resolve exactly as in the
-    one-session sampler: no step targets another session's slots, so every
-    link stays inside its session. All indices are int32, so the m must sum
-    to less than 2**31; a multi-session batch holds at most `BLOCK` pulses.
+    draws come from one `stream_uniforms` call. `_resolve` then runs the
+    batch as one shuffle over renumbered slots: first every session's
+    first k slots, session after session, so that the batch's step j
+    starts from slot j, then every session's other slots, in the same
+    order. A swap past its session's first k slots skips the first slots
+    of the later sessions and the other slots of the earlier ones. No step
+    reaches another session's slots, so every link stays inside its
+    session. All indices are int32, so the m must sum to less than 2**31;
+    a multi-session batch holds at most `BLOCK` pulses.
     """
-    n_steps = int(k.sum())
-    steps = np.arange(n_steps, dtype=np.int32)
-    local = steps - np.repeat((np.cumsum(k) - k).astype(np.int32), k)
-    draws = stream_uniforms(np.repeat(seeds, k), local)
-    span = np.repeat(m.astype(np.int32), k) - local
-    draws *= span
-    targets = draws.astype(np.int32)
-    del draws
-    span -= 1
-    np.minimum(targets, span, out=targets)
-    del span
-    # each step's own slot; a step targets its own slot plus its draw
-    own = local + np.repeat((np.cumsum(m) - m).astype(np.int32), k)
-    del local
-    targets += own
-    last = np.full(int(m.sum()), -1, dtype=np.int32)
-    np.maximum.at(last, targets, steps)
-    del targets
-    head = last[own]
-    carried = np.where(head >= 0, head, steps)
-    del steps
-    while True:
-        rooted = carried[carried]
-        if np.array_equal(rooted, carried):
-            break
-        carried = rooted
-    in_head = np.zeros(len(last), dtype=bool)
-    in_head[own] = True
-    # every head slot, and every other slot a step moved a value into, but
-    # not the start slots of the values that ended in those other slots
-    chosen = in_head | (last >= 0)
-    moved = last[~in_head]
-    chosen[own[carried[moved[moved >= 0]]]] = False
-    return np.flatnonzero(chosen)
+    m, k = m.astype(np.int32), k.astype(np.int32)
+    rest = m - k
+    n_steps, n_slots = int(k.sum()), int(m.sum())
+    first_step = np.cumsum(k, dtype=np.int32) - k
+    first_rest = n_steps + np.cumsum(rest, dtype=np.int32) - rest  # number of each session's slot k
+    start = np.cumsum(m, dtype=np.int32) - m  # batch-wide position of each session's slot 0
+    local = np.arange(n_steps, dtype=np.int32) - np.repeat(first_step, k)
+    offsets = _draw_offsets(stream_uniforms(np.repeat(seeds, k), local), np.repeat(m, k) - local)
+    past_first = offsets >= np.repeat(k, k) - local
+    offsets[past_first] += np.repeat(first_rest - first_step - k, k)[past_first]
+    # batch-wide position of every renumbered slot
+    position = np.concatenate([
+        np.repeat(start - first_step, k) + np.arange(n_steps, dtype=np.int32),
+        np.repeat(start + k - first_rest, rest) + np.arange(n_steps, n_slots, dtype=np.int32),
+    ])
+    return np.sort(position[_resolve(n_slots, offsets)])
 
 
 def estimate_qber_batch(
