@@ -90,16 +90,15 @@ def forwarded_state_symmetry(
     forwarded.
 
     Session i owns `forwarded_ids[starts[i]:starts[i + 1]]`, and
-    `labels[i, v]` names its state id v. Each state id labelled z+ or x+ in
-    any session is counted with one pass over the batch; suppressed
-    pulses (id -1) match no label.
+    `labels[v]` names the batch's state id v (one numbering for every
+    session). Each state id labelled z+ or x+ is counted with one pass
+    over the batch; suppressed pulses (id -1) match no label.
     """
-    is_z, is_x = labels == "z+", labels == "x+"
-    count_z = np.zeros(len(labels), dtype=np.int64)
-    count_x = np.zeros(len(labels), dtype=np.int64)
-    # Python ints: a numpy int64 id would promote the int16 column to compare it
-    for state_id in np.flatnonzero((is_z | is_x).any(axis=0)).tolist():
-        hits = session_counts(forwarded_ids == state_id, starts)
-        count_z += hits * is_z[:, state_id]
-        count_x += hits * is_x[:, state_id]
-    return count_z, count_x
+
+    def count(label: str) -> np.ndarray:
+        # Python ints: a numpy int64 id would promote the id column to compare it
+        ids = np.flatnonzero(labels == label).tolist()
+        hits = (session_counts(forwarded_ids == state_id, starts) for state_id in ids)
+        return sum(hits, np.zeros(len(starts) - 1, dtype=np.int64))
+
+    return count("z+"), count("x+")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from itertools import chain
 from operator import attrgetter
 from typing import ClassVar
 
@@ -289,16 +288,6 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     return _run_batch([config])[0]
 
 
-def _state_labels(batch) -> np.ndarray:
-    """Each session's state names, one row per session and one column per
-    state id (padded with ""): `state_label` runs once per distinct state
-    of the batch."""
-    labels = {s: state_label(s) for s in dict.fromkeys(chain.from_iterable(batch.tables))}
-    width = max(map(len, batch.tables))
-    rows = [[labels[s] for s in table] + [""] * (width - len(table)) for table in batch.tables]
-    return np.array(rows)[batch.table_ids]
-
-
 def _reveal(configs: list[ExperimentConfig], errors: np.ndarray, sifted: list[int]):
     """Each session's QBER estimate (None if it sifted nothing) and its
     number of revealed positions."""
@@ -349,7 +338,7 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
     forwarded_z, forwarded_x = (
         counts.tolist()
         for counts in forwarded_state_symmetry(
-            batch.forwarded_ids, batch.starts, _state_labels(batch)
+            batch.forwarded_ids, batch.starts, np.array([state_label(s) for s in batch.states])
         )
     )
 

@@ -10,11 +10,16 @@ consumes draws from its own substream in a fixed order:
     bob:     draw 0 basis, draw 1 outcome
 
 Eve and Bob are both a `StageTable` read by one sampler, so the only
-branch on Eve's strategy is in choosing her POVM elements. A batch has
-one Eve table and one Bob table: the elements of all its distinct
-strategies are built as one array by `usd`'s batch builders, with no
-per-strategy `Povm` object, checked once, and turned into every row by
-one stacked Born product and one running sum. Because no stage ever
+branch on Eve's strategy is in choosing her POVM elements. A batch
+numbers its distinct states once (`SessionBatch.states`): Alice's
+first, so a sent state's id is its bit (+ 2 * basis), then every state
+some strategy can forward. It has one Eve table, a block of rows over
+Alice's states per distinct strategy, and one Bob table, a row per
+state. The elements of all the strategies are built as one array by
+`usd`'s batch builders, with no per-strategy `Povm` object, checked
+once, and turned into every row by one stacked Born product and one
+running sum. Eve's stage adds each pulse's strategy offset to Alice's
+id; Bob reads the forwarded id as his row. Because no stage ever
 touches another pulse's stream, the engine runs a *batch* of sessions
 (one protocol, one Eve kind and discrimination scheme; any lengths,
 channels, deltas and master seeds) as one pulse range cut into blocks of
@@ -23,7 +28,7 @@ and writes its results into the block's slice of the batch's columns,
 allocated at full length up front; the returned `SessionBatch` is the
 only record of a session. Each pulse draws from its own session's master
 seed at its index within that session, loses with its session's loss
-probability and reads its session's rows of the stacked stage tables, so
+probability and reads its strategy's block of Eve's table, so
 a session's slice of the columns is the same whatever batch it runs in
 and whatever the block size. A single run is a batch of one, and its
 columns are draw-for-draw identical to a Python loop over `RngStream`
@@ -35,6 +40,7 @@ master seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -91,12 +97,14 @@ def _coin(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StageTable:
-    """A measurement stage: row `state * n_frames + frame` holds the frame's
-    cumulative Born probabilities on the state for all outcomes but the
-    last, summed left to right as an inverse-CDF walk does (`thresholds`),
-    and the state id each outcome forwards, -1 for none (`forward`). Every
-    state has a row, read or not; with no frames every state passes
-    through unmeasured."""
+    """A measurement stage: row `state_row * n_frames + frame` holds the
+    frame's cumulative Born probabilities on the state for all outcomes
+    but the last, summed left to right as an inverse-CDF walk does
+    (`thresholds`), and the batch's id of the state each outcome
+    forwards, -1 for none (`forward`). Eve's state rows are a block of
+    Alice's states per distinct strategy (her strategy's offset plus
+    Alice's id); Bob's state row is the state's id. Every row is there,
+    read or not; with no frames every state passes through unmeasured."""
 
     n_frames: int
     thresholds: np.ndarray
@@ -108,37 +116,36 @@ _BASES = np.array([SZ_POVM.elements, SX_POVM.elements])
 
 
 def _stage_table(vectors: np.ndarray, elements: np.ndarray, forward: np.ndarray) -> StageTable:
-    """Table of the states `vectors`, shape (rows, 2), each under its own
-    frames: `elements` has shape (rows or 1, frames, outcomes, 2, 2), and
-    `forward`, shape (rows or 1, frames, outcomes), the state id each
-    outcome forwards.
+    """Table of the states `vectors`, shape (states, 2), under each block
+    of frames: `elements` has shape (blocks, frames, outcomes, 2, 2), and
+    `forward`, shape (blocks, frames, outcomes), the state id each
+    outcome forwards. State row `block * states + state` holds its frames.
 
     All rows come from one stacked Born product <v|E v>, in
     `born_probabilities`' operation order and clamped as it clamps, so
     each row equals that function's output bit for bit.
     """
-    n_rows = len(vectors) * elements.shape[1]
-    n_outcomes = elements.shape[2]
+    n_blocks, n_frames, n_outcomes = elements.shape[:3]
+    n_rows = n_blocks * len(vectors) * n_frames
     v = vectors.reshape(-1, 1, 1, 2, 1)
-    probs = np.clip((v.conj().swapaxes(-1, -2) @ (elements @ v)).real, 0.0, 1.0)
+    probs = np.clip((v.conj().swapaxes(-1, -2) @ (elements[:, None] @ v)).real, 0.0, 1.0)
     thresholds = np.cumsum(probs[..., :-1, 0, 0], axis=-1).reshape(n_rows, n_outcomes - 1)
-    forward = np.broadcast_to(forward, (len(vectors),) + elements.shape[1:3])
-    return StageTable(elements.shape[1], thresholds, forward.reshape(n_rows, n_outcomes))
+    forward = np.broadcast_to(forward[:, None], (n_blocks, len(vectors), n_frames, n_outcomes))
+    return StageTable(n_frames, thresholds, forward.reshape(n_rows, n_outcomes))
 
 
-def _eve_measurement(strategies: list[EveStrategy]) -> tuple[np.ndarray, list, list]:
+def _eve_measurement(strategies: list[EveStrategy]) -> tuple[np.ndarray, list]:
     """Eve's elements for each of `strategies` (one kind and scheme kind),
     shape (strategies, frames, outcomes, 2, 2), and per strategy the state
-    each frame's outcomes forward and the states she can forward."""
+    each frame's outcomes forward (None for none)."""
     n = len(strategies)
     kind = strategies[0].kind
     if kind is EveKind.NONE:
-        return np.empty((n, 0, 1, 2, 2), dtype=complex), [()] * n, [()] * n
+        return np.empty((n, 0, 1, 2, 2), dtype=complex), [()] * n
     if kind is EveKind.INTERCEPT_RESEND:
         # she resends the eigenstate she found
         eigenstates = ((Z_PLUS, Z_MINUS), (X_PLUS, X_MINUS))
-        elements = np.broadcast_to(_BASES, (n,) + _BASES.shape)
-        return elements, [eigenstates] * n, [eigenstates[0] + eigenstates[1]] * n
+        return np.broadcast_to(_BASES, (n,) + _BASES.shape), [eigenstates] * n
     pairs = [s.states() for s in strategies]
     if strategies[0].scheme is UsdSchemeKind.NAIVE_RANDOM_BASIS:
         # a frame's "minus" rules out one state and so identifies the other
@@ -148,43 +155,39 @@ def _eve_measurement(strategies: list[EveStrategy]) -> tuple[np.ndarray, list, l
         elements = idp_elements(pairs)
         targets = [((state0, state1, None),) for state0, state1 in pairs]
     _check_operators(elements, "POVM element", complete=True)
-    return elements, targets, pairs
+    return elements, targets
 
 
 def _sample_stage(
-    table: StageTable,
-    state_ids: np.ndarray,
-    base,
-    keys: np.ndarray,
-    stage: int,
+    table: StageTable, rows: np.ndarray, keys: np.ndarray, stage: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frame, outcome (int8) and forwarded state id (int16) of every pulse.
+    """Frame, outcome (int8) and forwarded state id (`table.forward`'s
+    dtype) of every pulse.
 
-    `state_ids` and the forwarded ids number the states of each pulse's
-    own session; `base` is that session's first row block in the stacked
-    table, and `keys` are the pulses' stream keys (see `_block_sessions`).
-    Two frames: draw 0 picks the frame and draw 1 the outcome; one frame:
-    draw 0 picks the outcome; no frames: no draws, the state passes on.
+    `rows` (intp) are the pulses' state rows in `table` and are
+    overwritten; `keys` are the pulses' stream keys (see
+    `_block_sessions`). Two frames: draw 0 picks the frame and draw 1
+    the outcome; one frame: draw 0 picks the outcome; no frames: no
+    draws, and the state row is forwarded as the state id (a kind with
+    no frames has one strategy a batch, so its state rows are state ids).
     """
-    n = state_ids.shape[0]
+    n = rows.shape[0]
     frame = np.zeros(n, dtype=np.int8)
     outcome = np.zeros(n, dtype=np.int8)
     if table.n_frames == 0:
-        return frame, outcome, state_ids.copy()
+        return frame, outcome, rows.astype(table.forward.dtype)
     seeds = derive_seed_array(0, keys, stage)
     if table.n_frames == 2:
         frame = _coin(uniform_array(seeds, 0))
     u = uniform_array(seeds, table.n_frames - 1)
     del seeds
-    row = state_ids.astype(np.intp)
-    row += base
-    row *= table.n_frames
-    row += frame
+    rows *= table.n_frames
+    rows += frame
     for column in table.thresholds.T:
-        outcome += u >= column.take(row)
-    row *= table.forward.shape[1]
-    row += outcome
-    return frame, outcome, table.forward.take(row)
+        outcome += u >= column.take(rows)
+    rows *= table.forward.shape[1]
+    rows += outcome
+    return frame, outcome, table.forward.take(rows)
 
 
 @dataclass(frozen=True)
@@ -201,28 +204,26 @@ class Session:
 class SessionBatch:
     """Column-wise record of consecutive sessions of one protocol.
 
-    Session i owns pulses `starts[i]:starts[i + 1]` of every column, and
-    its state ids index `tables[table_ids[i]]`, one table per distinct
-    strategy of the batch; a forwarded id of -1 means Eve suppressed the
-    pulse. `bob_minus` is False wherever the pulse did not arrive.
+    Session i owns pulses `starts[i]:starts[i + 1]` of every column. One
+    numbering covers the whole batch: `states` holds each distinct state
+    once, Alice's states first (`protocol_states`, so a sent state's id is
+    its bit, plus 2 * basis for BB84), then every other state some
+    strategy can forward. A forwarded id indexes `states`, and -1 means
+    Eve suppressed the pulse; ids are int16, or int32 when a batch has
+    more states than int16 can number. `bob_minus` is False wherever the
+    pulse did not arrive.
     """
 
     protocol: ProtocolKind
     n_pulses: int
     starts: np.ndarray
-    tables: tuple[tuple[QubitState, ...], ...]
-    table_ids: np.ndarray
+    states: tuple[QubitState, ...]
     alice_bits: np.ndarray
     alice_bases: np.ndarray | None
     forwarded_ids: np.ndarray
     arrived: np.ndarray
     bob_bases: np.ndarray
     bob_minus: np.ndarray
-
-    @property
-    def state_tables(self) -> tuple[tuple[QubitState, ...], ...]:
-        """Each session's state table."""
-        return tuple(self.tables[j] for j in self.table_ids.tolist())
 
 
 def _block_sessions(starts: np.ndarray, master_seeds: np.ndarray, a: int, b: int):
@@ -268,29 +269,24 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
     if len({(s.strategy.kind, s.strategy.scheme) for s in sessions}) > 1:
         raise ValueError("the sessions of a batch must share Eve's kind and scheme kind")
 
-    # one Eve and one Bob table for the batch's distinct strategies, each
-    # strategy's states in turn; a session finds its rows from the id of
-    # its strategy's first state
+    # the batch's states, Alice's first, numbered once; Eve has one row
+    # block per distinct strategy over Alice's states, Bob one row per state
     index: dict[EveStrategy, int] = {}
-    table_ids = np.array([index.setdefault(s.strategy, len(index)) for s in sessions], np.int32)
-    strategies = list(index)
-    elements, targets, resent = _eve_measurement(strategies)
+    strategy_ids = [index.setdefault(s.strategy, len(index)) for s in sessions]
+    elements, targets = _eve_measurement(list(index))
     sent_states = protocol_states(kind)
-    tables, first, states, owner, forward = [], [], [], [], []
-    for j in range(len(strategies)):
-        table = tuple(dict.fromkeys(sent_states + resent[j]))
-        ids = {state: i for i, state in enumerate(table)}
-        tables.append(table)
-        first.append(len(states))
-        states += table
-        owner += [j] * len(table)
-        forward.append([[-1 if t is None else ids[t] for t in frame] for frame in targets[j]])
+    forwardable = (t for frames in targets for frame in frames for t in frame if t is not None)
+    states = tuple(dict.fromkeys(chain(sent_states, forwardable)))
+    ids = {state: i for i, state in enumerate(states)}
+    ids[None] = -1
+    id_dtype = np.int16 if len(states) - 1 <= np.iinfo(np.int16).max else np.int32
+    forward = [[[ids[t] for t in frame] for frame in frames] for frames in targets]
+    forward = np.array(forward, dtype=id_dtype).reshape(elements.shape[:3])
     vectors = np.array([(state.amp0, state.amp1) for state in states], dtype=complex)
-    forward = np.array(forward, dtype=np.int16).reshape(elements.shape[:3])
-    eve = _stage_table(vectors, elements[owner], forward[owner])
-    bob = _stage_table(vectors, _BASES[None], np.int16(-1))
+    eve = _stage_table(vectors[: len(sent_states)], elements, forward)
+    bob = _stage_table(vectors, _BASES[None], np.full((1, 2, 2), -1, id_dtype))
+    eve_offset = np.array(strategy_ids, dtype=np.intp) * len(sent_states)
 
-    state_base = np.array(first, dtype=np.int32)[table_ids]
     master_seeds = np.array([s.master_seed for s in sessions], dtype=np.uint64)
     loss = np.array([s.channel.loss_probability for s in sessions])
     starts = np.zeros(len(sessions) + 1, dtype=np.int64)
@@ -299,7 +295,7 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
 
     alice_bits = np.empty(n_pulses, dtype=np.int8)
     alice_bases = None if kind is ProtocolKind.B92 else np.empty(n_pulses, dtype=np.int8)
-    forwarded_ids = np.empty(n_pulses, dtype=np.int16)
+    forwarded_ids = np.empty(n_pulses, dtype=id_dtype)
     arrived = np.empty(n_pulses, dtype=bool)
     bob_bases = np.empty(n_pulses, dtype=np.int8)
     bob_minus = np.empty(n_pulses, dtype=bool)
@@ -307,18 +303,18 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
     for a in range(0, n_pulses, BLOCK):
         b = min(a + BLOCK, n_pulses)
         spread, keys = _block_sessions(starts, master_seeds, a, b)
-        base = spread(state_base)
 
         seeds = derive_seed_array(0, keys, STAGE_ALICE)
         alice_bits[a:b] = _coin(uniform_array(seeds, 0))
-        sent = alice_bits[a:b].astype(np.int16)
+        rows = alice_bits[a:b].astype(np.intp)
         if alice_bases is not None:
             alice_bases[a:b] = _coin(uniform_array(seeds, 1))
-            sent += 2 * alice_bases[a:b]
+            rows += 2 * alice_bases[a:b]
         del seeds  # each stage's seeds are dropped after its last draw
+        rows += spread(eve_offset)
 
-        _, _, forwarded = _sample_stage(eve, sent, base, keys, STAGE_EVE)
-        del sent
+        _, _, forwarded = _sample_stage(eve, rows, keys, STAGE_EVE)
+        del rows
         forwarded_ids[a:b] = forwarded
         reached = forwarded >= 0
 
@@ -326,7 +322,8 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
         arrived[a:b] = reached
 
         # suppressed pulses never arrive, so the row Bob reads for them is immaterial
-        frame, outcome, _ = _sample_stage(bob, np.maximum(forwarded, 0), base, keys, STAGE_BOB)
+        rows = np.maximum(forwarded, 0, dtype=np.intp)
+        frame, outcome, _ = _sample_stage(bob, rows, keys, STAGE_BOB)
         bob_bases[a:b] = frame
         bob_minus[a:b] = reached & (outcome == 1)
 
@@ -334,8 +331,7 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
         protocol=kind,
         n_pulses=n_pulses,
         starts=starts,
-        tables=tuple(tables),
-        table_ids=table_ids,
+        states=states,
         alice_bits=alice_bits,
         alice_bases=alice_bases,
         forwarded_ids=forwarded_ids,

@@ -52,13 +52,19 @@ def one_session(kind, n_pulses, channel, strategy, master_seed):
 
 
 def session_columns(batch, i: int = 0) -> dict:
-    """Session i's slice of every batch column (None stays None), its
-    state table, and Alice's state ids derived from the slice."""
+    """Session i's slice of every batch column (None stays None), the
+    batch's states, Alice's state ids derived from the slice, and the
+    states its forwarded ids name (None for a suppressed pulse). Ids
+    number the states of the whole batch, so only the states they name
+    compare across batches."""
     a, b = batch.starts[i], batch.starts[i + 1]
     columns = {name: getattr(batch, name) for name in COLUMNS}
     columns = {name: None if c is None else c[a:b] for name, c in columns.items()}
     columns["sent_ids"] = sent_ids(columns["alice_bits"], columns["alice_bases"])
-    columns["state_table"] = batch.state_tables[i]
+    columns["states"] = batch.states
+    named = np.empty(len(batch.states) + 1, dtype=object)
+    named[:-1] = batch.states  # id -1 picks the trailing None
+    columns["forwarded_states"] = named[columns["forwarded_ids"]]
     return columns
 
 
@@ -87,8 +93,8 @@ def sift_session(batch, i: int = 0):
 
 
 def symmetry(batch, i: int = 0) -> tuple[int, int]:
-    """`forwarded_state_symmetry` of session i alone, with its table's labels."""
-    labels = np.array([[state_label(s) for s in batch.state_tables[i]]])
+    """`forwarded_state_symmetry` of session i alone, with the batch's labels."""
+    labels = np.array([state_label(s) for s in batch.states])
     forwarded_ids = session_columns(batch, i)["forwarded_ids"]
     z, x = forwarded_state_symmetry(forwarded_ids, np.array([0, len(forwarded_ids)]), labels)
     return int(z[0]), int(x[0])

@@ -63,7 +63,7 @@ def _conclusive_stats(scheme, n_pulses, seed):
     wrong = conclusive & (t.forwarded_ids != sent_id)
     stats = {}
     for state in (Z_PLUS, X_PLUS):
-        sent = sent_id == t.state_tables[0].index(state)
+        sent = sent_id == t.states.index(state)
         stats[state] = (np.sum(conclusive & sent) / np.sum(sent), int(np.sum(wrong & sent)))
     return stats
 

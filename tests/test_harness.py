@@ -480,30 +480,51 @@ def test_global_flags_before_or_after_any_subcommand(command, seed, output):
         assert code == 2 and after == (2, "")
 
 
-def test_sweep_labels_each_state_table_once_per_batch(tmp_path, monkeypatch):
-    """Forwarded-state labels come from one `state_label` call per state of
-    each distinct table in a batch, not one set per sweep point."""
-    calls = []
+_LABEL_SWEEPS = {
+    # honest B92: two states per batch
+    "absorption": ({"n_pulses": 300}, [i * 0.004 for i in range(200)]),
+    # about 65 mismatch strategies a batch, each with its own rotated pair,
+    # all sharing Alice's z+ and x+ (delta 0 forwards those two)
+    "delta": (
+        {"n_pulses": 500, "eve_strategy": "basis_mismatch"},
+        [i * 0.01 for i in range(130)],
+    ),
+}
+
+
+@pytest.mark.parametrize("parameter", list(_LABEL_SWEEPS))
+def test_sweep_labels_each_state_once_per_batch(parameter, tmp_path, monkeypatch):
+    """Forwarded-state labels come from exactly one `state_label` call per
+    entry of each batch's `states`, not one set per sweep point."""
+    calls, batches = [], []
 
     def counting(state, *args, **kwargs):
         calls.append(state)
         return state_label(state, *args, **kwargs)
 
+    def recording(*args):
+        batches.append(simulate(*args))
+        return batches[-1]
+
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "qkdsim" and hasattr(module, "state_label"):
             monkeypatch.setattr(module, "state_label", counting)
-    base = {**BASE, "n_pulses": 300}
-    values = [i * 0.004 for i in range(200)]
+    simulate = harness.simulate_session
+    monkeypatch.setattr(harness, "simulate_session", recording)
+    extra, values = _LABEL_SWEEPS[parameter]
+    base = {**BASE, **extra}
     path = tmp_path / "base.json"
     path.write_text(json.dumps(base), encoding="utf-8")
     code, out = _cli(["--output", "csv", "sweep", "--config", str(path),
-                      "--param", "absorption", "--values", ",".join(map(repr, values))])
+                      "--param", parameter, "--values", ",".join(map(repr, values))])
     assert code == 0 and len(out.splitlines()) == len(values) + 1
     config = ExperimentConfig.from_dict(base)
-    n_batches = len(list(harness._batches([replace(config, absorption=v) for v in values])))
-    assert n_batches == 2
-    # one honest B92 table of two states per batch
-    assert 0 < len(calls) <= 2 * n_batches
+    n_batches = len(list(harness._batches([replace(config, **{parameter: v}) for v in values])))
+    assert len(batches) == n_batches == 2
+    assert all(len(set(batch.states)) == len(batch.states) for batch in batches)
+    assert len(calls) == sum(len(batch.states) for batch in batches)
+    if parameter == "absorption":
+        assert len(calls) == 2 * n_batches
 
 
 class TestUsdCheck:

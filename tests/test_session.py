@@ -106,7 +106,7 @@ def _assert_pulse_matches_scalar(t, kind, strategy, channel, seed, i):
     assert bit == t["alice_bits"][i]
     if basis is not None:
         assert basis == BASIS_LABELS[t["alice_bases"][i]]
-    assert state == t["state_table"][t["sent_ids"][i]]
+    assert state == t["states"][t["sent_ids"][i]]
     assert action == eve_actions(strategy, t["forwarded_ids"][i])
     assert arrived == bool(t["arrived"][i])
     assert bob_basis == BASIS_LABELS[t["bob_bases"][i]]
@@ -141,15 +141,18 @@ def test_transcript_independent_of_block_size(block, n, monkeypatch):
 
 
 def _assert_same_columns(got, want, strategy):
-    """Equal `session_columns` dicts, down to dtypes; Eve's actions too."""
-    assert got["state_table"] == want["state_table"]
+    """Equal `session_columns` dicts, down to dtypes; Eve's actions too.
+    Forwarded ids number each batch's own states, so they are compared by
+    the states they name."""
+    assert got["forwarded_states"].tolist() == want["forwarded_states"].tolist()
     for column in (*COLUMNS, "sent_ids"):
         a, b = got[column], want[column]
         if b is None:
             assert a is None
         else:
             assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b)
+            if column != "forwarded_ids":
+                np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(
         eve_actions(strategy, got["forwarded_ids"]), eve_actions(strategy, want["forwarded_ids"])
     )
@@ -160,7 +163,7 @@ def _mismatch(delta):
 
 
 # lengths, channels, deltas and seeds differ from session to session; the
-# zero deltas give two-state tables and the others four-state ones
+# zero deltas forward Alice's own states and the others their own pair
 BATCH = [
     Session(5, ChannelModel(0.1, 0.9), _mismatch(0.0), 11),
     Session(300, ChannelModel(), _mismatch(0.4), 2**64 - 1),
@@ -210,7 +213,7 @@ def test_forwarded_state_symmetry_equals_bincount(name, kind, strategy, channel)
     """The direct per-id counts equal a bincount over forwarded pulses,
     summed over the ids labelled z+ and x+."""
     t = one_session(kind, 3_000, channel, strategy, 8)
-    labels = np.array([state_label(s) for s in t.state_tables[0]])
+    labels = np.array([state_label(s) for s in t.states])
     counts = np.bincount(t.forwarded_ids[t.forwarded_ids >= 0], minlength=len(labels))
     expected = (int(counts[labels == "z+"].sum()), int(counts[labels == "x+"].sum()))
     assert symmetry(t) == expected
@@ -218,16 +221,14 @@ def test_forwarded_state_symmetry_equals_bincount(name, kind, strategy, channel)
 
 def test_forwarded_state_symmetry_of_a_batch_equals_each_session_alone():
     """One pass over a batch counts each session's z+ and x+ forwards by
-    its own table's labels, as counting the session alone does; sessions
-    of one strategy share one table."""
+    the labels of the batch's states, as counting the session alone does;
+    the batch numbers each distinct state once, Alice's first."""
     sessions = [*BATCH, Session(40, ChannelModel(), _mismatch(0.0), 14)]
     batch = simulate_session(ProtocolKind.B92, sessions)
-    assert len(batch.tables) == len({s.strategy for s in sessions})
-    assert batch.state_tables == tuple(batch.tables[j] for j in batch.table_ids)
-    width = max(map(len, batch.tables))
-    labels = np.array(
-        [[state_label(s) for s in t] + [""] * (width - len(t)) for t in batch.state_tables]
-    )
+    pairs = {state for s in sessions for state in s.strategy.states()}
+    assert len(batch.states) == len(set(batch.states)) == len(pairs | {Z_PLUS, X_PLUS})
+    assert batch.states[:2] == session.protocol_states(ProtocolKind.B92)
+    labels = np.array([state_label(s) for s in batch.states])
     count_z, count_x = forwarded_state_symmetry(batch.forwarded_ids, batch.starts, labels)
     alone = [symmetry(batch, i) for i in range(len(sessions))]
     assert list(zip(count_z.tolist(), count_x.tolist())) == alone
@@ -247,19 +248,60 @@ def _measurement(strategy):
     return (idp_povm(state0, state1),), ((state0, state1, None),)
 
 
-def _assert_table(table, first, states, povms, targets):
-    """Every state's row (entering the stage or not) holds the left-to-right
-    running sum of its Born probabilities, bit for bit, and the targets;
-    the strategy's rows start at its first state id `first`."""
-    ids = {state: i for i, state in enumerate(states)}
+def _assert_table(table, first, states, povms, targets, ids):
+    """Each of `states`, in turn from state row `first`, has a row per
+    frame (entered or not) holding the left-to-right running sum of its
+    Born probabilities, bit for bit, and the batch's ids (`ids`) of the
+    states its outcomes forward."""
     assert table.n_frames == len(povms)
-    for state_id, state in enumerate(states):
+    for k, state in enumerate(states):
         for f, (povm, frame_targets) in enumerate(zip(povms, targets)):
-            row = (first + state_id) * len(povms) + f
+            row = (first + k) * len(povms) + f
             expected = np.array(list(accumulate(born_probabilities(state, povm)[:-1])))
             assert np.array_equal(table.thresholds[row].view(np.uint64), expected.view(np.uint64))
             forward = [-1 if t is None else ids[t] for t in frame_targets]
             assert table.forward[row].tolist() == forward
+
+
+def _sweep_sessions(n, deltas, n_pulses=1):
+    return [Session(n_pulses, ChannelModel(), _mismatch(d), i) for i, d in enumerate(deltas[:n])]
+
+
+# 16,400 distinct nonzero deltas: each adds its own rotated pair of states
+_WIDE_DELTAS = np.linspace(0.0, HALF_PI, 16_401, endpoint=False)[1:].tolist()
+
+
+def test_forwarded_ids_widen_to_int32_past_int16_states():
+    """A batch of 16,400 one-pulse mismatch sessions numbers more states
+    than int16 holds, so its forwarded ids are int32, and its sessions
+    forward the same states as when run alone; 16,383 sessions number
+    exactly 2**15 states, ids 0 to 2**15 - 1, and stay int16."""
+    edge = simulate_session(ProtocolKind.B92, _sweep_sessions(16_383, _WIDE_DELTAS))
+    assert len(edge.states) == 2**15
+    assert edge.forwarded_ids.dtype == np.int16
+    sessions = _sweep_sessions(16_400, _WIDE_DELTAS)
+    batch = simulate_session(ProtocolKind.B92, sessions)
+    assert len(batch.states) == 2 + 2 * 16_400
+    assert batch.forwarded_ids.dtype == np.int32
+    forwarding = np.flatnonzero(batch.forwarded_ids >= 0)
+    suppressed = np.flatnonzero(batch.forwarded_ids < 0)
+    sample = [*forwarding[:2], *forwarding[-3:], *suppressed[:2]]
+    assert batch.forwarded_ids[forwarding[-1]] > np.iinfo(np.int16).max
+    for i in sample:
+        alone = session_columns(one_session(ProtocolKind.B92, *vars(sessions[i]).values()))
+        got = session_columns(batch, i)
+        assert alone["forwarded_ids"].dtype == np.int16
+        assert got["forwarded_states"].tolist() == alone["forwarded_states"].tolist()
+        for column in ("alice_bits", "arrived", "bob_bases", "bob_minus"):
+            np.testing.assert_array_equal(got[column], alone[column])
+
+
+def test_forwarded_ids_stay_int16_for_a_session_and_a_sweep_batch():
+    """A lone session and a batch of 500-pulse sweep points keep 2-byte ids."""
+    lone = one_session(ProtocolKind.B92, 1_000, ChannelModel(), _mismatch(0.3), 1)
+    points = _sweep_sessions(BLOCK // 500, np.linspace(0.0, 1.5, BLOCK // 500).tolist(), 500)
+    batch = simulate_session(ProtocolKind.B92, points)
+    assert lone.forwarded_ids.dtype == batch.forwarded_ids.dtype == np.int16
 
 
 def _mismatch_batches(name, deltas):
@@ -271,8 +313,8 @@ def _mismatch_batches(name, deltas):
 
 _SWEEPS = [
     _mismatch_batches("mismatch", np.linspace(0.0, HALF_PI, 200, endpoint=False).tolist()),
-    # delta 0 (and a delta whose half rounds to 0) leaves a two-state table
-    # between four-state ones, and repeats share one block of rows
+    # delta 0 (and a delta whose half rounds to 0) forwards Alice's own
+    # states, so it adds no state, and repeats share one block of Eve's rows
     _mismatch_batches("mixed-zero", [0.3, 0.0, 1e-3, 0.0, 5e-324, 1.2, 0.3]),
     _mismatch_batches("thousand", np.linspace(0.0, HALF_PI, 1_000, endpoint=False).tolist()),
 ]
@@ -285,9 +327,10 @@ _SWEEPS = [
     ids=[c[0] for c in CASES] + [name for _, names in _SWEEPS for name in names],
 )
 def test_stage_tables_equal_born_probabilities(kind, strategies, monkeypatch):
-    """The engine's Eve and Bob tables of a batch hold, for each distinct
-    strategy in turn, rows equal to per-state `born_probabilities` running
-    sums on that strategy's own POVMs, bit for bit."""
+    """The engine's Eve table of a batch holds, for each distinct strategy
+    in turn, a block of rows over Alice's states, and its Bob table a row
+    per state of the batch; each row equals the per-state
+    `born_probabilities` running sums on its own POVM, bit for bit."""
     tables = []
 
     def keep(*args):
@@ -298,13 +341,17 @@ def test_stage_tables_equal_born_probabilities(kind, strategies, monkeypatch):
     monkeypatch.setattr(session, "_stage_table", keep)
     batch = simulate_session(kind, [Session(1, ChannelModel(), s, 0) for s in strategies])
     eve, bob = tables
-    first = 0
-    for strategy, states in dict(zip(strategies, batch.state_tables)).items():
-        _assert_table(eve, first, states, *_measurement(strategy))
-        _assert_table(bob, first, states, (SZ_POVM, SX_POVM), ((None, None),) * 2)
-        first += len(states)
-    assert eve.thresholds.shape[0] == eve.forward.shape[0] == first * eve.n_frames
-    assert bob.thresholds.shape[0] == bob.forward.shape[0] == first * 2
+    sent = session.protocol_states(kind)
+    assert batch.states[: len(sent)] == sent
+    ids = {state: i for i, state in enumerate(batch.states)}
+    assert len(ids) == len(batch.states)
+    distinct = list(dict.fromkeys(strategies))
+    for j, strategy in enumerate(distinct):
+        _assert_table(eve, j * len(sent), sent, *_measurement(strategy), ids)
+    _assert_table(bob, 0, batch.states, (SZ_POVM, SX_POVM), ((None, None),) * 2, ids)
+    rows = len(distinct) * len(sent) * eve.n_frames
+    assert eve.thresholds.shape[0] == eve.forward.shape[0] == rows
+    assert bob.thresholds.shape[0] == bob.forward.shape[0] == len(batch.states) * 2
 
 
 def test_batch_builds_no_povm_objects(monkeypatch):
