@@ -40,7 +40,6 @@ master seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -276,7 +275,7 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
     elements, targets = _eve_measurement(list(index))
     sent_states = protocol_states(kind)
     forwardable = (t for frames in targets for frame in frames for t in frame if t is not None)
-    states = tuple(dict.fromkeys(chain(sent_states, forwardable)))
+    states = tuple(dict.fromkeys((*sent_states, *forwardable)))
     ids = {state: i for i, state in enumerate(states)}
     ids[None] = -1
     id_dtype = np.int16 if len(states) - 1 <= np.iinfo(np.int16).max else np.int32

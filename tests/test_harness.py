@@ -480,14 +480,16 @@ def test_global_flags_before_or_after_any_subcommand(command, seed, output):
         assert code == 2 and after == (2, "")
 
 
+# parameter -> (base config, values, states over both batches)
 _LABEL_SWEEPS = {
     # honest B92: two states per batch
-    "absorption": ({"n_pulses": 300}, [i * 0.004 for i in range(200)]),
-    # about 65 mismatch strategies a batch, each with its own rotated pair,
-    # all sharing Alice's z+ and x+ (delta 0 forwards those two)
+    "absorption": ({"n_pulses": 300}, [i * 0.004 for i in range(200)], 2 + 2),
+    # 65 mismatch strategies a batch, each with its own rotated pair, all
+    # sharing Alice's z+ and x+ (delta 0 forwards those two)
     "delta": (
         {"n_pulses": 500, "eve_strategy": "basis_mismatch"},
         [i * 0.01 for i in range(130)],
+        (2 + 2 * 64) + (2 + 2 * 65),
     ),
 }
 
@@ -511,7 +513,7 @@ def test_sweep_labels_each_state_once_per_batch(parameter, tmp_path, monkeypatch
             monkeypatch.setattr(module, "state_label", counting)
     simulate = harness.simulate_session
     monkeypatch.setattr(harness, "simulate_session", recording)
-    extra, values = _LABEL_SWEEPS[parameter]
+    extra, values, n_states = _LABEL_SWEEPS[parameter]
     base = {**BASE, **extra}
     path = tmp_path / "base.json"
     path.write_text(json.dumps(base), encoding="utf-8")
@@ -522,9 +524,7 @@ def test_sweep_labels_each_state_once_per_batch(parameter, tmp_path, monkeypatch
     n_batches = len(list(harness._batches([replace(config, **{parameter: v}) for v in values])))
     assert len(batches) == n_batches == 2
     assert all(len(set(batch.states)) == len(batch.states) for batch in batches)
-    assert len(calls) == sum(len(batch.states) for batch in batches)
-    if parameter == "absorption":
-        assert len(calls) == 2 * n_batches
+    assert len(calls) == sum(len(batch.states) for batch in batches) == n_states
 
 
 class TestUsdCheck:
