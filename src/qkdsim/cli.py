@@ -12,8 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .harness import (
+    DEMO_POVMS,
+    DEMO_U_PRIME,
+    SWEEP_PARAMETERS,
     ConfigurationError,
     ExperimentConfig,
     InfeasibleStrategyError,
@@ -65,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--param",
         required=True,
-        help="parameter to vary: delta, n_pulses, absorption, efficiency or alpha",
+        help=f"parameter to vary: {', '.join(SWEEP_PARAMETERS)}",
     )
     sweep_p.add_argument("--values", required=True, help="comma separated parameter values")
 
@@ -83,13 +87,11 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[shared],
         help="equal-mixture densities and POVM statistics walkthrough",
     )
-    demo_p.add_argument(
-        "--povm", default="random", help="sz, sx, idp or random (default random)"
-    )
+    povms = ", ".join(DEMO_POVMS)
+    demo_p.add_argument("--povm", default="random", help=f"{povms} (default random)")
     demo_p.add_argument("--u", default="0,0", help="first direction as 'theta,phi'")
-    demo_p.add_argument(
-        "--u-prime", default="1.5707963267948966,0", help="second direction as 'theta,phi'"
-    )
+    u_prime = ",".join(map(repr, DEMO_U_PRIME))
+    demo_p.add_argument("--u-prime", default=u_prime, help="second direction as 'theta,phi'")
     return parser
 
 
@@ -102,9 +104,7 @@ def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
     config = ExperimentConfig.from_dict(data)
-    if seed_override is not None:
-        config = ExperimentConfig.from_dict({**config.to_dict(), "master_seed": seed_override})
-    return config
+    return config if seed_override is None else replace(config, master_seed=seed_override)
 
 
 def _parse_floats(text: str, what: str) -> list[float]:

@@ -10,6 +10,7 @@ absorption and detector efficiency predict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -47,14 +48,17 @@ class TestDecision:
 
 
 def expected_rates(channel: ChannelModel) -> ExpectedRates:
-    """Expected arrival probability and nulls-per-signal ratio."""
+    """Expected arrival probability and nulls-per-signal ratio, which
+    must be finite (a report holds it as JSON)."""
     arrival = (1.0 - channel.absorption) * channel.efficiency
-    if arrival <= 0.0:
-        raise ValueError("degenerate channel: expected arrival probability is 0")
-    return ExpectedRates(
-        expected_arrival=arrival,
-        expected_null_ratio=(1.0 - arrival) / arrival,
-    )
+    null_ratio = (1.0 - arrival) / arrival if arrival > 0.0 else math.inf
+    if not math.isfinite(null_ratio):
+        raise ValueError(
+            f"degenerate channel (absorption {channel.absorption!r}, efficiency "
+            f"{channel.efficiency!r}) delivers a pulse too rarely: "
+            "its expected null ratio is not finite"
+        )
+    return ExpectedRates(expected_arrival=arrival, expected_null_ratio=null_ratio)
 
 
 def binomial_tails(k, n, p) -> np.ndarray:

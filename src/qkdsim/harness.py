@@ -2,7 +2,8 @@
 
 Configs are flat JSON documents with exactly the `ExperimentConfig`
 field names; unknown fields are rejected so a typo cannot silently relax
-a security experiment. Reports render as one key-sorted JSON document
+a security experiment; a config is parsed once, when it is built, and a
+run reads what it kept. Reports render as one key-sorted JSON document
 (byte-identical for identical configs) or as CSV rows holding the same
 report flattened in its own key order: config fields, then counts, then
 statistics, then test decisions, then discrimination diagnostics.
@@ -29,6 +30,7 @@ from .protocol import (
     sift_mask,
 )
 from .quantum import (
+    ALGEBRA_TOL,
     Povm,
     QubitState,
     SX_POVM,
@@ -56,7 +58,6 @@ from .usd import (
     gram_matrix,
     gram_rank,
     idp_povm,
-    inner_product,
     no_signaling_distributions,
     usd_efficiency,
     usd_feasible,
@@ -97,6 +98,12 @@ _FLOAT_FIELDS = ("absorption", "efficiency", "delta", "reveal_fraction", "alpha"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings. Building it (`replace` too) checks every
+    value and keeps what it parses outside the fields, unseen by equality,
+    hashing and `to_dict`: `protocol_kind`, `session` (the engine's
+    `Session`: its channel and Eve's strategy) and `expected` (the
+    channel's `ExpectedRates`)."""
+
     protocol: str
     n_pulses: int
     absorption: float = 0.0
@@ -110,11 +117,13 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        kinds = []
         for kind, name in _KINDS:
             try:
-                kind(getattr(self, name))
+                kinds.append(kind(getattr(self, name)))
             except ValueError:
                 raise ConfigurationError(f"unknown {name} {getattr(self, name)!r}") from None
+        protocol_kind, eve_kind, scheme_kind = kinds
         if not _is_strict_int(self.n_pulses) or self.n_pulses < 1:
             raise ConfigurationError("n_pulses must be a positive integer")
         if self.n_pulses >= 2**63:
@@ -124,18 +133,13 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigurationError(f"{name} must be a number")
-        for name in ("absorption", "efficiency"):
-            if not (0.0 <= getattr(self, name) <= 1.0):
-                raise ConfigurationError(f"{name} must be in [0, 1]")
-        arrival = (1.0 - self.absorption) * self.efficiency
-        if arrival <= 0.0:
-            raise ConfigurationError("channel never delivers a pulse; nothing to test")
-        if not math.isfinite((1.0 - arrival) / arrival):
-            raise ConfigurationError(
-                f"channel (absorption {self.absorption!r}, efficiency {self.efficiency!r}) "
-                "delivers a pulse too rarely: its expected null ratio is not finite"
-            )
+        try:
+            channel = ChannelModel(self.absorption, self.efficiency)
+            expected = expected_rates(channel)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
         if not (0.0 <= self.delta < HALF_PI):
+            # checked here: only basis_mismatch hands delta to its strategy
             raise ConfigurationError("delta must be in [0, pi/2)")
         if not (0.0 < self.reveal_fraction <= 1.0):
             raise ConfigurationError("reveal_fraction must be in (0, 1]")
@@ -144,6 +148,11 @@ class ExperimentConfig:
         if not (0.0 <= self.qber_threshold <= 1.0):
             raise ConfigurationError("qber_threshold must be in [0, 1]")
         check_seed(self.master_seed, "master_seed")
+        strategy = EveStrategy.of(eve_kind, scheme_kind, self.delta)
+        session = Session(self.n_pulses, channel, strategy, self.master_seed)
+        object.__setattr__(self, "protocol_kind", protocol_kind)
+        object.__setattr__(self, "session", session)
+        object.__setattr__(self, "expected", expected)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -164,16 +173,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         # the fields are flat values, so asdict's deep copy buys nothing
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def protocol_kind(self) -> ProtocolKind:
-        return ProtocolKind(self.protocol)
-
-    def channel(self) -> ChannelModel:
-        return ChannelModel(self.absorption, self.efficiency)
-
-    def strategy(self) -> EveStrategy:
-        kind, scheme_kind = EveKind(self.eve_strategy), UsdSchemeKind(self.usd_scheme)
-        return EveStrategy.of(kind, scheme_kind, self.delta)
 
 
 @dataclass(frozen=True)
@@ -217,8 +216,8 @@ class RunReport:
 
 
 def _scheme_efficiency(config: ExperimentConfig) -> float | None:
-    s = config.strategy()
-    return None if s.scheme is None else usd_efficiency(s.scheme, *s.states())
+    s = config.session.strategy
+    return None if s.scheme is None else usd_efficiency(s.scheme, s.states)
 
 
 def _report_columns(reports: list[RunReport]) -> dict:
@@ -232,7 +231,7 @@ def _report_columns(reports: list[RunReport]) -> dict:
     sifted = [r.sifted for r in reports]
     revealed = [r.revealed for r in reports]
     null = [n - a for n, a in zip(sent, arrived)]
-    expected = [expected_rates(c.channel()) for c in configs]
+    expected = [c.expected for c in configs]
     return {
         "config": config,
         "counts": {
@@ -318,8 +317,8 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
     every session's reveal positions come from one batch sampler, and the
     forwarded states are counted with one pass per state id.
     """
-    kind = configs[0].protocol_kind()
-    sessions = [Session(c.n_pulses, c.channel(), c.strategy(), c.master_seed) for c in configs]
+    kind = configs[0].protocol_kind
+    sessions = [c.session for c in configs]
     _check_feasibility(kind, sessions[0].strategy)
     try:
         batch = simulate_session(kind, sessions)
@@ -346,7 +345,7 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
     null_decisions = null_ratio_test(
         sent,
         [n - a for n, a in zip(sent, arrived)],
-        [expected_rates(c.channel()).expected_arrival for c in configs],
+        [c.expected.expected_arrival for c in configs],
         [c.alpha for c in configs],
     )
     revealing = [i for i, n in enumerate(revealed) if n > 0]
@@ -395,16 +394,14 @@ def sweep(config: ExperimentConfig, parameter: str, values: list) -> list[RunRep
     Each point's seed is derived from (master_seed, value index) alone,
     so every report equals a standalone run at that derived seed; points
     share no state, and truncating the value list never changes the
-    reports that remain. Every point's config is validated before any
-    runs. Consecutive points then run as engine batches of at most
-    `session.BLOCK` pulses in all (a longer point alone), so a sweep of
-    short sessions pays the engine's per-call costs once per batch, and
-    holds at most one block of transcript (or one long point's) at a time.
-    The bookkeeping after the engine is batch array code as well: one
-    sift over the batch's columns, one reduction per count, one reveal
-    sampler for all the points (`protocol.estimate_qber_batch`), and one
-    `state_label` call per distinct state; `report_csv_rows` then builds
-    and formats the CSV a column at a time.
+    reports that remain. Every point's config is built, so checked and
+    parsed, before any runs. Consecutive points then run as engine
+    batches of at most `session.BLOCK` pulses in all (a longer point
+    alone), so a sweep of short sessions pays the engine's per-call costs
+    once per batch, and holds at most one block of transcript (or one long
+    point's) at a time; the bookkeeping after the engine is batch array
+    code as well (`_run_batch`), and `report_csv_rows` formats the CSV a
+    column at a time.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigurationError(
@@ -451,7 +448,8 @@ def usd_check(angles: list[tuple[float, float]]) -> dict:
         "optimal_conclusive_rate": None,
     }
     if feasible and len(states) == 2:
-        report["optimal_conclusive_rate"] = 1.0 - abs(inner_product(states[0], states[1]))
+        rate = usd_efficiency(UsdSchemeKind.OPTIMAL_IDP, lambda: states)
+        report["optimal_conclusive_rate"] = rate
     return report
 
 
@@ -463,21 +461,18 @@ def _direction_pair(theta: float, phi: float) -> tuple[QubitState, QubitState]:
     return state_from_bloch(theta, phi), state_from_bloch(math.pi - theta, anti_phi)
 
 
-def _demo_povm(name: str, seed: int) -> Povm:
-    if name == "sz":
-        return SZ_POVM
-    if name == "sx":
-        return SX_POVM
-    if name == "idp":
-        return idp_povm(Z_PLUS, X_PLUS)
-    if name == "random":
-        return random_povm(RngStream(seed))
-    raise ConfigurationError(f"unknown POVM {name!r}; choose sz, sx, idp or random")
+DEMO_POVMS = {
+    "sz": lambda seed: SZ_POVM,
+    "sx": lambda seed: SX_POVM,
+    "idp": lambda seed: idp_povm(Z_PLUS, X_PLUS),
+    "random": lambda seed: random_povm(RngStream(seed)),
+}
+DEMO_U_PRIME = (HALF_PI, 0.0)
 
 
 def no_signaling_demo(
     u: tuple[float, float] = (0.0, 0.0),
-    u_prime: tuple[float, float] = (HALF_PI, 0.0),
+    u_prime: tuple[float, float] = DEMO_U_PRIME,
     povm_name: str = "random",
     seed: int = 0,
 ) -> dict:
@@ -492,7 +487,9 @@ def no_signaling_demo(
         pair_a, pair_b = _direction_pair(*u), _direction_pair(*u_prime)
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
-    povm = _demo_povm(povm_name, seed)
+    if povm_name not in DEMO_POVMS:
+        raise ConfigurationError(f"unknown POVM {povm_name!r}; choose from {', '.join(DEMO_POVMS)}")
+    povm = DEMO_POVMS[povm_name](seed)
     rho_a = mixture_density(pair_a, (0.5, 0.5))
     rho_b = mixture_density(pair_b, (0.5, 0.5))
     probs_a, probs_b, max_diff = no_signaling_distributions(
@@ -503,7 +500,7 @@ def no_signaling_demo(
         "direction_u_prime": {"theta": u_prime[0], "phi": u_prime[1]},
         "density_u": _complex_pairs(rho_a.matrix),
         "density_u_prime": _complex_pairs(rho_b.matrix),
-        "densities_equal": density_equal(rho_a, rho_b, 1e-12),
+        "densities_equal": density_equal(rho_a, rho_b, ALGEBRA_TOL),
         "povm": povm_name,
         "povm_elements": [_complex_pairs(e) for e in povm.elements],
         "distribution_u": [float(p) for p in probs_a],

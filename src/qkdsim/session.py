@@ -100,25 +100,29 @@ class StageTable:
     frame's cumulative Born probabilities on the state for all outcomes
     but the last, summed left to right as an inverse-CDF walk does
     (`thresholds`), and the batch's id of the state each outcome
-    forwards, -1 for none (`forward`). Eve's state rows are a block of
-    Alice's states per distinct strategy (her strategy's offset plus
-    Alice's id); Bob's state row is the state's id. Every row is there,
-    read or not; with no frames every state passes through unmeasured."""
+    forwards, -1 for none (`forward`; None for Bob, who forwards
+    nothing). Eve's state rows are a block of Alice's states per
+    distinct strategy (her strategy's offset plus Alice's id); Bob's
+    state row is the state's id. Every row is there, read or not; with
+    no frames every state passes through unmeasured."""
 
     n_frames: int
     thresholds: np.ndarray
-    forward: np.ndarray
+    forward: np.ndarray | None
 
 
 # Bob's z and x frames, shape (frames, outcomes, 2, 2); intercept-resend measures in them too
 _BASES = np.array([SZ_POVM.elements, SX_POVM.elements])
 
 
-def _stage_table(vectors: np.ndarray, elements: np.ndarray, forward: np.ndarray) -> StageTable:
+def _stage_table(
+    vectors: np.ndarray, elements: np.ndarray, forward: np.ndarray | None
+) -> StageTable:
     """Table of the states `vectors`, shape (states, 2), under each block
     of frames: `elements` has shape (blocks, frames, outcomes, 2, 2), and
-    `forward`, shape (blocks, frames, outcomes), the state id each
-    outcome forwards. State row `block * states + state` holds its frames.
+    `forward`, shape (blocks, frames, outcomes) or None for no forwarded
+    states, the state id each outcome forwards. State row
+    `block * states + state` holds its frames.
 
     All rows come from one stacked Born product <v|E v>, in
     `born_probabilities`' operation order and clamped as it clamps, so
@@ -129,8 +133,9 @@ def _stage_table(vectors: np.ndarray, elements: np.ndarray, forward: np.ndarray)
     v = vectors.reshape(-1, 1, 1, 2, 1)
     probs = np.clip((v.conj().swapaxes(-1, -2) @ (elements[:, None] @ v)).real, 0.0, 1.0)
     thresholds = np.cumsum(probs[..., :-1, 0, 0], axis=-1).reshape(n_rows, n_outcomes - 1)
-    forward = np.broadcast_to(forward[:, None], (n_blocks, len(vectors), n_frames, n_outcomes))
-    return StageTable(n_frames, thresholds, forward.reshape(n_rows, n_outcomes))
+    if forward is not None:
+        forward = np.repeat(forward, len(vectors), axis=0).reshape(n_rows, n_outcomes)
+    return StageTable(n_frames, thresholds, forward)
 
 
 def _eve_measurement(strategies: list[EveStrategy]) -> tuple[np.ndarray, list]:
@@ -159,9 +164,9 @@ def _eve_measurement(strategies: list[EveStrategy]) -> tuple[np.ndarray, list]:
 
 def _sample_stage(
     table: StageTable, rows: np.ndarray, keys: np.ndarray, stage: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Frame, outcome (int8) and forwarded state id (`table.forward`'s
-    dtype) of every pulse.
+    dtype, or None if it has none) of every pulse.
 
     `rows` (intp) are the pulses' state rows in `table` and are
     overwritten; `keys` are the pulses' stream keys (see
@@ -184,6 +189,8 @@ def _sample_stage(
     rows += frame
     for column in table.thresholds.T:
         outcome += u >= column.take(rows)
+    if table.forward is None:
+        return frame, outcome, None
     rows *= table.forward.shape[1]
     rows += outcome
     return frame, outcome, table.forward.take(rows)
@@ -283,7 +290,7 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
     forward = np.array(forward, dtype=id_dtype).reshape(elements.shape[:3])
     vectors = np.array([(state.amp0, state.amp1) for state in states], dtype=complex)
     eve = _stage_table(vectors[: len(sent_states)], elements, forward)
-    bob = _stage_table(vectors, _BASES[None], np.full((1, 2, 2), -1, id_dtype))
+    bob = _stage_table(vectors, _BASES[None], None)
     eve_offset = np.array(strategy_ids, dtype=np.intp) * len(sent_states)
 
     master_seeds = np.array([s.master_seed for s in sessions], dtype=np.uint64)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -123,10 +123,12 @@ def _outer(v: np.ndarray) -> np.ndarray:
     return v[..., :, None] * v.conj()[..., None, :]
 
 
-def usd_efficiency(kind: UsdSchemeKind, state0: QubitState, state1: QubitState) -> float:
-    """Average conclusive probability over the two inputs at equal priors."""
+def usd_efficiency(kind: UsdSchemeKind, pair: Callable[[], Sequence[QubitState]]) -> float:
+    """Average conclusive probability over the states `pair()` returns,
+    at equal priors; the naive scheme's is 1/4 without calling `pair`."""
     if kind is UsdSchemeKind.NAIVE_RANDOM_BASIS:
         return 0.25
+    state0, state1 = pair()
     return 1.0 - abs(inner_product(state0, state1))
 
 

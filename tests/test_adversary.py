@@ -144,7 +144,7 @@ class TestSuppressSignatures:
         rates = {}
         for scheme in UsdSchemeKind:
             t, *_ = _run(ProtocolKind.B92, n, EveStrategy(EveKind.USD_SUPPRESS, scheme), 21)
-            eta = usd_efficiency(scheme, Z_PLUS, X_PLUS)
+            eta = usd_efficiency(scheme, lambda: (Z_PLUS, X_PLUS))
             sigma = math.sqrt(eta * (1 - eta) / n)
             rate = np.count_nonzero(t.arrived) / n
             assert rate == pytest.approx(eta, abs=4 * sigma)

@@ -14,7 +14,9 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from qkdsim import harness
+from qkdsim.adversary import ChannelModel, EveStrategy
 from qkdsim.cli import main
+from qkdsim.detection import expected_rates
 from qkdsim.harness import (
     SWEEP_PARAMETERS,
     ConfigurationError,
@@ -27,6 +29,7 @@ from qkdsim.harness import (
     sweep,
     usd_check,
 )
+from qkdsim.protocol import ProtocolKind
 from qkdsim.quantum import state_label
 from qkdsim.rng import derive_seed
 from qkdsim.session import BLOCK, STAGE_SWEEP
@@ -93,6 +96,35 @@ class TestConfig:
     def test_round_trip(self):
         config = ExperimentConfig.from_dict({**BASE, "eve_strategy": "basis_mismatch", "delta": 0.2})
         assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+    def test_parsed_parts_follow_replace(self):
+        """`replace` re-parses: the kept session, strategy and expectations
+        are the new config's, and the old config keeps its own."""
+        config = ExperimentConfig.from_dict({**BASE, "eve_strategy": "basis_mismatch", "delta": 0.2})
+        assert config.protocol_kind is ProtocolKind.B92
+        assert config.session.strategy.rotation == 0.2
+        moved = replace(config, delta=0.3, absorption=0.5, master_seed=4)
+        assert moved.session.strategy.rotation == 0.3
+        assert moved.session.channel.absorption == 0.5
+        assert moved.session.master_seed == 4 and moved.session.n_pulses == BASE["n_pulses"]
+        assert moved.expected.expected_arrival == 0.5
+        assert config.session.strategy.rotation == 0.2 and config.expected.expected_arrival == 1.0
+
+    def test_parsed_parts_never_leak(self):
+        """The kept parts are not fields: the field list, `to_dict`, the
+        round trip, equality and hashing see only the 11 config values."""
+        names = [
+            "protocol", "n_pulses", "absorption", "efficiency", "eve_strategy", "usd_scheme",
+            "delta", "reveal_fraction", "alpha", "qber_threshold", "master_seed",
+        ]
+        assert [f.name for f in fields(ExperimentConfig)] == names
+        data = {**BASE, "eve_strategy": "usd_suppress", "usd_scheme": "optimal"}
+        config = ExperimentConfig.from_dict(data)
+        assert list(config.to_dict()) == names
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
+        twin = ExperimentConfig.from_dict(dict(data))
+        assert twin == config and hash(twin) == hash(config)
+        assert twin.session is not config.session and twin.session == config.session
 
 
 class TestRunExperiment:
@@ -527,6 +559,38 @@ def test_sweep_labels_each_state_once_per_batch(parameter, tmp_path, monkeypatch
     assert len(calls) == sum(len(batch.states) for batch in batches) == n_states
 
 
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_sweep_parses_each_config_once(output, tmp_path, monkeypatch):
+    """An N-point delta sweep builds N + 1 channels, strategies and channel
+    expectations in all, the base config's and one per point: the engine,
+    the null-ratio test and the report read what each config kept."""
+    counts = dict.fromkeys(("channel", "strategy", "expected_rates"), 0)
+
+    def counting_init(name, init):
+        def counted(self, *args, **kwargs):
+            counts[name] += 1
+            init(self, *args, **kwargs)
+
+        return counted
+
+    def counted_rates(*args, **kwargs):
+        counts["expected_rates"] += 1
+        return expected_rates(*args, **kwargs)
+
+    monkeypatch.setattr(ChannelModel, "__init__", counting_init("channel", ChannelModel.__init__))
+    monkeypatch.setattr(EveStrategy, "__init__", counting_init("strategy", EveStrategy.__init__))
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qkdsim" and hasattr(module, "expected_rates"):
+            monkeypatch.setattr(module, "expected_rates", counted_rates)
+    values = [i * 0.01 for i in range(130)]
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps({**BASE, "n_pulses": 500, "eve_strategy": "basis_mismatch"}))
+    code, out = _cli(["--output", output, "sweep", "--config", str(path),
+                      "--param", "delta", "--values", ",".join(map(repr, values))])
+    assert code == 0 and out
+    assert counts == dict.fromkeys(counts, len(values) + 1)
+
+
 class TestUsdCheck:
     def test_b92_pair(self):
         report = usd_check([(0.0, 0.0), (HALF_PI, 0.0)])
@@ -798,6 +862,26 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "channel (absorption" in captured.err
+
+    @pytest.mark.parametrize(
+        "channel,named",
+        [
+            ({"absorption": 1.5}, "absorption"),
+            ({"efficiency": -0.1}, "efficiency"),
+            ({"absorption": math.nan}, "absorption"),
+            ({"efficiency": 0.0}, "channel"),
+        ],
+        ids=["absorption-1.5", "efficiency-negative", "absorption-nan", "efficiency-0"],
+    )
+    def test_invalid_channel_exits_2(self, tmp_path, capsys, channel, named):
+        """The channel's own checks reject the config (JSON `NaN` parses
+        to a float): exit 2, a message naming the field or the channel,
+        and nothing on stdout."""
+        path = self._write_config(tmp_path, {**BASE, **channel})
+        assert main(["run", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
 
     def test_sweep_to_infinite_expected_null_ratio_exits_2(self, tmp_path, capsys):
         path = self._write_config(tmp_path, BASE)

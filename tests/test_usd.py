@@ -86,14 +86,23 @@ class TestMeasurement:
 
 class TestEfficiency:
     def test_naive_standard_pair_exact(self):
-        assert usd_efficiency(UsdSchemeKind.NAIVE_RANDOM_BASIS, Z_PLUS, X_PLUS) == 0.25
+        """1/4 whatever the pair: the naive scheme never builds its states."""
+        built = []
+
+        def pair():
+            built.append(1)
+            return Z_PLUS, X_PLUS
+
+        assert usd_efficiency(UsdSchemeKind.NAIVE_RANDOM_BASIS, pair) == 0.25
+        assert built == []
 
     def test_optimal_standard_pair(self):
-        efficiency = usd_efficiency(UsdSchemeKind.OPTIMAL_IDP, Z_PLUS, X_PLUS)
+        efficiency = usd_efficiency(UsdSchemeKind.OPTIMAL_IDP, lambda: (Z_PLUS, X_PLUS))
         assert efficiency == pytest.approx(1.0 - SQRT_HALF, abs=1e-15)
 
     def test_optimal_orthogonal_pair_is_one(self):
-        assert usd_efficiency(UsdSchemeKind.OPTIMAL_IDP, Z_PLUS, Z_MINUS) == pytest.approx(1.0)
+        efficiency = usd_efficiency(UsdSchemeKind.OPTIMAL_IDP, lambda: (Z_PLUS, Z_MINUS))
+        assert efficiency == pytest.approx(1.0)
 
     def test_efficiency_matches_born_rule(self):
         """Closed form cross-checked against the constructed POVM."""
@@ -101,7 +110,7 @@ class TestEfficiency:
         avg = 0.5 * (
             born_probabilities(Z_PLUS, povm)[0] + born_probabilities(X_PLUS, povm)[1]
         )
-        efficiency = usd_efficiency(UsdSchemeKind.OPTIMAL_IDP, Z_PLUS, X_PLUS)
+        efficiency = usd_efficiency(UsdSchemeKind.OPTIMAL_IDP, lambda: (Z_PLUS, X_PLUS))
         assert avg == pytest.approx(efficiency, abs=1e-12)
 
 
