@@ -8,8 +8,12 @@ pulse counts above, at and below one block, per-point losses and a BB84
 intercept-resend efficiency sweep, and two multi-session batches that
 reveal less than every sifted bit: B92 points of 1 to 3 pulses (nothing
 sifted) mixed with 500-pulse points, and a lossy BB84 intercept-resend
-absorption sweep. A
-refactor of the engine must leave every digest unchanged; a deliberate
+absorption sweep. The
+two analysis subcommands, which take no config, are pinned too:
+`usd-check` on the B92 pair, the four BB84 states, three states, one
+state and a repeated state, and `no-signaling-demo` with each POVM, a
+second seed and chosen directions. A
+refactor must leave every digest unchanged; a deliberate
 change of output re-pins them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -58,7 +62,11 @@ BB84_ABSORPTION_SWEEP = [
     "--param", "absorption", "--values", ",".join(repr(i * 0.01) for i in range(60))
 ]
 
-# name -> (config, argv before --config, argv after --config)
+B92_PAIR = "0,0,1.5707963267948966,0"
+BB84_STATES = "0,0,3.141592653589793,0,1.5707963267948966,0,1.5707963267948966,3.141592653589793"
+
+# name -> (config, argv before --config, argv after --config); a case
+# with no config runs its two argv parts with no --config between them
 CASES = {
     "b92-none": (_config("b92"), ["run"], []),
     "b92-intercept-resend": (_config("b92", "intercept_resend"), ["run"], []),
@@ -121,16 +129,32 @@ CASES = {
     "bb84-intercept-resend-multiblock": (
         _config("bb84", "intercept_resend", n_pulses=MULTIBLOCK_N), ["run"], []
     ),
+    "usd-check-b92-pair": (None, ["usd-check", "--states", B92_PAIR], []),
+    "usd-check-bb84-states": (None, ["usd-check", "--states", BB84_STATES], []),
+    "usd-check-three-states": (None, ["usd-check", "--states", "0.3,0.2,1.2,4,2.5,1"], []),
+    "usd-check-one-state": (None, ["--seed", "3", "usd-check", "--states", "0.7,0.1"], []),
+    "usd-check-repeated-state": (None, ["usd-check", "--states", "1,2,1,2"], []),
+    "no-signaling-demo-sz": (None, ["no-signaling-demo", "--povm", "sz"], []),
+    "no-signaling-demo-sx": (None, ["no-signaling-demo", "--povm", "sx"], []),
+    "no-signaling-demo-idp": (None, ["no-signaling-demo", "--povm", "idp"], []),
+    "no-signaling-demo-random": (None, ["no-signaling-demo"], []),
+    "no-signaling-demo-random-seed-7": (None, ["--seed", "7", "no-signaling-demo"], []),
+    "no-signaling-demo-directions": (
+        None, ["no-signaling-demo", "--povm", "idp", "--u", "0.7,1.1", "--u-prime", "2.4,5.5"], []
+    ),
 }
 
 
 def _digest(name: str, directory: Path) -> str:
     config, before, after = CASES[name]
-    path = directory / f"{name}.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
+    argv = [*before, *after]
+    if config is not None:
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = [*before, "--config", str(path), *after]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([*before, "--config", str(path), *after])
+        code = main(argv)
     assert code == 0
     return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
