@@ -269,9 +269,10 @@ def _check_feasibility(kind: ProtocolKind, strategy: EveStrategy) -> None:
     states = protocol_states(kind)
     if usd_feasible(states):
         return
+    rank = gram_rank(np.linalg.eigvalsh(gram_matrix(states)))
     raise InfeasibleStrategyError(
         f"unambiguous discrimination of the {len(states)} {kind.value} states "
-        f"is impossible: Gram matrix rank {gram_rank(states)} < {len(states)}"
+        f"is impossible: Gram matrix rank {rank} < {len(states)}"
     )
 
 
@@ -333,13 +334,14 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
     sifted = session_counts(mask, batch.starts).tolist()
     del mask  # a long session's mask is as long as its columns
     arrived = session_counts(batch.arrived, batch.starts).tolist()
-    qber, revealed = _reveal(configs, errors, sifted)
     forwarded_z, forwarded_x = (
         counts.tolist()
         for counts in forwarded_state_symmetry(
             batch.forwarded_ids, batch.starts, np.array([state_label(s) for s in batch.states])
         )
     )
+    del batch  # the reveal needs none of the columns
+    qber, revealed = _reveal(configs, errors, sifted)
 
     sent = [c.n_pulses for c in configs]
     null_decisions = null_ratio_test(
@@ -435,7 +437,8 @@ def usd_check(angles: list[tuple[float, float]]) -> dict:
         raise ConfigurationError(str(exc)) from exc
     gram = gram_matrix(states)
     eigvals = np.linalg.eigvalsh(gram)
-    feasible = usd_feasible(states)
+    rank = gram_rank(eigvals)
+    feasible = rank == len(states)
     report = {
         "states": [
             {"theta": float(t), "phi": float(p), "amplitudes": _complex_list(s.vector)}
@@ -443,8 +446,8 @@ def usd_check(angles: list[tuple[float, float]]) -> dict:
         ],
         "gram_matrix": _complex_pairs(gram),
         "gram_eigenvalues": [float(v) for v in eigvals],
-        "gram_rank": gram_rank(states),
-        "feasible": bool(feasible),
+        "gram_rank": rank,
+        "feasible": feasible,
         "optimal_conclusive_rate": None,
     }
     if feasible and len(states) == 2:
@@ -492,9 +495,7 @@ def no_signaling_demo(
     povm = DEMO_POVMS[povm_name](seed)
     rho_a = mixture_density(pair_a, (0.5, 0.5))
     rho_b = mixture_density(pair_b, (0.5, 0.5))
-    probs_a, probs_b, max_diff = no_signaling_distributions(
-        povm, (pair_a, (0.5, 0.5)), (pair_b, (0.5, 0.5))
-    )
+    probs_a, probs_b, max_diff = no_signaling_distributions(povm, rho_a, rho_b)
     return {
         "direction_u": {"theta": u[0], "phi": u[1]},
         "direction_u_prime": {"theta": u_prime[0], "phi": u_prime[1]},

@@ -18,7 +18,7 @@ QBER estimation reveals the positions a partial Fisher-Yates shuffle
 picks from the estimation stream. Its k draws are taken as one
 counter-based block and the swaps are resolved with array operations, so
 the positions and the stream's final state are those of the shuffle
-written as a loop with one `integers` draw per step (the equivalence is
+written as a loop with one integer draw per step (the equivalence is
 pinned by tests against that scalar loop). `estimate_qber_batch` does the
 same for many sessions at once, every session's draws from one call and
 the swaps of all of them resolved by the same code as one shuffle.
@@ -152,9 +152,10 @@ def _resolve(n_slots: int, offsets: np.ndarray) -> np.ndarray:
 def _sample_without_replacement(m: int, k: int, rng: RngStream) -> np.ndarray:
     """Sorted first k entries of a partial Fisher-Yates shuffle of range(m).
 
-    Step j swaps slots j and j + rng.integers(m - j). The k draws come as
-    one `uniforms(k)` block, which leaves the stream where k `integers`
-    calls would, and `_resolve` applies the swaps. Slots and steps are
+    Step j swaps slots j and j + min(floor(u_j * (m - j)), m - j - 1), u_j
+    the stream's uniform j. The k draws come as one `uniforms(k)` block,
+    which leaves the stream where k `uniform()` calls would, and
+    `_resolve` applies the swaps. Slots and steps are
     int32 below `INT32_POSITIONS`, which halves the m-entry `last` array
     and the k-entry working arrays. The arrays are passed on, not named,
     so each is freed as soon as it is used up.

@@ -17,6 +17,7 @@ import numpy as np
 from .rng import RngStream
 
 ALGEBRA_TOL = 1e-12
+_LABEL_TOL = 1e-9
 
 _IDENTITY = np.eye(2, dtype=complex)
 
@@ -93,13 +94,13 @@ def projector(state: QubitState) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def state_label(state: QubitState, tol: float = 1e-9) -> str:
+def state_label(state: QubitState) -> str:
     """Name a state by the nearest of z+/z-/x+/x- (else "other").
 
-    Matching is up to global phase, via |<ref|state>|^2 within `tol` of 1.
+    Matching is up to global phase, via |<ref|state>|^2 within `_LABEL_TOL` of 1.
     """
     for label, ref in (("z+", Z_PLUS), ("z-", Z_MINUS), ("x+", X_PLUS), ("x-", X_MINUS)):
-        if abs(abs(inner_product(ref, state)) ** 2 - 1.0) <= tol:
+        if abs(abs(inner_product(ref, state)) ** 2 - 1.0) <= _LABEL_TOL:
             return label
     return "other"
 

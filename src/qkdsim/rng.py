@@ -46,7 +46,7 @@ def derive_seed(seed: int, *keys: int) -> int:
 class RngStream:
     """SplitMix64 stream with a 64-bit seed.
 
-    Supports uniform reals in [0, 1) and bounded integer draws. Equal
+    Draws uniform reals in [0, 1), one at a time or k at once. Equal
     seeds give equal draw sequences.
     """
 
@@ -60,22 +60,14 @@ class RngStream:
         self._state = (self._state + _GOLDEN) & _MASK
         return (_mix(self._state) >> 11) * _INV_2_53
 
-    def integers(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        return min(int(self.uniform() * n), n - 1)
-
     def uniforms(self, k: int) -> np.ndarray:
-        """The next k `uniform()` values as one float64 array.
-
-        Draw j is draw 0 of a stream j steps further on, so all k come
-        from one `uniform_array` call. The state advances by k steps,
+        """The next k `uniform()` values as one float64 array: draw j is
+        `stream_uniforms` at step j. The state advances by k steps,
         exactly as k `uniform()` calls would leave it.
         """
-        states = np.uint64(self._state) + np.arange(k, dtype=np.uint64) * _U_GOLDEN
+        draws = stream_uniforms(np.uint64(self._state), np.arange(k, dtype=np.uint64))
         self._state = (self._state + k * _GOLDEN) & _MASK
-        return uniform_array(states, 0)
+        return draws
 
 
 # -- vectorized counterparts (numpy uint64, wraparound arithmetic) ----------

@@ -90,7 +90,7 @@ def protocol_states(kind: ProtocolKind) -> tuple[QubitState, ...]:
 
 
 def _coin(u: np.ndarray) -> np.ndarray:
-    # RngStream.integers(2) is min(int(u * 2), 1), which is 1 exactly when u >= 0.5
+    # a fair integer draw in [0, 2), min(int(u * 2), 1), is 1 exactly when u >= 0.5
     return (u >= 0.5).view(np.int8)
 
 

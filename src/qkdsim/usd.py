@@ -22,22 +22,21 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .quantum import (
+    DensityMatrix,
     Povm,
     QubitState,
     X_MINUS,
     X_PLUS,
     Z_MINUS,
     Z_PLUS,
-    born_probabilities,
     inner_product,
-    mixture_density,
 )
 
 # not called here; kept because bench/tracing.py wraps these names on this module
-from .quantum import orthogonal_state, projective_povm, projector, rotate_y  # noqa: F401
+from .quantum import born_probabilities, orthogonal_state, projective_povm  # noqa: F401
+from .quantum import projector, rotate_y  # noqa: F401
 
 GRAM_RANK_TOL = 1e-10
-UNAMBIGUOUS_TOL = 1e-10
 _DEGENERACY_TOL = 1e-12
 
 
@@ -132,25 +131,6 @@ def usd_efficiency(kind: UsdSchemeKind, pair: Callable[[], Sequence[QubitState]]
     return 1.0 - abs(inner_product(state0, state1))
 
 
-def verify_unambiguous_constraints(povm: Povm, states: Sequence[QubitState]) -> bool:
-    """Check that conclusive elements never fire on the wrong state.
-
-    Elements labeled "conclusive{i}" correspond to states[i]; returns
-    True iff <psi_j|E_i|psi_j> <= 1e-10 for all conclusive i != j.
-    """
-    conclusive: dict[int, int] = {}
-    for index, label in enumerate(povm.labels):
-        if label.startswith("conclusive"):
-            conclusive[int(label[len("conclusive"):])] = index
-    if sorted(conclusive) != list(range(len(states))):
-        raise ValueError("need exactly one conclusive element per state")
-    for j, state in enumerate(states):
-        probs = born_probabilities(state, povm)
-        if any(probs[index] > UNAMBIGUOUS_TOL for i, index in conclusive.items() if i != j):
-            return False
-    return True
-
-
 def gram_matrix(states: Sequence[QubitState]) -> np.ndarray:
     """Matrix of pairwise inner products G_jk = <psi_j|psi_k>."""
     n = len(states)
@@ -161,10 +141,9 @@ def gram_matrix(states: Sequence[QubitState]) -> np.ndarray:
     return gram
 
 
-def gram_rank(states: Sequence[QubitState]) -> int:
-    """Number of Gram eigenvalues above GRAM_RANK_TOL."""
-    eigvals = np.linalg.eigvalsh(gram_matrix(states))
-    return int(np.sum(eigvals > GRAM_RANK_TOL))
+def gram_rank(eigenvalues: np.ndarray) -> int:
+    """Number of the Gram matrix's `eigenvalues` above GRAM_RANK_TOL."""
+    return int(np.sum(eigenvalues > GRAM_RANK_TOL))
 
 
 def usd_feasible(states: Sequence[QubitState]) -> bool:
@@ -174,22 +153,20 @@ def usd_feasible(states: Sequence[QubitState]) -> bool:
     """
     if not states:
         raise ValueError("need at least one state")
-    return gram_rank(states) == len(states)
+    return gram_rank(np.linalg.eigvalsh(gram_matrix(states))) == len(states)
 
 
 def no_signaling_distributions(
-    povm: Povm,
-    decomp_a: tuple[Sequence[QubitState], Sequence[float]],
-    decomp_b: tuple[Sequence[QubitState], Sequence[float]],
+    povm: Povm, density_a: DensityMatrix, density_b: DensityMatrix
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Outcome distributions of one POVM on two mixtures, and their gap.
+    """Outcome distributions of one POVM on two mixtures' densities, and
+    their gap.
 
-    When the two decompositions share a density matrix the gap is bounded
-    by arithmetic noise, which is exactly why measurement statistics can
+    When the two mixtures share a density matrix the gap is bounded by
+    arithmetic noise, which is exactly why measurement statistics can
     never reveal which decomposition was prepared.
     """
-    rho_a = mixture_density(*decomp_a).matrix
-    rho_b = mixture_density(*decomp_b).matrix
+    rho_a, rho_b = density_a.matrix, density_b.matrix
     probs_a = np.array([float(np.real(np.trace(e @ rho_a))) for e in povm.elements])
     probs_b = np.array([float(np.real(np.trace(e @ rho_b))) for e in povm.elements])
     return probs_a, probs_b, float(np.max(np.abs(probs_a - probs_b)))

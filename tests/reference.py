@@ -149,6 +149,13 @@ def substream(seed: int, *keys: int) -> RngStream:
     return RngStream(derive_seed(seed, *keys))
 
 
+def integers(rng: RngStream, n: int) -> int:
+    """Uniform integer in [0, n) from one `uniform()` draw of `rng`."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    return min(int(rng.uniform() * n), n - 1)
+
+
 def sample_index(probs: Sequence[float], rng: RngStream) -> int:
     """Inverse-CDF draw over `probs` in declared order.
 
@@ -172,7 +179,7 @@ def sample_without_replacement(m: int, k: int, rng: RngStream) -> list[int]:
     """First k entries of a partial Fisher-Yates shuffle of range(m), one draw per step."""
     positions = list(range(m))
     for j in range(k):
-        t = j + rng.integers(m - j)
+        t = j + integers(rng, m - j)
         positions[j], positions[t] = positions[t], positions[j]
     return positions[:k]
 
@@ -219,6 +226,28 @@ def scalar_naive_frame_povms(rotation: float) -> tuple[Povm, Povm]:
     )
 
 
+UNAMBIGUOUS_TOL = 1e-10
+
+
+def verify_unambiguous_constraints(povm: Povm, states: Sequence[QubitState]) -> bool:
+    """Check that conclusive elements never fire on the wrong state.
+
+    Elements labeled "conclusive{i}" correspond to states[i]; returns
+    True iff <psi_j|E_i|psi_j> <= UNAMBIGUOUS_TOL for all conclusive i != j.
+    """
+    conclusive: dict[int, int] = {}
+    for index, label in enumerate(povm.labels):
+        if label.startswith("conclusive"):
+            conclusive[int(label[len("conclusive"):])] = index
+    if sorted(conclusive) != list(range(len(states))):
+        raise ValueError("need exactly one conclusive element per state")
+    for j, state in enumerate(states):
+        probs = born_probabilities(state, povm)
+        if any(probs[index] > UNAMBIGUOUS_TOL for i, index in conclusive.items() if i != j):
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def _idp_povm_cached(state0: QubitState, state1: QubitState) -> Povm:
     return idp_povm(state0, state1)
@@ -243,7 +272,7 @@ def usd_measure(strategy: EveStrategy, state: QubitState, rng: RngStream) -> Usd
     the three-element POVM directly.
     """
     if strategy.scheme is UsdSchemeKind.NAIVE_RANDOM_BASIS:
-        frame = rng.integers(2)
+        frame = integers(rng, 2)
         probs = _scheme_probs(strategy, state)[frame]
         if sample_index(probs, rng) == 1:
             return UsdOutcome(1 if frame == 0 else 0)
@@ -284,7 +313,7 @@ def eve_apply(
     if strategy.kind is EveKind.NONE:
         return state, EveLog("passed", state_label(state), None)
     if strategy.kind is EveKind.INTERCEPT_RESEND:
-        basis = "z" if rng.integers(2) == 0 else "x"
+        basis = "z" if integers(rng, 2) == 0 else "x"
         p_plus, _ = measurement_probs(state, basis)
         resent = _EIGENSTATES[basis][0 if rng.uniform() < p_plus else 1]
         return resent, EveLog("measured-resent", state_label(resent), None)
@@ -329,7 +358,7 @@ def bob_measure(state: QubitState, rng: RngStream) -> tuple[str, str]:
 
     Returns (basis, outcome) with outcome "plus" or "minus".
     """
-    basis = BASIS_LABELS[rng.integers(2)]
+    basis = BASIS_LABELS[integers(rng, 2)]
     p_plus, _ = measurement_probs(state, basis)
     outcome = "plus" if rng.uniform() < p_plus else "minus"
     return basis, outcome

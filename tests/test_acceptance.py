@@ -27,6 +27,7 @@ from qkdsim.quantum import (
     X_PLUS,
     Z_MINUS,
     Z_PLUS,
+    mixture_density,
     random_povm,
 )
 from qkdsim.protocol import ProtocolKind
@@ -183,11 +184,11 @@ def test_criterion_8_four_state_impossibility():
         with pytest.raises(InfeasibleStrategyError):
             _run(protocol="bb84", eve_strategy="usd_suppress", n_pulses=10)
         rng = RngStream(801)
-        z_pair = ((Z_PLUS, Z_MINUS), (0.5, 0.5))
-        x_pair = ((X_PLUS, X_MINUS), (0.5, 0.5))
+        z_mixture = mixture_density((Z_PLUS, Z_MINUS), (0.5, 0.5))
+        x_mixture = mixture_density((X_PLUS, X_MINUS), (0.5, 0.5))
         for _ in range(100):
             povm = random_povm(rng, size=3)
-            _, _, diff = no_signaling_distributions(povm, z_pair, x_pair)
+            _, _, diff = no_signaling_distributions(povm, z_mixture, x_mixture)
             assert diff <= 1e-10
 
 

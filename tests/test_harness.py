@@ -39,6 +39,25 @@ HALF_PI = math.pi / 2
 BASE = {"protocol": "b92", "n_pulses": 2_000, "master_seed": 9}
 
 
+def _count_calls(monkeypatch, name: str, owners=None) -> list:
+    """Wrap `name` on each of `owners` (default: every `qkdsim` module
+    that has the name) so that every call appends its arguments to the
+    one list returned."""
+    calls = []
+    if owners is None:
+        owners = [
+            module for key, module in list(sys.modules.items())
+            if key.split(".")[0] == "qkdsim" and hasattr(module, name)
+        ]
+    for owner in owners:
+        def counted(*args, original=getattr(owner, name), **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestConfig:
     def test_defaults_filled(self):
         config = ExperimentConfig.from_dict(dict(BASE))
@@ -173,6 +192,12 @@ class TestRunExperiment:
         )
         with pytest.raises(InfeasibleStrategyError):
             run_experiment(config)
+
+    def test_feasible_attack_passes_the_usd_feasible_gate(self, monkeypatch):
+        """The gate's success path is one `harness.usd_feasible` call."""
+        calls = _count_calls(monkeypatch, "usd_feasible", [harness])
+        run_experiment(ExperimentConfig.from_dict({**BASE, "eve_strategy": "usd_suppress"}))
+        assert len(calls) == 1
 
     def test_rng_identifier_recorded(self):
         assert run_experiment(ExperimentConfig.from_dict(BASE)).rng == "splitmix64"
@@ -607,6 +632,19 @@ class TestUsdCheck:
     def test_single_state(self):
         assert usd_check([(0.7, 0.1)])["feasible"]
 
+    @pytest.mark.parametrize("angles", [
+        [(0.0, 0.0), (HALF_PI, 0.0)],
+        [(0.0, 0.0), (math.pi, 0.0), (HALF_PI, 0.0), (HALF_PI, math.pi)],
+    ])
+    def test_one_gram_matrix_and_one_spectrum(self, angles, monkeypatch):
+        """Rank, feasibility and the report's matrix and eigenvalues all
+        come from one Gram matrix and one eigendecomposition."""
+        grams = _count_calls(monkeypatch, "gram_matrix")
+        spectra = _count_calls(monkeypatch, "eigvalsh", [harness.np.linalg])
+        report = usd_check(angles)
+        assert (len(grams), len(spectra)) == (1, 1)
+        assert report["gram_rank"] == 2 and report["feasible"] == (len(angles) == 2)
+
     def test_malformed_angles(self):
         with pytest.raises(ConfigurationError):
             usd_check([(5.0, 0.0)])
@@ -620,6 +658,13 @@ class TestNoSignalingDemo:
         demo = no_signaling_demo(povm_name=povm, seed=4)
         assert demo["densities_equal"]
         assert demo["max_abs_difference"] <= 1e-10
+
+    def test_each_mixture_density_built_once(self, monkeypatch):
+        """Two mixtures, two densities: the distributions reuse the demo's,
+        wherever in the package the name is looked up."""
+        calls = _count_calls(monkeypatch, "mixture_density")
+        assert no_signaling_demo(povm_name="sz")["densities_equal"]
+        assert len(calls) == 2
 
     def test_unknown_povm(self):
         with pytest.raises(ConfigurationError):

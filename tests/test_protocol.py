@@ -72,9 +72,6 @@ class _FixedStream:
     def uniform(self):
         return self._values.pop(0)
 
-    def integers(self, n):
-        return min(int(self.uniform() * n), n - 1)
-
 
 class TestBobMeasure:
     def test_forced_z_basis_on_eigenstate(self):

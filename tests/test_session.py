@@ -46,6 +46,7 @@ from reference import (
     channel_transmit,
     eve_actions,
     eve_apply,
+    integers,
     one_session,
     session_columns,
     symmetry,
@@ -75,12 +76,12 @@ CASES = [
 def _scalar_pulse(kind, strategy, channel, seed, index):
     """One pulse composed from the public per-stage operations."""
     alice = pulse_stream(seed, index, STAGE_ALICE)
-    bit = alice.integers(2)
+    bit = integers(alice, 2)
     if kind is ProtocolKind.B92:
         basis = None
         state = alice_prepare(kind, bit)
     else:
-        basis = BASIS_LABELS[alice.integers(2)]
+        basis = BASIS_LABELS[integers(alice, 2)]
         state = alice_prepare(kind, bit, basis)
 
     forwarded, log = eve_apply(strategy, state, pulse_stream(seed, index, STAGE_EVE))
@@ -93,7 +94,7 @@ def _scalar_pulse(kind, strategy, channel, seed, index):
     if forwarded is not None:
         bob_basis, outcome = bob_measure(forwarded, bob)
     else:
-        bob_basis, outcome = BASIS_LABELS[bob.integers(2)], "null"
+        bob_basis, outcome = BASIS_LABELS[integers(bob, 2)], "null"
     return bit, basis, state, log.action, forwarded is not None, bob_basis, outcome
 
 

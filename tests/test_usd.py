@@ -15,6 +15,7 @@ from qkdsim.quantum import (
     Z_PLUS,
     born_probabilities,
     inner_product,
+    mixture_density,
     orthogonal_state,
     projector,
     random_povm,
@@ -32,9 +33,14 @@ from qkdsim.usd import (
     no_signaling_distributions,
     usd_efficiency,
     usd_feasible,
+)
+from reference import (
+    integers,
+    scalar_idp_povm,
+    scalar_naive_frame_povms,
+    usd_measure,
     verify_unambiguous_constraints,
 )
-from reference import scalar_idp_povm, scalar_naive_frame_povms, usd_measure
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 BB84_STATES = (Z_PLUS, Z_MINUS, X_PLUS, X_MINUS)
@@ -181,7 +187,7 @@ class TestFeasibility:
         for _ in range(30):
             states = [
                 state_from_bloch(rng.uniform() * math.pi, rng.uniform() * 2 * math.pi)
-                for _ in range(3 + rng.integers(3))
+                for _ in range(3 + integers(rng, 3))
             ]
             assert not usd_feasible(states)
 
@@ -229,16 +235,16 @@ def _random_decompositions_of_same_density(rng):
 class TestNoSignaling:
     def test_equal_mixtures_indistinguishable_for_random_povms(self):
         rng = RngStream(37)
-        z_pair = ((Z_PLUS, Z_MINUS), (0.5, 0.5))
-        x_pair = ((X_PLUS, X_MINUS), (0.5, 0.5))
+        z_mixture = mixture_density((Z_PLUS, Z_MINUS), (0.5, 0.5))
+        x_mixture = mixture_density((X_PLUS, X_MINUS), (0.5, 0.5))
         for _ in range(100):
             povm = random_povm(rng, size=3)
-            _, _, diff = no_signaling_distributions(povm, z_pair, x_pair)
+            _, _, diff = no_signaling_distributions(povm, z_mixture, x_mixture)
             assert diff <= 1e-10
 
     def test_pure_states_distinguishable(self):
         probs_a, probs_b, diff = no_signaling_distributions(
-            SZ_POVM, ((Z_PLUS,), (1.0,)), ((X_PLUS,), (1.0,))
+            SZ_POVM, mixture_density((Z_PLUS,), (1.0,)), mixture_density((X_PLUS,), (1.0,))
         )
         np.testing.assert_allclose(probs_a, [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(probs_b, [0.5, 0.5], atol=1e-12)
@@ -247,7 +253,9 @@ class TestNoSignaling:
     def test_idp_povm_cannot_distinguish_the_mixtures(self):
         povm = idp_povm(Z_PLUS, X_PLUS)
         _, _, diff = no_signaling_distributions(
-            povm, ((Z_PLUS, Z_MINUS), (0.5, 0.5)), ((X_PLUS, X_MINUS), (0.5, 0.5))
+            povm,
+            mixture_density((Z_PLUS, Z_MINUS), (0.5, 0.5)),
+            mixture_density((X_PLUS, X_MINUS), (0.5, 0.5)),
         )
         assert diff <= 1e-10
 
@@ -256,7 +264,9 @@ class TestNoSignaling:
         for _ in range(100):
             decomp_a, decomp_b = _random_decompositions_of_same_density(rng)
             povm = random_povm(rng, size=3)
-            _, _, diff = no_signaling_distributions(povm, decomp_a, decomp_b)
+            _, _, diff = no_signaling_distributions(
+                povm, mixture_density(*decomp_a), mixture_density(*decomp_b)
+            )
             assert diff <= 1e-10
 
 
