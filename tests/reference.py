@@ -10,6 +10,8 @@ keeps neither Alice's state ids nor Eve's actions, since both follow from
 other columns; `sent_ids`, `eve_actions` and `session_columns` derive
 them for comparisons. `csv_lines` renders reports to CSV one report and
 one cell at a time, the oracle for the column-wise `report_csv_rows`.
+`integers` (a bounded integer draw) and `verify_unambiguous_constraints`
+serve only the tests, so they live here rather than in the package.
 """
 
 from __future__ import annotations
