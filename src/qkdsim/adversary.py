@@ -18,7 +18,6 @@ from enum import Enum
 
 import numpy as np
 
-from .protocol import session_counts
 from .quantum import X_PLUS, Z_PLUS, QubitState, rotate_y
 from .usd import UsdSchemeKind
 
@@ -84,21 +83,14 @@ class EveStrategy:
 
 
 def forwarded_state_symmetry(
-    forwarded_ids: np.ndarray, starts: np.ndarray, labels: np.ndarray
+    counts: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per session, counts of |z+> vs |x+> among the pulses Eve actually
     forwarded.
 
-    Session i owns `forwarded_ids[starts[i]:starts[i + 1]]`, and
-    `labels[v]` names the batch's state id v (one numbering for every
-    session). Each state id labelled z+ or x+ is counted with one pass
-    over the batch; suppressed pulses (id -1) match no label.
+    `counts[i, s]` is how many times session i forwarded a state and
+    `labels[i, s]` names that state (labels broadcast against counts, so
+    one row of labels serves every session); the counts labelled z+ and
+    x+ are summed per session.
     """
-
-    def count(label: str) -> np.ndarray:
-        # Python ints: a numpy int64 id would promote the id column to compare it
-        ids = np.flatnonzero(labels == label).tolist()
-        hits = (session_counts(forwarded_ids == state_id, starts) for state_id in ids)
-        return sum(hits, np.zeros(len(starts) - 1, dtype=np.int64))
-
-    return count("z+"), count("x+")
+    return tuple(np.where(labels == label, counts, 0).sum(axis=-1) for label in ("z+", "x+"))

@@ -21,14 +21,7 @@ import numpy as np
 
 from .adversary import HALF_PI, ChannelModel, EveKind, EveStrategy, forwarded_state_symmetry
 from .detection import TestDecision, expected_rates, null_ratio_test, qber_test
-from .protocol import (
-    ProtocolKind,
-    disagreements,
-    estimate_qber,
-    estimate_qber_batch,
-    session_counts,
-    sift_mask,
-)
+from .protocol import ProtocolKind, estimate_qber, estimate_qber_batch
 from .quantum import (
     ALGEBRA_TOL,
     Povm,
@@ -282,8 +275,9 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     Deterministic given the config (including master_seed). Raises
     InfeasibleStrategyError for discrimination attacks on four-state
     protocols, before any pulse is simulated, and ConfigurationError when
-    the session's arrays cannot be allocated. The session runs as a batch
-    of one.
+    the session does not fit in memory: its engine block, its sifted
+    disagreement bits or its reveal sampler cannot be allocated. The
+    session runs as a batch of one.
     """
     return _run_batch([config])[0]
 
@@ -313,35 +307,30 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
     """Reports of sessions that share protocol, Eve and scheme kinds, run
     as one engine batch; each equals the report of its config run alone.
 
-    The bookkeeping after the engine runs over the whole batch's columns
-    at once: sifting is local to a pulse, so sessions only cut its counts,
-    every session's reveal positions come from one batch sampler, and the
-    forwarded states are counted with one pass per state id.
+    The engine returns each session's counts and the batch's sifted
+    disagreement bits, never a whole-session column; every session's
+    reveal positions then come from one batch sampler, and the forwarded
+    states are labelled once per state of the batch.
     """
     kind = configs[0].protocol_kind
     sessions = [c.session for c in configs]
     _check_feasibility(kind, sessions[0].strategy)
     try:
-        batch = simulate_session(kind, sessions)
+        counts = simulate_session(kind, sessions)
+        sifted = counts.sifted.tolist()
+        qber, revealed = _reveal(configs, counts.errors, sifted)
     except MemoryError:
         n_pulses = sum(c.n_pulses for c in configs)
         raise ConfigurationError(
             f"n_pulses {n_pulses} does not fit in memory; use fewer pulses"
         ) from None
-
-    mask = sift_mask(kind, batch.alice_bases, batch.arrived, batch.bob_bases, batch.bob_minus)
-    errors = disagreements(kind, batch.alice_bits, batch.bob_bases, batch.bob_minus)[mask]
-    sifted = session_counts(mask, batch.starts).tolist()
-    del mask  # a long session's mask is as long as its columns
-    arrived = session_counts(batch.arrived, batch.starts).tolist()
+    arrived = counts.arrived.tolist()
+    # the id -1 of a suppressed pulse picks the trailing empty label
+    labels = np.array([state_label(s) for s in counts.states] + [""])
     forwarded_z, forwarded_x = (
-        counts.tolist()
-        for counts in forwarded_state_symmetry(
-            batch.forwarded_ids, batch.starts, np.array([state_label(s) for s in batch.states])
-        )
+        per_session.tolist()
+        for per_session in forwarded_state_symmetry(counts.forwarded, labels[counts.forwarded_ids])
     )
-    del batch  # the reveal needs none of the columns
-    qber, revealed = _reveal(configs, errors, sifted)
 
     sent = [c.n_pulses for c in configs]
     null_decisions = null_ratio_test(
@@ -400,10 +389,12 @@ def sweep(config: ExperimentConfig, parameter: str, values: list) -> list[RunRep
     parsed, before any runs. Consecutive points then run as engine
     batches of at most `session.BLOCK` pulses in all (a longer point
     alone), so a sweep of short sessions pays the engine's per-call costs
-    once per batch, and holds at most one block of transcript (or one long
-    point's) at a time; the bookkeeping after the engine is batch array
-    code as well (`_run_batch`), and `report_csv_rows` formats the CSV a
-    column at a time.
+    once per batch. Whatever its points' lengths, a sweep holds one engine
+    block of columns at a time, plus one byte per sifted pulse of the
+    running batch and its reveal sampler's 4-byte position arrays; the
+    bookkeeping after the engine is batch array code as well
+    (`_run_batch`), and `report_csv_rows` formats the CSV a column at a
+    time.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigurationError(

@@ -1,4 +1,4 @@
-"""B92 and BB84 sifting and QBER estimation over a session's columns.
+"""B92 and BB84 sifting and QBER estimation over the engine's columns.
 
 B92 encodes bit 0 on |z+> and bit 1 on |x+>; Bob keeps only "minus"
 outcomes and decodes x- as 0, z- as 1. He only ever announces that a
@@ -8,11 +8,10 @@ reconciliation.
 
 Both steps are pure functions. Sifting is local to a pulse: `sift_mask`
 says which pulses are sifted and `disagreements` which would decode to
-the wrong bit, so they run over a whole batch of sessions' columns at
-once, and `sift` composes them into the disagreement bit of every sifted
-pulse, in pulse order; that is all the estimate and the report need of
-the keys. `session_counts` cuts a batch column's flags into per-session
-counts.
+the wrong bit, so they run over any range of pulses (the engine runs
+them on each block as it is drawn), and `sift` composes them into the
+disagreement bit of every sifted pulse, in pulse order; that is all the
+estimate and the report need of the keys.
 
 QBER estimation reveals the positions a partial Fisher-Yates shuffle
 picks from the estimation stream. Its k draws are taken as one
@@ -82,15 +81,6 @@ def sift(
     return disagreements(kind, alice_bits, bob_bases, bob_minus)[
         sift_mask(kind, alice_bases, arrived, bob_bases, bob_minus)
     ]
-
-
-def session_counts(flags: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Set entries of `flags`, a batch column, in each session's range
-    `starts[i]:starts[i + 1]` (ranges are never empty). A lone session may
-    be long, so it is counted without `reduceat`'s int64 copy of the column."""
-    if len(starts) == 2:
-        return np.array([np.count_nonzero(flags)])
-    return np.add.reduceat(flags, starts[:-1], dtype=np.int64)
 
 
 # Below this many sifted pulses the sampler's position arrays are int32.

@@ -11,7 +11,7 @@ consumes draws from its own substream in a fixed order:
 
 Eve and Bob are both a `StageTable` read by one sampler, so the only
 branch on Eve's strategy is in choosing her POVM elements. A batch
-numbers its distinct states once (`SessionBatch.states`): Alice's
+numbers its distinct states once (`SessionCounts.states`): Alice's
 first, so a sent state's id is its bit (+ 2 * basis), then every state
 some strategy can forward. It has one Eve table, a block of rows over
 Alice's states per distinct strategy, and one Bob table, a row per
@@ -24,28 +24,31 @@ touches another pulse's stream, the engine runs a *batch* of sessions
 (one protocol, one Eve kind and discrimination scheme; any lengths,
 channels, deltas and master seeds) as one pulse range cut into blocks of
 `BLOCK` pulses. Every stage runs as numpy array operations over a block
-and writes its results into the block's slice of the batch's columns,
-allocated at full length up front; the returned `SessionBatch` is the
-only record of a session. Each pulse draws from its own session's master
-seed at its index within that session, loses with its session's loss
-probability and reads its strategy's block of Eve's table, so
-a session's slice of the columns is the same whatever batch it runs in
-and whatever the block size. A single run is a batch of one, and its
-columns are draw-for-draw identical to a Python loop over `RngStream`
-substreams (all three equivalences are pinned by tests, the last against
-a scalar reference). The columns are pure functions of (configuration,
-master seed).
+(`_blocks` yields each block's columns), and `simulate_session` sifts
+and counts each block as soon as it is drawn, then drops its columns:
+a session holds one block of columns at a time, plus one byte per
+sifted pulse for its disagreement bits, and the returned
+`SessionCounts` (per-session counts and those bits) is the only record
+of a session. Each pulse draws from its own session's master seed at
+its index within that session, loses with its session's loss
+probability and reads its strategy's block of Eve's table, so a
+session's pulses are the same whatever batch it runs in and whatever
+the block size. A single run is a batch of one, and its columns are
+draw-for-draw identical to a Python loop over `RngStream` substreams
+(all three equivalences are pinned by tests, the last against a scalar
+reference, on the blocks' columns laid end to end). The columns, and so
+the counts, are pure functions of (configuration, master seed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .adversary import ChannelModel, EveKind, EveStrategy
-from .protocol import ProtocolKind
+from .protocol import ProtocolKind, disagreements, sift_mask
 from .quantum import (
     SX_POVM,
     SZ_POVM,
@@ -207,38 +210,82 @@ class Session:
 
 
 @dataclass
-class SessionBatch:
-    """Column-wise record of consecutive sessions of one protocol.
+class SessionCounts:
+    """What a batch of sessions of one protocol leaves: per-session counts
+    and the sifted disagreement bits.
 
-    Session i owns pulses `starts[i]:starts[i + 1]` of every column. One
-    numbering covers the whole batch: `states` holds each distinct state
-    once, Alice's states first (`protocol_states`, so a sent state's id is
-    its bit, plus 2 * basis for BB84), then every other state some
-    strategy can forward. A forwarded id indexes `states`, and -1 means
-    Eve suppressed the pulse; ids are int16, or int32 when a batch has
-    more states than int16 can number. `bob_minus` is False wherever the
-    pulse did not arrive.
+    One numbering covers the whole batch: `states` holds each distinct
+    state once, Alice's states first (`protocol_states`, so a sent
+    state's id is its bit, plus 2 * basis for BB84), then every other
+    state some strategy can forward. Of session i's pulses, `arrived[i]`
+    reached Bob and `sifted[i]` were sifted. Each (frame, outcome) pair of
+    Eve's measurement (with no Eve, each of Alice's states) is a slot:
+    session i forwarded the state whose id is `forwarded_ids[i, s]` (-1
+    for none: the pulse was suppressed) `forwarded[i, s]` times. `errors`
+    holds whether Bob's bit disagrees with Alice's for every sifted
+    pulse, in pulse order, so session i's are the `sifted[i]` after those
+    of the sessions before it.
     """
 
-    protocol: ProtocolKind
     n_pulses: int
-    starts: np.ndarray
     states: tuple[QubitState, ...]
+    arrived: np.ndarray
+    sifted: np.ndarray
+    forwarded: np.ndarray
+    forwarded_ids: np.ndarray
+    errors: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class _Batch:
+    """What every block of a batch reads: its sessions' bounds `starts`,
+    master seeds and loss probabilities, the stage tables, each
+    session's row offset in Eve's table, and per session the state id
+    each forward slot names (see `SessionCounts`)."""
+
+    kind: ProtocolKind
+    states: tuple[QubitState, ...]
+    starts: np.ndarray
+    master_seeds: np.ndarray
+    loss: np.ndarray
+    eve: StageTable
+    bob: StageTable
+    eve_offset: np.ndarray
+    slot_ids: np.ndarray
+
+    @property
+    def n_pulses(self) -> int:
+        return int(self.starts[-1])
+
+
+class _Block(NamedTuple):
+    """One block's columns. It holds pulses of sessions `first` on; with
+    `lengths` None all are session `first`'s, else `lengths[j]` of them
+    are session `first + j`'s. `slots` is each pulse's forward slot.
+    `bob_minus` is False wherever the pulse did not arrive, and forwarded
+    ids are int16, or int32 when a batch has more states than int16 can
+    number."""
+
+    first: int
+    lengths: np.ndarray | None
     alice_bits: np.ndarray
     alice_bases: np.ndarray | None
     forwarded_ids: np.ndarray
     arrived: np.ndarray
     bob_bases: np.ndarray
     bob_minus: np.ndarray
+    slots: np.ndarray
 
 
 def _block_sessions(starts: np.ndarray, master_seeds: np.ndarray, a: int, b: int):
-    """Per-pulse lookup of session values for pulses [a, b), and each
-    pulse's stream key: its index within its session XOR its session's
-    master seed, so `derive_seed_array(0, keys, stage)` equals
+    """The first session of pulses [a, b), the pulses each session holds
+    in the range (None if one session holds them all), a per-pulse lookup
+    of session values, and each pulse's stream key: its index within its
+    session XOR its session's master seed, so
+    `derive_seed_array(0, keys, stage)` equals
     `derive_seed_array(master_seed, index, stage)`.
 
-    The lookup maps an array of one value per session to the block's
+    The lookup maps an array of one value per session to the range's
     pulses: within one session it returns that session's value, which
     then broadcasts; across sessions it repeats each value over the
     session's pulses.
@@ -249,25 +296,20 @@ def _block_sessions(starts: np.ndarray, master_seeds: np.ndarray, a: int, b: int
         offset = int(starts[first])
         keys = np.arange(a - offset, b - offset, dtype=np.uint64)
         keys ^= master_seeds[first]
-        return (lambda values: values[first]), keys
-    counts = np.diff(np.clip(starts[first : last + 2], a, b))
+        return first, None, (lambda values: values[first]), keys
+    lengths = np.diff(np.clip(starts[first : last + 2], a, b))
 
     def spread(values: np.ndarray) -> np.ndarray:
-        return np.repeat(values[first : last + 1], counts)
+        return np.repeat(values[first : last + 1], lengths)
 
     keys = np.arange(a, b, dtype=np.uint64)
     keys -= spread(starts.astype(np.uint64))
     keys ^= spread(master_seeds)
-    return spread, keys
+    return first, lengths, spread, keys
 
 
-def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> SessionBatch:
-    """Simulate a batch of sessions in one pass over their pulses.
-
-    The sessions share the protocol, Eve's kind and her discrimination
-    scheme's kind; each is deterministic given (its fields, master seed)
-    and does not depend on the others.
-    """
+def _batch(kind: ProtocolKind, sessions: Sequence[Session]) -> _Batch:
+    """Check a batch's sessions and build what its blocks read."""
     if not sessions:
         raise ValueError("a batch needs at least one session")
     if any(s.n_pulses < 1 for s in sessions):
@@ -289,59 +331,111 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
     forward = [[[ids[t] for t in frame] for frame in frames] for frames in targets]
     forward = np.array(forward, dtype=id_dtype).reshape(elements.shape[:3])
     vectors = np.array([(state.amp0, state.amp1) for state in states], dtype=complex)
-    eve = _stage_table(vectors[: len(sent_states)], elements, forward)
-    bob = _stage_table(vectors, _BASES[None], None)
-    eve_offset = np.array(strategy_ids, dtype=np.intp) * len(sent_states)
+    # a slot is one of a strategy's (frame, outcome) pairs; with no frames, Alice's state
+    if elements.shape[1] == 0:
+        slot_ids = np.arange(len(sent_states), dtype=id_dtype)[None]
+    else:
+        slot_ids = forward.reshape(len(forward), -1)
 
-    master_seeds = np.array([s.master_seed for s in sessions], dtype=np.uint64)
-    loss = np.array([s.channel.loss_probability for s in sessions])
     starts = np.zeros(len(sessions) + 1, dtype=np.int64)
     np.cumsum([s.n_pulses for s in sessions], out=starts[1:])
-    n_pulses = int(starts[-1])
-
-    alice_bits = np.empty(n_pulses, dtype=np.int8)
-    alice_bases = None if kind is ProtocolKind.B92 else np.empty(n_pulses, dtype=np.int8)
-    forwarded_ids = np.empty(n_pulses, dtype=id_dtype)
-    arrived = np.empty(n_pulses, dtype=bool)
-    bob_bases = np.empty(n_pulses, dtype=np.int8)
-    bob_minus = np.empty(n_pulses, dtype=bool)
-
-    for a in range(0, n_pulses, BLOCK):
-        b = min(a + BLOCK, n_pulses)
-        spread, keys = _block_sessions(starts, master_seeds, a, b)
-
-        seeds = derive_seed_array(0, keys, STAGE_ALICE)
-        alice_bits[a:b] = _coin(uniform_array(seeds, 0))
-        rows = alice_bits[a:b].astype(np.intp)
-        if alice_bases is not None:
-            alice_bases[a:b] = _coin(uniform_array(seeds, 1))
-            rows += 2 * alice_bases[a:b]
-        del seeds  # each stage's seeds are dropped after its last draw
-        rows += spread(eve_offset)
-
-        _, _, forwarded = _sample_stage(eve, rows, keys, STAGE_EVE)
-        del rows
-        forwarded_ids[a:b] = forwarded
-        reached = forwarded >= 0
-
-        reached &= uniform_array(derive_seed_array(0, keys, STAGE_CHANNEL), 0) >= spread(loss)
-        arrived[a:b] = reached
-
-        # suppressed pulses never arrive, so the row Bob reads for them is immaterial
-        rows = np.maximum(forwarded, 0, dtype=np.intp)
-        frame, outcome, _ = _sample_stage(bob, rows, keys, STAGE_BOB)
-        bob_bases[a:b] = frame
-        bob_minus[a:b] = reached & (outcome == 1)
-
-    return SessionBatch(
-        protocol=kind,
-        n_pulses=n_pulses,
-        starts=starts,
+    return _Batch(
+        kind=kind,
         states=states,
-        alice_bits=alice_bits,
-        alice_bases=alice_bases,
-        forwarded_ids=forwarded_ids,
+        starts=starts,
+        master_seeds=np.array([s.master_seed for s in sessions], dtype=np.uint64),
+        loss=np.array([s.channel.loss_probability for s in sessions]),
+        eve=_stage_table(vectors[: len(sent_states)], elements, forward),
+        bob=_stage_table(vectors, _BASES[None], None),
+        eve_offset=np.array(strategy_ids, dtype=np.intp) * len(sent_states),
+        slot_ids=slot_ids[strategy_ids],
+    )
+
+
+def _block(batch: _Batch, a: int, b: int) -> _Block:
+    """The columns of pulses [a, b) of a batch."""
+    first, lengths, spread, keys = _block_sessions(batch.starts, batch.master_seeds, a, b)
+
+    seeds = derive_seed_array(0, keys, STAGE_ALICE)
+    alice_bits = _coin(uniform_array(seeds, 0))
+    rows = alice_bits.astype(np.intp)
+    alice_bases = None
+    if batch.kind is ProtocolKind.BB84:
+        alice_bases = _coin(uniform_array(seeds, 1))
+        rows += 2 * alice_bases
+    del seeds  # each stage's seeds are dropped after its last draw
+    rows += spread(batch.eve_offset)
+
+    eve = batch.eve
+    frame, outcome, forwarded = _sample_stage(eve, rows, keys, STAGE_EVE)
+    del rows
+    if eve.n_frames == 0:
+        slots = forwarded
+    else:
+        frame *= eve.forward.shape[1]
+        slots = frame
+        slots += outcome
+    del frame, outcome
+    reached = forwarded >= 0
+
+    reached &= uniform_array(derive_seed_array(0, keys, STAGE_CHANNEL), 0) >= spread(batch.loss)
+
+    # suppressed pulses never arrive, so the row Bob reads for them is immaterial
+    rows = np.maximum(forwarded, 0, dtype=np.intp)
+    bob_bases, outcome, _ = _sample_stage(batch.bob, rows, keys, STAGE_BOB)
+    bob_minus = reached & (outcome == 1)
+    return _Block(
+        first, lengths, alice_bits, alice_bases, forwarded, reached, bob_bases, bob_minus, slots
+    )
+
+
+def _blocks(batch: _Batch) -> Iterator[_Block]:
+    """Every block of a batch, in pulse order."""
+    for a in range(0, batch.n_pulses, BLOCK):
+        yield _block(batch, a, min(a + BLOCK, batch.n_pulses))
+
+
+def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> SessionCounts:
+    """Simulate a batch of sessions in one pass over their pulses.
+
+    The sessions share the protocol, Eve's kind and her discrimination
+    scheme's kind; each is deterministic given (its fields, master seed)
+    and does not depend on the others. Each block is sifted and counted
+    as soon as it is drawn, and only its sifted disagreement bits are
+    kept. A block within one session is counted with `count_nonzero`
+    (a `bincount` of its slots took four times as long); a block across
+    sessions (in the harness a multi-session batch is at most one block)
+    with one `reduceat` per count and one `bincount` of (session, slot).
+    """
+    batch = _batch(kind, sessions)
+    n_sessions, n_slots = batch.slot_ids.shape
+    arrived = np.zeros(n_sessions, dtype=np.int64)
+    sifted = np.zeros(n_sessions, dtype=np.int64)
+    forwarded = np.zeros((n_sessions, n_slots), dtype=np.int64)
+    errors = []
+    for block in _blocks(batch):
+        mask = sift_mask(kind, block.alice_bases, block.arrived, block.bob_bases, block.bob_minus)
+        errors.append(disagreements(kind, block.alice_bits, block.bob_bases, block.bob_minus)[mask])
+        i, lengths = block.first, block.lengths
+        if lengths is None:
+            arrived[i] += np.count_nonzero(block.arrived)
+            sifted[i] += np.count_nonzero(mask)
+            forwarded[i] += [np.count_nonzero(block.slots == slot) for slot in range(n_slots)]
+        else:
+            j = i + len(lengths)
+            bounds = np.cumsum(lengths) - lengths
+            arrived[i:j] += np.add.reduceat(block.arrived, bounds, dtype=np.int64)
+            sifted[i:j] += np.add.reduceat(mask, bounds, dtype=np.int64)
+            keys = np.repeat(np.arange(0, len(lengths) * n_slots, n_slots), lengths) + block.slots
+            forwarded[i:j] += np.bincount(keys, minlength=len(lengths) * n_slots).reshape(-1, n_slots)
+        del block, mask  # the next block is drawn without this one's columns
+
+    return SessionCounts(
+        n_pulses=batch.n_pulses,
+        states=batch.states,
         arrived=arrived,
-        bob_bases=bob_bases,
-        bob_minus=bob_minus,
+        sifted=sifted,
+        forwarded=forwarded,
+        forwarded_ids=batch.slot_ids,
+        errors=np.concatenate(errors),
     )

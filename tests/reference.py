@@ -4,11 +4,13 @@ checked against.
 Each function handles one pulse with an `RngStream` and consumes draws in
 the order `qkdsim.session` documents, so composing them pulse by pulse
 must reproduce an engine transcript draw for draw. Nothing in the
-package imports this module. `one_session` is the engine's side of such
-comparisons: the `SessionBatch` of a batch of one session. The engine
-keeps neither Alice's state ids nor Eve's actions, since both follow from
-other columns; `sent_ids`, `eve_actions` and `session_columns` derive
-them for comparisons. `csv_lines` renders reports to CSV one report and
+package imports this module. The engine keeps no per-pulse column past
+its block; `simulate_batch` lays its blocks' columns end to end as a
+`SessionBatch`, the engine's side of such comparisons, and `one_session`
+is that of a batch of one session. The columns hold neither Alice's
+state ids nor Eve's actions, since both follow from other columns;
+`sent_ids`, `eve_actions` and `session_columns` derive them for
+comparisons. `csv_lines` renders reports to CSV one report and
 one cell at a time, the oracle for the column-wise `report_csv_rows`.
 `integers` (a bounded integer draw) and `verify_unambiguous_constraints`
 serve only the tests, so they live here rather than in the package.
@@ -41,16 +43,54 @@ from qkdsim.quantum import (
     state_label,
 )
 from qkdsim.rng import RngStream, derive_seed
-from qkdsim.session import Session, simulate_session
+from qkdsim import session
+from qkdsim.session import Session
 from qkdsim.usd import UsdSchemeKind, idp_povm, naive_frame_povms
 
 BASIS_LABELS = ("z", "x")
 COLUMNS = ("alice_bits", "alice_bases", "forwarded_ids", "arrived", "bob_bases", "bob_minus")
 
 
+@dataclass
+class SessionBatch:
+    """Column-wise record of consecutive sessions of one protocol.
+
+    Session i owns pulses `starts[i]:starts[i + 1]` of every column, and
+    `states` numbers the batch's states as `qkdsim.session.SessionCounts`
+    does. A forwarded id indexes `states`, and -1 means Eve suppressed the
+    pulse; ids are int16, or int32 when a batch has more states than int16
+    can number. `bob_minus` is False wherever the pulse did not arrive.
+    """
+
+    protocol: ProtocolKind
+    n_pulses: int
+    starts: np.ndarray
+    states: tuple[QubitState, ...]
+    alice_bits: np.ndarray
+    alice_bases: np.ndarray | None
+    forwarded_ids: np.ndarray
+    arrived: np.ndarray
+    bob_bases: np.ndarray
+    bob_minus: np.ndarray
+
+
+def simulate_batch(kind, sessions) -> SessionBatch:
+    """The engine's columns of a batch: every block's, end to end."""
+    batch = session._batch(kind, sessions)
+    blocks = list(session._blocks(batch))
+
+    def column(name):
+        parts = [getattr(block, name) for block in blocks]
+        return None if parts[0] is None else np.concatenate(parts)
+
+    return SessionBatch(
+        kind, batch.n_pulses, batch.starts, batch.states, *(column(name) for name in COLUMNS)
+    )
+
+
 def one_session(kind, n_pulses, channel, strategy, master_seed):
-    """The engine's record of one session: a batch of one."""
-    return simulate_session(kind, [Session(n_pulses, channel, strategy, master_seed)])
+    """The engine's columns of one session: a batch of one."""
+    return simulate_batch(kind, [Session(n_pulses, channel, strategy, master_seed)])
 
 
 def session_columns(batch, i: int = 0) -> dict:
@@ -95,10 +135,12 @@ def sift_session(batch, i: int = 0):
 
 
 def symmetry(batch, i: int = 0) -> tuple[int, int]:
-    """`forwarded_state_symmetry` of session i alone, with the batch's labels."""
+    """`forwarded_state_symmetry` of session i alone, from a bincount of
+    its forwarded ids and the labels of the batch's states."""
     labels = np.array([state_label(s) for s in batch.states])
-    forwarded_ids = session_columns(batch, i)["forwarded_ids"]
-    z, x = forwarded_state_symmetry(forwarded_ids, np.array([0, len(forwarded_ids)]), labels)
+    ids = session_columns(batch, i)["forwarded_ids"]
+    counts = np.bincount(ids[ids >= 0], minlength=len(labels))
+    z, x = forwarded_state_symmetry(counts[None], labels)
     return int(z[0]), int(x[0])
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from qkdsim import harness
+from qkdsim import harness, session
 from qkdsim.adversary import ChannelModel, EveStrategy
 from qkdsim.cli import main
 from qkdsim.detection import expected_rates
@@ -815,12 +816,41 @@ class TestCli:
     @pytest.mark.parametrize(
         "command", [["run"], ["sweep", "--param", "delta", "--values", "0.1"]]
     )
-    def test_unallocatable_n_pulses_exits_2(self, tmp_path, capsys, command):
-        """10**12 pulses fail at the first 8 TB array, before anything is written."""
+    def test_unallocatable_n_pulses_exits_2(self, tmp_path, capsys, command, monkeypatch):
+        """10**12 pulses drawn as one engine block fail at the block's first
+        8 TB array, before anything is written. (At the default block the
+        engine holds one block at a time, so no allocation of its grows
+        with the session.)"""
+        monkeypatch.setattr(session, "BLOCK", 10**12)
         path = self._write_config(tmp_path, {**BASE, "n_pulses": 10**12})
         assert main([command[0], "--config", path, *command[1:]]) == 2
         captured = capsys.readouterr()
         assert "n_pulses 1000000000000 does not fit in memory" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command,sampler,n_pulses",
+        [
+            (["run"], "estimate_qber", 10_000),
+            (["sweep", "--param", "delta", "--values", "0.1,0.2"], "estimate_qber_batch", 20_000),
+        ],
+        ids=["run", "sweep"],
+    )
+    def test_memory_error_after_the_engine_exits_2(
+        self, tmp_path, capsys, monkeypatch, command, sampler, n_pulses
+    ):
+        """The reveal sampler runs after the engine, on the sifted bits: a
+        MemoryError there is a config error naming the batch's pulses too,
+        and nothing is written."""
+
+        def unallocatable(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(harness, sampler, unallocatable)
+        path = self._write_config(tmp_path, {**BASE, "n_pulses": 10_000})
+        assert main([command[0], "--config", path, *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert f"n_pulses {n_pulses} does not fit in memory" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -971,3 +1001,28 @@ def test_no_cache_grows_with_distinct_deltas():
         if size - before.get(name, 0) >= 10
     }
     assert grown == {}
+
+
+def _traced_peak(n_pulses: int) -> int:
+    """tracemalloc's peak inside `run_experiment` of a B92 suppression
+    session (absorption 0.1, efficiency 0.9), in bytes."""
+    config = ExperimentConfig.from_dict(
+        {**BASE, "n_pulses": n_pulses, "absorption": 0.1, "efficiency": 0.9,
+         "eve_strategy": "usd_suppress"}
+    )
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_session_memory_does_not_grow_with_its_length():
+    """A session holds one engine block and its sifted bits (about 5% of
+    its pulses here), never a whole-session column: 10^6 pulses peak
+    below 3 MiB, and within 1 MiB of 2x10^5 pulses. Full-length columns
+    of 6 bytes a pulse peaked at 7.7 MiB."""
+    small, large = _traced_peak(200_000), _traced_peak(1_000_000)
+    assert large < 3 * 2**20
+    assert large - small < 2**20

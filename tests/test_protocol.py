@@ -18,7 +18,6 @@ from qkdsim.protocol import (
     _sample_without_replacement,
     estimate_qber,
     estimate_qber_batch,
-    session_counts,
 )
 from qkdsim.quantum import X_MINUS, X_PLUS, Z_MINUS, Z_PLUS, measurement_probs
 from qkdsim.rng import RngStream
@@ -298,10 +297,3 @@ class TestBatchRevealSampling:
             estimate_qber_batch(
                 np.zeros(3, bool), np.array([1, 2]), np.array([0.5, 0.0]), np.zeros(2, np.uint64)
             )
-
-
-@pytest.mark.parametrize("starts", [[0, 10], [0, 1, 5, 6, 10]], ids=["alone", "batch"])
-def test_session_counts_equal_slice_counts(starts):
-    flags = np.array([1, 0, 1, 1, 0, 0, 1, 1, 1, 0], dtype=bool)
-    counts = session_counts(flags, np.array(starts))
-    assert counts.tolist() == [int(flags[a:b].sum()) for a, b in zip(starts, starts[1:])]

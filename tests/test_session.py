@@ -1,6 +1,7 @@
 """The array engine against a hand-composed scalar pipeline, plus
 determinism, block-size and batch independence and substream-permutation
-properties."""
+properties, and its per-block counts against the same counts taken over
+its blocks' columns laid end to end."""
 
 from itertools import accumulate
 
@@ -15,7 +16,7 @@ from qkdsim.adversary import (
     EveStrategy,
     forwarded_state_symmetry,
 )
-from qkdsim.protocol import ProtocolKind
+from qkdsim.protocol import ProtocolKind, disagreements, sift_mask
 from qkdsim.quantum import (
     SX_POVM,
     SZ_POVM,
@@ -49,6 +50,7 @@ from reference import (
     integers,
     one_session,
     session_columns,
+    simulate_batch,
     symmetry,
 )
 
@@ -180,7 +182,7 @@ def test_batched_sessions_equal_standalone_sessions(block, monkeypatch):
     on where block boundaries fall inside or across sessions."""
     alone = [one_session(ProtocolKind.B92, *vars(s).values()) for s in BATCH]
     monkeypatch.setattr(session, "BLOCK", block)
-    batch = simulate_session(ProtocolKind.B92, BATCH)
+    batch = simulate_batch(ProtocolKind.B92, BATCH)
     assert batch.n_pulses == sum(s.n_pulses for s in BATCH)
     for i, (s, want) in enumerate(zip(BATCH, alone)):
         _assert_same_columns(session_columns(batch, i), session_columns(want), s.strategy)
@@ -190,7 +192,7 @@ def test_batched_sessions_equal_standalone_sessions(block, monkeypatch):
 def test_batch_of_every_case_matches_scalar_composition(name, kind, strategy, channel):
     """Every strategy batched with itself: the second session's pulses are
     the scalar pipeline's at its own seed and local indices."""
-    batch = simulate_session(
+    batch = simulate_batch(
         kind, [Session(50, channel, strategy, 1), Session(60, channel, strategy, 2)]
     )
     t = session_columns(batch, 1)
@@ -209,31 +211,93 @@ def test_batch_rejects_mixed_kinds_and_empty_batches():
         simulate_session(ProtocolKind.B92, [])
 
 
+def _labels(counts):
+    """Each forward slot's label, as the harness labels them."""
+    return np.array([state_label(s) for s in counts.states] + [""])[counts.forwarded_ids]
+
+
 @pytest.mark.parametrize("name,kind,strategy,channel", CASES, ids=[c[0] for c in CASES])
 def test_forwarded_state_symmetry_equals_bincount(name, kind, strategy, channel):
-    """The direct per-id counts equal a bincount over forwarded pulses,
-    summed over the ids labelled z+ and x+."""
+    """The engine's per-slot counts, summed by label, equal a bincount over
+    the forwarded pulses' ids, summed over the ids labelled z+ and x+."""
     t = one_session(kind, 3_000, channel, strategy, 8)
+    counts = simulate_session(kind, [Session(3_000, channel, strategy, 8)])
     labels = np.array([state_label(s) for s in t.states])
-    counts = np.bincount(t.forwarded_ids[t.forwarded_ids >= 0], minlength=len(labels))
-    expected = (int(counts[labels == "z+"].sum()), int(counts[labels == "x+"].sum()))
+    by_id = np.bincount(t.forwarded_ids[t.forwarded_ids >= 0], minlength=len(labels))
+    expected = (int(by_id[labels == "z+"].sum()), int(by_id[labels == "x+"].sum()))
     assert symmetry(t) == expected
+    z, x = forwarded_state_symmetry(counts.forwarded, _labels(counts))
+    assert (int(z[0]), int(x[0])) == expected
 
 
 def test_forwarded_state_symmetry_of_a_batch_equals_each_session_alone():
-    """One pass over a batch counts each session's z+ and x+ forwards by
-    the labels of the batch's states, as counting the session alone does;
-    the batch numbers each distinct state once, Alice's first."""
+    """A batch counts each session's z+ and x+ forwards by the labels of
+    the batch's states, as counting the session alone does; the batch
+    numbers each distinct state once, Alice's first."""
     sessions = [*BATCH, Session(40, ChannelModel(), _mismatch(0.0), 14)]
-    batch = simulate_session(ProtocolKind.B92, sessions)
+    batch = simulate_batch(ProtocolKind.B92, sessions)
+    counts = simulate_session(ProtocolKind.B92, sessions)
+    assert counts.states == batch.states
     pairs = {state for s in sessions for state in s.strategy.states()}
     assert len(batch.states) == len(set(batch.states)) == len(pairs | {Z_PLUS, X_PLUS})
     assert batch.states[:2] == session.protocol_states(ProtocolKind.B92)
-    labels = np.array([state_label(s) for s in batch.states])
-    count_z, count_x = forwarded_state_symmetry(batch.forwarded_ids, batch.starts, labels)
+    count_z, count_x = forwarded_state_symmetry(counts.forwarded, _labels(counts))
     alone = [symmetry(batch, i) for i in range(len(sessions))]
     assert list(zip(count_z.tolist(), count_x.tolist())) == alone
     assert any(z > 0 and x > 0 for z, x in alone)
+
+
+def _assert_counts_equal_columns(kind, sessions):
+    """The engine's record of a batch equals the counts taken over its
+    blocks' columns laid end to end: per session, the arrived and sifted
+    pulses and the pulses that forwarded each state id (or none), and the
+    batch's sifted disagreement bits in pulse order."""
+    counts = simulate_session(kind, sessions)
+    t = simulate_batch(kind, sessions)
+    assert counts.n_pulses == t.n_pulses and counts.states == t.states
+    mask = sift_mask(kind, t.alice_bases, t.arrived, t.bob_bases, t.bob_minus)
+    errors = disagreements(kind, t.alice_bits, t.bob_bases, t.bob_minus)[mask]
+    assert counts.errors.dtype == bool
+    np.testing.assert_array_equal(counts.errors, errors)
+    n_ids = len(t.states) + 1  # id -1 counted last
+    for i, (a, b) in enumerate(zip(t.starts, t.starts[1:])):
+        assert counts.arrived[i] == np.count_nonzero(t.arrived[a:b])
+        assert counts.sifted[i] == np.count_nonzero(mask[a:b])
+        want = np.bincount(t.forwarded_ids[a:b] % n_ids, minlength=n_ids)
+        got = np.bincount(counts.forwarded_ids[i] % n_ids, counts.forwarded[i], minlength=n_ids)
+        np.testing.assert_array_equal(got, want)
+    assert counts.sifted.sum() == len(errors) > 0
+
+
+# every strategy of CASES with both protocols' states
+_BOTH = [
+    (f"{name.split('-', 1)[1]}-{kind.value}", kind, strategy, channel)
+    for name, _, strategy, channel in CASES
+    for kind in ProtocolKind
+]
+
+
+@pytest.mark.parametrize("block", [BLOCK, 1_000])
+@pytest.mark.parametrize("name,kind,strategy,channel", _BOTH, ids=[c[0] for c in _BOTH])
+def test_block_counts_equal_counts_over_columns(name, kind, strategy, channel, block, monkeypatch):
+    """A lone session of three default blocks and a batch of sessions of
+    different lengths, channels and seeds, run at the default block and
+    at 1,000 pulses a block: the counts the engine keeps per block equal
+    `sift_mask`, `disagreements` and `bincount` over the whole columns."""
+    monkeypatch.setattr(session, "BLOCK", block)
+    _assert_counts_equal_columns(kind, [Session(2 * BLOCK + 7, channel, strategy, 3)])
+    lengths = (5, 300, 1, 4_100, 77)
+    sessions = [
+        Session(n, ChannelModel(0.1 * j, 1.0 - 0.1 * j), strategy, 2**64 - 1 - j)
+        for j, n in enumerate(lengths)
+    ]
+    _assert_counts_equal_columns(kind, sessions)
+
+
+def test_block_counts_of_a_mismatch_sweep_batch_equal_counts_over_columns():
+    """Sessions of different deltas forward different states: each is
+    counted against its own ids."""
+    _assert_counts_equal_columns(ProtocolKind.B92, BATCH)
 
 
 def _measurement(strategy):
@@ -280,11 +344,11 @@ def test_forwarded_ids_widen_to_int32_past_int16_states():
     than int16 holds, so its forwarded ids are int32, and its sessions
     forward the same states as when run alone; 16,383 sessions number
     exactly 2**15 states, ids 0 to 2**15 - 1, and stay int16."""
-    edge = simulate_session(ProtocolKind.B92, _sweep_sessions(16_383, _WIDE_DELTAS))
+    edge = simulate_batch(ProtocolKind.B92, _sweep_sessions(16_383, _WIDE_DELTAS))
     assert len(edge.states) == 2**15
     assert edge.forwarded_ids.dtype == np.int16
     sessions = _sweep_sessions(16_400, _WIDE_DELTAS)
-    batch = simulate_session(ProtocolKind.B92, sessions)
+    batch = simulate_batch(ProtocolKind.B92, sessions)
     assert len(batch.states) == 2 + 2 * 16_400
     assert batch.forwarded_ids.dtype == np.int32
     forwarding = np.flatnonzero(batch.forwarded_ids >= 0)
@@ -304,7 +368,7 @@ def test_forwarded_ids_stay_int16_for_a_session_and_a_sweep_batch():
     """A lone session and a batch of 500-pulse sweep points keep 2-byte ids."""
     lone = one_session(ProtocolKind.B92, 1_000, ChannelModel(), _mismatch(0.3), 1)
     points = _sweep_sessions(BLOCK // 500, np.linspace(0.0, 1.5, BLOCK // 500).tolist(), 500)
-    batch = simulate_session(ProtocolKind.B92, points)
+    batch = simulate_batch(ProtocolKind.B92, points)
     assert lone.forwarded_ids.dtype == batch.forwarded_ids.dtype == np.int16
 
 
