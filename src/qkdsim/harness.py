@@ -21,7 +21,7 @@ import numpy as np
 
 from .adversary import HALF_PI, ChannelModel, EveKind, EveStrategy, forwarded_state_symmetry
 from .detection import TestDecision, expected_rates, null_ratio_test, qber_test
-from .protocol import ProtocolKind, estimate_qber, estimate_qber_batch
+from .protocol import ProtocolKind, estimate_qber_batch
 from .quantum import (
     ALGEBRA_TOL,
     Povm,
@@ -43,7 +43,6 @@ from .session import (
     STAGE_SWEEP,
     Session,
     protocol_states,
-    pulse_stream,
     simulate_session,
 )
 from .usd import (
@@ -56,8 +55,9 @@ from .usd import (
     usd_feasible,
 )
 
-# not called here; kept because bench/tracing.py wraps this name on this module
-from .protocol import sift  # noqa: F401
+# not called here; kept because bench/tracing.py wraps these names on this module
+from .protocol import estimate_qber, sift  # noqa: F401
+from .session import pulse_stream  # noqa: F401
 
 
 def _is_strict_int(value) -> bool:
@@ -277,24 +277,17 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     protocols, before any pulse is simulated, and ConfigurationError when
     the session does not fit in memory: its engine block, its sifted
     disagreement bits or its reveal sampler cannot be allocated. The
-    session runs as a batch of one.
+    session runs as a batch of one, through the same engine and reveal
+    sampler as a sweep's batches.
     """
     return _run_batch([config])[0]
 
 
 def _reveal(configs: list[ExperimentConfig], errors: np.ndarray, sifted: list[int]):
     """Each session's QBER estimate (None if it sifted nothing) and its
-    number of revealed positions."""
-    if len(configs) == 1:
-        # a lone session may be long: through the batch sampler as well,
-        # bb84-ir-reveal ran 13% slower and peaked 7 MB (8%) higher in RSS
-        config = configs[0]
-        if len(errors) == 0:
-            return [None], [0]
-        stream = pulse_stream(config.master_seed, 0, STAGE_ESTIMATE)
-        qber, positions = estimate_qber(errors, config.reveal_fraction, stream)
-        return [qber], [len(positions)]
-    # derive_seed(master_seed, 0, STAGE_ESTIMATE) of every session: its pulse_stream
+    number of revealed bits, from one `estimate_qber_batch` call over the
+    batch's sifted disagreement bits."""
+    # derive_seed(master_seed, 0, STAGE_ESTIMATE) of every session: its estimation stream's seed
     master_seeds = np.array([c.master_seed for c in configs], dtype=np.uint64)
     seeds = derive_seed_array(master_seeds, np.zeros(len(configs), np.uint64), STAGE_ESTIMATE)
     fractions = np.array([c.reveal_fraction for c in configs])
@@ -308,9 +301,10 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
     as one engine batch; each equals the report of its config run alone.
 
     The engine returns each session's counts and the batch's sifted
-    disagreement bits, never a whole-session column; every session's
-    reveal positions then come from one batch sampler, and the forwarded
-    states are labelled once per state of the batch.
+    disagreement bits, never a whole-session column; one reveal sampler
+    call then counts every session's revealed bits and their
+    disagreements, and the forwarded states are labelled once per state
+    of the batch.
     """
     kind = configs[0].protocol_kind
     sessions = [c.session for c in configs]
@@ -391,8 +385,8 @@ def sweep(config: ExperimentConfig, parameter: str, values: list) -> list[RunRep
     alone), so a sweep of short sessions pays the engine's per-call costs
     once per batch. Whatever its points' lengths, a sweep holds one engine
     block of columns at a time, plus one byte per sifted pulse of the
-    running batch and its reveal sampler's 4-byte position arrays; the
-    bookkeeping after the engine is batch array code as well
+    running batch and its reveal sampler's working arrays, which list no
+    positions; the bookkeeping after the engine is batch array code as well
     (`_run_batch`), and `report_csv_rows` formats the CSV a column at a
     time.
     """

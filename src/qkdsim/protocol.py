@@ -14,23 +14,23 @@ disagreement bit of every sifted pulse, in pulse order; that is all the
 estimate and the report need of the keys.
 
 QBER estimation reveals the positions a partial Fisher-Yates shuffle
-picks from the estimation stream. Its k draws are taken as one
-counter-based block and the swaps are resolved with array operations, so
-the positions and the stream's final state are those of the shuffle
-written as a loop with one integer draw per step (the equivalence is
-pinned by tests against that scalar loop). `estimate_qber_batch` does the
-same for many sessions at once, every session's draws from one call and
-the swaps of all of them resolved by the same code as one shuffle.
+picks from each session's estimation stream, and needs only two numbers
+of them: how many there are and how many disagree. `estimate_qber_batch`
+counts both for many sessions at once, with no list of positions: every
+session's draws come from one counter-based call, and the swaps of all
+of them are resolved with array operations as one shuffle. The counts
+are those of the shuffle written as a loop with one integer draw per
+step (pinned by tests against that scalar loop), and a session's counts
+do not depend on its batch; `estimate_qber` is a batch of one.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 import numpy as np
 
-from .rng import RngStream, stream_uniforms
+from .rng import stream_uniforms
 
 
 class ProtocolKind(Enum):
@@ -83,7 +83,7 @@ def sift(
     ]
 
 
-# Below this many sifted pulses the sampler's position arrays are int32.
+# Below this many sifted pulses in a batch the sampler's indices are int32.
 INT32_POSITIONS = 2**31
 
 
@@ -99,18 +99,20 @@ def _draw_offsets(draws: np.ndarray, span: np.ndarray) -> np.ndarray:
     return offsets
 
 
-def _resolve(n_slots: int, offsets: np.ndarray) -> np.ndarray:
-    """Sorted chosen values of a partial Fisher-Yates shuffle of
-    range(n_slots) whose step j swaps slots j and j + offsets[j].
+def _resolve(n_slots: int, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where a partial Fisher-Yates shuffle of range(n_slots) whose step j
+    swaps slots j and j + offsets[j] leaves its values: which slots
+    s >= k = len(offsets) some step targeted, as a mask over them, and the
+    values < k those slots end with. The shuffle chooses the values its
+    first k slots end with: s for every targeted slot s >= k, and every
+    value < k that is not among those returned.
 
     Step i moves into slot t_i the value slot i held just before it: the
     value the last earlier step targeting slot i moved there, else i. These
     links point to earlier steps, and pointer doubling follows them to
-    their roots. No step starts from a slot s >= k = len(offsets), so slot
-    s ends with the value the last step targeting it moved there, else s.
-    The chosen values are all the others: each targeted slot >= k, and
-    each value < k that no slot >= k ends with. Slots and steps have the
-    dtype of `offsets`, which is overwritten.
+    their roots. No step starts from a slot s >= k, so slot s ends with the
+    value the last step targeting it moved there, else s. Slots and steps
+    have the dtype of `offsets`, which is overwritten.
     """
     k = len(offsets)
     steps = np.arange(k, dtype=offsets.dtype)
@@ -123,111 +125,100 @@ def _resolve(n_slots: int, offsets: np.ndarray) -> np.ndarray:
     np.maximum.at(last, targets, steps)
     del targets
     # carried[j] links step j to the step whose start value it moves; rooted, it is that value
-    head = last[:k]
-    carried = np.where(head >= 0, head, steps)
+    carried = last[:k]
+    np.copyto(carried, steps, where=carried < 0)
     del steps
+    targeted = last[k:] >= 0
+    moved = last[k:][targeted]
+    del last  # `carried` views it, so all of it is freed at the first doubling step
     while True:
         rooted = carried[carried]
         if np.array_equal(rooted, carried):
             break
         carried = rooted
-    tail = last[k:]
-    targeted = tail >= 0
-    chosen = np.ones(n_slots, dtype=bool)
-    chosen[k:] = targeted
-    chosen[carried[tail[targeted]]] = False
-    return np.flatnonzero(chosen)
+    return targeted, carried[moved]
 
 
-def _sample_without_replacement(m: int, k: int, rng: RngStream) -> np.ndarray:
-    """Sorted first k entries of a partial Fisher-Yates shuffle of range(m).
-
-    Step j swaps slots j and j + min(floor(u_j * (m - j)), m - j - 1), u_j
-    the stream's uniform j. The k draws come as one `uniforms(k)` block,
-    which leaves the stream where k `uniform()` calls would, and
-    `_resolve` applies the swaps. Slots and steps are
-    int32 below `INT32_POSITIONS`, which halves the m-entry `last` array
-    and the k-entry working arrays. The arrays are passed on, not named,
-    so each is freed as soon as it is used up.
-    """
-    index = np.int32 if m < INT32_POSITIONS else np.int64
-    return _resolve(m, _draw_offsets(rng.uniforms(k), np.arange(m, m - k, -1, dtype=index)))
+def _session_counts(bits: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """How many bits are set in each session's run of `bits`, the runs of
+    `lengths` bits laid end to end."""
+    bounds = np.concatenate([[0], np.cumsum(lengths)])
+    return np.diff(np.searchsorted(np.flatnonzero(bits), bounds))
 
 
-def estimate_qber(
-    errors: np.ndarray, reveal_fraction: float, rng: RngStream
-) -> tuple[float, np.ndarray]:
-    """Reveal a random subsequence of the sifted key and its error rate.
-
-    Samples ceil(reveal_fraction * len(errors)) positions of the sifted
-    key without replacement and returns the fraction of them that
-    disagree, with the sorted positions. The revealed bits are discarded,
-    so the key keeps len(errors) - len(positions) bits.
-    """
-    if not (0.0 < reveal_fraction <= 1.0):
-        raise ValueError(f"reveal_fraction must be in (0, 1], got {reveal_fraction}")
-    m = len(errors)
-    if m == 0:
-        raise EstimationError("cannot estimate the error rate of an empty sifted key")
-    k = math.ceil(reveal_fraction * m)
-    positions = _sample_without_replacement(m, k, rng)
-    return int(np.count_nonzero(errors[positions])) / k, positions
-
-
-def _sample_batch_without_replacement(
-    m: np.ndarray, k: np.ndarray, seeds: np.ndarray
+def _revealed_errors(
+    errors: np.ndarray, m: np.ndarray, k: np.ndarray, seeds: np.ndarray
 ) -> np.ndarray:
-    """`_sample_without_replacement(m[i], k[i], RngStream(seeds[i]))` for
-    every session i at once, the sessions' ranges laid end to end: the
-    chosen positions of all of them in that batch-wide numbering, sorted.
+    """Per session i, how many of the k[i] positions a partial Fisher-Yates
+    shuffle of range(m[i]) chooses hold a disagreement, session i's bits
+    being the next m[i] of `errors`.
 
-    Step j of session i draws the stream's uniform j, so every session's
-    draws come from one `stream_uniforms` call. `_resolve` then runs the
-    batch as one shuffle over renumbered slots: first every session's
-    first k slots, session after session, so that the batch's step j
-    starts from slot j, then every session's other slots, in the same
-    order. A swap past its session's first k slots skips the first slots
-    of the later sessions and the other slots of the earlier ones. No step
-    reaches another session's slots, so every link stays inside its
-    session. All indices are int32, so the m must sum to less than 2**31;
-    a multi-session batch holds at most `BLOCK` pulses.
+    Step j of session i swaps its slots j and j + min(floor(u_j * (m[i] - j)),
+    m[i] - j - 1), u_j the uniform j of `RngStream(seeds[i])`, so every
+    session's draws come from one `stream_uniforms` call. `_resolve` then
+    runs the batch as one shuffle over renumbered slots: first every
+    session's first k slots, session after session, so that the batch's
+    step j starts from slot j, then every session's other slots, in the
+    same order. A swap past its session's first k slots skips the first
+    slots of the later sessions and the other slots of the earlier ones.
+    No step reaches another session's slots, so every link stays inside
+    its session. The disagreements are counted over the bits in that
+    order: those on the first k slots whose values stay there, plus those
+    on the other slots some step targeted. Indices are int32 below
+    `INT32_POSITIONS` sifted pulses in all, which halves the slot array.
+    The draws are passed on, not named, so they are freed once used up.
     """
-    m, k = m.astype(np.int32), k.astype(np.int32)
+    index = np.int32 if len(errors) < INT32_POSITIONS else np.int64
+    m, k = m.astype(index), k.astype(index)
     rest = m - k
-    n_steps, n_slots = int(k.sum()), int(m.sum())
-    first_step = np.cumsum(k, dtype=np.int32) - k
-    first_rest = n_steps + np.cumsum(rest, dtype=np.int32) - rest  # number of each session's slot k
-    start = np.cumsum(m, dtype=np.int32) - m  # batch-wide position of each session's slot 0
-    local = np.arange(n_steps, dtype=np.int32) - np.repeat(first_step, k)
+    n_steps = int(k.sum())
+    first_step = np.cumsum(k, dtype=index) - k
+    first_rest = n_steps + np.cumsum(rest, dtype=index) - rest  # number of each session's slot k
+    local = np.arange(n_steps, dtype=index) - np.repeat(first_step, k)
     offsets = _draw_offsets(stream_uniforms(np.repeat(seeds, k), local), np.repeat(m, k) - local)
     past_first = offsets >= np.repeat(k, k) - local
-    offsets[past_first] += np.repeat(first_rest - first_step - k, k)[past_first]
-    # batch-wide position of every renumbered slot
-    position = np.concatenate([
-        np.repeat(start - first_step, k) + np.arange(n_steps, dtype=np.int32),
-        np.repeat(start + k - first_rest, rest) + np.arange(n_steps, n_slots, dtype=np.int32),
-    ])
-    return np.sort(position[_resolve(n_slots, offsets)])
+    del local
+    offsets += np.repeat(first_rest - first_step - k, k) * past_first
+    del past_first
+    targeted, left = _resolve(len(errors), offsets)
+    ends = np.cumsum(m)
+    runs = np.split(errors, np.column_stack([ends - rest, ends]).ravel()[:-1])
+    first = np.concatenate(runs[0::2])
+    first[left] = False
+    other = np.concatenate(runs[1::2])
+    other &= targeted
+    return _session_counts(first, k) + _session_counts(other, rest)
 
 
 def estimate_qber_batch(
     errors: np.ndarray, sifted: np.ndarray, reveal_fractions: np.ndarray, seeds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`estimate_qber` of many sessions at once.
+    """Reveal a random subset of each session's sifted key and its error rate.
 
     Session i's disagreement bits are the next `sifted[i]` of `errors`,
-    and its estimation stream is `RngStream(seeds[i])`. Returns each
-    session's error rate over its revealed positions (NaN if it sifted
-    nothing, so revealed nothing) and its number of revealed positions,
-    both as `estimate_qber` would return them session by session.
+    and its estimation stream is `RngStream(seeds[i])`. It reveals
+    k = ceil(reveal_fractions[i] * sifted[i]) of them, chosen without
+    replacement by the stream's partial Fisher-Yates shuffle
+    (`_revealed_errors`), and discards them, so its key keeps the other
+    sifted[i] - k. Returns each session's fraction of revealed bits that
+    disagree (NaN if it sifted nothing, so revealed nothing) and each k.
+    A session's results do not depend on the batch it runs in.
     """
     if not np.all((0.0 < reveal_fractions) & (reveal_fractions <= 1.0)):
         raise ValueError("reveal fractions must be in (0, 1]")
     k = np.ceil(reveal_fractions * sifted).astype(np.int64)
-    positions = _sample_batch_without_replacement(sifted, k, seeds)
-    wrong = np.zeros(len(positions) + 1, dtype=np.int64)
-    np.cumsum(errors[positions], out=wrong[1:])
-    ends = np.cumsum(k)
+    wrong = _revealed_errors(errors, sifted, k, seeds)
     qber = np.full(len(k), np.nan)
-    np.divide(wrong[ends] - wrong[ends - k], k, out=qber, where=k > 0)
+    np.divide(wrong, k, out=qber, where=k > 0)
     return qber, k
+
+
+def estimate_qber(errors: np.ndarray, reveal_fraction: float, seed: int) -> tuple[float, int]:
+    """`estimate_qber_batch` of one session, whose estimation stream is
+    `RngStream(seed)`: its error rate and number of revealed bits."""
+    if len(errors) == 0:
+        raise EstimationError("cannot estimate the error rate of an empty sifted key")
+    qber, revealed = estimate_qber_batch(
+        errors, np.array([len(errors)]), np.array([reveal_fraction]), np.array([seed], np.uint64)
+    )
+    return float(qber[0]), int(revealed[0])

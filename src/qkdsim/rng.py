@@ -46,8 +46,8 @@ def derive_seed(seed: int, *keys: int) -> int:
 class RngStream:
     """SplitMix64 stream with a 64-bit seed.
 
-    Draws uniform reals in [0, 1), one at a time or k at once. Equal
-    seeds give equal draw sequences.
+    Draws uniform reals in [0, 1), one at a time. Equal seeds give equal
+    draw sequences.
     """
 
     __slots__ = ("_state",)
@@ -59,15 +59,6 @@ class RngStream:
         """Uniform double in [0, 1) with 53-bit resolution."""
         self._state = (self._state + _GOLDEN) & _MASK
         return (_mix(self._state) >> 11) * _INV_2_53
-
-    def uniforms(self, k: int) -> np.ndarray:
-        """The next k `uniform()` values as one float64 array: draw j is
-        `stream_uniforms` at step j. The state advances by k steps,
-        exactly as k `uniform()` calls would leave it.
-        """
-        draws = stream_uniforms(np.uint64(self._state), np.arange(k, dtype=np.uint64))
-        self._state = (self._state + k * _GOLDEN) & _MASK
-        return draws
 
 
 # -- vectorized counterparts (numpy uint64, wraparound arithmetic) ----------
@@ -109,12 +100,9 @@ def derive_seed_array(seed, indices: np.ndarray, *keys: int) -> np.ndarray:
     return _mix_array(h)
 
 
-def uniform_array(seeds: np.ndarray, draw_index: int) -> np.ndarray:
-    """The `draw_index`-th uniform of each stream in `seeds`, as float64.
-
-    Returns a new array; `seeds` is left as it was.
-    """
-    raw = seeds + np.uint64(((draw_index + 1) * _GOLDEN) & _MASK)
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """The uniform each SplitMix64 state in `raw` draws, as float64; `raw`
+    is overwritten."""
     _mix_array(raw)
     raw >>= _S11
     u = raw.astype(np.float64)
@@ -122,10 +110,24 @@ def uniform_array(seeds: np.ndarray, draw_index: int) -> np.ndarray:
     return u
 
 
+def uniform_array(seeds: np.ndarray, draw_index: int) -> np.ndarray:
+    """The `draw_index`-th uniform of each stream in `seeds`, as float64.
+
+    Returns a new array; `seeds` is left as it was.
+    """
+    return _uniforms(seeds + np.uint64(((draw_index + 1) * _GOLDEN) & _MASK))
+
+
 def stream_uniforms(states: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Uniform `steps[i]` (counting from 0) of the stream whose state is
     `states[i]`, elementwise: what the `steps[i] + 1`-th `uniform()` call
     of `RngStream(states[i])` returns. A stream's draws are counter-based,
-    so draws of many streams at many steps come from one call.
+    so draws of many streams at many steps come from one call. `states`
+    (uint64) is overwritten, so the call holds one more array of its size.
     """
-    return uniform_array(states + steps.astype(np.uint64, copy=False) * _U_GOLDEN, 0)
+    advance = steps.astype(np.uint64)
+    advance += np.uint64(1)
+    advance *= _U_GOLDEN
+    states += advance
+    del advance
+    return _uniforms(states)

@@ -13,7 +13,12 @@ state ids nor Eve's actions, since both follow from other columns;
 comparisons. `csv_lines` renders reports to CSV one report and
 one cell at a time, the oracle for the column-wise `report_csv_rows`.
 `integers` (a bounded integer draw) and `verify_unambiguous_constraints`
-serve only the tests, so they live here rather than in the package.
+serve only the tests, so they live here rather than in the package. So
+do `uniforms` (a block of one stream's draws) and the reveal samplers
+that list positions (`sample_positions`, `sample_batch_positions`): the
+package only counts the revealed disagreements, and these are the oracle
+those counts are checked against, themselves checked against the scalar
+`sample_without_replacement`.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from qkdsim.adversary import ChannelModel, EveKind, EveStrategy, forwarded_state_symmetry
+from qkdsim import protocol
 from qkdsim.protocol import ProtocolKind, sift
 from qkdsim.quantum import (
     Povm,
@@ -42,7 +48,7 @@ from qkdsim.quantum import (
     rotate_y,
     state_label,
 )
-from qkdsim.rng import RngStream, derive_seed
+from qkdsim.rng import _GOLDEN, _MASK, RngStream, derive_seed, stream_uniforms
 from qkdsim import session
 from qkdsim.session import Session
 from qkdsim.usd import UsdSchemeKind, idp_povm, naive_frame_povms
@@ -226,6 +232,63 @@ def sample_without_replacement(m: int, k: int, rng: RngStream) -> list[int]:
         t = j + integers(rng, m - j)
         positions[j], positions[t] = positions[t], positions[j]
     return positions[:k]
+
+
+def uniforms(rng: RngStream, k: int) -> np.ndarray:
+    """The next k `rng.uniform()` values as one `stream_uniforms` block,
+    leaving `rng` where k `uniform()` calls would."""
+    draws = stream_uniforms(np.full(k, rng._state, dtype=np.uint64), np.arange(k))
+    rng._state = (rng._state + k * _GOLDEN) & _MASK
+    return draws
+
+
+def resolve_positions(n_slots: int, offsets: np.ndarray) -> np.ndarray:
+    """Sorted chosen values of the partial Fisher-Yates shuffle that
+    `protocol._resolve` resolves: its targeted slots >= k and the values
+    < k that no slot >= k ends with."""
+    k = len(offsets)
+    targeted, left = protocol._resolve(n_slots, offsets)
+    chosen = np.ones(n_slots, dtype=bool)
+    chosen[k:] = targeted
+    chosen[left] = False
+    return np.flatnonzero(chosen)
+
+
+def _index_dtype(n_slots: int):
+    return np.int32 if n_slots < protocol.INT32_POSITIONS else np.int64
+
+
+def sample_positions(m: int, k: int, rng: RngStream) -> np.ndarray:
+    """Sorted first k entries of a partial Fisher-Yates shuffle of range(m),
+    its k draws taken as one `uniforms` block and its swaps resolved with
+    array operations: what `sample_without_replacement` picks, draw for draw."""
+    span = np.arange(m, m - k, -1, dtype=_index_dtype(m))
+    return resolve_positions(m, protocol._draw_offsets(uniforms(rng, k), span))
+
+
+def sample_batch_positions(m: np.ndarray, k: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """`sample_positions(m[i], k[i], RngStream(seeds[i]))` for every session
+    i at once, the sessions' ranges laid end to end: the chosen positions of
+    all of them in that batch-wide numbering, sorted. The swaps are resolved
+    as one shuffle over the slots renumbered as `protocol._revealed_errors`
+    does, and a batch-wide map takes each slot back to its position."""
+    index = _index_dtype(int(m.sum()))
+    m, k = m.astype(index), k.astype(index)
+    rest = m - k
+    n_steps, n_slots = int(k.sum()), int(m.sum())
+    first_step = np.cumsum(k, dtype=index) - k
+    first_rest = n_steps + np.cumsum(rest, dtype=index) - rest
+    start = np.cumsum(m, dtype=index) - m  # batch-wide position of each session's slot 0
+    local = np.arange(n_steps, dtype=index) - np.repeat(first_step, k)
+    draws = stream_uniforms(np.repeat(seeds, k), local)
+    offsets = protocol._draw_offsets(draws, np.repeat(m, k) - local)
+    past_first = offsets >= np.repeat(k, k) - local
+    offsets[past_first] += np.repeat(first_rest - first_step - k, k)[past_first]
+    position = np.concatenate([
+        np.repeat(start - first_step, k) + np.arange(n_steps, dtype=index),
+        np.repeat(start + k - first_rest, rest) + np.arange(n_steps, n_slots, dtype=index),
+    ])
+    return np.sort(position[resolve_positions(n_slots, offsets)])
 
 
 # -- unambiguous discrimination ----------------------------------------------

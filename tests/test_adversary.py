@@ -15,8 +15,8 @@ from enumeration import (
 from qkdsim.adversary import ChannelModel, EveKind, EveStrategy
 from qkdsim.protocol import ProtocolKind, estimate_qber
 from qkdsim.quantum import X_PLUS, Z_PLUS, rotate_y, state_label
-from qkdsim.rng import RngStream
-from qkdsim.session import STAGE_ESTIMATE, pulse_stream
+from qkdsim.rng import RngStream, derive_seed
+from qkdsim.session import STAGE_ESTIMATE
 from qkdsim.usd import UsdSchemeKind, usd_efficiency
 from reference import channel_transmit, eve_apply, one_session, sift_session, symmetry
 
@@ -27,8 +27,8 @@ def _run(kind, n, strategy, seed, channel=LOSSLESS, reveal=1.0):
     """A session's batch, its sifted count, QBER and revealed count."""
     t = one_session(kind, n, channel, strategy, seed)
     errors = sift_session(t)
-    qber, revealed = estimate_qber(errors, reveal, pulse_stream(seed, 0, STAGE_ESTIMATE))
-    return t, len(errors), qber, len(revealed)
+    qber, revealed = estimate_qber(errors, reveal, derive_seed(seed, 0, STAGE_ESTIMATE))
+    return t, len(errors), qber, revealed
 
 
 class TestChannel:

@@ -1,7 +1,8 @@
 """Golden digests: the sha256 of `qkdsim` stdout for fixed configs.
 
 Every valid {protocol x eve_strategy x usd_scheme} combination is pinned,
-plus lossy channels, nonzero delta, a CSV run, two sessions long enough
+plus lossy channels, nonzero delta (one so small that Eve's states sit
+just past the labelling tolerance), a CSV run, two sessions long enough
 to span several engine blocks, and sweeps over each kind of parameter:
 a delta sweep long enough to fill more than one batch of sessions,
 pulse counts above, at and below one block, per-point losses and a BB84
@@ -11,7 +12,8 @@ sifted) mixed with 500-pulse points, and a lossy BB84 intercept-resend
 absorption sweep. The
 two analysis subcommands, which take no config, are pinned too:
 `usd-check` on the B92 pair, the four BB84 states, three states, one
-state and a repeated state, and `no-signaling-demo` with each POVM, a
+state, a repeated state and a pair whose Gram eigenvalue sits just above
+the rank tolerance, and `no-signaling-demo` with each POVM, a
 second seed and chosen directions. A
 refactor must leave every digest unchanged; a deliberate
 change of output re-pins them with
@@ -84,6 +86,11 @@ CASES = {
     "b92-basis-mismatch-optimal-delta": (
         _config("b92", "basis_mismatch", "optimal", delta=0.3), ["run"], []
     ),
+    # Eve's frame is 1e-3 off the standard one: |<ref|state>|^2 falls 2.5e-7
+    # short of 1 for her states, past the labelling tolerance, so 0 z and 0 x
+    "b92-basis-mismatch-naive-small-delta": (
+        _config("b92", "basis_mismatch", delta=0.001), ["run"], []
+    ),
     "b92-usd-suppress-naive-csv": (
         _config("b92", "usd_suppress", **LOSSY), ["--output", "csv", "run"], []
     ),
@@ -134,6 +141,8 @@ CASES = {
     "usd-check-three-states": (None, ["usd-check", "--states", "0.3,0.2,1.2,4,2.5,1"], []),
     "usd-check-one-state": (None, ["--seed", "3", "usd-check", "--states", "0.7,0.1"], []),
     "usd-check-repeated-state": (None, ["usd-check", "--states", "1,2,1,2"], []),
+    # smaller Gram eigenvalue 3.1e-8, above the rank tolerance: rank 2, feasible
+    "usd-check-near-parallel-pair": (None, ["usd-check", "--states", "0,0,0.0005,0"], []),
     "no-signaling-demo-sz": (None, ["no-signaling-demo", "--povm", "sz"], []),
     "no-signaling-demo-sx": (None, ["no-signaling-demo", "--povm", "sx"], []),
     "no-signaling-demo-idp": (None, ["no-signaling-demo", "--povm", "idp"], []),

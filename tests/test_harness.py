@@ -829,15 +829,12 @@ class TestCli:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
-        "command,sampler,n_pulses",
-        [
-            (["run"], "estimate_qber", 10_000),
-            (["sweep", "--param", "delta", "--values", "0.1,0.2"], "estimate_qber_batch", 20_000),
-        ],
+        "command,n_pulses",
+        [(["run"], 10_000), (["sweep", "--param", "delta", "--values", "0.1,0.2"], 20_000)],
         ids=["run", "sweep"],
     )
     def test_memory_error_after_the_engine_exits_2(
-        self, tmp_path, capsys, monkeypatch, command, sampler, n_pulses
+        self, tmp_path, capsys, monkeypatch, command, n_pulses
     ):
         """The reveal sampler runs after the engine, on the sifted bits: a
         MemoryError there is a config error naming the batch's pulses too,
@@ -846,7 +843,7 @@ class TestCli:
         def unallocatable(*args):
             raise MemoryError
 
-        monkeypatch.setattr(harness, sampler, unallocatable)
+        monkeypatch.setattr(harness, "estimate_qber_batch", unallocatable)
         path = self._write_config(tmp_path, {**BASE, "n_pulses": 10_000})
         assert main([command[0], "--config", path, *command[1:]]) == 2
         captured = capsys.readouterr()
@@ -1003,12 +1000,12 @@ def test_no_cache_grows_with_distinct_deltas():
     assert grown == {}
 
 
-def _traced_peak(n_pulses: int) -> int:
-    """tracemalloc's peak inside `run_experiment` of a B92 suppression
-    session (absorption 0.1, efficiency 0.9), in bytes."""
+def _traced_peak(n_pulses: int, **fields) -> int:
+    """tracemalloc's peak inside `run_experiment`, in bytes: by default of
+    a B92 suppression session (absorption 0.1, efficiency 0.9)."""
     config = ExperimentConfig.from_dict(
         {**BASE, "n_pulses": n_pulses, "absorption": 0.1, "efficiency": 0.9,
-         "eve_strategy": "usd_suppress"}
+         "eve_strategy": "usd_suppress", **fields}
     )
     tracemalloc.start()
     try:
@@ -1026,3 +1023,15 @@ def test_session_memory_does_not_grow_with_its_length():
     small, large = _traced_peak(200_000), _traced_peak(1_000_000)
     assert large < 3 * 2**20
     assert large - small < 2**20
+
+
+def test_reveal_memory_stays_below_the_position_lists():
+    """Half of a lossless BB84 intercept-resend session sifts and half of
+    that is revealed, so the reveal sets its peak. Counting the revealed
+    disagreements keeps it near 5.5 bytes a pulse; a sampler that listed
+    the revealed positions peaked at 8.5 (8.1 MiB at 10^6 pulses)."""
+    peak = _traced_peak(
+        1_000_000, protocol="bb84", absorption=0.0, efficiency=1.0,
+        eve_strategy="intercept_resend", reveal_fraction=0.5,
+    )
+    assert peak < 7 * 1_000_000

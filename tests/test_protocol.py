@@ -11,21 +11,16 @@ from hypothesis import strategies as st
 from enumeration import b92_honest, bb84_honest
 from qkdsim import protocol
 from qkdsim.adversary import ChannelModel, EveKind, EveStrategy
-from qkdsim.protocol import (
-    EstimationError,
-    ProtocolKind,
-    _sample_batch_without_replacement,
-    _sample_without_replacement,
-    estimate_qber,
-    estimate_qber_batch,
-)
+from qkdsim.protocol import EstimationError, ProtocolKind, estimate_qber, estimate_qber_batch
 from qkdsim.quantum import X_MINUS, X_PLUS, Z_MINUS, Z_PLUS, measurement_probs
-from qkdsim.rng import RngStream
-from qkdsim.session import STAGE_ESTIMATE, pulse_stream
+from qkdsim.rng import RngStream, derive_seed
+from qkdsim.session import STAGE_ESTIMATE
 from reference import (
     alice_prepare,
     bob_measure,
     one_session,
+    sample_batch_positions,
+    sample_positions,
     sample_without_replacement,
     sift_session,
 )
@@ -148,16 +143,35 @@ class TestSift:
             np.testing.assert_array_equal(c, b)
 
 
+def _revealed_counts(errors, m, k, seeds) -> list[int]:
+    """`estimate_qber_batch`'s count of revealed disagreements per session,
+    its fractions chosen to reveal exactly k[i] of m[i] sifted bits:
+    ceil((k - 0.5) / m * m) is k for 1 <= k <= m."""
+    m, k = np.asarray(m), np.asarray(k)
+    fractions = np.where(m > 0, (k - 0.5) / np.maximum(m, 1), 0.5)
+    qber, revealed = estimate_qber_batch(errors, m, fractions, np.asarray(seeds, dtype=np.uint64))
+    assert revealed.tolist() == k.tolist()
+    return np.rint(np.nan_to_num(qber) * k).astype(int).tolist()
+
+
 def _assert_matches_oracle(m, k, seed):
+    """The position sampler picks the scalar shuffle's positions and leaves
+    the stream where it does; the counting sampler counts the disagreements
+    at those positions, on random error bits."""
     oracle, engine = RngStream(seed), RngStream(seed)
     expected = sorted(sample_without_replacement(m, k, oracle))
-    positions = _sample_without_replacement(m, k, engine)
+    positions = sample_positions(m, k, engine)
     assert positions.tolist() == expected, (m, k, seed)
     assert engine._state == oracle._state, (m, k, seed)
+    if k:
+        errors = np.random.default_rng(seed).random(m) < 0.3
+        want = int(np.count_nonzero(errors[positions]))
+        assert _revealed_counts(errors, [m], [k], [seed]) == [want], (m, k, seed)
 
 
 class TestRevealSampling:
-    """The array sampler against the scalar Fisher-Yates oracle, draw for draw."""
+    """The position sampler against the scalar Fisher-Yates oracle, draw for
+    draw, and the counting sampler against the position sampler."""
 
     def test_random_cases_match_oracle(self):
         cases = random.Random(20260101)
@@ -188,38 +202,62 @@ class TestRevealSampling:
         for m in (2**17 - 1, 2**17, 2**17 + 1):
             _assert_matches_oracle(m, m // 3, 12)
 
+    def test_one_hot_counts_pin_the_revealed_set(self):
+        """With one disagreement, at position p, a session counts 1 exactly
+        when the scalar shuffle reveals p: for every m <= 30, every k and
+        every p as sessions of one batch, and every p alone at k = ceil(m / 2)."""
+        cases = random.Random(20261019)
+        for m in range(1, 31):
+            sessions = [(k, p, cases.getrandbits(64)) for k in range(1, m + 1) for p in range(m)]
+            k, p, seeds = zip(*sessions)
+            errors = np.zeros((len(sessions), m), dtype=bool)
+            errors[np.arange(len(sessions)), p] = True
+            counts = _revealed_counts(errors.ravel(), np.full(len(sessions), m), k, seeds)
+            for (k, p, seed), count in zip(sessions, counts):
+                revealed = sample_without_replacement(m, k, RngStream(seed))
+                assert count == (p in revealed), (m, k, p, seed)
+            for p in range(m):
+                seed = cases.getrandbits(64)
+                one_hot = np.arange(m) == p
+                qber, k = estimate_qber(one_hot, 0.5, seed)
+                assert k == math.ceil(m / 2)
+                assert qber * k == (p in sample_without_replacement(m, k, RngStream(seed)))
+
 
 class TestEstimateQber:
     def test_honest_sessions_have_zero_qber(self):
         for seed in range(5):
             errors = _honest_errors(ProtocolKind.B92, 20_000, seed=seed)
-            qber, _ = estimate_qber(errors, 0.5, pulse_stream(seed, 0, STAGE_ESTIMATE))
+            qber, _ = estimate_qber(errors, 0.5, derive_seed(seed, 0, STAGE_ESTIMATE))
             assert qber == 0.0
 
     def test_reveal_count_is_ceiling(self):
         errors = _honest_errors(ProtocolKind.B92, 10_000, seed=2)
         for fraction in (0.1, 0.25, 0.333, 1.0):
-            _, revealed = estimate_qber(errors, fraction, RngStream(0))
-            assert len(revealed) == math.ceil(fraction * len(errors))
+            _, revealed = estimate_qber(errors, fraction, 0)
+            assert revealed == math.ceil(fraction * len(errors))
 
     def test_full_reveal_empties_key(self):
-        errors = _honest_errors(ProtocolKind.B92, 5_000, seed=4)
-        _, revealed = estimate_qber(errors, 1.0, RngStream(1))
-        np.testing.assert_array_equal(revealed, np.arange(len(errors)))
+        """A full reveal picks every position, so it counts every disagreement."""
+        m = 5_000
+        np.testing.assert_array_equal(sample_positions(m, m, RngStream(1)), np.arange(m))
+        errors = np.random.default_rng(4).random(m) < 0.2
+        assert estimate_qber(errors, 1.0, 1) == (np.count_nonzero(errors) / m, m)
 
     def test_revealed_indices_are_sifted_indices(self):
         """Revealed positions are distinct positions of the sifted key, sorted."""
-        errors = _honest_errors(ProtocolKind.B92, 5_000, seed=6)
-        _, revealed = estimate_qber(errors, 0.3, RngStream(2))
+        m = 5_000
+        revealed = sample_positions(m, math.ceil(0.3 * m), RngStream(2))
         assert np.all(np.diff(revealed) > 0)
-        assert 0 <= revealed[0] and revealed[-1] < len(errors)
+        assert 0 <= revealed[0] and revealed[-1] < m
 
     def test_qber_is_the_revealed_disagreement_rate(self):
         errors = np.zeros(1_000, dtype=bool)
         errors[::7] = True
         before = errors.copy()
-        qber, revealed = estimate_qber(errors, 0.4, RngStream(3))
-        assert qber == np.count_nonzero(errors[revealed]) / len(revealed) > 0.0
+        qber, revealed = estimate_qber(errors, 0.4, 3)
+        positions = sample_positions(len(errors), revealed, RngStream(3))
+        assert qber == np.count_nonzero(errors[positions]) / revealed > 0.0
         np.testing.assert_array_equal(errors, before)
 
     def test_empty_sift_raises(self):
@@ -227,20 +265,21 @@ class TestEstimateQber:
             ProtocolKind.B92, 100, ChannelModel(absorption=1.0), EveStrategy(EveKind.NONE), 3
         )
         with pytest.raises(EstimationError):
-            estimate_qber(sift_session(t), 0.5, RngStream(0))
+            estimate_qber(sift_session(t), 0.5, 0)
 
     def test_bad_fraction_rejected(self):
         errors = _honest_errors(ProtocolKind.B92, 1_000, seed=8)
         for fraction in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                estimate_qber(errors, fraction, RngStream(0))
+                estimate_qber(errors, fraction, 0)
 
     def test_estimation_deterministic(self):
-        a = _honest_errors(ProtocolKind.B92, 10_000, seed=15)
-        b = _honest_errors(ProtocolKind.B92, 10_000, seed=15)
-        _, rev_a = estimate_qber(a, 0.2, pulse_stream(15, 0, STAGE_ESTIMATE))
-        _, rev_b = estimate_qber(b, 0.2, pulse_stream(15, 0, STAGE_ESTIMATE))
-        np.testing.assert_array_equal(rev_a, rev_b)
+        a = _honest_errors(ProtocolKind.BB84, 10_000, seed=15)
+        b = _honest_errors(ProtocolKind.BB84, 10_000, seed=15)
+        a[::5] = True
+        b[::5] = True
+        seed = derive_seed(15, 0, STAGE_ESTIMATE)
+        assert estimate_qber(a, 0.2, seed) == estimate_qber(b, 0.2, seed)
 
 
 @st.composite
@@ -257,23 +296,28 @@ def _one_by_one(sessions) -> list[int]:
     positions, offset = [], 0
     for m, k, seed in sessions:
         if m:
-            positions += (_sample_without_replacement(m, k, RngStream(seed)) + offset).tolist()
+            positions += (sample_positions(m, k, RngStream(seed)) + offset).tolist()
         offset += m
     return positions
 
 
 class TestBatchRevealSampling:
-    """The batch sampler against the one-session sampler, session by session."""
+    """The batch samplers against the one-session sampler, session by session."""
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.lists(_reveal_session(), min_size=1, max_size=12))
     @example([(0, 0, 0), (1, 1, 2**64 - 1), (7, 7, 3), (9, 1, 4), (0, 0, 5)])
     def test_positions_equal_each_session_sampled_alone(self, sessions):
+        """The position sampler's batch picks each session's positions, and
+        the counting sampler counts the disagreements at them."""
         m, k, seeds = zip(*sessions)
-        positions = _sample_batch_without_replacement(
-            np.array(m), np.array(k), np.array(seeds, dtype=np.uint64)
-        )
+        m, k, seeds = np.array(m), np.array(k), np.array(seeds, dtype=np.uint64)
+        positions = sample_batch_positions(m, k, seeds)
         assert positions.tolist() == _one_by_one(sessions)
+        errors = np.random.default_rng(seeds.tolist()).random(m.sum()) < 0.4
+        wrong = np.cumsum(np.concatenate([[0], errors[positions]]))
+        ends = np.cumsum(k)
+        assert _revealed_counts(errors, m, k, seeds) == (wrong[ends] - wrong[ends - k]).tolist()
 
     def test_estimates_equal_each_session_estimated_alone(self):
         cases = random.Random(20261018)
@@ -288,8 +332,7 @@ class TestBatchRevealSampling:
                 assert revealed[i] == 0 and math.isnan(qber[i])
                 continue
             alone = errors[starts[i] : starts[i + 1]]
-            want, positions = estimate_qber(alone, fraction, RngStream(seed))
-            assert (qber[i], revealed[i]) == (want, len(positions))
+            assert (qber[i], revealed[i]) == estimate_qber(alone, fraction, seed)
         assert 0.0 < np.nanmax(qber) and np.count_nonzero(sifted == 0) > 0
 
     def test_bad_fraction_rejected(self):

@@ -57,6 +57,16 @@ class TestStates:
         with pytest.raises(ValueError, match="normalized"):
             QubitState(1.0 + 0.0j, 1.0 + 0.0j)
 
+    @pytest.mark.parametrize("off", [1e-13, -1e-13])
+    def test_normalization_tolerates_rounding(self, off):
+        state = QubitState(complex(math.sqrt(1.0 + off)), 0.0j)
+        assert abs(abs(state.amp0) ** 2 - 1.0) < 2e-13
+
+    @pytest.mark.parametrize("off", [1e-10, -1e-10])
+    def test_normalization_rejects_a_state_off_by_1e_10(self, off):
+        with pytest.raises(ValueError, match="normalized"):
+            QubitState(complex(math.sqrt(1.0 + off)), 0.0j)
+
     def test_finiteness_enforced(self):
         with pytest.raises(ValueError, match="finite"):
             QubitState(complex("nan"), 0.0j)

