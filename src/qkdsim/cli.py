@@ -103,6 +103,10 @@ def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
         raise ConfigurationError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file is not UTF-8 text: {exc}") from exc
+    except RecursionError:
+        raise ConfigurationError("config file nests too deeply to parse as JSON") from None
     config = ExperimentConfig.from_dict(data)
     return config if seed_override is None else replace(config, master_seed=seed_override)
 

@@ -191,18 +191,7 @@ class RunReport:
             raise ValueError("inconsistent counts: need revealed <= sifted <= arrived <= sent")
 
     def to_dict(self) -> dict:
-        report = {}
-        for section, value in _report_columns([self]).items():
-            if section == "tests":
-                report[section] = {
-                    test: None if decision is None else decision.to_dict()
-                    for test, (decision,) in value.items()
-                }
-            elif isinstance(value, dict):
-                report[section] = {name: cell for name, (cell,) in value.items()}
-            else:
-                (report[section],) = value
-        return report
+        return _one(_report_columns([self]))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -211,6 +200,15 @@ class RunReport:
 def _scheme_efficiency(config: ExperimentConfig) -> float | None:
     s = config.session.strategy
     return None if s.scheme is None else usd_efficiency(s.scheme, s.states)
+
+
+def _one(columns):
+    """A one-report `_report_columns` as the report itself: each column
+    gives its one cell, and a test decision its dict."""
+    if isinstance(columns, dict):
+        return {name: _one(value) for name, value in columns.items()}
+    (cell,) = columns
+    return cell.to_dict() if isinstance(cell, TestDecision) else cell
 
 
 def _report_columns(reports: list[RunReport]) -> dict:
@@ -501,24 +499,23 @@ def no_signaling_demo(
 _DECISION_COLUMNS = tuple(f.name for f in fields(TestDecision))
 
 
-def _csv_format(kind: type):
-    if kind is type(None):
-        return lambda value: ""
-    if issubclass(kind, bool):
-        return lambda value: "true" if value else "false"
-    if issubclass(kind, float):
-        return repr
-    return str
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
 def _csv_cells(values: list) -> list[str]:
-    """One column's cells: None empty, bools lower case, floats by `repr`,
-    anything else by `str`. Each type's rule is looked up once, and each
-    distinct object formatted once, so a column that repeats one config
-    value repeats one string."""
-    formats = {kind: _csv_format(kind) for kind in set(map(type, values))}
+    """One column's cells, by `_csv_cell`. Each distinct object is
+    formatted once and its string shared down the column; this is for
+    memory: a sweep repeats each config value in every row, and a string
+    per cell raised a 1,500-point sweep's peak RSS by about 1 MB."""
     objects = dict(zip(map(id, values), values))
-    text = {key: formats[type(value)](value) for key, value in objects.items()}
+    text = {key: _csv_cell(value) for key, value in objects.items()}
     return list(map(text.__getitem__, map(id, values)))
 
 

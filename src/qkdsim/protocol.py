@@ -164,7 +164,8 @@ def _revealed_errors(
     No step reaches another session's slots, so every link stays inside
     its session. The disagreements are counted over the bits in that
     order: those on the first k slots whose values stay there, plus those
-    on the other slots some step targeted. Indices are int32 below
+    on the other slots some step targeted, both gathered by one mask that
+    marks every session's first k bits. Indices are int32 below
     `INT32_POSITIONS` sifted pulses in all, which halves the slot array.
     The draws are passed on, not named, so they are freed once used up.
     """
@@ -181,11 +182,11 @@ def _revealed_errors(
     offsets += np.repeat(first_rest - first_step - k, k) * past_first
     del past_first
     targeted, left = _resolve(len(errors), offsets)
-    ends = np.cumsum(m)
-    runs = np.split(errors, np.column_stack([ends - rest, ends]).ravel()[:-1])
-    first = np.concatenate(runs[0::2])
+    in_first = np.repeat(np.tile([True, False], len(m)), np.column_stack([k, rest]).ravel())
+    first = errors[in_first]
     first[left] = False
-    other = np.concatenate(runs[1::2])
+    other = errors[~in_first]
+    del in_first
     other &= targeted
     return _session_counts(first, k) + _session_counts(other, rest)
 

@@ -263,8 +263,7 @@ class _Block(NamedTuple):
     `lengths` None all are session `first`'s, else `lengths[j]` of them
     are session `first + j`'s. `slots` is each pulse's forward slot.
     `bob_minus` is False wherever the pulse did not arrive, and forwarded
-    ids are int16, or int32 when a batch has more states than int16 can
-    number."""
+    ids are int32."""
 
     first: int
     lengths: np.ndarray | None
@@ -327,13 +326,12 @@ def _batch(kind: ProtocolKind, sessions: Sequence[Session]) -> _Batch:
     states = tuple(dict.fromkeys((*sent_states, *forwardable)))
     ids = {state: i for i, state in enumerate(states)}
     ids[None] = -1
-    id_dtype = np.int16 if len(states) - 1 <= np.iinfo(np.int16).max else np.int32
     forward = [[[ids[t] for t in frame] for frame in frames] for frames in targets]
-    forward = np.array(forward, dtype=id_dtype).reshape(elements.shape[:3])
+    forward = np.array(forward, dtype=np.int32).reshape(elements.shape[:3])
     vectors = np.array([(state.amp0, state.amp1) for state in states], dtype=complex)
     # a slot is one of a strategy's (frame, outcome) pairs; with no frames, Alice's state
     if elements.shape[1] == 0:
-        slot_ids = np.arange(len(sent_states), dtype=id_dtype)[None]
+        slot_ids = np.arange(len(sent_states), dtype=np.int32)[None]
     else:
         slot_ids = forward.reshape(len(forward), -1)
 
@@ -402,40 +400,35 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
     scheme's kind; each is deterministic given (its fields, master seed)
     and does not depend on the others. Each block is sifted and counted
     as soon as it is drawn, and only its sifted disagreement bits are
-    kept. A block within one session is counted with `count_nonzero`
-    (a `bincount` of its slots took four times as long); a block across
-    sessions (in the harness a multi-session batch is at most one block)
-    with one `reduceat` per count and one `bincount` of (session, slot).
+    kept, appended to one buffer. Its counts go into one table, a row per
+    session: arrived, sifted, then each forward slot. A block within one
+    session adds each column's `count_nonzero`, a block across sessions
+    each column's `reduceat` at the session bounds (column by column, so
+    no stack of them is cast to int64).
     """
     batch = _batch(kind, sessions)
     n_sessions, n_slots = batch.slot_ids.shape
-    arrived = np.zeros(n_sessions, dtype=np.int64)
-    sifted = np.zeros(n_sessions, dtype=np.int64)
-    forwarded = np.zeros((n_sessions, n_slots), dtype=np.int64)
-    errors = []
+    table = np.zeros((n_sessions, 2 + n_slots), dtype=np.int64)
+    errors = bytearray()
     for block in _blocks(batch):
         mask = sift_mask(kind, block.alice_bases, block.arrived, block.bob_bases, block.bob_minus)
-        errors.append(disagreements(kind, block.alice_bits, block.bob_bases, block.bob_minus)[mask])
+        errors += disagreements(kind, block.alice_bits, block.bob_bases, block.bob_minus)[mask].data
+        columns = (block.arrived, mask, *(block.slots == s for s in range(n_slots)))
         i, lengths = block.first, block.lengths
         if lengths is None:
-            arrived[i] += np.count_nonzero(block.arrived)
-            sifted[i] += np.count_nonzero(mask)
-            forwarded[i] += [np.count_nonzero(block.slots == slot) for slot in range(n_slots)]
+            table[i] += [np.count_nonzero(column) for column in columns]
         else:
-            j = i + len(lengths)
             bounds = np.cumsum(lengths) - lengths
-            arrived[i:j] += np.add.reduceat(block.arrived, bounds, dtype=np.int64)
-            sifted[i:j] += np.add.reduceat(mask, bounds, dtype=np.int64)
-            keys = np.repeat(np.arange(0, len(lengths) * n_slots, n_slots), lengths) + block.slots
-            forwarded[i:j] += np.bincount(keys, minlength=len(lengths) * n_slots).reshape(-1, n_slots)
-        del block, mask  # the next block is drawn without this one's columns
+            sums = [np.add.reduceat(column, bounds, dtype=np.int64) for column in columns]
+            table[i : i + len(lengths)] += np.column_stack(sums)
+        del block, mask, columns  # the next block is drawn without this one's columns
 
     return SessionCounts(
         n_pulses=batch.n_pulses,
         states=batch.states,
-        arrived=arrived,
-        sifted=sifted,
-        forwarded=forwarded,
+        arrived=table[:, 0],
+        sifted=table[:, 1],
+        forwarded=table[:, 2:],
         forwarded_ids=batch.slot_ids,
-        errors=np.concatenate(errors),
+        errors=np.frombuffer(errors, dtype=bool),
     )

@@ -1,0 +1,153 @@
+"""Mutation check: every named single-line mutant of `src/` must fail the
+tests that cover its module.
+
+    python tests/mutation.py           # the control run, then every mutant
+    python tests/mutation.py --list    # the mutants and the tie-only ones, not run
+    python tests/mutation.py NAME ...  # the control run, then the named mutants
+
+Each mutant is an exact old -> new text in one module; the old text must
+occur there exactly once. For each, `src/` and `tests/` are copied to a
+temporary directory, the mutant is applied to the copy, and pytest runs
+only the test files that cover it there, stopping at the first failure.
+A mutant the tests pass is a gap in them, and the script exits 1. A
+control run first requires every listed test file to pass unmutated, so
+that a broken environment cannot pass as a killed mutant.
+
+The script imports only the standard library and runs pytest in a child
+process. It is not a tier-1 test (pytest collects only `test_*.py`).
+Background: DeMillo, Lipton & Sayward, IEEE Computer 11(4), 1978; Jia &
+Harman, IEEE TSE 37(5), 2011.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # under src/qkdsim
+    old: str
+    new: str
+    tests: tuple[str, ...]  # under tests/
+
+
+MUTANTS = (
+    # the tolerances that the tests once left free
+    Mutant("label-tolerance", "quantum.py", "_LABEL_TOL = 1e-9", "_LABEL_TOL = 1e-6",
+           ("test_golden.py", "test_quantum.py")),
+    Mutant("gram-rank-tolerance", "usd.py", "GRAM_RANK_TOL = 1e-10", "GRAM_RANK_TOL = 1e-7",
+           ("test_golden.py", "test_usd.py")),
+    Mutant("algebra-tolerance", "quantum.py", "ALGEBRA_TOL = 1e-12", "ALGEBRA_TOL = 1e-9",
+           ("test_quantum.py",)),
+    Mutant("degeneracy-tolerance", "usd.py", "_DEGENERACY_TOL = 1e-12", "_DEGENERACY_TOL = 1e-9",
+           ("test_usd.py",)),
+    # the bookkeeping after the draws: count table, reveal run mask, CSV cell, report walk
+    Mutant("count-table-columns", "session.py",
+           "columns = (block.arrived, mask, *", "columns = (mask, block.arrived, *",
+           ("test_session.py", "test_harness.py")),
+    Mutant("reveal-run-mask", "protocol.py",
+           "np.tile([True, False], len(m))", "np.tile([False, True], len(m))",
+           ("test_protocol.py",)),
+    Mutant("csv-boolean-case", "harness.py",
+           'return "true" if value else "false"', 'return "True" if value else "False"',
+           ("test_harness.py", "test_golden.py")),
+    Mutant("report-decision-dict", "harness.py",
+           "return cell.to_dict() if isinstance(cell, TestDecision) else cell", "return cell",
+           ("test_harness.py", "test_golden.py")),
+)
+
+# Mutants no test can tell from the program, so they are listed and never run.
+TIE_ONLY = (
+    ("session._coin: u >= 0.5 -> u > 0.5",
+     "they differ only on a uniform of exactly 0.5, one of the 2**53 values a draw takes; "
+     "no seed of a test is known to draw it"),
+    ("session._sample_stage: u >= column -> u > column",
+     "they differ only on a uniform equal to a stage threshold, a Born probability sum that "
+     "is almost never a multiple of 2**-53 and never drawn at a known seed"),
+    ("detection.null_ratio_test: p < a -> p <= a",
+     "they differ only on an exact binomial tail equal to alpha, which no test's counts reach"),
+    ("protocol._draw_offsets: drop the clamp to span - 1",
+     "floor(u * span) is below span for every uniform u <= 1 - 2**-53 and span < 2**53, "
+     "so the clamp never acts"),
+)
+
+
+def _copy_tree(destination: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, destination / part, ignore=ignore)
+
+
+def _pytest(tree: Path, tests) -> tuple[int, str]:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *(str(tree / "tests" / name) for name in tests)],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    lines = done.stdout.strip().splitlines()
+    return done.returncode, lines[-1] if lines else done.stderr.strip()
+
+
+def _apply(tree: Path, mutant: Mutant) -> None:
+    path = tree / "src" / "qkdsim" / mutant.module
+    text = path.read_text(encoding="utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        raise SystemExit(f"{mutant.name}: {mutant.old!r} occurs {count} times in {mutant.module}")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        for m in MUTANTS:
+            print(f"{m.name}: {m.module}: {m.old!r} -> {m.new!r} ({', '.join(m.tests)})")
+        for name, reason in TIE_ONLY:
+            print(f"not run: {name}: {reason}")
+        return 0
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        raise SystemExit(f"unknown mutants: {sorted(unknown)}")
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="qkdsim-mutation-") as scratch:
+        control = Path(scratch) / "control"
+        _copy_tree(control)
+        files = tuple(dict.fromkeys(name for m in chosen for name in m.tests))
+        code, summary = _pytest(control, files)
+        print(f"control: {summary}")
+        if code != 0:
+            print("control run failed: the unmutated tests must pass first")
+            return 1
+        survivors = []
+        for mutant in chosen:
+            tree = Path(scratch) / mutant.name
+            _copy_tree(tree)
+            _apply(tree, mutant)
+            began = time.perf_counter()
+            code, summary = _pytest(tree, mutant.tests)
+            verdict = "killed" if code != 0 else "SURVIVED"
+            print(f"{mutant.name}: {verdict} in {time.perf_counter() - began:.1f} s ({summary})")
+            if code == 0:
+                survivors.append(mutant.name)
+            shutil.rmtree(tree)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed, "
+          f"{len(TIE_ONLY)} tie-only mutants not run, {time.perf_counter() - start:.0f} s")
+    if survivors:
+        print(f"surviving mutants: {', '.join(survivors)}")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

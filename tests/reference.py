@@ -64,8 +64,8 @@ class SessionBatch:
     Session i owns pulses `starts[i]:starts[i + 1]` of every column, and
     `states` numbers the batch's states as `qkdsim.session.SessionCounts`
     does. A forwarded id indexes `states`, and -1 means Eve suppressed the
-    pulse; ids are int16, or int32 when a batch has more states than int16
-    can number. `bob_minus` is False wherever the pulse did not arrive.
+    pulse; ids are int32. `bob_minus` is False wherever the pulse did not
+    arrive.
     """
 
     protocol: ProtocolKind
@@ -118,7 +118,7 @@ def session_columns(batch, i: int = 0) -> dict:
 
 def sent_ids(alice_bits, alice_bases):
     """Alice's state ids: bit + 2 * basis (BB84), the bit alone (B92)."""
-    ids = alice_bits.astype(np.int16)
+    ids = alice_bits.astype(np.int32)
     if alice_bases is not None:
         ids += 2 * alice_bases
     return ids

@@ -456,6 +456,32 @@ def test_float_field_that_is_not_a_number_exits_2(field, value, tmp_path, capsys
     assert f"{field} must be a number" in captured.err
 
 
+_UNREADABLE_CONFIGS = {
+    "utf16": (json.dumps(BASE).encode("utf-16"), "config file is not UTF-8 text"),
+    "latin1": (
+        json.dumps({**BASE, "eve_strategy": "\u00e9"}, ensure_ascii=False).encode("latin-1"),
+        "config file is not UTF-8 text",
+    ),
+    "deep": (b"[" * 100_000 + b"]" * 100_000, "config file nests too deeply to parse as JSON"),
+}
+_COMMANDS = {"run": [], "sweep": ["--param", "delta", "--values", "0.1"]}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+@pytest.mark.parametrize("case", list(_UNREADABLE_CONFIGS))
+def test_config_that_cannot_be_decoded_exits_2(case, command, tmp_path, capsys):
+    """A config in another encoding, or a JSON document nested past the
+    parser's recursion limit, is a config error that names the cause, not
+    a traceback."""
+    data, message = _UNREADABLE_CONFIGS[case]
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    code = main([command, "--config", str(path), *_COMMANDS[command]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.floats(), st.floats(), st.floats(0.0, 3.2), st.floats(0.0, 6.3))
 @example(4.0, 0.0, 0.0, 0.0)

@@ -3,6 +3,7 @@ determinism, block-size and batch independence and substream-permutation
 properties, and its per-block counts against the same counts taken over
 its blocks' columns laid end to end."""
 
+import tracemalloc
 from itertools import accumulate
 
 import numpy as np
@@ -294,6 +295,23 @@ def test_block_counts_equal_counts_over_columns(name, kind, strategy, channel, b
     _assert_counts_equal_columns(kind, sessions)
 
 
+def test_sifted_bits_are_held_once():
+    """Half the pulses of a lossless BB84 intercept-resend session sift,
+    so at 8x10^6 pulses its 4 MB of sifted bits outweigh one block's
+    working arrays (about 1.5 MiB). Appended to one buffer, they are held
+    once: the tracemalloc peak stays within 2.75 MiB of them (1.7 here).
+    A list of per-block arrays joined at the end held them twice (3.9)."""
+    sessions = [Session(8_000_000, ChannelModel(), EveStrategy(EveKind.INTERCEPT_RESEND), 0)]
+    tracemalloc.start()
+    try:
+        counts = simulate_session(ProtocolKind.BB84, sessions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counts.errors) > 3_900_000
+    assert peak - len(counts.errors) < 2.75 * 2**20
+
+
 def test_block_counts_of_a_mismatch_sweep_batch_equal_counts_over_columns():
     """Sessions of different deltas forward different states: each is
     counted against its own ids."""
@@ -341,16 +359,13 @@ _WIDE_DELTAS = np.linspace(0.0, HALF_PI, 16_401, endpoint=False)[1:].tolist()
 
 def test_forwarded_ids_widen_to_int32_past_int16_states():
     """A batch of 16,400 one-pulse mismatch sessions numbers more states
-    than int16 holds, so its forwarded ids are int32, and its sessions
-    forward the same states as when run alone; 16,383 sessions number
-    exactly 2**15 states, ids 0 to 2**15 - 1, and stay int16."""
+    than int16 holds, and its sessions forward the same states as when run
+    alone; 16,383 sessions number exactly 2**15 states, ids 0 to 2**15 - 1."""
     edge = simulate_batch(ProtocolKind.B92, _sweep_sessions(16_383, _WIDE_DELTAS))
     assert len(edge.states) == 2**15
-    assert edge.forwarded_ids.dtype == np.int16
     sessions = _sweep_sessions(16_400, _WIDE_DELTAS)
     batch = simulate_batch(ProtocolKind.B92, sessions)
     assert len(batch.states) == 2 + 2 * 16_400
-    assert batch.forwarded_ids.dtype == np.int32
     forwarding = np.flatnonzero(batch.forwarded_ids >= 0)
     suppressed = np.flatnonzero(batch.forwarded_ids < 0)
     sample = [*forwarding[:2], *forwarding[-3:], *suppressed[:2]]
@@ -358,18 +373,9 @@ def test_forwarded_ids_widen_to_int32_past_int16_states():
     for i in sample:
         alone = session_columns(one_session(ProtocolKind.B92, *vars(sessions[i]).values()))
         got = session_columns(batch, i)
-        assert alone["forwarded_ids"].dtype == np.int16
         assert got["forwarded_states"].tolist() == alone["forwarded_states"].tolist()
         for column in ("alice_bits", "arrived", "bob_bases", "bob_minus"):
             np.testing.assert_array_equal(got[column], alone[column])
-
-
-def test_forwarded_ids_stay_int16_for_a_session_and_a_sweep_batch():
-    """A lone session and a batch of 500-pulse sweep points keep 2-byte ids."""
-    lone = one_session(ProtocolKind.B92, 1_000, ChannelModel(), _mismatch(0.3), 1)
-    points = _sweep_sessions(BLOCK // 500, np.linspace(0.0, 1.5, BLOCK // 500).tolist(), 500)
-    batch = simulate_batch(ProtocolKind.B92, points)
-    assert lone.forwarded_ids.dtype == batch.forwarded_ids.dtype == np.int16
 
 
 def _mismatch_batches(name, deltas):
