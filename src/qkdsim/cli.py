@@ -140,7 +140,17 @@ def _sweep_values(param: str, text: str) -> list:
         return values
     if not all(v.is_integer() for v in values):
         raise ConfigurationError(f"n_pulses values must be integers, got {text!r}")
-    return [int(v) for v in values]
+    parts = [part for part in text.split(",") if part.strip() != ""]
+    return [_integer(part, value) for part, value in zip(parts, values)]
+
+
+def _integer(part: str, value: float) -> int:
+    """An integer literal read exactly, not through its float; a float
+    form such as 1e3 is its integral `value`."""
+    try:
+        return int(part)
+    except ValueError:
+        return int(value)
 
 
 def _emit_json(document) -> None:

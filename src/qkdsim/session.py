@@ -9,17 +9,19 @@ consumes draws from its own substream in a fixed order:
     channel: draw 0 loss
     bob:     draw 0 basis, draw 1 outcome
 
-Eve and Bob are both a `StageTable` read by one sampler, so the only
+Eve and Bob are both a threshold table read by one sampler, so the only
 branch on Eve's strategy is in choosing her POVM elements. A batch
 numbers its distinct states once (`SessionCounts.states`): Alice's
 first, so a sent state's id is its bit (+ 2 * basis), then every state
 some strategy can forward. It has one Eve table, a block of rows over
-Alice's states per distinct strategy, and one Bob table, a row per
-state. The elements of all the strategies are built as one array by
-`usd`'s batch builders, with no per-strategy `Povm` object, checked
-once, and turned into every row by one stacked Born product and one
-running sum. Eve's stage adds each pulse's strategy offset to Alice's
-id; Bob reads the forwarded id as his row. Because no stage ever
+Alice's states per distinct strategy, one Bob table, a row per state,
+and one slot table, a row per distinct strategy holding the id of the
+state each of its slots forwards. The elements of all the strategies
+are built as one array by `usd`'s batch builders, with no per-strategy
+`Povm` object, checked once, and turned into every row by one stacked
+Born product and one running sum. Eve reads her strategy's block at
+Alice's id, and the slot her draw lands in names the forwarded id, which
+Bob reads as his row. Because no stage ever
 touches another pulse's stream, the engine runs a *batch* of sessions
 (one protocol, one Eve kind and discrimination scheme; any lengths,
 channels, deltas and master seeds) as one pulse range cut into blocks of
@@ -50,8 +52,6 @@ import numpy as np
 from .adversary import ChannelModel, EveKind, EveStrategy
 from .protocol import ProtocolKind, disagreements, sift_mask
 from .quantum import (
-    SX_POVM,
-    SZ_POVM,
     QubitState,
     X_MINUS,
     X_PLUS,
@@ -97,106 +97,79 @@ def _coin(u: np.ndarray) -> np.ndarray:
     return (u >= 0.5).view(np.int8)
 
 
-@dataclass(frozen=True, eq=False)
-class StageTable:
-    """A measurement stage: row `state_row * n_frames + frame` holds the
-    frame's cumulative Born probabilities on the state for all outcomes
-    but the last, summed left to right as an inverse-CDF walk does
-    (`thresholds`), and the batch's id of the state each outcome
-    forwards, -1 for none (`forward`; None for Bob, who forwards
-    nothing). Eve's state rows are a block of Alice's states per
-    distinct strategy (her strategy's offset plus Alice's id); Bob's
-    state row is the state's id. Every row is there, read or not; with
-    no frames every state passes through unmeasured."""
-
-    n_frames: int
-    thresholds: np.ndarray
-    forward: np.ndarray | None
-
-
 # Bob's z and x frames, shape (frames, outcomes, 2, 2); intercept-resend measures in them too
-_BASES = np.array([SZ_POVM.elements, SX_POVM.elements])
+_BASES = _check_operators(naive_frame_elements([0.0])[0], "POVM element", complete=True)
 
 
-def _stage_table(
-    vectors: np.ndarray, elements: np.ndarray, forward: np.ndarray | None
-) -> StageTable:
-    """Table of the states `vectors`, shape (states, 2), under each block
-    of frames: `elements` has shape (blocks, frames, outcomes, 2, 2), and
-    `forward`, shape (blocks, frames, outcomes) or None for no forwarded
-    states, the state id each outcome forwards. State row
-    `block * states + state` holds its frames.
+def _stage_table(vectors: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Thresholds of the states `vectors`, shape (states, 2), under each
+    block of frames `elements`, shape (blocks, frames, outcomes, 2, 2):
+    state row `block * states + state` holds, per frame, its cumulative
+    Born probabilities for all outcomes but the last, summed left to
+    right as an inverse-CDF walk does. The shape is (state rows, frames,
+    outcomes - 1); every row is there, read or not.
 
     All rows come from one stacked Born product <v|E v>, in
     `born_probabilities`' operation order and clamped as it clamps, so
     each row equals that function's output bit for bit.
     """
     n_blocks, n_frames, n_outcomes = elements.shape[:3]
-    n_rows = n_blocks * len(vectors) * n_frames
     v = vectors.reshape(-1, 1, 1, 2, 1)
     probs = np.clip((v.conj().swapaxes(-1, -2) @ (elements[:, None] @ v)).real, 0.0, 1.0)
-    thresholds = np.cumsum(probs[..., :-1, 0, 0], axis=-1).reshape(n_rows, n_outcomes - 1)
-    if forward is not None:
-        forward = np.repeat(forward, len(vectors), axis=0).reshape(n_rows, n_outcomes)
-    return StageTable(n_frames, thresholds, forward)
+    shape = (n_blocks * len(vectors), n_frames, n_outcomes - 1)
+    return np.cumsum(probs[..., :-1, 0, 0], axis=-1).reshape(shape)
 
 
-def _eve_measurement(strategies: list[EveStrategy]) -> tuple[np.ndarray, list]:
+def _eve_measurement(
+    strategies: list[EveStrategy], sent: tuple[QubitState, ...]
+) -> tuple[np.ndarray, list]:
     """Eve's elements for each of `strategies` (one kind and scheme kind),
     shape (strategies, frames, outcomes, 2, 2), and per strategy the state
-    each frame's outcomes forward (None for none)."""
+    each slot forwards (None for none): a slot is one of her (frame,
+    outcome) pairs, frame by frame; with no frames, one of Alice's states
+    `sent`, which passes through unmeasured."""
     n = len(strategies)
     kind = strategies[0].kind
     if kind is EveKind.NONE:
-        return np.empty((n, 0, 1, 2, 2), dtype=complex), [()] * n
+        return np.empty((n, 0, 1, 2, 2), dtype=complex), [sent] * n
     if kind is EveKind.INTERCEPT_RESEND:
         # she resends the eigenstate she found
-        eigenstates = ((Z_PLUS, Z_MINUS), (X_PLUS, X_MINUS))
+        eigenstates = (Z_PLUS, Z_MINUS, X_PLUS, X_MINUS)
         return np.broadcast_to(_BASES, (n,) + _BASES.shape), [eigenstates] * n
     pairs = [s.states() for s in strategies]
     if strategies[0].scheme is UsdSchemeKind.NAIVE_RANDOM_BASIS:
         # a frame's "minus" rules out one state and so identifies the other
         elements = naive_frame_elements([s.rotation for s in strategies])
-        targets = [((None, state1), (None, state0)) for state0, state1 in pairs]
+        targets = [(None, state1, None, state0) for state0, state1 in pairs]
     else:
         elements = idp_elements(pairs)
-        targets = [((state0, state1, None),) for state0, state1 in pairs]
+        targets = [(state0, state1, None) for state0, state1 in pairs]
     _check_operators(elements, "POVM element", complete=True)
     return elements, targets
 
 
 def _sample_stage(
-    table: StageTable, rows: np.ndarray, keys: np.ndarray, stage: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Frame, outcome (int8) and forwarded state id (`table.forward`'s
-    dtype, or None if it has none) of every pulse.
+    thresholds: np.ndarray, rows: np.ndarray, keys: np.ndarray, stage: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frame and outcome (int8) of every pulse under a table of one or two
+    frames (see `_stage_table`).
 
-    `rows` (intp) are the pulses' state rows in `table` and are
+    `rows` (intp) are the pulses' state rows in `thresholds` and are
     overwritten; `keys` are the pulses' stream keys (see
     `_block_sessions`). Two frames: draw 0 picks the frame and draw 1
-    the outcome; one frame: draw 0 picks the outcome; no frames: no
-    draws, and the state row is forwarded as the state id (a kind with
-    no frames has one strategy a batch, so its state rows are state ids).
+    the outcome; one frame: draw 0 picks the outcome.
     """
-    n = rows.shape[0]
-    frame = np.zeros(n, dtype=np.int8)
-    outcome = np.zeros(n, dtype=np.int8)
-    if table.n_frames == 0:
-        return frame, outcome, rows.astype(table.forward.dtype)
+    n_frames = thresholds.shape[1]
     seeds = derive_seed_array(0, keys, stage)
-    if table.n_frames == 2:
-        frame = _coin(uniform_array(seeds, 0))
-    u = uniform_array(seeds, table.n_frames - 1)
+    frame = _coin(uniform_array(seeds, 0)) if n_frames == 2 else np.zeros(len(rows), np.int8)
+    u = uniform_array(seeds, n_frames - 1)
     del seeds
-    rows *= table.n_frames
+    rows *= n_frames
     rows += frame
-    for column in table.thresholds.T:
+    outcome = np.zeros(len(rows), dtype=np.int8)
+    for column in np.moveaxis(thresholds, 2, 0):
         outcome += u >= column.take(rows)
-    if table.forward is None:
-        return frame, outcome, None
-    rows *= table.forward.shape[1]
-    rows += outcome
-    return frame, outcome, table.forward.take(rows)
+    return frame, outcome
 
 
 @dataclass(frozen=True)
@@ -240,18 +213,19 @@ class SessionCounts:
 class _Batch:
     """What every block of a batch reads: its sessions' bounds `starts`,
     master seeds and loss probabilities, the stage tables, each
-    session's row offset in Eve's table, and per session the state id
-    each forward slot names (see `SessionCounts`)."""
+    session's index among the distinct strategies (`strategy`), and per
+    distinct strategy the state id each forward slot names (`forward`;
+    see `SessionCounts`)."""
 
     kind: ProtocolKind
     states: tuple[QubitState, ...]
     starts: np.ndarray
     master_seeds: np.ndarray
     loss: np.ndarray
-    eve: StageTable
-    bob: StageTable
-    eve_offset: np.ndarray
-    slot_ids: np.ndarray
+    eve: np.ndarray
+    bob: np.ndarray
+    strategy: np.ndarray
+    forward: np.ndarray
 
     @property
     def n_pulses(self) -> int:
@@ -316,24 +290,18 @@ def _batch(kind: ProtocolKind, sessions: Sequence[Session]) -> _Batch:
     if len({(s.strategy.kind, s.strategy.scheme) for s in sessions}) > 1:
         raise ValueError("the sessions of a batch must share Eve's kind and scheme kind")
 
-    # the batch's states, Alice's first, numbered once; Eve has one row
-    # block per distinct strategy over Alice's states, Bob one row per state
+    # the batch's states, Alice's first, numbered once; Eve has one row block
+    # per distinct strategy over Alice's states, Bob one row per state, and
+    # the slot table one row per distinct strategy
     index: dict[EveStrategy, int] = {}
-    strategy_ids = [index.setdefault(s.strategy, len(index)) for s in sessions]
-    elements, targets = _eve_measurement(list(index))
-    sent_states = protocol_states(kind)
-    forwardable = (t for frames in targets for frame in frames for t in frame if t is not None)
-    states = tuple(dict.fromkeys((*sent_states, *forwardable)))
+    strategy = [index.setdefault(s.strategy, len(index)) for s in sessions]
+    sent = protocol_states(kind)
+    elements, targets = _eve_measurement(list(index), sent)
+    forwardable = (t for slots in targets for t in slots if t is not None)
+    states = tuple(dict.fromkeys((*sent, *forwardable)))
     ids = {state: i for i, state in enumerate(states)}
     ids[None] = -1
-    forward = [[[ids[t] for t in frame] for frame in frames] for frames in targets]
-    forward = np.array(forward, dtype=np.int32).reshape(elements.shape[:3])
     vectors = np.array([(state.amp0, state.amp1) for state in states], dtype=complex)
-    # a slot is one of a strategy's (frame, outcome) pairs; with no frames, Alice's state
-    if elements.shape[1] == 0:
-        slot_ids = np.arange(len(sent_states), dtype=np.int32)[None]
-    else:
-        slot_ids = forward.reshape(len(forward), -1)
 
     starts = np.zeros(len(sessions) + 1, dtype=np.int64)
     np.cumsum([s.n_pulses for s in sessions], out=starts[1:])
@@ -343,10 +311,10 @@ def _batch(kind: ProtocolKind, sessions: Sequence[Session]) -> _Batch:
         starts=starts,
         master_seeds=np.array([s.master_seed for s in sessions], dtype=np.uint64),
         loss=np.array([s.channel.loss_probability for s in sessions]),
-        eve=_stage_table(vectors[: len(sent_states)], elements, forward),
-        bob=_stage_table(vectors, _BASES[None], None),
-        eve_offset=np.array(strategy_ids, dtype=np.intp) * len(sent_states),
-        slot_ids=slot_ids[strategy_ids],
+        eve=_stage_table(vectors[: len(sent)], elements),
+        bob=_stage_table(vectors, _BASES[None]),
+        strategy=np.array(strategy, dtype=np.intp),
+        forward=np.array([[ids[t] for t in slots] for slots in targets], dtype=np.int32),
     )
 
 
@@ -362,25 +330,27 @@ def _block(batch: _Batch, a: int, b: int) -> _Block:
         alice_bases = _coin(uniform_array(seeds, 1))
         rows += 2 * alice_bases
     del seeds  # each stage's seeds are dropped after its last draw
-    rows += spread(batch.eve_offset)
 
-    eve = batch.eve
-    frame, outcome, forwarded = _sample_stage(eve, rows, keys, STAGE_EVE)
-    del rows
-    if eve.n_frames == 0:
-        slots = forwarded
+    # a slot is one of Eve's (frame, outcome) pairs; with no frames, Alice's state
+    eve, forward = batch.eve, batch.forward
+    if eve.shape[1] == 0:
+        slots = rows.astype(np.int8)
     else:
-        frame *= eve.forward.shape[1]
-        slots = frame
+        rows += spread(batch.strategy) * len(protocol_states(batch.kind))
+        slots, outcome = _sample_stage(eve, rows, keys, STAGE_EVE)
+        slots *= eve.shape[2] + 1
         slots += outcome
-    del frame, outcome
+        del outcome
+    np.add(slots, spread(batch.strategy) * forward.shape[1], out=rows)
+    forwarded = forward.take(rows)
+    del rows
     reached = forwarded >= 0
 
     reached &= uniform_array(derive_seed_array(0, keys, STAGE_CHANNEL), 0) >= spread(batch.loss)
 
     # suppressed pulses never arrive, so the row Bob reads for them is immaterial
     rows = np.maximum(forwarded, 0, dtype=np.intp)
-    bob_bases, outcome, _ = _sample_stage(batch.bob, rows, keys, STAGE_BOB)
+    bob_bases, outcome = _sample_stage(batch.bob, rows, keys, STAGE_BOB)
     bob_minus = reached & (outcome == 1)
     return _Block(
         first, lengths, alice_bits, alice_bases, forwarded, reached, bob_bases, bob_minus, slots
@@ -407,8 +377,8 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
     no stack of them is cast to int64).
     """
     batch = _batch(kind, sessions)
-    n_sessions, n_slots = batch.slot_ids.shape
-    table = np.zeros((n_sessions, 2 + n_slots), dtype=np.int64)
+    n_slots = batch.forward.shape[1]
+    table = np.zeros((len(sessions), 2 + n_slots), dtype=np.int64)
     errors = bytearray()
     for block in _blocks(batch):
         mask = sift_mask(kind, block.alice_bases, block.arrived, block.bob_bases, block.bob_minus)
@@ -429,6 +399,6 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
         arrived=table[:, 0],
         sifted=table[:, 1],
         forwarded=table[:, 2:],
-        forwarded_ids=batch.slot_ids,
+        forwarded_ids=batch.forward[batch.strategy],
         errors=np.frombuffer(errors, dtype=bool),
     )

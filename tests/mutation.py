@@ -6,7 +6,12 @@ tests that cover its module.
     python tests/mutation.py NAME ...  # the control run, then the named mutants
 
 Each mutant is an exact old -> new text in one module; the old text must
-occur there exactly once. For each, `src/` and `tests/` are copied to a
+occur there exactly once. The tie-only mutants, which no test can tell
+from the program and which are never run, are anchored the same way, by
+their module and exact old text. Every anchor is checked first, `--list`
+too, and the script fails on one that does not occur exactly once, so a
+refactor cannot leave a mutant or a note pointing at nothing. For each
+mutant run, `src/` and `tests/` are copied to a
 temporary directory, the mutant is applied to the copy, and pytest runs
 only the test files that cover it there, stopping at the first failure.
 A mutant the tests pass is a gap in them, and the script exits 1. A
@@ -41,6 +46,13 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # under tests/
 
 
+class Tie(NamedTuple):
+    name: str
+    module: str  # under src/qkdsim
+    old: str  # the text the mutant changes
+    reason: str
+
+
 MUTANTS = (
     # the tolerances that the tests once left free
     Mutant("label-tolerance", "quantum.py", "_LABEL_TOL = 1e-9", "_LABEL_TOL = 1e-6",
@@ -64,21 +76,31 @@ MUTANTS = (
     Mutant("report-decision-dict", "harness.py",
            "return cell.to_dict() if isinstance(cell, TestDecision) else cell", "return cell",
            ("test_harness.py", "test_golden.py")),
+    # the engine's table indexing: a slot is frame * outcomes + outcome, and
+    # Eve's state rows are a block of Alice's states per distinct strategy
+    Mutant("slot-stride", "session.py",
+           "slots *= eve.shape[2] + 1", "slots *= eve.shape[2]", ("test_session.py",)),
+    Mutant("strategy-rows", "session.py",
+           "rows += spread(batch.strategy) * len(protocol_states(batch.kind))",
+           "rows += spread(batch.strategy)", ("test_session.py",)),
 )
 
 # Mutants no test can tell from the program, so they are listed and never run.
 TIE_ONLY = (
-    ("session._coin: u >= 0.5 -> u > 0.5",
-     "they differ only on a uniform of exactly 0.5, one of the 2**53 values a draw takes; "
-     "no seed of a test is known to draw it"),
-    ("session._sample_stage: u >= column -> u > column",
-     "they differ only on a uniform equal to a stage threshold, a Born probability sum that "
-     "is almost never a multiple of 2**-53 and never drawn at a known seed"),
-    ("detection.null_ratio_test: p < a -> p <= a",
-     "they differ only on an exact binomial tail equal to alpha, which no test's counts reach"),
-    ("protocol._draw_offsets: drop the clamp to span - 1",
-     "floor(u * span) is below span for every uniform u <= 1 - 2**-53 and span < 2**53, "
-     "so the clamp never acts"),
+    Tie("session._coin: u >= 0.5 -> u > 0.5", "session.py", "(u >= 0.5).view(np.int8)",
+        "they differ only on a uniform of exactly 0.5, one of the 2**53 values a draw takes; "
+        "no seed of a test is known to draw it"),
+    Tie("session._sample_stage: u >= column -> u > column", "session.py",
+        "outcome += u >= column.take(rows)",
+        "they differ only on a uniform equal to a stage threshold, a Born probability sum "
+        "that is almost never a multiple of 2**-53 and never drawn at a known seed"),
+    Tie("detection.null_ratio_test: p < a -> p <= a", "detection.py", "flagged=p < a",
+        "they differ only on an exact binomial tail equal to alpha, which no test's counts "
+        "reach"),
+    Tie("protocol._draw_offsets: drop the clamp to span - 1", "protocol.py",
+        "np.minimum(offsets, span, out=offsets)",
+        "floor(u * span) is below span for every uniform u <= 1 - 2**-53 and span < 2**53, "
+        "so the clamp never acts"),
 )
 
 
@@ -99,21 +121,28 @@ def _pytest(tree: Path, tests) -> tuple[int, str]:
     return done.returncode, lines[-1] if lines else done.stderr.strip()
 
 
+def _check_anchors(tree: Path) -> None:
+    """Fail unless every mutant's old text, tie-only ones too, occurs
+    exactly once in its module under `tree`."""
+    for m in (*MUTANTS, *TIE_ONLY):
+        count = (tree / "src" / "qkdsim" / m.module).read_text(encoding="utf-8").count(m.old)
+        if count != 1:
+            raise SystemExit(f"{m.name}: {m.old!r} occurs {count} times in {m.module}")
+
+
 def _apply(tree: Path, mutant: Mutant) -> None:
     path = tree / "src" / "qkdsim" / mutant.module
-    text = path.read_text(encoding="utf-8")
-    count = text.count(mutant.old)
-    if count != 1:
-        raise SystemExit(f"{mutant.name}: {mutant.old!r} occurs {count} times in {mutant.module}")
-    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    path.write_text(path.read_text(encoding="utf-8").replace(mutant.old, mutant.new),
+                    encoding="utf-8")
 
 
 def main(argv: list[str]) -> int:
+    _check_anchors(ROOT)
     if argv == ["--list"]:
         for m in MUTANTS:
             print(f"{m.name}: {m.module}: {m.old!r} -> {m.new!r} ({', '.join(m.tests)})")
-        for name, reason in TIE_ONLY:
-            print(f"not run: {name}: {reason}")
+        for m in TIE_ONLY:
+            print(f"not run: {m.name}: {m.module}: {m.old!r}: {m.reason}")
         return 0
     unknown = set(argv) - {m.name for m in MUTANTS}
     if unknown:

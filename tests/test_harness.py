@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from qkdsim import harness, session
 from qkdsim.adversary import ChannelModel, EveStrategy
-from qkdsim.cli import main
+from qkdsim.cli import _sweep_values, main
 from qkdsim.detection import expected_rates
 from qkdsim.harness import (
     SWEEP_PARAMETERS,
@@ -893,6 +893,25 @@ class TestCli:
         captured = capsys.readouterr()
         assert "n_pulses must be below 2**63" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text,values",
+        [
+            ("9007199254740993", [2**53 + 1]),
+            ("9223372036854775807", [2**63 - 1]),
+            (" +12, 9007199254740993 ", [12, 2**53 + 1]),
+            ("1e3, 2.0,1_000", [1000, 2, 1000]),
+        ],
+        ids=["2**53+1", "2**63-1", "signed-and-spaced", "float-forms"],
+    )
+    def test_n_pulses_sweep_values_are_read_exactly(self, text, values):
+        """An integer literal is read as written, not rounded to the
+        nearest float, so a value just below 2**63 passes the config check
+        (such sweeps never finish, so the parser is checked on its own); an
+        integral float form still counts as its float."""
+        assert _sweep_values("n_pulses", text) == values
+        for value in values:
+            assert replace(ExperimentConfig.from_dict(BASE), n_pulses=value).n_pulses == value
 
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["run", "--config", "/nonexistent.json"]) == 2

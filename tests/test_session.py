@@ -318,35 +318,29 @@ def test_block_counts_of_a_mismatch_sweep_batch_equal_counts_over_columns():
     _assert_counts_equal_columns(ProtocolKind.B92, BATCH)
 
 
-def _measurement(strategy):
-    """Eve's frames and the state each outcome forwards, spelled out per
-    strategy from the attack's definition."""
+def _measurement(strategy, sent):
+    """Eve's frames and the state each of her slots forwards (None for
+    none), frame by frame, spelled out per strategy from the attack's
+    definition; with no Eve a slot is one of Alice's states `sent`."""
     if strategy.kind is EveKind.NONE:
-        return (), ()
+        return (), sent
     if strategy.kind is EveKind.INTERCEPT_RESEND:
-        return (SZ_POVM, SX_POVM), ((Z_PLUS, Z_MINUS), (X_PLUS, X_MINUS))
+        return (SZ_POVM, SX_POVM), (Z_PLUS, Z_MINUS, X_PLUS, X_MINUS)
     state0, state1 = strategy.states()
     if strategy.scheme is UsdSchemeKind.NAIVE_RANDOM_BASIS:
-        return naive_frame_povms(strategy.rotation), ((None, state1), (None, state0))
-    return (idp_povm(state0, state1),), ((state0, state1, None),)
+        return naive_frame_povms(strategy.rotation), (None, state1, None, state0)
+    return (idp_povm(state0, state1),), (state0, state1, None)
 
 
-def _assert_table(table, first, states, povms, targets, ids):
-    """Each of `states`, in turn from state row `first`, has a row per
-    frame (entered or not) holding the left-to-right running sum of its
-    Born probabilities, bit for bit, and the batch's ids (`ids`) of the
-    states its outcomes forward; a table given no `targets` forwards
-    nothing and has no `forward`."""
-    assert table.n_frames == len(povms)
-    assert (table.forward is None) == (targets is None)
+def _assert_thresholds(table, first, states, povms):
+    """Each of `states`, in turn from state row `first`, holds per frame
+    (entered or not) the left-to-right running sum of its Born
+    probabilities, bit for bit."""
+    assert table.shape[1] == len(povms)
     for k, state in enumerate(states):
         for f, povm in enumerate(povms):
-            row = (first + k) * len(povms) + f
             expected = np.array(list(accumulate(born_probabilities(state, povm)[:-1])))
-            assert np.array_equal(table.thresholds[row].view(np.uint64), expected.view(np.uint64))
-            if targets is not None:
-                forward = [-1 if t is None else ids[t] for t in targets[f]]
-                assert table.forward[row].tolist() == forward
+            assert np.array_equal(table[first + k, f].view(np.uint64), expected.view(np.uint64))
 
 
 def _sweep_sessions(n, deltas, n_pulses=1):
@@ -400,32 +394,33 @@ _SWEEPS = [
     + [batch for batches, _ in _SWEEPS for batch in batches],
     ids=[c[0] for c in CASES] + [name for _, names in _SWEEPS for name in names],
 )
-def test_stage_tables_equal_born_probabilities(kind, strategies, monkeypatch):
+def test_stage_tables_equal_born_probabilities(kind, strategies):
     """The engine's Eve table of a batch holds, for each distinct strategy
     in turn, a block of rows over Alice's states, and its Bob table a row
     per state of the batch; each row equals the per-state
-    `born_probabilities` running sums on its own POVM, bit for bit."""
-    tables = []
-
-    def keep(*args):
-        tables.append(build(*args))
-        return tables[-1]
-
-    build = session._stage_table
-    monkeypatch.setattr(session, "_stage_table", keep)
-    batch = simulate_session(kind, [Session(1, ChannelModel(), s, 0) for s in strategies])
-    eve, bob = tables
+    `born_probabilities` running sums on its own POVM, bit for bit. Its
+    slot table has one row per distinct strategy, the ids of the states
+    her slots forward, and each session's forwarded ids are its
+    strategy's row."""
+    sessions = [Session(1, ChannelModel(), s, 0) for s in strategies]
+    batch = session._batch(kind, sessions)
     sent = session.protocol_states(kind)
     assert batch.states[: len(sent)] == sent
     ids = {state: i for i, state in enumerate(batch.states)}
     assert len(ids) == len(batch.states)
-    distinct = list(dict.fromkeys(strategies))
-    for j, strategy in enumerate(distinct):
-        _assert_table(eve, j * len(sent), sent, *_measurement(strategy), ids)
-    _assert_table(bob, 0, batch.states, (SZ_POVM, SX_POVM), None, ids)
-    rows = len(distinct) * len(sent) * eve.n_frames
-    assert eve.thresholds.shape[0] == eve.forward.shape[0] == rows
-    assert bob.thresholds.shape[0] == len(batch.states) * 2
+    ids[None] = -1
+    distinct = {strategy: j for j, strategy in enumerate(dict.fromkeys(strategies))}
+    assert batch.forward.shape[0] == len(distinct)
+    for strategy, j in distinct.items():
+        povms, targets = _measurement(strategy, sent)
+        _assert_thresholds(batch.eve, j * len(sent), sent, povms)
+        assert batch.forward[j].tolist() == [ids[t] for t in targets]
+    _assert_thresholds(batch.bob, 0, batch.states, (SZ_POVM, SX_POVM))
+    assert batch.eve.shape[0] == len(distinct) * len(sent)
+    assert batch.bob.shape[0] == len(batch.states)
+    forwarded_ids = simulate_session(kind, sessions).forwarded_ids
+    for i, strategy in enumerate(strategies):
+        assert forwarded_ids[i].tolist() == batch.forward[distinct[strategy]].tolist()
 
 
 def test_batch_builds_no_povm_objects(monkeypatch):
