@@ -61,6 +61,8 @@ class EveStrategy:
     def __post_init__(self) -> None:
         if not (0.0 <= self.rotation < HALF_PI):
             raise ValueError(f"delta must be in [0, pi/2), got {self.rotation}")
+        if self.rotation and self.kind is not EveKind.BASIS_MISMATCH:
+            raise ValueError(f"{self.kind.value} does not rotate Eve's frame")
         if (self.scheme is None) == (self.kind in _DISCRIMINATING):
             need = "needs a" if self.scheme is None else "takes no"
             raise ValueError(f"{self.kind.value} {need} discrimination scheme")

@@ -23,8 +23,6 @@ from .adversary import HALF_PI, ChannelModel, EveKind, EveStrategy, forwarded_st
 from .detection import TestDecision, expected_rates, null_ratio_test, qber_test
 from .protocol import ProtocolKind, estimate_qber_batch
 from .quantum import (
-    ALGEBRA_TOL,
-    Povm,
     QubitState,
     SX_POVM,
     SZ_POVM,
@@ -484,7 +482,7 @@ def no_signaling_demo(
         "direction_u_prime": {"theta": u_prime[0], "phi": u_prime[1]},
         "density_u": _complex_pairs(rho_a.matrix),
         "density_u_prime": _complex_pairs(rho_b.matrix),
-        "densities_equal": density_equal(rho_a, rho_b, ALGEBRA_TOL),
+        "densities_equal": density_equal(rho_a, rho_b),
         "povm": povm_name,
         "povm_elements": [_complex_pairs(e) for e in povm.elements],
         "distribution_u": [float(p) for p in probs_a],

@@ -105,18 +105,15 @@ def state_label(state: QubitState) -> str:
     return "other"
 
 
-def _check_operators(mats, what: str, complete: bool = False) -> np.ndarray:
-    """The 2x2 operators `mats` as one read-only array, checked finite,
-    Hermitian and positive semidefinite to ALGEBRA_TOL; `what` names one
-    operator in the error messages. `mats` is a sequence of operators, or
-    an array of shape (..., 2, 2) with any leading batch dimensions. With
-    `complete`, the outcome axis -3 holds each POVM's elements, and every
-    POVM must sum to the identity."""
-    if not isinstance(mats, np.ndarray):
-        for mat in mats:
-            if mat.shape != (2, 2):
-                raise ValueError(f"{what} has shape {mat.shape}, expected (2, 2)")
-        mats = np.stack(mats)
+def _check_operators(mats: np.ndarray, what: str, complete: bool = False) -> np.ndarray:
+    """The 2x2 operators `mats`, an array of shape (..., 2, 2) with any
+    leading batch dimensions, made read-only and returned once checked
+    finite, Hermitian and positive semidefinite to ALGEBRA_TOL; `what`
+    names one operator in the error messages. With `complete`, the
+    outcome axis -3 holds each POVM's elements, and every POVM must sum
+    to the identity."""
+    if mats.shape[-2:] != (2, 2):
+        raise ValueError(f"{what} has shape {mats.shape[-2:]}, expected (2, 2)")
     if not np.all(np.isfinite(mats.view(float))):
         raise ValueError(f"{what} has non-finite entries")
     if np.max(np.abs(mats - mats.conj().swapaxes(-1, -2))) > ALGEBRA_TOL:
@@ -131,35 +128,33 @@ def _check_operators(mats, what: str, complete: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Povm:
-    """Positive operators summing to identity, with one label per element.
+    """Positive operators summing to identity: one read-only (k, 2, 2)
+    element stack, k >= 1.
 
-    Validated at construction: Hermiticity and completeness to 1e-12,
-    eigenvalues >= -1e-12. Element order is part of the contract; outcome
-    sampling walks the inverse CDF in declared order.
+    Validated at construction by `_check_operators`: Hermiticity and
+    completeness to 1e-12, eigenvalues >= -1e-12. Element order is part
+    of the contract; an outcome is its element's index, and outcome
+    sampling walks the inverse CDF in that order.
     """
 
-    elements: tuple
-    labels: tuple
+    elements: np.ndarray
 
-    def __init__(self, elements: Sequence[np.ndarray], labels: Sequence[str]) -> None:
-        mats = [np.array(e, dtype=complex) for e in elements]
-        names = tuple(str(label) for label in labels)
-        if len(mats) != len(names):
-            raise ValueError("elements and labels must have equal length")
-        if not mats:
+    def __init__(self, elements: Sequence[np.ndarray]) -> None:
+        mats = np.array(elements, dtype=complex)
+        if not mats.size:
             raise ValueError("POVM needs at least one element")
-        stack = _check_operators(mats, "POVM element", complete=True)
-        object.__setattr__(self, "elements", tuple(stack))
-        object.__setattr__(self, "labels", names)
+        if mats.ndim != 3:
+            raise ValueError(f"POVM elements have shape {mats.shape}, expected (k, 2, 2)")
+        object.__setattr__(self, "elements", _check_operators(mats, "POVM element", complete=True))
 
 
-def projective_povm(plus: QubitState, minus: QubitState, labels: tuple[str, str]) -> Povm:
+def projective_povm(plus: QubitState, minus: QubitState) -> Povm:
     """Two-outcome projective measurement onto an orthonormal pair."""
-    return Povm((projector(plus), projector(minus)), labels)
+    return Povm((projector(plus), projector(minus)))
 
 
-SZ_POVM = projective_povm(Z_PLUS, Z_MINUS, ("z+", "z-"))
-SX_POVM = projective_povm(X_PLUS, X_MINUS, ("x+", "x-"))
+SZ_POVM = projective_povm(Z_PLUS, Z_MINUS)
+SX_POVM = projective_povm(X_PLUS, X_MINUS)
 
 
 def born_probabilities(state: QubitState, povm: Povm) -> np.ndarray:
@@ -183,7 +178,10 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __init__(self, matrix: np.ndarray) -> None:
-        (mat,) = _check_operators([np.array(matrix, dtype=complex)], "density matrix")
+        mat = np.array(matrix, dtype=complex)
+        if mat.ndim != 2:
+            raise ValueError(f"density matrix has shape {mat.shape}, expected (2, 2)")
+        _check_operators(mat, "density matrix")
         if abs(np.trace(mat) - 1.0) > ALGEBRA_TOL:
             raise ValueError("density matrix trace is not 1")
         object.__setattr__(self, "matrix", mat)
@@ -203,22 +201,20 @@ def mixture_density(states: Sequence[QubitState], probs: Sequence[float]) -> Den
     return DensityMatrix(rho)
 
 
-def density_equal(a: DensityMatrix, b: DensityMatrix, tol: float) -> bool:
-    """True iff the max entrywise modulus difference is within `tol`."""
-    return bool(np.max(np.abs(a.matrix - b.matrix)) <= tol)
+def density_equal(a: DensityMatrix, b: DensityMatrix) -> bool:
+    """True iff the max entrywise modulus difference is within ALGEBRA_TOL."""
+    return bool(np.max(np.abs(a.matrix - b.matrix)) <= ALGEBRA_TOL)
 
 
-def random_povm(rng: RngStream, size: int = 3) -> Povm:
-    """Random POVM from a convex mixture of random rank-1 projectors.
+def random_povm(rng: RngStream) -> Povm:
+    """Random three-element POVM from weighted random rank-1 projectors.
 
     Weighted projectors A_i are symmetrized through S^{-1/2} A_i S^{-1/2}
     with S = sum A_i, which restores completeness exactly.
     """
-    if size < 2:
-        raise ValueError("size must be at least 2")
     for _ in range(100):
         mats = []
-        for _ in range(size):
+        for _ in range(3):
             theta = math.acos(1.0 - 2.0 * rng.uniform())
             phi = 2.0 * math.pi * rng.uniform()
             weight = 0.2 + 0.8 * rng.uniform()
@@ -232,5 +228,5 @@ def random_povm(rng: RngStream, size: int = 3) -> Povm:
         for mat in mats:
             e = inv_sqrt @ mat @ inv_sqrt
             elements.append((e + e.conj().T) / 2.0)
-        return Povm(elements, tuple(f"e{i}" for i in range(size)))
+        return Povm(elements)
     raise RuntimeError("failed to draw a well-conditioned random POVM")

@@ -133,8 +133,8 @@ def _eve_measurement(
     if kind is EveKind.NONE:
         return np.empty((n, 0, 1, 2, 2), dtype=complex), [sent] * n
     if kind is EveKind.INTERCEPT_RESEND:
-        # she resends the eigenstate she found
-        eigenstates = (Z_PLUS, Z_MINUS, X_PLUS, X_MINUS)
+        # she resends the eigenstate she found; BB84's states are `_BASES`'s slots in order
+        eigenstates = protocol_states(ProtocolKind.BB84)
         return np.broadcast_to(_BASES, (n,) + _BASES.shape), [eigenstates] * n
     pairs = [s.states() for s in strategies]
     if strategies[0].scheme is UsdSchemeKind.NAIVE_RANDOM_BASIS:

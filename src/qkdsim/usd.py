@@ -75,7 +75,7 @@ def idp_elements(pairs: Sequence[tuple[QubitState, QubitState]]) -> np.ndarray:
 def idp_povm(state0: QubitState, state1: QubitState) -> Povm:
     """The optimal discrimination POVM of one pair (see `idp_elements`)."""
     (elements,) = idp_elements([(state0, state1)])[:, 0]
-    return Povm(elements, ("conclusive0", "conclusive1", "inconclusive"))
+    return Povm(elements)
 
 
 # the naive frames before rotation: (z, x) frames of (plus, minus) amplitude pairs
@@ -103,7 +103,7 @@ def naive_frame_elements(rotations: Sequence[float]) -> np.ndarray:
 def naive_frame_povms(rotation: float) -> tuple[Povm, Povm]:
     """The naive scheme's two projective measurements in a rotated frame."""
     z_frame, x_frame = naive_frame_elements([rotation])[0]
-    return (Povm(z_frame, ("plus", "minus")), Povm(x_frame, ("plus", "minus")))
+    return Povm(z_frame), Povm(x_frame)
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -83,6 +83,10 @@ MUTANTS = (
     Mutant("strategy-rows", "session.py",
            "rows += spread(batch.strategy) * len(protocol_states(batch.kind))",
            "rows += spread(batch.strategy)", ("test_session.py",)),
+    # only the basis-mismatch attack rotates Eve's frame
+    Mutant("rotation-rule", "adversary.py",
+           "if self.rotation and self.kind is not EveKind.BASIS_MISMATCH:", "if False:",
+           ("test_adversary.py",)),
 )
 
 # Mutants no test can tell from the program, so they are listed and never run.

@@ -220,9 +220,9 @@ def sample_index(probs: Sequence[float], rng: RngStream) -> int:
     return len(probs) - 1
 
 
-def sample_outcome(state: QubitState, povm: Povm, rng: RngStream) -> str:
-    """Sample one outcome label by the Born rule; mutates only `rng`."""
-    return povm.labels[sample_index(born_probabilities(state, povm), rng)]
+def sample_outcome(state: QubitState, povm: Povm, rng: RngStream) -> int:
+    """Sample one outcome, an element's index, by the Born rule; mutates only `rng`."""
+    return sample_index(born_probabilities(state, povm), rng)
 
 
 def sample_without_replacement(m: int, k: int, rng: RngStream) -> list[int]:
@@ -321,14 +321,14 @@ def scalar_idp_povm(state0: QubitState, state1: QubitState) -> Povm:
     e1 = scale * projector(orthogonal_state(state0))
     inconclusive = np.eye(2, dtype=complex) - e0 - e1
     inconclusive = (inconclusive + inconclusive.conj().T) / 2.0
-    return Povm((e0, e1, inconclusive), ("conclusive0", "conclusive1", "inconclusive"))
+    return Povm((e0, e1, inconclusive))
 
 
 def scalar_naive_frame_povms(rotation: float) -> tuple[Povm, Povm]:
     """The naive scheme's two frames built from `rotate_y`'d states: the
     oracle `usd.naive_frame_elements` is checked against."""
     return tuple(
-        projective_povm(rotate_y(plus, rotation), rotate_y(minus, rotation), ("plus", "minus"))
+        projective_povm(rotate_y(plus, rotation), rotate_y(minus, rotation))
         for plus, minus in ((Z_PLUS, Z_MINUS), (X_PLUS, X_MINUS))
     )
 
@@ -339,18 +339,16 @@ UNAMBIGUOUS_TOL = 1e-10
 def verify_unambiguous_constraints(povm: Povm, states: Sequence[QubitState]) -> bool:
     """Check that conclusive elements never fire on the wrong state.
 
-    Elements labeled "conclusive{i}" correspond to states[i]; returns
-    True iff <psi_j|E_i|psi_j> <= UNAMBIGUOUS_TOL for all conclusive i != j.
+    Element i < len(states) is conclusive for states[i]; at most one more
+    element may follow, the inconclusive one. Returns True iff
+    <psi_j|E_i|psi_j> <= UNAMBIGUOUS_TOL for all conclusive i != j.
     """
-    conclusive: dict[int, int] = {}
-    for index, label in enumerate(povm.labels):
-        if label.startswith("conclusive"):
-            conclusive[int(label[len("conclusive"):])] = index
-    if sorted(conclusive) != list(range(len(states))):
+    n = len(states)
+    if not n <= len(povm.elements) <= n + 1:
         raise ValueError("need exactly one conclusive element per state")
     for j, state in enumerate(states):
-        probs = born_probabilities(state, povm)
-        if any(probs[index] > UNAMBIGUOUS_TOL for i, index in conclusive.items() if i != j):
+        probs = born_probabilities(state, povm)[:n]
+        if any(p > UNAMBIGUOUS_TOL for i, p in enumerate(probs) if i != j):
             return False
     return True
 

@@ -187,7 +187,7 @@ def test_criterion_8_four_state_impossibility():
         z_mixture = mixture_density((Z_PLUS, Z_MINUS), (0.5, 0.5))
         x_mixture = mixture_density((X_PLUS, X_MINUS), (0.5, 0.5))
         for _ in range(100):
-            povm = random_povm(rng, size=3)
+            povm = random_povm(rng)
             _, _, diff = no_signaling_distributions(povm, z_mixture, x_mixture)
             assert diff <= 1e-10
 

@@ -109,6 +109,14 @@ class TestEveApply:
             EveStrategy(kind=EveKind.USD_SUPPRESS, scheme=None)
         with pytest.raises(ValueError, match="none takes no discrimination scheme"):
             EveStrategy(EveKind.NONE, UsdSchemeKind.NAIVE_RANDOM_BASIS)
+        for kind, scheme in (
+            (EveKind.NONE, None),
+            (EveKind.INTERCEPT_RESEND, None),
+            (EveKind.USD_SUPPRESS, UsdSchemeKind.NAIVE_RANDOM_BASIS),
+            (EveKind.USD_SUPPRESS, UsdSchemeKind.OPTIMAL_IDP),
+        ):
+            with pytest.raises(ValueError, match=f"^{kind.value} does not rotate Eve's frame$"):
+                EveStrategy(kind, scheme, 0.3)
 
 
 class TestStrategy:

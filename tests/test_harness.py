@@ -806,6 +806,31 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4
 
+    def test_sweep_header_when_no_point_reveals(self, tmp_path, capsys):
+        """The CSV header does not depend on the data: a sweep in which no
+        point reveals anything keeps all 34 columns, with empty qber test
+        cells, while its JSON gives a null qber test."""
+        path = self._write_config(tmp_path, {
+            "protocol": "b92", "n_pulses": 3, "efficiency": 1e-6, "master_seed": 5,
+            "eve_strategy": "basis_mismatch",
+        })
+        argv = ["sweep", "--config", path, "--param", "delta", "--values", "0,0.1,0.2"]
+        assert main(argv) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert [point["counts"]["revealed"] for point in document] == [0, 0, 0]
+        assert [point["tests"]["qber_test"] for point in document] == [None, None, None]
+        assert main(["--output", "csv", *argv]) == 0
+        header, *lines = capsys.readouterr().out.strip().splitlines()
+        revealing = report_csv_rows([run_experiment(ExperimentConfig.from_dict(BASE))])[0]
+        assert header == revealing and len(header.split(",")) == 34
+        assert len(lines) == 3
+        empty = {f"qber_test_{name}": "" for name in ("statistic", "p_value", "flagged", "alpha")}
+        for line in lines:
+            cells = line.split(",")
+            assert len(cells) == 34
+            row = dict(zip(header.split(","), cells))
+            assert {name: row[name] for name in empty} == empty
+
     def test_usd_check_cli(self, capsys):
         assert main(["usd-check", "--states", "0,0,1.5707963267948966,0"]) == 0
         document = json.loads(capsys.readouterr().out)

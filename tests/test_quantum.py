@@ -1,6 +1,7 @@
 """State algebra, POVM validity, Born sampling and density matrices."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -130,27 +131,36 @@ class TestPovmValidation:
     def test_rejects_non_hermitian(self):
         bad = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
-            Povm((bad, np.eye(2) - bad), ("a", "b"))
+            Povm((bad, np.eye(2) - bad))
 
     def test_rejects_negative_element(self):
         bad = np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex)
         with pytest.raises(ValueError, match="positive"):
-            Povm((bad, np.eye(2) - bad), ("a", "b"))
+            Povm((bad, np.eye(2) - bad))
 
     def test_rejects_incomplete(self):
         half = 0.5 * np.eye(2, dtype=complex)
         with pytest.raises(ValueError, match="identity"):
-            Povm((half, 0.25 * np.eye(2)), ("a", "b"))
+            Povm((half, 0.25 * np.eye(2)))
 
-    def test_rejects_label_mismatch(self):
-        with pytest.raises(ValueError, match="equal length"):
-            Povm((np.eye(2, dtype=complex),), ("a", "b"))
+    def test_rejects_empty_and_misshapen(self):
+        with pytest.raises(ValueError, match="^POVM needs at least one element$"):
+            Povm(())
+        with pytest.raises(ValueError, match=r"expected \(k, 2, 2\)$"):
+            Povm(np.eye(2, dtype=complex))
+        with pytest.raises(ValueError, match=r"^POVM element has shape \(3, 3\), expected \(2, 2\)$"):
+            Povm((np.eye(3, dtype=complex),))
+
+    def test_one_read_only_element_stack(self):
+        assert [f.name for f in fields(Povm)] == ["elements"]
+        assert SZ_POVM.elements.shape == (2, 2, 2) and not SZ_POVM.elements.flags.writeable
+        np.testing.assert_array_equal(SZ_POVM.elements, [projector(Z_PLUS), projector(Z_MINUS)])
 
     def test_random_povms_satisfy_invariants(self):
         """Hermiticity, positivity, completeness over random mixtures."""
         rng = RngStream(8)
         for _ in range(100):
-            povm = random_povm(rng, size=3)
+            povm = random_povm(rng)
             total = np.zeros((2, 2), dtype=complex)
             for e in povm.elements:
                 np.testing.assert_allclose(e, e.conj().T, atol=1e-12)
@@ -164,7 +174,7 @@ def _frame_stack() -> np.ndarray:
     0 to 1.5, shape (40, 2 frames, 2 outcomes, 2, 2)."""
     bases = ((Z_PLUS, Z_MINUS), (X_PLUS, X_MINUS))
     return np.array([
-        [projective_povm(rotate_y(p, r), rotate_y(m, r), ("p", "m")).elements for p, m in bases]
+        [projective_povm(rotate_y(p, r), rotate_y(m, r)).elements for p, m in bases]
         for r in np.linspace(0.0, 1.5, 40)
     ])
 
@@ -227,25 +237,25 @@ class TestBornRule:
         rng = RngStream(9)
         for _ in range(100):
             state = state_from_bloch(rng.uniform() * math.pi, rng.uniform() * 2 * math.pi)
-            povm = random_povm(rng, size=4)
+            povm = random_povm(rng)
             assert born_probabilities(state, povm).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSampling:
     def test_certain_outcome(self):
         rng = RngStream(1)
-        assert all(sample_outcome(Z_PLUS, SZ_POVM, rng) == "z+" for _ in range(200))
+        assert all(sample_outcome(Z_PLUS, SZ_POVM, rng) == 0 for _ in range(200))
 
     def test_deterministic_given_seed(self):
-        labels_a = [sample_outcome(Z_PLUS, SX_POVM, RngStream(77)) for _ in range(50)]
-        labels_b = [sample_outcome(Z_PLUS, SX_POVM, RngStream(77)) for _ in range(50)]
-        assert labels_a == labels_b
+        outcomes_a = [sample_outcome(Z_PLUS, SX_POVM, RngStream(77)) for _ in range(50)]
+        outcomes_b = [sample_outcome(Z_PLUS, SX_POVM, RngStream(77)) for _ in range(50)]
+        assert outcomes_a == outcomes_b
 
     def test_empirical_frequency_matches_born(self):
         """x- frequency on z+ concentrates at 1/2 within 4 sigma binomial."""
         n = 100_000
         rng = RngStream(42)
-        hits = sum(sample_outcome(Z_PLUS, SX_POVM, rng) == "x-" for _ in range(n))
+        hits = sum(sample_outcome(Z_PLUS, SX_POVM, rng) == 1 for _ in range(n))
         sigma = math.sqrt(0.25 / n)
         assert hits / n == pytest.approx(0.5, abs=4 * sigma)
 
@@ -262,7 +272,7 @@ class TestDensityMatrices:
             theta, phi = rng.uniform() * math.pi, rng.uniform() * 2 * math.pi
             up = state_from_bloch(theta, phi)
             rho = mixture_density((up, orthogonal_state(up)), (0.5, 0.5))
-            assert density_equal(rho, DensityMatrix(0.5 * np.eye(2)), 1e-12)
+            assert density_equal(rho, DensityMatrix(0.5 * np.eye(2)))
 
     def test_pure_state_density(self):
         rho = mixture_density((Z_PLUS,), (1.0,))
@@ -290,14 +300,14 @@ class TestDensityMatrices:
 
     def test_density_equal(self):
         half = DensityMatrix(0.5 * np.eye(2))
-        assert density_equal(half, half, 1e-12)
+        assert density_equal(half, half)
         pure = DensityMatrix(projector(Z_PLUS))
-        assert not density_equal(pure, half, 1e-12)
+        assert not density_equal(pure, half)
         z_mix = mixture_density((Z_PLUS, Z_MINUS), (0.5, 0.5))
         x_mix = mixture_density((X_PLUS, X_MINUS), (0.5, 0.5))
-        assert density_equal(z_mix, x_mix, 1e-12)
+        assert density_equal(z_mix, x_mix)
 
     def test_projective_povm_from_rotated_pair(self):
         up = state_from_bloch(0.9, 0.0)
-        povm = projective_povm(up, orthogonal_state(up), ("p", "m"))
+        povm = projective_povm(up, orthogonal_state(up))
         assert born_probabilities(up, povm)[0] == pytest.approx(1.0, abs=1e-12)

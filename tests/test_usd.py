@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qkdsim.quantum import (
-    Povm,
     QubitState,
     SZ_POVM,
     X_MINUS,
@@ -155,12 +154,10 @@ class TestIdpPovm:
 
 class TestUnambiguousConstraints:
     def test_projective_sz_fails_for_nonorthogonal_pair(self):
-        labeled = Povm(SZ_POVM.elements, ("conclusive0", "conclusive1"))
-        assert not verify_unambiguous_constraints(labeled, (Z_PLUS, X_PLUS))
+        assert not verify_unambiguous_constraints(SZ_POVM, (Z_PLUS, X_PLUS))
 
     def test_projective_sz_passes_for_orthogonal_pair(self):
-        labeled = Povm(SZ_POVM.elements, ("conclusive0", "conclusive1"))
-        assert verify_unambiguous_constraints(labeled, (Z_PLUS, Z_MINUS))
+        assert verify_unambiguous_constraints(SZ_POVM, (Z_PLUS, Z_MINUS))
 
     def test_count_mismatch_raises(self):
         povm = idp_povm(Z_PLUS, X_PLUS)
@@ -238,7 +235,7 @@ class TestNoSignaling:
         z_mixture = mixture_density((Z_PLUS, Z_MINUS), (0.5, 0.5))
         x_mixture = mixture_density((X_PLUS, X_MINUS), (0.5, 0.5))
         for _ in range(100):
-            povm = random_povm(rng, size=3)
+            povm = random_povm(rng)
             _, _, diff = no_signaling_distributions(povm, z_mixture, x_mixture)
             assert diff <= 1e-10
 
@@ -263,7 +260,7 @@ class TestNoSignaling:
         rng = RngStream(41)
         for _ in range(100):
             decomp_a, decomp_b = _random_decompositions_of_same_density(rng)
-            povm = random_povm(rng, size=3)
+            povm = random_povm(rng)
             _, _, diff = no_signaling_distributions(
                 povm, mixture_density(*decomp_a), mixture_density(*decomp_b)
             )
