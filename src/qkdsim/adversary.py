@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .quantum import X_PLUS, Z_PLUS, QubitState, rotate_y
+from .quantum import B92_STATES, QubitState, rotate_y
 from .usd import UsdSchemeKind
 
 HALF_PI = 1.5707963267948966
@@ -80,8 +80,8 @@ class EveStrategy:
         return cls(kind, scheme_kind, delta if kind is EveKind.BASIS_MISMATCH else 0.0)
 
     def states(self) -> tuple[QubitState, QubitState]:
-        """The pair Eve discriminates: |z+> and |x+> in her frame."""
-        return rotate_y(Z_PLUS, self.rotation), rotate_y(X_PLUS, self.rotation)
+        """The pair Eve discriminates: `B92_STATES` rotated into her frame."""
+        return tuple(rotate_y(state, self.rotation) for state in B92_STATES)
 
 
 def forwarded_state_symmetry(

@@ -23,11 +23,10 @@ from .adversary import HALF_PI, ChannelModel, EveKind, EveStrategy, forwarded_st
 from .detection import TestDecision, expected_rates, null_ratio_test, qber_test
 from .protocol import ProtocolKind, estimate_qber_batch
 from .quantum import (
+    B92_STATES,
     QubitState,
     SX_POVM,
     SZ_POVM,
-    X_PLUS,
-    Z_PLUS,
     density_equal,
     mixture_density,
     random_povm,
@@ -448,7 +447,7 @@ def _direction_pair(theta: float, phi: float) -> tuple[QubitState, QubitState]:
 DEMO_POVMS = {
     "sz": lambda seed: SZ_POVM,
     "sx": lambda seed: SX_POVM,
-    "idp": lambda seed: idp_povm(Z_PLUS, X_PLUS),
+    "idp": lambda seed: idp_povm(*B92_STATES),
     "random": lambda seed: random_povm(RngStream(seed)),
 }
 DEMO_U_PRIME = (HALF_PI, 0.0)

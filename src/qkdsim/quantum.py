@@ -2,7 +2,8 @@
 
 Everything is fixed at dimension 2. Amplitudes are plain Python complex
 numbers (finite, validated); operators are 2x2 numpy arrays. Algebraic
-identities are enforced to 1e-12.
+identities are enforced to 1e-12. `REFERENCE_STATES` and `B92_STATES`
+are the one list of the S_z/S_x eigenstates and of the B92 pair.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 X_PLUS = QubitState(complex(_SQRT_HALF), complex(_SQRT_HALF))
 X_MINUS = QubitState(complex(_SQRT_HALF), complex(-_SQRT_HALF))
 
+# frame (z, x) first, then outcome (plus, minus): BB84's id order, 2 * basis + bit
+REFERENCE_STATES = {"z+": Z_PLUS, "z-": Z_MINUS, "x+": X_PLUS, "x-": X_MINUS}
+# the paper's pair: B92's states, and the pair Eve discriminates
+B92_STATES = (Z_PLUS, X_PLUS)
+
 
 def state_from_bloch(theta: float, phi: float) -> QubitState:
     """State at Bloch angles (theta, phi): (cos(t/2), e^{i phi} sin(t/2)).
@@ -95,11 +101,11 @@ def projector(state: QubitState) -> np.ndarray:
 
 
 def state_label(state: QubitState) -> str:
-    """Name a state by the nearest of z+/z-/x+/x- (else "other").
+    """Name a state by its `REFERENCE_STATES` key (else "other").
 
     Matching is up to global phase, via |<ref|state>|^2 within `_LABEL_TOL` of 1.
     """
-    for label, ref in (("z+", Z_PLUS), ("z-", Z_MINUS), ("x+", X_PLUS), ("x-", X_MINUS)):
+    for label, ref in REFERENCE_STATES.items():
         if abs(abs(inner_product(ref, state)) ** 2 - 1.0) <= _LABEL_TOL:
             return label
     return "other"
@@ -126,7 +132,7 @@ def _check_operators(mats: np.ndarray, what: str, complete: bool = False) -> np.
     return mats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Positive operators summing to identity: one read-only (k, 2, 2)
     element stack, k >= 1.
@@ -134,7 +140,7 @@ class Povm:
     Validated at construction by `_check_operators`: Hermiticity and
     completeness to 1e-12, eigenvalues >= -1e-12. Element order is part
     of the contract; an outcome is its element's index, and outcome
-    sampling walks the inverse CDF in that order.
+    sampling walks the inverse CDF in that order. Compared by identity.
     """
 
     elements: np.ndarray
@@ -171,9 +177,9 @@ def measurement_probs(state: QubitState, basis: str) -> tuple[float, float]:
     return (float(p[0]), float(p[1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """2x2 Hermitian, positive semidefinite, unit-trace operator."""
+    """2x2 Hermitian, PSD, unit-trace operator, compared by identity."""
 
     matrix: np.ndarray
 

@@ -25,10 +25,7 @@ from .quantum import (
     DensityMatrix,
     Povm,
     QubitState,
-    X_MINUS,
-    X_PLUS,
-    Z_MINUS,
-    Z_PLUS,
+    REFERENCE_STATES,
     inner_product,
 )
 
@@ -79,7 +76,7 @@ def idp_povm(state0: QubitState, state1: QubitState) -> Povm:
 
 
 # the naive frames before rotation: (z, x) frames of (plus, minus) amplitude pairs
-_FRAME_STATES = np.array([[Z_PLUS.vector, Z_MINUS.vector], [X_PLUS.vector, X_MINUS.vector]])
+_FRAME_STATES = np.array([s.vector for s in REFERENCE_STATES.values()]).reshape(2, 2, 2)
 
 
 def naive_frame_elements(rotations: Sequence[float]) -> np.ndarray:

@@ -83,6 +83,10 @@ MUTANTS = (
     Mutant("strategy-rows", "session.py",
            "rows += spread(batch.strategy) * len(protocol_states(batch.kind))",
            "rows += spread(batch.strategy)", ("test_session.py",)),
+    # the one list of reference states: labels, the naive frames and BB84's ids read its order
+    Mutant("reference-order", "quantum.py",
+           '{"z+": Z_PLUS, "z-": Z_MINUS,', '{"z+": Z_MINUS, "z-": Z_PLUS,',
+           ("test_quantum.py", "test_session.py", "test_golden.py")),
     # only the basis-mismatch attack rotates Eve's frame
     Mutant("rotation-rule", "adversary.py",
            "if self.rotation and self.kind is not EveKind.BASIS_MISMATCH:", "if False:",

@@ -722,7 +722,8 @@ class TestCsv:
         one report and one cell at a time: int-valued float fields from
         JSON stay ints, a point that sifted nothing has no qber and no qber
         test, one that received nothing has no null ratio, and bools are
-        lower case."""
+        lower case. Every cell is a scalar, so a nested section cannot pass
+        as a dict-valued cell through both flattenings."""
         base = ExperimentConfig.from_dict(json.loads(
             '{"protocol": "b92", "n_pulses": 400, "absorption": 0, "efficiency": 1,'
             ' "eve_strategy": "basis_mismatch", "reveal_fraction": 0.3, "master_seed": 3}'
@@ -738,6 +739,8 @@ class TestCsv:
         assert any(row["qber"] is None and row["qber_test_flagged"] is None for row in rows)
         assert any(row["null_ratio"] is None for row in rows)
         assert {row["null_ratio_test_flagged"] for row in rows} == {True, False}
+        scalars = (type(None), bool, int, float, str)
+        assert all(isinstance(v, scalars) for row in rows for v in row.values())
 
     def test_booleans_and_nones_rendered(self):
         report = run_experiment(

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from qkdsim.quantum import (
+    B92_STATES,
     DensityMatrix,
     Povm,
     QubitState,
+    REFERENCE_STATES,
     SX_POVM,
     SZ_POVM,
     X_MINUS,
@@ -92,6 +94,16 @@ class TestStates:
         assert state_label(X_MINUS) == "x-"
         assert state_label(state_from_bloch(1.0, 0.3)) == "other"
 
+    def test_reference_states_frame_first_then_outcome(self):
+        """The one list of reference states, in BB84's id order 2 * basis + bit,
+        each named by its own label; the B92 pair is |z+> and |x+>."""
+        assert list(REFERENCE_STATES.items()) == [
+            ("z+", Z_PLUS), ("z-", Z_MINUS), ("x+", X_PLUS), ("x-", X_MINUS)
+        ]
+        assert B92_STATES == (Z_PLUS, X_PLUS)
+        for label, state in REFERENCE_STATES.items():
+            assert state_label(state) == label
+
 
 class TestInnerProduct:
     def test_identity_and_orthogonality(self):
@@ -155,6 +167,18 @@ class TestPovmValidation:
         assert [f.name for f in fields(Povm)] == ["elements"]
         assert SZ_POVM.elements.shape == (2, 2, 2) and not SZ_POVM.elements.flags.writeable
         np.testing.assert_array_equal(SZ_POVM.elements, [projector(Z_PLUS), projector(Z_MINUS)])
+
+    def test_equality_and_hash_are_identity(self):
+        """Equal-valued POVMs and densities compare unequal without raising;
+        each equals itself, and both hash."""
+        a, b = projective_povm(Z_PLUS, Z_MINUS), projective_povm(Z_PLUS, Z_MINUS)
+        rho, sigma = DensityMatrix(0.5 * np.eye(2)), DensityMatrix(0.5 * np.eye(2))
+        for x, y in ((a, b), (rho, sigma)):
+            assert x == x and x != y and not (x == y)
+            assert hash(x) == hash(x)
+            assert len({x, y}) == 2
+        np.testing.assert_array_equal(a.elements, b.elements)
+        assert density_equal(rho, sigma)
 
     def test_random_povms_satisfy_invariants(self):
         """Hermiticity, positivity, completeness over random mixtures."""
