@@ -87,6 +87,14 @@ MUTANTS = (
     Mutant("reference-order", "quantum.py",
            '{"z+": Z_PLUS, "z-": Z_MINUS,', '{"z+": Z_MINUS, "z-": Z_PLUS,',
            ("test_quantum.py", "test_session.py", "test_golden.py")),
+    # the demo's antipodal direction wraps at 2 pi; the QBER test's flag
+    # count is the first whose rate exceeds the threshold, ties excluded
+    Mutant("direction-wrap", "harness.py",
+           "if anti_phi >= 2.0 * math.pi:", "if anti_phi >= 2.0 + math.pi:",
+           ("test_harness.py",)),
+    Mutant("threshold-tie", "detection.py",
+           "(k_star / n_revealed <= threshold)", "(k_star / n_revealed < threshold)",
+           ("test_detection.py",)),
     # only the basis-mismatch attack rotates Eve's frame
     Mutant("rotation-rule", "adversary.py",
            "if self.rotation and self.kind is not EveKind.BASIS_MISMATCH:", "if False:",

@@ -154,10 +154,12 @@ class TestQberTest:
         assert decision.p_value < 1e-9
 
     def test_flag_iff_above_threshold(self):
-        n = 1_000
-        for k in (0, 49, 50, 51, 100):
-            (decision,) = qber_test([k / n], [n], [0.05])
-            assert decision.flagged == (k / n > 0.05)
+        # 100 * 0.29 is 28.999999999999996, so a rate of exactly 29/100 sits
+        # on the threshold only after the count search corrects the floor
+        for k, n, threshold in ((0, 1_000, 0.05), (49, 1_000, 0.05), (50, 1_000, 0.05),
+                                (51, 1_000, 0.05), (100, 1_000, 0.05), (29, 100, 0.29)):
+            (decision,) = qber_test([k / n], [n], [threshold])
+            assert decision.flagged == (k / n > threshold)
 
     def test_decision_internally_consistent_across_grid(self):
         """Constructing a TestDecision enforces flagged == (p < alpha)."""

@@ -693,6 +693,11 @@ class TestNoSignalingDemo:
         assert no_signaling_demo(povm_name="sz")["densities_equal"]
         assert len(calls) == 2
 
+    def test_antipode_past_2pi_wraps_into_range(self):
+        """phi 2.5 puts the down state's phi at 5.64, which is below 2 pi but
+        above 2 + pi: only a wrap at exactly 2 pi keeps it in range."""
+        assert no_signaling_demo(u=(1.0, 2.5), povm_name="sz")["densities_equal"]
+
     def test_unknown_povm(self):
         with pytest.raises(ConfigurationError):
             no_signaling_demo(povm_name="magic")
