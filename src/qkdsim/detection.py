@@ -5,13 +5,16 @@ The two detectors are complementary. Intercept-resend attacks corrupt
 the sifted key and trip the QBER test while leaving the loss rate
 untouched; a suppression attack leaves the key perfectly correlated and
 is visible only as an excess of null signals over what the channel's
-absorption and detector efficiency predict.
+absorption and detector efficiency predict. Each test takes its counts:
+the null test the nulls among the pulses sent, the QBER test the
+disagreements among the revealed bits; each decision's statistic is the
+one rate, count over total.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -41,10 +44,6 @@ class TestDecision:
     def __post_init__(self) -> None:
         if self.flagged != (self.p_value < self.alpha):
             raise ValueError("inconsistent decision: flagged must equal p_value < alpha")
-
-    def to_dict(self) -> dict:
-        # the fields are flat values, so asdict's deep copy buys nothing
-        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "method": self.method}
 
 
 def expected_rates(channel: ChannelModel) -> ExpectedRates:
@@ -100,25 +99,27 @@ def null_ratio_test(n_sent, n_null, expected_arrival, alpha) -> list[TestDecisio
     ]
 
 
-def qber_test(qber, n_revealed, threshold) -> list[TestDecision]:
-    """Threshold test on the revealed error rate.
+def qber_test(n_wrong, n_revealed, threshold) -> list[TestDecision]:
+    """Threshold test on the revealed disagreement count.
 
-    Flags iff the observed rate exceeds the threshold. The p-value is the
-    exact binomial tail of seeing at least the observed number of
-    disagreements at per-bit error probability `threshold`; alpha is
-    placed between the attainable tail values on either side of the
-    threshold count so that the flag and the p-value agree exactly. Each
-    argument holds one entry per session; the result holds one decision
-    per session, with all the tails from one vectorised call.
+    The statistic is the QBER, n_wrong / n_revealed, and the test flags
+    iff it exceeds the threshold. The p-value is the exact binomial tail
+    of seeing at least n_wrong disagreements at per-bit error probability
+    `threshold`; alpha is placed between the attainable tail values on
+    either side of the threshold count so that the flag and the p-value
+    agree exactly. Each argument holds one entry per session, the counts
+    as integers (a rate is rejected); the result holds one decision per
+    session, with all the tails from one vectorised call.
     """
-    qber, n_revealed, threshold = np.broadcast_arrays(*np.atleast_1d(qber, n_revealed, threshold))
+    k, n_revealed, threshold = np.broadcast_arrays(*np.atleast_1d(n_wrong, n_revealed, threshold))
+    if k.size and k.dtype.kind not in "iu":
+        raise ValueError("n_wrong must be integer counts of disagreements, not rates")
     if np.any(n_revealed <= 0):
         raise ValueError("n_revealed must be positive")
-    if not np.all((0.0 <= qber) & (qber <= 1.0)):
-        raise ValueError("qber must be in [0, 1]")
+    if np.any(k < 0) or np.any(k > n_revealed):
+        raise ValueError("n_wrong must lie in [0, n_revealed]")
     if not np.all((0.0 <= threshold) & (threshold <= 1.0)):
         raise ValueError("threshold must be in [0, 1]")
-    k = np.rint(qber * n_revealed).astype(np.int64)
     # smallest disagreement count whose rate exceeds the threshold
     k_star = np.floor(n_revealed * threshold).astype(np.int64) + 1
     while np.any(high := (k_star > 0) & ((k_star - 1) / n_revealed > threshold)):
@@ -134,6 +135,6 @@ def qber_test(qber, n_revealed, threshold) -> list[TestDecision]:
     return [
         TestDecision(statistic=q, p_value=p, flagged=f, alpha=a)
         for q, p, f, a in zip(
-            qber.tolist(), tails[2].tolist(), (k >= k_star).tolist(), alpha.tolist()
+            (k / n_revealed).tolist(), tails[2].tolist(), (k >= k_star).tolist(), alpha.tolist()
         )
     ]

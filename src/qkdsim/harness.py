@@ -3,10 +3,12 @@
 Configs are flat JSON documents with exactly the `ExperimentConfig`
 field names; unknown fields are rejected so a typo cannot silently relax
 a security experiment; a config is parsed once, when it is built, and a
-run reads what it kept. Reports render as one key-sorted JSON document
-(byte-identical for identical configs) or as CSV rows holding the same
-report flattened in its own key order: config fields, then counts, then
-statistics, then test decisions, then discrimination diagnostics.
+run reads what it kept. A report is one ordered set of leaves, each named
+by its path (section, key, and for a test its decision field). It renders
+as one key-sorted JSON document that nests the paths (byte-identical for
+identical configs) or as CSV rows with a column per leaf in the same
+order, named by its path without the section: config fields, then counts,
+then statistics, then test decisions, then discrimination diagnostics.
 """
 
 from __future__ import annotations
@@ -167,16 +169,16 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunReport:
-    """What one session measured: counts, QBER estimate, test decisions
-    and the states Eve forwarded. `to_dict` derives the rest, the
-    channel's expectations and the scheme's efficiency, from these and
-    the config."""
+    """What one session measured: counts, test decisions and the states
+    Eve forwarded. The QBER estimate is the QBER test's statistic, the
+    revealed disagreements over the revealed bits. `to_dict` derives the
+    rest, the channel's expectations and the scheme's efficiency, from
+    these and the config."""
 
     config: ExperimentConfig
     arrived: int
     sifted: int
     revealed: int
-    qber: float | None
     qber_test: TestDecision | None
     null_ratio_test: TestDecision
     forwarded_z: int
@@ -187,8 +189,24 @@ class RunReport:
         if not (self.revealed <= self.sifted <= self.arrived <= self.config.n_pulses):
             raise ValueError("inconsistent counts: need revealed <= sifted <= arrived <= sent")
 
+    @property
+    def qber(self) -> float | None:
+        """The revealed bits' disagreement rate, None if none were revealed."""
+        return None if self.qber_test is None else self.qber_test.statistic
+
     def to_dict(self) -> dict:
-        return _one(_report_columns([self]))
+        """The report's leaves nested by their paths; a test that did not
+        run is None, not a decision of Nones."""
+        report = {}
+        for (*sections, name), (value,) in _report_columns([self]).items():
+            node = report
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[name] = value
+        tests = report["tests"]
+        for test, d in tests.items():
+            tests[test] = d if d["method"] else None
+        return report
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -199,54 +217,42 @@ def _scheme_efficiency(config: ExperimentConfig) -> float | None:
     return None if s.scheme is None else usd_efficiency(s.scheme, s.states)
 
 
-def _one(columns):
-    """A one-report `_report_columns` as the report itself: each column
-    gives its one cell, and a test decision its dict."""
-    if isinstance(columns, dict):
-        return {name: _one(value) for name, value in columns.items()}
-    (cell,) = columns
-    return cell.to_dict() if isinstance(cell, TestDecision) else cell
-
-
 def _report_columns(reports: list[RunReport]) -> dict:
-    """`RunReport.to_dict` of every report at once: the same sections and
-    keys, in the same order, each holding a list with one value per
-    report; a test holds its decisions, None where it did not run."""
+    """Every report's leaves at once, in report order: each path (section,
+    key, and for a test its decision field, `method` last) maps to a list
+    with one value per report. A test that did not run has None in each
+    of its fields."""
     configs = [r.config for r in reports]
-    config = {f.name: list(map(attrgetter(f.name), configs)) for f in fields(ExperimentConfig)}
-    sent = config["n_pulses"]
+    sent = [c.n_pulses for c in configs]
     arrived = [r.arrived for r in reports]
     sifted = [r.sifted for r in reports]
     revealed = [r.revealed for r in reports]
     null = [n - a for n, a in zip(sent, arrived)]
     expected = [c.expected for c in configs]
+    names = [f.name for f in fields(ExperimentConfig)]
+    tests = {t: list(map(attrgetter(t), reports)) for t in ("qber_test", "null_ratio_test")}
     return {
-        "config": config,
-        "counts": {
-            "sent": sent,
-            "arrived": arrived,
-            "null": null,
-            "sifted": sifted,
-            "revealed": revealed,
-            "key_length": [s - r for s, r in zip(sifted, revealed)],
+        **{("config", name): list(map(attrgetter(name), configs)) for name in names},
+        ("counts", "sent"): sent,
+        ("counts", "arrived"): arrived,
+        ("counts", "null"): null,
+        ("counts", "sifted"): sifted,
+        ("counts", "revealed"): revealed,
+        ("counts", "key_length"): [s - r for s, r in zip(sifted, revealed)],
+        ("statistics", "sift_rate"): [s / n for s, n in zip(sifted, sent)],
+        ("statistics", "qber"): [r.qber for r in reports],
+        ("statistics", "null_ratio"): [None if a == 0 else k / a for k, a in zip(null, arrived)],
+        ("statistics", "expected_arrival"): [e.expected_arrival for e in expected],
+        ("statistics", "expected_null_ratio"): [e.expected_null_ratio for e in expected],
+        **{
+            ("tests", test, name): [None if d is None else getattr(d, name) for d in decisions]
+            for test, decisions in tests.items()
+            for name in (*(f.name for f in fields(TestDecision)), "method")
         },
-        "statistics": {
-            "sift_rate": [s / n for s, n in zip(sifted, sent)],
-            "qber": [r.qber for r in reports],
-            "null_ratio": [None if a == 0 else k / a for k, a in zip(null, arrived)],
-            "expected_arrival": [e.expected_arrival for e in expected],
-            "expected_null_ratio": [e.expected_null_ratio for e in expected],
-        },
-        "tests": {
-            "qber_test": [r.qber_test for r in reports],
-            "null_ratio_test": [r.null_ratio_test for r in reports],
-        },
-        "usd": {
-            "scheme_efficiency": [_scheme_efficiency(c) for c in configs],
-            "forwarded_z": [r.forwarded_z for r in reports],
-            "forwarded_x": [r.forwarded_x for r in reports],
-        },
-        "rng": [r.rng for r in reports],
+        ("usd", "scheme_efficiency"): [_scheme_efficiency(c) for c in configs],
+        ("usd", "forwarded_z"): [r.forwarded_z for r in reports],
+        ("usd", "forwarded_x"): [r.forwarded_x for r in reports],
+        ("rng",): [r.rng for r in reports],
     }
 
 
@@ -279,16 +285,15 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
 
 
 def _reveal(configs: list[ExperimentConfig], errors: np.ndarray, sifted: list[int]):
-    """Each session's QBER estimate (None if it sifted nothing) and its
-    number of revealed bits, from one `estimate_qber_batch` call over the
-    batch's sifted disagreement bits."""
+    """Each session's number of revealed disagreements and of revealed
+    bits, from one `estimate_qber_batch` call over the batch's sifted
+    disagreement bits."""
     # derive_seed(master_seed, 0, STAGE_ESTIMATE) of every session: its estimation stream's seed
     master_seeds = np.array([c.master_seed for c in configs], dtype=np.uint64)
     seeds = derive_seed_array(master_seeds, np.zeros(len(configs), np.uint64), STAGE_ESTIMATE)
     fractions = np.array([c.reveal_fraction for c in configs])
-    qber, revealed = estimate_qber_batch(errors, np.array(sifted), fractions, seeds)
-    revealed = revealed.tolist()
-    return [q if n else None for q, n in zip(qber.tolist(), revealed)], revealed
+    wrong, revealed = estimate_qber_batch(errors, np.array(sifted), fractions, seeds)
+    return wrong.tolist(), revealed.tolist()
 
 
 def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
@@ -298,8 +303,9 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
     The engine returns each session's counts and the batch's sifted
     disagreement bits, never a whole-session column; one reveal sampler
     call then counts every session's revealed bits and their
-    disagreements, and the forwarded states are labelled once per state
-    of the batch.
+    disagreements, which the QBER test of every session that revealed
+    any takes as they are, and the forwarded states are labelled once per
+    state of the batch.
     """
     kind = configs[0].protocol_kind
     sessions = [c.session for c in configs]
@@ -307,7 +313,7 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
     try:
         counts = simulate_session(kind, sessions)
         sifted = counts.sifted.tolist()
-        qber, revealed = _reveal(configs, counts.errors, sifted)
+        wrong, revealed = _reveal(configs, counts.errors, sifted)
     except MemoryError:
         n_pulses = sum(c.n_pulses for c in configs)
         raise ConfigurationError(
@@ -330,7 +336,7 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
     )
     revealing = [i for i, n in enumerate(revealed) if n > 0]
     decided = qber_test(
-        [qber[i] for i in revealing],
+        [wrong[i] for i in revealing],
         [revealed[i] for i in revealing],
         [configs[i].qber_threshold for i in revealing],
     )
@@ -341,7 +347,6 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
             arrived=arrived[i],
             sifted=sifted[i],
             revealed=revealed[i],
-            qber=qber[i],
             qber_test=qber_decisions.get(i),
             null_ratio_test=null_decisions[i],
             forwarded_z=forwarded_z[i],
@@ -492,10 +497,6 @@ def no_signaling_demo(
 
 # -- CSV rendering -----------------------------------------------------------
 
-# a decision's `method` is in the JSON report but not in the CSV
-_DECISION_COLUMNS = tuple(f.name for f in fields(TestDecision))
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -519,23 +520,17 @@ def _csv_cells(values: list) -> list[str]:
 def report_csv_rows(reports: list[RunReport]) -> list[str]:
     """Header line plus one line per report (nothing for no reports).
 
-    The columns are `to_dict()` flattened in order: sections drop their
-    name, and each test prefixes its decision fields with its own. They
-    are built and formatted a whole column at a time.
+    A column per leaf of the report, in its order, named by the leaf's
+    path without its section, joined by "_" (a section that is a leaf
+    names itself); a decision's `method` is JSON-only. The columns are
+    built and formatted a whole column at a time.
     """
     if not reports:
         return []
-    columns = {}
-    for section, value in _report_columns(reports).items():
-        if section == "tests":
-            for test, decisions in value.items():
-                for name in _DECISION_COLUMNS:
-                    columns[f"{test}_{name}"] = [
-                        None if d is None else getattr(d, name) for d in decisions
-                    ]
-        elif isinstance(value, dict):
-            columns.update(value)
-        else:
-            columns[section] = value
+    columns = {
+        "_".join(path[1:] or path): values
+        for path, values in _report_columns(reports).items()
+        if path[-1] != "method"
+    }
     cells = map(_csv_cells, columns.values())
     return [",".join(columns)] + [",".join(row) for row in zip(*cells)]

@@ -16,12 +16,14 @@ estimate and the report need of the keys.
 QBER estimation reveals the positions a partial Fisher-Yates shuffle
 picks from each session's estimation stream, and needs only two numbers
 of them: how many there are and how many disagree. `estimate_qber_batch`
-counts both for many sessions at once, with no list of positions: every
-session's draws come from one counter-based call, and the swaps of all
-of them are resolved with array operations as one shuffle. The counts
-are those of the shuffle written as a loop with one integer draw per
-step (pinned by tests against that scalar loop), and a session's counts
-do not depend on its batch; `estimate_qber` is a batch of one.
+returns both counts for many sessions at once, with no list of positions,
+and the QBER test takes them as they are (its statistic, the QBER, is
+their ratio). Every session's draws come from one counter-based call,
+and the swaps of all of them are resolved with array operations as one
+shuffle. The counts are those of the shuffle written as a loop with one
+integer draw per step (pinned by tests against that scalar loop), and a
+session's counts do not depend on its batch; `estimate_qber` is a batch
+of one.
 """
 
 from __future__ import annotations
@@ -194,24 +196,22 @@ def _revealed_errors(
 def estimate_qber_batch(
     errors: np.ndarray, sifted: np.ndarray, reveal_fractions: np.ndarray, seeds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reveal a random subset of each session's sifted key and its error rate.
+    """Reveal a random subset of each session's sifted key and count its
+    disagreements.
 
     Session i's disagreement bits are the next `sifted[i]` of `errors`,
     and its estimation stream is `RngStream(seeds[i])`. It reveals
     k = ceil(reveal_fractions[i] * sifted[i]) of them, chosen without
     replacement by the stream's partial Fisher-Yates shuffle
     (`_revealed_errors`), and discards them, so its key keeps the other
-    sifted[i] - k. Returns each session's fraction of revealed bits that
-    disagree (NaN if it sifted nothing, so revealed nothing) and each k.
+    sifted[i] - k. Returns, as int64 arrays, each session's number of
+    revealed bits that disagree and each k (both 0 if it sifted nothing).
     A session's results do not depend on the batch it runs in.
     """
     if not np.all((0.0 < reveal_fractions) & (reveal_fractions <= 1.0)):
         raise ValueError("reveal fractions must be in (0, 1]")
     k = np.ceil(reveal_fractions * sifted).astype(np.int64)
-    wrong = _revealed_errors(errors, sifted, k, seeds)
-    qber = np.full(len(k), np.nan)
-    np.divide(wrong, k, out=qber, where=k > 0)
-    return qber, k
+    return _revealed_errors(errors, sifted, k, seeds), k
 
 
 def estimate_qber(errors: np.ndarray, reveal_fraction: float, seed: int) -> tuple[float, int]:
@@ -219,7 +219,7 @@ def estimate_qber(errors: np.ndarray, reveal_fraction: float, seed: int) -> tupl
     `RngStream(seed)`: its error rate and number of revealed bits."""
     if len(errors) == 0:
         raise EstimationError("cannot estimate the error rate of an empty sifted key")
-    qber, revealed = estimate_qber_batch(
+    wrong, revealed = estimate_qber_batch(
         errors, np.array([len(errors)]), np.array([reveal_fraction]), np.array([seed], np.uint64)
     )
-    return float(qber[0]), int(revealed[0])
+    return int(wrong[0]) / int(revealed[0]), int(revealed[0])

@@ -171,9 +171,11 @@ def born_probabilities(state: QubitState, povm: Povm) -> np.ndarray:
 
 
 def measurement_probs(state: QubitState, basis: str) -> tuple[float, float]:
-    """(plus, minus) probabilities for the z or x projective basis."""
-    povm = SZ_POVM if basis == "z" else SX_POVM
-    p = born_probabilities(state, povm)
+    """(plus, minus) probabilities for the z or x projective basis; any
+    other basis, "Z" too, is a ValueError."""
+    if basis not in ("z", "x"):
+        raise ValueError(f"basis must be 'z' or 'x', got {basis!r}")
+    p = born_probabilities(state, SZ_POVM if basis == "z" else SX_POVM)
     return (float(p[0]), float(p[1]))
 
 

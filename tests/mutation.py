@@ -63,7 +63,9 @@ MUTANTS = (
            ("test_quantum.py",)),
     Mutant("degeneracy-tolerance", "usd.py", "_DEGENERACY_TOL = 1e-12", "_DEGENERACY_TOL = 1e-9",
            ("test_usd.py",)),
-    # the bookkeeping after the draws: count table, reveal run mask, CSV cell, report walk
+    # the bookkeeping after the draws: count table, reveal run mask, CSV cell,
+    # and the report's leaves: a test that did not run is a JSON null, and a
+    # CSV column is named by its leaf's path without the section
     Mutant("count-table-columns", "session.py",
            "columns = (block.arrived, mask, *", "columns = (mask, block.arrived, *",
            ("test_session.py", "test_harness.py")),
@@ -74,7 +76,10 @@ MUTANTS = (
            'return "true" if value else "false"', 'return "True" if value else "False"',
            ("test_harness.py", "test_golden.py")),
     Mutant("report-decision-dict", "harness.py",
-           "return cell.to_dict() if isinstance(cell, TestDecision) else cell", "return cell",
+           'tests[test] = d if d["method"] else None', "tests[test] = d",
+           ("test_harness.py", "test_golden.py")),
+    Mutant("csv-name-rule", "harness.py",
+           '"_".join(path[1:] or path)', '"_".join(path[-1:])',
            ("test_harness.py", "test_golden.py")),
     # the engine's table indexing: a slot is frame * outcomes + outcome, and
     # Eve's state rows are a block of Alice's states per distinct strategy

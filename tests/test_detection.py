@@ -32,16 +32,15 @@ def _arrival(channel):
     return expected_rates(channel).expected_arrival
 
 
-def _scalar_qber_decision(qber, n, threshold):
+def _scalar_qber_decision(k, n, threshold):
     """The threshold test written per point with Python ints and floats."""
-    k = int(round(qber * n))
     k_star = int(math.floor(n * threshold)) + 1
     while k_star > 0 and (k_star - 1) / n > threshold:
         k_star -= 1
     while k_star <= n and k_star / n <= threshold:
         k_star += 1
     alpha = 0.5 * (_tail(k_star - 1, n, threshold) + _tail(k_star, n, threshold))
-    return TestDecision(qber, _tail(k, n, threshold), k >= k_star, alpha)
+    return TestDecision(k / n, _tail(k, n, threshold), k >= k_star, alpha)
 
 
 class TestBatchedTails:
@@ -70,10 +69,10 @@ class TestBatchedTails:
             for p_value in [_tail(k, n, 1.0 - e.expected_arrival)]
         ]
         revealed = [draws.randint(1, 3_000) for _ in range(40)]
-        qbers = [draws.randint(0, r) / r for r in revealed]
+        wrong = [draws.randint(0, r) for r in revealed]
         thresholds = [draws.choice((0.0, 0.05, 0.11, 1 / 3, 1.0)) for _ in revealed]
-        assert qber_test(qbers, revealed, thresholds) == [
-            _scalar_qber_decision(*args) for args in zip(qbers, revealed, thresholds)
+        assert qber_test(wrong, revealed, thresholds) == [
+            _scalar_qber_decision(*args) for args in zip(wrong, revealed, thresholds)
         ]
 
 
@@ -140,16 +139,17 @@ class TestNullRatioTest:
 class TestQberTest:
     def test_zero_qber_never_flags_positive_threshold(self):
         for threshold in (0.001, 0.05, 0.25):
-            (decision,) = qber_test([0.0], [5_000], [threshold])
+            (decision,) = qber_test([0], [5_000], [threshold])
             assert not decision.flagged
             assert decision.p_value == 1.0
 
     def test_zero_threshold_flags_any_disagreement(self):
-        assert qber_test([1 / 5_000], [5_000], [0.0])[0].flagged
-        assert not qber_test([0.0], [5_000], [0.0])[0].flagged
+        assert qber_test([1], [5_000], [0.0])[0].flagged
+        assert not qber_test([0], [5_000], [0.0])[0].flagged
 
     def test_intercept_resend_scale_error_flags(self):
-        (decision,) = qber_test([1 / 3], [30_000], [0.05])
+        (decision,) = qber_test([10_000], [30_000], [0.05])
+        assert decision.statistic == 1 / 3
         assert decision.flagged
         assert decision.p_value < 1e-9
 
@@ -158,7 +158,7 @@ class TestQberTest:
         # on the threshold only after the count search corrects the floor
         for k, n, threshold in ((0, 1_000, 0.05), (49, 1_000, 0.05), (50, 1_000, 0.05),
                                 (51, 1_000, 0.05), (100, 1_000, 0.05), (29, 100, 0.29)):
-            (decision,) = qber_test([k / n], [n], [threshold])
+            (decision,) = qber_test([k], [n], [threshold])
             assert decision.flagged == (k / n > threshold)
 
     def test_decision_internally_consistent_across_grid(self):
@@ -166,21 +166,26 @@ class TestQberTest:
         for n in (10, 383, 5_000):
             for threshold in (0.0, 0.03, 0.5, 1.0):
                 for k in (0, 1, n // 3, n - 1, n):
-                    qber_test([k / n], [n], [threshold])
+                    qber_test([k], [n], [threshold])
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            qber_test([0.1], [0], [0.05])
+            qber_test([0], [0], [0.05])
         with pytest.raises(ValueError):
-            qber_test([1.2], [10], [0.05])
+            qber_test([12], [10], [0.05])
+        with pytest.raises(ValueError):
+            qber_test([-1], [10], [0.05])
+        # a rate in place of a count would read as 0.1 disagreements
+        with pytest.raises(ValueError, match="integer counts"):
+            qber_test([0.1], [100], [0.05])
 
     def test_every_input_gives_a_list(self):
         """No scalar mode: empty, one-element and scalar inputs all give lists."""
         assert [f.name for f in fields(TestDecision)] == ["statistic", "p_value", "flagged", "alpha"]
         assert null_ratio_test([], [], [], []) == [] and qber_test([], [], []) == []
         assert null_ratio_test(100, 20, 0.8, 0.01) == null_ratio_test([100], [20], [0.8], [0.01])
-        assert qber_test(0.1, 100, 0.05) == qber_test([0.1], [100], [0.05])
-        assert len(qber_test(0.1, 100, 0.05)) == 1
+        assert qber_test(10, 100, 0.05) == qber_test([10], [100], [0.05])
+        assert len(qber_test(10, 100, 0.05)) == 1
 
     def test_inconsistent_decision_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):

@@ -157,9 +157,18 @@ class TestRunExperiment:
 
     def test_report_holds_only_measured_values(self):
         assert [f.name for f in fields(RunReport)] == [
-            "config", "arrived", "sifted", "revealed", "qber", "qber_test",
+            "config", "arrived", "sifted", "revealed", "qber_test",
             "null_ratio_test", "forwarded_z", "forwarded_x",
         ]
+
+    def test_qber_is_the_qber_tests_statistic(self):
+        attack = {**BASE, "eve_strategy": "intercept_resend"}
+        report = run_experiment(ExperimentConfig.from_dict(attack))
+        assert report.qber == report.qber_test.statistic > 0.0
+        assert report.to_dict()["statistics"]["qber"] == report.qber
+        lost = {**BASE, "n_pulses": 1, "efficiency": 1e-6}
+        silent = run_experiment(ExperimentConfig.from_dict(lost))
+        assert silent.revealed == 0 and silent.qber_test is None and silent.qber is None
 
     def test_revealed_above_sifted_rejected(self):
         report = run_experiment(ExperimentConfig.from_dict(BASE))
@@ -756,6 +765,36 @@ class TestCsv:
         assert row["null_ratio_test_flagged"] == "true"
         assert row["qber_test_flagged"] == "false"
         assert row["protocol"] == "b92"
+
+    def test_a_nested_leaf_reaches_json_and_csv(self, monkeypatch):
+        """A new leaf is one entry in `_report_columns`: `to_dict` nests its
+        path, and the CSV names its column by the path without its section."""
+        leaves = harness._report_columns
+
+        def with_funnel(reports):
+            columns = leaves(reports)
+            columns["funnel", "sent", "expected"] = [r.config.n_pulses / 4 for r in reports]
+            return columns
+
+        monkeypatch.setattr(harness, "_report_columns", with_funnel)
+        report = run_experiment(ExperimentConfig.from_dict(BASE))
+        document = report.to_dict()
+        assert list(document)[-2:] == ["rng", "funnel"]
+        assert document["funnel"] == {"sent": {"expected": 500.0}}
+        header, line = report_csv_rows([report])
+        assert header.split(",")[-2:] == ["rng", "sent_expected"]
+        assert line.split(",")[-1] == "500.0"
+
+    def test_every_leaf_but_method_has_its_own_column(self):
+        """Two leaves of one CSV name would fold into one column: the header
+        names each leaf of `to_dict()` apart, less the two tests' `method`."""
+
+        def count(node):
+            return sum(map(count, node.values())) if isinstance(node, dict) else 1
+
+        report = run_experiment(ExperimentConfig.from_dict(BASE))
+        header = report_csv_rows([report])[0].split(",")
+        assert len(header) == len(set(header)) == count(report.to_dict()) - 2 == 34
 
 
 class TestCli:

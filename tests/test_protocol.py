@@ -149,9 +149,9 @@ def _revealed_counts(errors, m, k, seeds) -> list[int]:
     ceil((k - 0.5) / m * m) is k for 1 <= k <= m."""
     m, k = np.asarray(m), np.asarray(k)
     fractions = np.where(m > 0, (k - 0.5) / np.maximum(m, 1), 0.5)
-    qber, revealed = estimate_qber_batch(errors, m, fractions, np.asarray(seeds, dtype=np.uint64))
+    wrong, revealed = estimate_qber_batch(errors, m, fractions, np.asarray(seeds, dtype=np.uint64))
     assert revealed.tolist() == k.tolist()
-    return np.rint(np.nan_to_num(qber) * k).astype(int).tolist()
+    return wrong.tolist()
 
 
 def _assert_matches_oracle(m, k, seed):
@@ -325,15 +325,16 @@ class TestBatchRevealSampling:
         fractions = np.array([cases.choice((0.01, 0.2, 0.3, 0.5, 1.0)) for _ in sifted])
         seeds = np.array([cases.getrandbits(64) for _ in sifted], dtype=np.uint64)
         errors = np.array([cases.random() < 0.3 for _ in range(sifted.sum())])
-        qber, revealed = estimate_qber_batch(errors, sifted, fractions, seeds)
+        wrong, revealed = estimate_qber_batch(errors, sifted, fractions, seeds)
+        assert wrong.dtype == revealed.dtype == np.int64
         starts = np.concatenate([[0], np.cumsum(sifted)])
         for i, (m, fraction, seed) in enumerate(zip(sifted, fractions, seeds.tolist())):
             if m == 0:
-                assert revealed[i] == 0 and math.isnan(qber[i])
+                assert revealed[i] == 0 and wrong[i] == 0
                 continue
             alone = errors[starts[i] : starts[i + 1]]
-            assert (qber[i], revealed[i]) == estimate_qber(alone, fraction, seed)
-        assert 0.0 < np.nanmax(qber) and np.count_nonzero(sifted == 0) > 0
+            assert (wrong[i] / revealed[i], revealed[i]) == estimate_qber(alone, fraction, seed)
+        assert 0 < wrong.max() and np.count_nonzero(sifted == 0) > 0
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from qkdsim.quantum import (
     born_probabilities,
     density_equal,
     inner_product,
+    measurement_probs,
     mixture_density,
     orthogonal_state,
     projective_povm,
@@ -263,6 +264,12 @@ class TestBornRule:
             state = state_from_bloch(rng.uniform() * math.pi, rng.uniform() * 2 * math.pi)
             povm = random_povm(rng)
             assert born_probabilities(state, povm).sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("basis", ["Z", "X", "y", "", None, 0])
+    def test_measurement_probs_rejects_any_other_basis(self, basis):
+        """Only "z" and "x" name a basis; anything else once measured in x."""
+        with pytest.raises(ValueError, match="basis"):
+            measurement_probs(Z_PLUS, basis)
 
 
 class TestSampling:
