@@ -7,8 +7,9 @@ untouched; a suppression attack leaves the key perfectly correlated and
 is visible only as an excess of null signals over what the channel's
 absorption and detector efficiency predict. Each test takes its counts:
 the null test the nulls among the pulses sent, the QBER test the
-disagreements among the revealed bits; each decision's statistic is the
-one rate, count over total.
+disagreements among the revealed bits. Both hold them to one contract,
+integer counts of positive integer totals (a rate is rejected), and each
+decision's statistic is the one rate, count over total.
 """
 
 from __future__ import annotations
@@ -76,27 +77,40 @@ def binomial_tails(k, n, p) -> np.ndarray:
     return tails
 
 
+def _check_counts(k: np.ndarray, n: np.ndarray, count: str, total: str) -> None:
+    """The one count contract: integer counts `k` of integer totals `n`,
+    each total positive and each count in [0, total]."""
+    if k.size and (k.dtype.kind not in "iu" or n.dtype.kind not in "iu"):
+        raise ValueError(f"{count} and {total} must be integer counts, not rates")
+    if np.any(n <= 0):
+        raise ValueError(f"{total} must be positive")
+    if np.any(k < 0) or np.any(k > n):
+        raise ValueError(f"{count} must lie in [0, {total}]")
+
+
+def _decisions(k, n, p_values, flagged, alpha) -> list[TestDecision]:
+    """One decision per session, whose statistic is its count over its total."""
+    return [
+        TestDecision(statistic=q, p_value=p, flagged=f, alpha=a)
+        for q, p, f, a in zip((k / n).tolist(), p_values.tolist(), flagged.tolist(), alpha.tolist())
+    ]
+
+
 def null_ratio_test(n_sent, n_null, expected_arrival, alpha) -> list[TestDecision]:
     """One-sided exact binomial test of the observed null count against
     channel expectations.
 
     Flags when nulls are significantly high for Binomial(n_sent, p_null)
     with p_null = 1 - expected_arrival. Each argument holds one entry per
-    session; the result holds one decision per session, with every tail
-    from one vectorised call.
+    session, the counts as integers (a rate is rejected); the result holds
+    one decision per session, with every tail from one vectorised call.
     """
     n_sent, n_null, arrival, alpha = np.broadcast_arrays(
         *np.atleast_1d(n_sent, n_null, expected_arrival, alpha)
     )
-    if np.any(n_sent <= 0):
-        raise ValueError("n_sent must be positive")
-    if np.any(n_null < 0) or np.any(n_null > n_sent):
-        raise ValueError("n_null must lie in [0, n_sent]")
+    _check_counts(n_null, n_sent, "n_null", "n_sent")
     p_values = binomial_tails(n_null, n_sent, 1.0 - arrival)
-    return [
-        TestDecision(statistic=k / n, p_value=p, flagged=p < a, alpha=a)
-        for n, k, p, a in zip(n_sent.tolist(), n_null.tolist(), p_values.tolist(), alpha.tolist())
-    ]
+    return _decisions(n_null, n_sent, p_values, p_values < alpha, alpha)
 
 
 def qber_test(n_wrong, n_revealed, threshold) -> list[TestDecision]:
@@ -108,16 +122,11 @@ def qber_test(n_wrong, n_revealed, threshold) -> list[TestDecision]:
     `threshold`; alpha is placed between the attainable tail values on
     either side of the threshold count so that the flag and the p-value
     agree exactly. Each argument holds one entry per session, the counts
-    as integers (a rate is rejected); the result holds one decision per
-    session, with all the tails from one vectorised call.
+    and totals as integers (a rate is rejected); the result holds one
+    decision per session, with all the tails from one vectorised call.
     """
     k, n_revealed, threshold = np.broadcast_arrays(*np.atleast_1d(n_wrong, n_revealed, threshold))
-    if k.size and k.dtype.kind not in "iu":
-        raise ValueError("n_wrong must be integer counts of disagreements, not rates")
-    if np.any(n_revealed <= 0):
-        raise ValueError("n_revealed must be positive")
-    if np.any(k < 0) or np.any(k > n_revealed):
-        raise ValueError("n_wrong must lie in [0, n_revealed]")
+    _check_counts(k, n_revealed, "n_wrong", "n_revealed")
     if not np.all((0.0 <= threshold) & (threshold <= 1.0)):
         raise ValueError("threshold must be in [0, 1]")
     # smallest disagreement count whose rate exceeds the threshold
@@ -131,10 +140,4 @@ def qber_test(n_wrong, n_revealed, threshold) -> list[TestDecision]:
         np.tile(n_revealed, 3),
         np.tile(threshold, 3),
     ).reshape(3, -1)
-    alpha = 0.5 * (tails[0] + tails[1])
-    return [
-        TestDecision(statistic=q, p_value=p, flagged=f, alpha=a)
-        for q, p, f, a in zip(
-            (k / n_revealed).tolist(), tails[2].tolist(), (k >= k_star).tolist(), alpha.tolist()
-        )
-    ]
+    return _decisions(k, n_revealed, tails[2], k >= k_star, 0.5 * (tails[0] + tails[1]))

@@ -284,63 +284,59 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     return _run_batch([config])[0]
 
 
-def _reveal(configs: list[ExperimentConfig], errors: np.ndarray, sifted: list[int]):
-    """Each session's number of revealed disagreements and of revealed
-    bits, from one `estimate_qber_batch` call over the batch's sifted
-    disagreement bits."""
-    # derive_seed(master_seed, 0, STAGE_ESTIMATE) of every session: its estimation stream's seed
-    master_seeds = np.array([c.master_seed for c in configs], dtype=np.uint64)
-    seeds = derive_seed_array(master_seeds, np.zeros(len(configs), np.uint64), STAGE_ESTIMATE)
-    fractions = np.array([c.reveal_fraction for c in configs])
-    wrong, revealed = estimate_qber_batch(errors, np.array(sifted), fractions, seeds)
-    return wrong.tolist(), revealed.tolist()
-
-
 def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
     """Reports of sessions that share protocol, Eve and scheme kinds, run
     as one engine batch; each equals the report of its config run alone.
 
     The engine returns each session's counts and the batch's sifted
-    disagreement bits, never a whole-session column; one reveal sampler
-    call then counts every session's revealed bits and their
-    disagreements, which the QBER test of every session that revealed
-    any takes as they are, and the forwarded states are labelled once per
-    state of the batch.
+    disagreement bits, never a whole-session column. One reveal sampler
+    call, each session's stream seeded by the engine's key rule for its
+    pulse 0, derive_seed(master_seed, 0, STAGE_ESTIMATE), counts every
+    session's revealed bits and their disagreements. The counts stay int64
+    arrays through the reveal and both tests, and become Python ints once,
+    for the reports; the forwarded states are labelled once per state.
     """
     kind = configs[0].protocol_kind
     sessions = [c.session for c in configs]
     _check_feasibility(kind, sessions[0].strategy)
+    master_seeds = np.array([c.master_seed for c in configs], dtype=np.uint64)
     try:
         counts = simulate_session(kind, sessions)
-        sifted = counts.sifted.tolist()
-        wrong, revealed = _reveal(configs, counts.errors, sifted)
+        wrong, revealed = estimate_qber_batch(
+            counts.errors,
+            counts.sifted,
+            np.array([c.reveal_fraction for c in configs]),
+            derive_seed_array(0, master_seeds, STAGE_ESTIMATE),
+        )
     except MemoryError:
         n_pulses = sum(c.n_pulses for c in configs)
         raise ConfigurationError(
             f"n_pulses {n_pulses} does not fit in memory; use fewer pulses"
         ) from None
-    arrived = counts.arrived.tolist()
     # the id -1 of a suppressed pulse picks the trailing empty label
     labels = np.array([state_label(s) for s in counts.states] + [""])
-    forwarded_z, forwarded_x = (
-        per_session.tolist()
-        for per_session in forwarded_state_symmetry(counts.forwarded, labels[counts.forwarded_ids])
+    forwarded_z, forwarded_x = forwarded_state_symmetry(
+        counts.forwarded, labels[counts.forwarded_ids]
     )
 
-    sent = [c.n_pulses for c in configs]
+    sent = np.array([c.n_pulses for c in configs], dtype=np.int64)
     null_decisions = null_ratio_test(
         sent,
-        [n - a for n, a in zip(sent, arrived)],
+        sent - counts.arrived,
         [c.expected.expected_arrival for c in configs],
         [c.alpha for c in configs],
     )
-    revealing = [i for i, n in enumerate(revealed) if n > 0]
+    revealing = np.flatnonzero(revealed)
     decided = qber_test(
-        [wrong[i] for i in revealing],
-        [revealed[i] for i in revealing],
-        [configs[i].qber_threshold for i in revealing],
+        wrong[revealing],
+        revealed[revealing],
+        np.array([c.qber_threshold for c in configs])[revealing],
     )
-    qber_decisions = dict(zip(revealing, decided))
+    qber_decisions = dict(zip(revealing.tolist(), decided))
+    arrived, sifted, revealed, forwarded_z, forwarded_x = (
+        column.tolist()
+        for column in (counts.arrived, counts.sifted, revealed, forwarded_z, forwarded_x)
+    )
     return [
         RunReport(
             config=config,

@@ -100,6 +100,9 @@ MUTANTS = (
     Mutant("threshold-tie", "detection.py",
            "(k_star / n_revealed <= threshold)", "(k_star / n_revealed < threshold)",
            ("test_detection.py",)),
+    # both detectors hold integer totals to the one count contract
+    Mutant("count-contract", "detection.py",
+           'or n.dtype.kind not in "iu"', "", ("test_detection.py",)),
     # only the basis-mismatch attack rotates Eve's frame
     Mutant("rotation-rule", "adversary.py",
            "if self.rotation and self.kind is not EveKind.BASIS_MISMATCH:", "if False:",
@@ -115,7 +118,7 @@ TIE_ONLY = (
         "outcome += u >= column.take(rows)",
         "they differ only on a uniform equal to a stage threshold, a Born probability sum "
         "that is almost never a multiple of 2**-53 and never drawn at a known seed"),
-    Tie("detection.null_ratio_test: p < a -> p <= a", "detection.py", "flagged=p < a",
+    Tie("detection.null_ratio_test: p < a -> p <= a", "detection.py", "p_values < alpha",
         "they differ only on an exact binomial tail equal to alpha, which no test's counts "
         "reach"),
     Tie("protocol._draw_offsets: drop the clamp to span - 1", "protocol.py",

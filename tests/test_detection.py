@@ -178,6 +178,13 @@ class TestQberTest:
         # a rate in place of a count would read as 0.1 disagreements
         with pytest.raises(ValueError, match="integer counts"):
             qber_test([0.1], [100], [0.05])
+        # a fractional total, or a rate in place of the null count, is no count either
+        with pytest.raises(ValueError, match="integer counts"):
+            qber_test([10], [100.5], [0.05])
+        with pytest.raises(ValueError, match="integer counts"):
+            null_ratio_test([100], [0.2], [0.8], [0.01])
+        with pytest.raises(ValueError, match="integer counts"):
+            null_ratio_test([100.5], [20], [0.8], [0.01])
 
     def test_every_input_gives_a_list(self):
         """No scalar mode: empty, one-element and scalar inputs all give lists."""
