@@ -19,7 +19,8 @@ control run first requires every listed test file to pass unmutated, so
 that a broken environment cannot pass as a killed mutant.
 
 The script imports only the standard library and runs pytest in a child
-process. It is not a tier-1 test (pytest collects only `test_*.py`).
+process. It is not a tier-1 test (pytest collects only `test_*.py`);
+`tests/test_mutation_anchors.py` runs its anchor check in tier-1.
 Background: DeMillo, Lipton & Sayward, IEEE Computer 11(4), 1978; Jia &
 Harman, IEEE TSE 37(5), 2011.
 """
