@@ -67,9 +67,13 @@ def binomial_tails(k, n, p) -> np.ndarray:
     Uses P[X >= k] = I_p(k, n - k + 1), the regularised incomplete beta
     function (Abramowitz & Stegun 26.5.24); the values equal
     `scipy.stats.binom.sf(k - 1, n, p)` called per element, bit for bit.
-    The tail is exactly 1 where k <= 0 and exactly 0 where k > n.
+    The tail is exactly 1 where k <= 0 and exactly 0 where k > n. `k` and
+    `n` must be integers (a rate is rejected) and `p` must lie in [0, 1].
     """
-    k, n, p = np.broadcast_arrays(np.asarray(k, dtype=np.int64), n, p)
+    k, n, p = np.broadcast_arrays(k, n, p)
+    _check_integers(k, n, "k", "n")
+    if not np.all((0.0 <= p) & (p <= 1.0)):
+        raise ValueError("p must be in [0, 1]")
     tails = np.ones(k.shape)
     some = k > 0
     tails[some] = betainc(k[some], n[some] - k[some] + 1, p[some])
@@ -77,11 +81,17 @@ def binomial_tails(k, n, p) -> np.ndarray:
     return tails
 
 
+def _check_integers(k: np.ndarray, n: np.ndarray, count: str, total: str) -> None:
+    """Integer arrays `k` and `n`: a float array, even of whole numbers, is
+    a rate. Empty inputs pass."""
+    if k.size and (k.dtype.kind not in "iu" or n.dtype.kind not in "iu"):
+        raise ValueError(f"{count} and {total} must be integer counts, not rates")
+
+
 def _check_counts(k: np.ndarray, n: np.ndarray, count: str, total: str) -> None:
     """The one count contract: integer counts `k` of integer totals `n`,
     each total positive and each count in [0, total]."""
-    if k.size and (k.dtype.kind not in "iu" or n.dtype.kind not in "iu"):
-        raise ValueError(f"{count} and {total} must be integer counts, not rates")
+    _check_integers(k, n, count, total)
     if np.any(n <= 0):
         raise ValueError(f"{total} must be positive")
     if np.any(k < 0) or np.any(k > n):
@@ -101,14 +111,20 @@ def null_ratio_test(n_sent, n_null, expected_arrival, alpha) -> list[TestDecisio
     channel expectations.
 
     Flags when nulls are significantly high for Binomial(n_sent, p_null)
-    with p_null = 1 - expected_arrival. Each argument holds one entry per
-    session, the counts as integers (a rate is rejected); the result holds
-    one decision per session, with every tail from one vectorised call.
+    with p_null = 1 - expected_arrival, at level alpha; expected_arrival
+    must lie in [0, 1] and alpha in (0, 1). Each argument holds one entry
+    per session, the counts as integers (a rate is rejected); the result
+    holds one decision per session, with every tail from one vectorised
+    call.
     """
     n_sent, n_null, arrival, alpha = np.broadcast_arrays(
         *np.atleast_1d(n_sent, n_null, expected_arrival, alpha)
     )
     _check_counts(n_null, n_sent, "n_null", "n_sent")
+    if not np.all((0.0 <= arrival) & (arrival <= 1.0)):
+        raise ValueError("expected_arrival must be in [0, 1]")
+    if not np.all((0.0 < alpha) & (alpha < 1.0)):
+        raise ValueError("alpha must be in (0, 1)")
     p_values = binomial_tails(n_null, n_sent, 1.0 - arrival)
     return _decisions(n_null, n_sent, p_values, p_values < alpha, alpha)
 

@@ -260,7 +260,8 @@ def _block_sessions(starts: np.ndarray, master_seeds: np.ndarray, a: int, b: int
     """
     first = int(np.searchsorted(starts, a, side="right")) - 1
     last = int(np.searchsorted(starts, b - 1, side="right")) - 1
-    # one session needs no repeat; dropping both one-session forks made 4e6 B92 pulses ~9% slower
+    # one session needs no repeat; without both one-session forks a 4e6-pulse B92
+    # usd_suppress run took ~6% longer (BENCH_23.json, `one_session_forks`)
     if first == last:
         offset = int(starts[first])
         keys = np.arange(a - offset, b - offset, dtype=np.uint64)

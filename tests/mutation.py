@@ -82,6 +82,10 @@ MUTANTS = (
     Mutant("csv-name-rule", "harness.py",
            '"_".join(path[1:] or path)', '"_".join(path[-1:])',
            ("test_harness.py", "test_golden.py")),
+    # each row's CSV cells are formatted by the one cell rule as it is joined
+    Mutant("csv-cell-rule", "harness.py",
+           "map(_csv_cell, values)", "map(str, values)",
+           ("test_harness.py", "test_golden.py")),
     # the engine's table indexing: a slot is frame * outcomes + outcome, and
     # Eve's state rows are a block of Alice's states per distinct strategy
     Mutant("slot-stride", "session.py",

@@ -11,7 +11,9 @@ is that of a batch of one session. The columns hold neither Alice's
 state ids nor Eve's actions, since both follow from other columns;
 `sent_ids`, `eve_actions` and `session_columns` derive them for
 comparisons. `csv_lines` renders reports to CSV one report and
-one cell at a time, the oracle for the column-wise `report_csv_rows`.
+one cell at a time, the oracle for `report_csv_rows`, which builds the
+leaf columns whole and formats each row's cells as it zips the columns
+into it, with no cache.
 `integers` (a bounded integer draw) and `verify_unambiguous_constraints`
 serve only the tests, so they live here rather than in the package. So
 do `uniforms` (a block of one stream's draws) and the reveal samplers

@@ -55,6 +55,18 @@ class TestBatchedTails:
             p.append(draws.choice((0.0, 1.0, draws.random(), draws.random() * 1e-3)))
         assert binomial_tails(k, n, p).tolist() == [_tail(*args) for args in zip(k, n, p)]
 
+    def test_tails_follow_the_count_contract(self):
+        """A fractional k or n, or a float array even of whole numbers, is a
+        rate and is rejected, as is a probability outside [0, 1]; empty
+        inputs pass."""
+        for k, n in ((0.5, 10), (3, 10.5), ([3.0], [10]), ([3], [10.0])):
+            with pytest.raises(ValueError, match="integer counts"):
+                binomial_tails(k, n, 0.5)
+        for p in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="p must be in"):
+                binomial_tails(3, 10, p)
+        assert binomial_tails([], [], []).tolist() == []
+
     def test_sequences_give_the_scalar_decisions(self):
         draws = random.Random(6)
         channels = [ChannelModel(draws.random() * 0.5, 0.5 + draws.random() * 0.5) for _ in range(40)]
@@ -124,6 +136,14 @@ class TestNullRatioTest:
             null_ratio_test([0], [0], [arrival], [0.01])
         with pytest.raises(ValueError):
             null_ratio_test([10], [11], [arrival], [0.01])
+
+    def test_bad_probability_and_level_rejected(self):
+        for arrival in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match="expected_arrival must be in"):
+                null_ratio_test([100], [20], [arrival], [0.01])
+        for alpha in (7.0, 0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="alpha must be in"):
+                null_ratio_test([100], [20], [0.8], [alpha])
 
     def test_false_positive_rate_calibrated(self):
         """Honest null counts flag at most 0.5% of the time at alpha 1e-3."""
