@@ -9,9 +9,15 @@ as half-angles tau, where the state vector is (cos tau, sin tau):
 
 The Born probability of a projective outcome onto the state at
 half-angle mu, given the state at tau, is cos^2(tau - mu).
+
+The binomial tails behind the two detectors are summed term by term from
+the pmf, in exact fractions for small n and in 50-digit decimals for a
+small count at any n.
 """
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 TAU_Z_PLUS = 0.0
 TAU_X_PLUS = math.pi / 4
@@ -158,3 +164,44 @@ def usd_suppress_b92(delta: float = 0.0, scheme: str = "naive") -> dict:
 def channel_loss_probability(absorption: float, efficiency: float) -> float:
     """Two independent Bernoulli loss stages collapsed to one probability."""
     return absorption + (1.0 - absorption) * (1.0 - efficiency)
+
+
+def binomial_tails_exact(n: int, p: float) -> list:
+    """P[X >= k] for X ~ Binomial(n, p) and k = 0..n + 1, in exact fractions
+    of the float p: the pmf C(n, j) p^j (1 - p)^(n - j) summed from j = n
+    down. Meant for n up to a few hundred."""
+    p = Fraction(p)
+    tails = [Fraction(0)]
+    for j in range(n, -1, -1):
+        tails.append(tails[-1] + math.comb(n, j) * p**j * (1 - p) ** (n - j))
+    return tails[::-1]
+
+
+def binomial_tail_decimal(k: int, n: int, p: float) -> float:
+    """P[X >= k] for X ~ Binomial(n, p), 0 < p < 1, in 50-digit decimal
+    arithmetic from the float p, for a small count k at any n. At or
+    below the mean it is 1 minus the first k pmf terms, summed up from
+    (1 - p)^n; above it, the pmf summed from C(n, k) p^k (1 - p)^(n - k)
+    upward, whose ratios fall below 1 there, until the geometric bound on
+    the rest is below the 50th digit."""
+    with localcontext() as context:
+        context.prec = 50
+        p = Decimal(p)
+        q = 1 - p
+        if k <= n * p:
+            head, term = Decimal(0), q**n
+            for j in range(k):
+                head += term
+                term *= (n - j) * p / ((j + 1) * q)
+            return float(1 - head)
+        term = p**k * q ** (n - k)
+        for i in range(k):
+            term *= Decimal(n - i) / (i + 1)
+        total, j = Decimal(0), k
+        while True:
+            total += term
+            ratio = (n - j) * p / ((j + 1) * q)
+            if term * ratio <= (1 - ratio) * total * Decimal(10) ** -50:
+                return float(total)
+            term *= ratio
+            j += 1

@@ -105,6 +105,11 @@ MUTANTS = (
     Mutant("threshold-tie", "detection.py",
            "(k_star / n_revealed <= threshold)", "(k_star / n_revealed < threshold)",
            ("test_detection.py",)),
+    # the tails sum the pmf away from the mode: upward from k only below
+    # the branch switch, else 1 minus the sum from k - 1 down
+    Mutant("tail-branch-switch", "detection.py",
+           "upper = p < (k + 1.0) / (n + 3.0)", "upper = p > (k + 1.0) / (n + 3.0)",
+           ("test_detection.py",)),
     # both detectors hold integer totals to the one count contract
     Mutant("count-contract", "detection.py",
            'or n.dtype.kind not in "iu"', "", ("test_detection.py",)),

@@ -1,5 +1,6 @@
 """The QBER threshold test and the null-ratio test, and their complementarity."""
 
+import json
 import math
 import os
 import random
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from enumeration import binomial_tail_decimal, binomial_tails_exact
 from scipy import stats
 
 import qkdsim
@@ -23,9 +25,26 @@ from qkdsim.detection import (
 )
 from qkdsim.harness import ExperimentConfig, run_experiment
 
+# The tails are summed in numpy; scipy stays the oracle, to this relative
+# bound. Values below the smallest normal double only have to stay there.
+SCIPY_TOL = 1e-11
+SMALLEST_NORMAL = 2.0**-1022
+
 
 def _tail(k, n, p):
     return 1.0 if k <= 0 else float(stats.binom.sf(k - 1, n, p))
+
+
+def _close(value, reference, tol=SCIPY_TOL):
+    return abs(value - reference) <= tol * abs(reference) + SMALLEST_NORMAL
+
+
+def _assert_same_decisions(got, expected):
+    """Equal statistics and flags; p-values and levels within the bound."""
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert (g.statistic, g.flagged) == (e.statistic, e.flagged)
+        assert _close(g.p_value, e.p_value) and _close(g.alpha, e.alpha)
 
 
 def _arrival(channel):
@@ -47,13 +66,26 @@ class TestBatchedTails:
     """The vectorised tails and tests against one scalar call per element."""
 
     def test_tails_bit_identical_to_scalar_calls(self):
+        """Each element's tail has the same bits alone, in a shuffled batch
+        and in ragged batches, and lies within the bound of scipy's."""
         draws = random.Random(5)
         k, n, p = [], [], []
         for _ in range(3_000):
             n.append(draws.randint(1, 50_000))
             k.append(draws.randint(-2, n[-1] + 2))
             p.append(draws.choice((0.0, 1.0, draws.random(), draws.random() * 1e-3)))
-        assert binomial_tails(k, n, p).tolist() == [_tail(*args) for args in zip(k, n, p)]
+        k, n, p = np.array(k), np.array(n), np.array(p)
+        batched = binomial_tails(k, n, p)
+        alone = [binomial_tails(k[i : i + 1], n[i : i + 1], p[i : i + 1]) for i in range(len(k))]
+        order = np.random.default_rng(5).permutation(len(k))
+        shuffled = np.empty_like(batched)
+        shuffled[order] = binomial_tails(k[order], n[order], p[order])
+        cuts = [0, *sorted(draws.sample(range(1, len(k)), 40)), len(k)]
+        ragged = [binomial_tails(k[i:j], n[i:j], p[i:j]) for i, j in zip(cuts, cuts[1:])]
+        for other in (np.concatenate(alone), shuffled, np.concatenate(ragged)):
+            assert other.tobytes() == batched.tobytes()
+        for tail, args in zip(batched.tolist(), zip(k.tolist(), n.tolist(), p.tolist())):
+            assert _close(tail, _tail(*args)), args
 
     def test_tails_follow_the_count_contract(self):
         """A fractional k or n, or a float array even of whole numbers, is a
@@ -75,17 +107,102 @@ class TestBatchedTails:
         alphas = [draws.choice((0.001, 0.05, 0.5)) for _ in channels]
         expected = [expected_rates(c) for c in channels]
         arrivals = [e.expected_arrival for e in expected]
-        assert null_ratio_test(sent, nulls, arrivals, alphas) == [
+        _assert_same_decisions(null_ratio_test(sent, nulls, arrivals, alphas), [
             TestDecision(k / n, p_value, p_value < alpha, alpha)
             for n, k, e, alpha in zip(sent, nulls, expected, alphas)
             for p_value in [_tail(k, n, 1.0 - e.expected_arrival)]
-        ]
+        ])
         revealed = [draws.randint(1, 3_000) for _ in range(40)]
         wrong = [draws.randint(0, r) for r in revealed]
         thresholds = [draws.choice((0.0, 0.05, 0.11, 1 / 3, 1.0)) for _ in revealed]
-        assert qber_test(wrong, revealed, thresholds) == [
+        _assert_same_decisions(qber_test(wrong, revealed, thresholds), [
             _scalar_qber_decision(*args) for args in zip(wrong, revealed, thresholds)
-        ]
+        ])
+
+
+class TestTailAccuracy:
+    """The numpy tails against exact sums and scipy, at both ends, on both
+    sides of the branch switch p = (k + 1) / (n + 3), and in order."""
+
+    SMALL_N = (1, 2, 3, 4, 7, 16, 50, 128, 199, 200)
+
+    @staticmethod
+    def _small_n_probabilities(n, draws):
+        switch = [(k + 1) / (n + 3) for k in (1, n // 2, n - 1)]
+        return [0.0, 1.0, 0.5, draws.random(), draws.random(), draws.random() * 1e-3,
+                1.0 - draws.random() * 1e-3, *switch]
+
+    def test_tails_match_exact_fractions_up_to_n_200(self):
+        """Every k from -1 to n + 1, k = 1 and k = n among them, within
+        1e-12 of the exact sum wherever that is a normal double."""
+        draws = random.Random(21)
+        for n in self.SMALL_N:
+            for p in self._small_n_probabilities(n, draws):
+                exact = binomial_tails_exact(n, p)
+                tails = binomial_tails(np.arange(-1, n + 2), n, p).tolist()
+                for k, tail in zip(range(-1, n + 2), tails):
+                    assert _close(tail, float(exact[max(k, 0)]), 1e-12), (k, n, p)
+
+    def test_tails_within_bound_up_to_n_1e7(self):
+        """k on both sides of the branch switch and out in both tails, for
+        p uniform or below 1e-3. Where k <= 200 the reference is the
+        50-digit decimal sum: scipy's own betainc is off by up to 6e-11
+        there at large n (5.9e-11 at k = 8, n = 2,091,941, p = 4.24e-6)."""
+        draws = random.Random(22)
+        k, n, p = [], [], []
+        for _ in range(1_500):
+            size = max(1, int(10 ** draws.uniform(0, 7)))
+            prob = draws.choice((draws.random(), draws.random() * 1e-3))
+            spread = math.sqrt(size * prob * (1.0 - prob))
+            offset = draws.choice((-2, -1, 0, 1, 2)) + draws.gauss(0, 1) * draws.choice((0, 1, 6)) * spread
+            k.append(min(max(round(prob * (size + 3) - 1 + offset), 1), size))
+            n.append(size)
+            p.append(prob)
+        tails = binomial_tails(k, n, p).tolist()
+        for tail, args in zip(tails, zip(k, n, p)):
+            reference = binomial_tail_decimal(*args) if args[0] <= 200 else _tail(*args)
+            assert _close(tail, reference), args
+
+    def test_tails_strictly_decrease_in_k(self):
+        """P[X >= k] - P[X >= k + 1] = pmf(k) > 0: the tails never rise with
+        k, and fall wherever P[X >= k] is a normal double and pmf(k) is
+        more than 1e-10 of it, so that the two differ as doubles."""
+        draws = random.Random(23)
+        cases = [(n, p, np.arange(0, n + 1), binomial_tails_exact(n, p))
+                 for n in self.SMALL_N for p in self._small_n_probabilities(n, draws)]
+        for n in (10**5, 10**6, 10**7):
+            for p in (0.05, 0.28, 0.5, draws.random() * 1e-3):
+                # 300 k from 12 standard deviations below the mean to 12 above
+                mean, spread = n * p, math.sqrt(n * p * (1.0 - p))
+                ks = np.round(mean + spread * np.linspace(-12.0, 12.0, 300)).astype(np.int64)
+                cases.append((n, p, np.unique(np.clip(ks, 0, n)), None))
+        for n, p, ks, exact in cases:
+            tails = binomial_tails(ks, n, p).tolist()
+            for k, upper, lower in zip(ks.tolist(), tails, binomial_tails(ks + 1, n, p).tolist()):
+                assert lower <= upper, (k, n, p)
+                if upper < SMALLEST_NORMAL:
+                    falls = False
+                elif exact is not None:
+                    falls = exact[k] - exact[k + 1] > 1e-10 * exact[k]
+                else:
+                    log_pmf = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                               + k * math.log(p) + (n - k) * math.log1p(-p))
+                    falls = log_pmf > math.log(1e-10 * upper)
+                assert lower < upper or not falls, (k, n, p)
+
+    def test_stirling_table_is_exact(self):
+        """The table of log(j!) - log(sqrt(2 pi j) (j/e)^j) for j < 16."""
+        from decimal import Decimal, localcontext
+
+        from qkdsim.detection import _STIRLERR
+
+        with localcontext() as context:
+            context.prec = 40
+            half_log_two_pi = (2 * Decimal("3.14159265358979323846264338327950288")).ln() / 2
+            for j in range(1, 16):
+                error = (Decimal(math.factorial(j)).ln()
+                         - ((j + Decimal("0.5")) * Decimal(j).ln() - j + half_log_two_pi))
+                assert _STIRLERR[j] == float(error)
 
 
 class TestExpectedRates:
@@ -258,13 +375,23 @@ class TestDetectorComplementarity:
             assert not report.null_ratio_test.flagged
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    """The tails come from `scipy.special`; importing `scipy.stats` would
-    cost about a second and tens of MB in every process."""
+def test_cli_session_loads_no_scipy(tmp_path):
+    """The tails are summed in numpy: a process that imports the CLI and
+    runs a lossy B92 session through `main` loads no scipy module, which
+    a lazy import inside the tails would."""
     src = str(Path(qkdsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    probe = "import sys, qkdsim.cli; print('scipy.stats' in sys.modules)"
+    config = tmp_path / "lossy.json"
+    config.write_text(json.dumps({"protocol": "b92", "n_pulses": 2_000, "absorption": 0.1,
+                                  "efficiency": 0.9, "eve_strategy": "usd_suppress"}))
+    probe = (
+        "import contextlib, io, sys\n"
+        "import qkdsim.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = qkdsim.cli.main(['run', '--config', {str(config)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "0 []"
