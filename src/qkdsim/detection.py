@@ -69,9 +69,9 @@ def binomial_tails(k, n, p) -> np.ndarray:
     takes the closed forms 1 - (1 - p)^n at k = 1 and p^n at k = n.
     Between them it sums the pmf away from the mode: upward from k while
     p < (k + 1) / (n + 3), else 1 minus the sum from k - 1 downward (see
-    `_sum_from`). The tails agree with the exact sums to about 1e-12
-    relative up to n = 10^7, and each element's bits depend only on its
-    own (k, n, p), so a batched call equals one call per element. `k` and
+    `_sum_from`). The tails lie within 3e-12 relative of the exact sums
+    up to n = 10^7, and each element's bits depend only on its own
+    (k, n, p), so a batched call equals one call per element. `k` and
     `n` must be integers (a rate is rejected) and `p` must lie in [0, 1].
     """
     k, n, p = np.broadcast_arrays(k, n, p)

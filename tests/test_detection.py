@@ -1,4 +1,5 @@
-"""The QBER threshold test and the null-ratio test, and their complementarity."""
+"""The QBER threshold test and the null-ratio test, their complementarity,
+and the exact binomial tails behind both."""
 
 import json
 import math
@@ -7,6 +8,7 @@ import random
 import subprocess
 import sys
 from dataclasses import fields
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from scipy import stats
 import qkdsim
 from qkdsim.adversary import ChannelModel
 from qkdsim.detection import (
+    _STIRLERR,
     TestDecision,
     binomial_tails,
     expected_rates,
@@ -192,10 +195,6 @@ class TestTailAccuracy:
 
     def test_stirling_table_is_exact(self):
         """The table of log(j!) - log(sqrt(2 pi j) (j/e)^j) for j < 16."""
-        from decimal import Decimal, localcontext
-
-        from qkdsim.detection import _STIRLERR
-
         with localcontext() as context:
             context.prec = 40
             half_log_two_pi = (2 * Decimal("3.14159265358979323846264338327950288")).ln() / 2
