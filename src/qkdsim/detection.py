@@ -80,16 +80,19 @@ def binomial_tails(k, n, p) -> np.ndarray:
         raise ValueError("p must be in [0, 1]")
     tails = np.where(k > 0, 0.0, 1.0)
     some = (k > 0) & (k <= n) & (p > 0.0)
+    if not some.any():  # at p = 0, as in a lossless session's null test, no tail needs a sum
+        return tails
     k, n, p = k[some].astype(float), n[some].astype(float), p[some].astype(float)
     with np.errstate(divide="ignore"):  # log1p(-1) at p = 1
         values = np.where(k == 1, -np.expm1(n * np.log1p(-p)), p**n)
     middle = (k > 1) & (k < n) & (p < 1.0)
-    k, n, p = k[middle], n[middle], p[middle]
-    q = 1.0 - p
-    upper = p < (k + 1.0) / (n + 3.0)
-    # below the switch, the lower tail of X is the upper tail of n - X ~ Binomial(n, 1 - p)
-    summed = _sum_from(np.where(upper, k, n - k + 1.0), n, np.where(upper, p, q), np.where(upper, q, p))
-    values[middle] = np.where(upper, summed, 1.0 - summed)
+    if middle.any():
+        k, n, p = k[middle], n[middle], p[middle]
+        q = 1.0 - p
+        upper = p < (k + 1.0) / (n + 3.0)
+        # below the switch, the lower tail of X is the upper tail of n - X ~ Binomial(n, 1 - p)
+        summed = _sum_from(np.where(upper, k, n - k + 1.0), n, np.where(upper, p, q), np.where(upper, q, p))
+        values[middle] = np.where(upper, summed, 1.0 - summed)
     tails[some] = values
     return tails
 
@@ -101,7 +104,8 @@ _STIRLERR = np.array([
     0.010411265261972096, 0.009255462182712733, 0.00833056343336287, 0.007573675487951841,
     0.00694284010720953, 0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
 ])
-_CHUNK = 128  # pmf terms each unfinished element adds per pass
+# pmf terms an unfinished element adds a pass: _FIRST in its first, doubling up to _LAST
+_FIRST, _LAST = 64, 1024
 _NEGLIGIBLE = 2.0**-60  # a rest below this share of the sum cannot change it
 
 
@@ -138,28 +142,32 @@ def _sum_from(j: np.ndarray, n: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.
 
     The first term is Loader's pmf at j; each next one is the last times
     pmf(i + 1) / pmf(i) = (n - i) p / ((i + 1) q), which falls below 1 past
-    the mode and reaches 0 at n. An element adds `_CHUNK` terms a pass, by
+    the mode and reaches 0 at n. An element adds `_FIRST` terms in its
+    first pass and twice as many in each next one, up to `_LAST`, by
     sequential cumulative products and sums, and stops on its own once
-    the rest, at most the last term times r / (1 - r) for the chunk's last
-    ratio r, is negligible, or once it has summed up to n; so its bits do
-    not depend on its batch-mates.
+    the rest, at most the last term times r / (1 - r) for the pass's last
+    ratio r, is negligible, or once it has summed up to n. The passes an
+    element takes depend only on its own terms, so its bits do not depend
+    on its batch-mates.
     """
     total = carry = _pmf(j, n, p, q)
     out = np.empty_like(total)
     rows = np.arange(total.size)
-    steps = np.arange(_CHUNK, dtype=float)
+    width = _FIRST
     while rows.size:
+        steps = np.arange(width, dtype=float)
         ratios = ((n - j)[:, None] - steps) * p[:, None] / (((j + 1.0)[:, None] + steps) * q[:, None])
         last = ratios[:, -1]
         terms = np.cumprod(ratios, axis=1)  # pmf(j + 1 + i) / pmf(j)
         total = total + carry * np.cumsum(terms, axis=1)[:, -1]
         carry = carry * terms[:, -1]
-        done = (carry * last <= (1.0 - last) * total * _NEGLIGIBLE) | (j + _CHUNK >= n)
+        done = (carry * last <= (1.0 - last) * total * _NEGLIGIBLE) | (j + width >= n)
         out[rows[done]] = total[done]
         keep = ~done
         rows, j, n, p, q, total, carry = (
-            a[keep] for a in (rows, j + _CHUNK, n, p, q, total, carry)
+            a[keep] for a in (rows, j + width, n, p, q, total, carry)
         )
+        width = min(2 * width, _LAST)
     return out
 
 
