@@ -17,6 +17,9 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# the finalizer's three xor-shifts, and the bits a draw drops to keep 53
+_SHIFT1, _SHIFT2, _SHIFT3 = 30, 27, 31
+_DROP = 11
 
 # 53-bit mantissa scaling for uniforms in [0, 1)
 _INV_2_53 = 1.0 / (1 << 53)
@@ -25,9 +28,9 @@ GENERATOR_NAME = "splitmix64"
 
 
 def _mix(z: int) -> int:
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
+    z = ((z ^ (z >> _SHIFT1)) * _MIX1) & _MASK
+    z = ((z ^ (z >> _SHIFT2)) * _MIX2) & _MASK
+    return z ^ (z >> _SHIFT3)
 
 
 def derive_seed(seed: int, *keys: int) -> int:
@@ -58,7 +61,7 @@ class RngStream:
     def uniform(self) -> float:
         """Uniform double in [0, 1) with 53-bit resolution."""
         self._state = (self._state + _GOLDEN) & _MASK
-        return (_mix(self._state) >> 11) * _INV_2_53
+        return (_mix(self._state) >> _DROP) * _INV_2_53
 
 
 # -- vectorized counterparts (numpy uint64, wraparound arithmetic) ----------
@@ -66,17 +69,17 @@ class RngStream:
 _U_GOLDEN = np.uint64(_GOLDEN)
 _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
-_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
+_S1, _S2, _S3, _S_DROP = (np.uint64(s) for s in (_SHIFT1, _SHIFT2, _SHIFT3, _DROP))
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
     """SplitMix64's finalizer applied to `z` in place, through one temporary."""
     t = np.empty_like(z)
-    for shift, multiplier in ((_S30, _U_MIX1), (_S27, _U_MIX2)):
+    for shift, multiplier in ((_S1, _U_MIX1), (_S2, _U_MIX2)):
         np.right_shift(z, shift, out=t)
         z ^= t
         z *= multiplier
-    np.right_shift(z, _S31, out=t)
+    np.right_shift(z, _S3, out=t)
     z ^= t
     return z
 
@@ -100,11 +103,21 @@ def derive_seed_array(seed, indices: np.ndarray, *keys: int) -> np.ndarray:
     return _mix_array(h)
 
 
+def seed_prefix(keys: np.ndarray) -> np.ndarray:
+    """The first round of `derive_seed(seed, index, ...)`, applied in place
+    to uint64 `keys`, each `seed ^ index`: mix(key + GOLDEN). It does not
+    depend on the keys that follow, so one prefix serves every stage:
+    `derive_seed_array(stage, seed_prefix(seed ^ index))` equals
+    `derive_seed_array(seed, index, stage)`."""
+    keys += _U_GOLDEN
+    return _mix_array(keys)
+
+
 def _uniforms(raw: np.ndarray) -> np.ndarray:
     """The uniform each SplitMix64 state in `raw` draws, as float64; `raw`
     is overwritten."""
     _mix_array(raw)
-    raw >>= _S11
+    raw >>= _S_DROP
     u = raw.astype(np.float64)
     u *= _INV_2_53
     return u

@@ -6,8 +6,16 @@ consumes draws from its own substream in a fixed order:
 
     alice:   draw 0 bit, draw 1 basis (BB84 only)
     eve:     draw 0 frame (two-frame strategies only), then the outcome
-    channel: draw 0 loss
-    bob:     draw 0 basis, draw 1 outcome
+    channel: draw 0 loss (forwarded pulses only)
+    bob:     draw 0 basis, draw 1 outcome (arrived pulses only)
+
+The hash's first round does not depend on the stage, so a block computes
+it once a pulse (`seed_prefix`) and seeds each stage from it. A stage
+draws only for the pulses that reach it: the channel for those Eve
+forwards, Bob for those that arrive; a stage whose mask drops nothing
+selects with a slice, not an index array. A skipped draw changes no
+other, so every draw made equals the per-pulse loop's, and the skipped
+ones reach no count.
 
 Eve and Bob are both a threshold table read by one sampler, so the only
 branch on Eve's strategy is in choosing her POVM elements. A batch
@@ -38,7 +46,8 @@ session's pulses are the same whatever batch it runs in and whatever
 the block size. A single run is a batch of one, and its columns are
 draw-for-draw identical to a Python loop over `RngStream` substreams
 (all three equivalences are pinned by tests, the last against a scalar
-reference, on the blocks' columns laid end to end). The columns, and so
+reference, on the blocks' columns laid end to end, Bob's on the arrived
+pulses). The columns, and so
 the counts, are pure functions of (configuration, master seed).
 """
 
@@ -52,7 +61,7 @@ import numpy as np
 from .adversary import ChannelModel, EveKind, EveStrategy
 from .protocol import ProtocolKind, disagreements, sift_mask
 from .quantum import B92_STATES, QubitState, REFERENCE_STATES, _check_operators
-from .rng import RngStream, derive_seed, derive_seed_array, uniform_array
+from .rng import RngStream, derive_seed, derive_seed_array, seed_prefix, uniform_array
 from .usd import UsdSchemeKind, idp_elements, naive_frame_elements
 
 # not called here; kept because bench/tracing.py wraps these four names on this module
@@ -144,18 +153,18 @@ def _eve_measurement(
 
 
 def _sample_stage(
-    thresholds: np.ndarray, rows: np.ndarray, keys: np.ndarray, stage: int
+    thresholds: np.ndarray, rows: np.ndarray, prefix: np.ndarray, stage: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frame and outcome (int8) of every pulse under a table of one or two
     frames (see `_stage_table`).
 
     `rows` (intp) are the pulses' state rows in `thresholds` and are
-    overwritten; `keys` are the pulses' stream keys (see
+    overwritten; `prefix` holds the pulses' stream prefixes (see
     `_block_sessions`). Two frames: draw 0 picks the frame and draw 1
     the outcome; one frame: draw 0 picks the outcome.
     """
     n_frames = thresholds.shape[1]
-    seeds = derive_seed_array(0, keys, stage)
+    seeds = derive_seed_array(stage, prefix)
     frame = _coin(uniform_array(seeds, 0)) if n_frames == 2 else np.zeros(len(rows), np.int8)
     u = uniform_array(seeds, n_frames - 1)
     del seeds
@@ -230,16 +239,18 @@ class _Batch:
 class _Block(NamedTuple):
     """One block's columns. It holds pulses of sessions `first` on; with
     `lengths` None all are session `first`'s, else `lengths[j]` of them
-    are session `first + j`'s. `slots` is each pulse's forward slot.
-    `bob_minus` is False wherever the pulse did not arrive, and forwarded
-    ids are int32."""
+    are session `first + j`'s. Alice's columns, the forwarded ids (int32)
+    and `slots`, each pulse's forward slot, cover every pulse. `arrived`
+    holds the positions in the block of the pulses that reached Bob, in
+    order, or is `slice(None)` when every pulse did; Bob's columns cover
+    those pulses only, so they select Alice's matching entries."""
 
     first: int
     lengths: np.ndarray | None
     alice_bits: np.ndarray
     alice_bases: np.ndarray | None
     forwarded_ids: np.ndarray
-    arrived: np.ndarray
+    arrived: np.ndarray | slice
     bob_bases: np.ndarray
     bob_minus: np.ndarray
     slots: np.ndarray
@@ -248,10 +259,10 @@ class _Block(NamedTuple):
 def _block_sessions(starts: np.ndarray, master_seeds: np.ndarray, a: int, b: int):
     """The first session of pulses [a, b), the pulses each session holds
     in the range (None if one session holds them all), a per-pulse lookup
-    of session values, and each pulse's stream key: its index within its
-    session XOR its session's master seed, so
-    `derive_seed_array(0, keys, stage)` equals
-    `derive_seed_array(master_seed, index, stage)`.
+    of session values, and each pulse's stream prefix: `seed_prefix` of
+    its index within its session XOR its session's master seed, so
+    `derive_seed_array(stage, prefix)` equals
+    `derive_seed_array(master_seed, index, stage)` for every stage.
 
     The lookup maps an array of one value per session to the range's
     pulses: within one session it returns that session's value, which
@@ -266,7 +277,7 @@ def _block_sessions(starts: np.ndarray, master_seeds: np.ndarray, a: int, b: int
         offset = int(starts[first])
         keys = np.arange(a - offset, b - offset, dtype=np.uint64)
         keys ^= master_seeds[first]
-        return first, None, (lambda values: values[first]), keys
+        return first, None, (lambda values: values[first]), seed_prefix(keys)
     lengths = np.diff(np.clip(starts[first : last + 2], a, b))
 
     def spread(values: np.ndarray) -> np.ndarray:
@@ -275,7 +286,7 @@ def _block_sessions(starts: np.ndarray, master_seeds: np.ndarray, a: int, b: int
     keys = np.arange(a, b, dtype=np.uint64)
     keys -= spread(starts.astype(np.uint64))
     keys ^= spread(master_seeds)
-    return first, lengths, spread, keys
+    return first, lengths, spread, seed_prefix(keys)
 
 
 def _batch(kind: ProtocolKind, sessions: Sequence[Session]) -> _Batch:
@@ -315,11 +326,21 @@ def _batch(kind: ProtocolKind, sessions: Sequence[Session]) -> _Batch:
     )
 
 
+def _within(selected, mask: np.ndarray):
+    """The positions among `selected` (positions, or `slice(None)` for all)
+    where `mask`, one value per selected pulse, holds: `selected` itself
+    when it holds everywhere, so a stage that drops nothing gathers nothing."""
+    if mask.all():
+        return selected
+    kept = np.flatnonzero(mask)
+    return kept if isinstance(selected, slice) else selected[kept]
+
+
 def _block(batch: _Batch, a: int, b: int) -> _Block:
     """The columns of pulses [a, b) of a batch."""
-    first, lengths, spread, keys = _block_sessions(batch.starts, batch.master_seeds, a, b)
+    first, lengths, spread, prefix = _block_sessions(batch.starts, batch.master_seeds, a, b)
 
-    seeds = derive_seed_array(0, keys, STAGE_ALICE)
+    seeds = derive_seed_array(STAGE_ALICE, prefix)
     alice_bits = _coin(uniform_array(seeds, 0))
     rows = alice_bits.astype(np.intp)
     alice_bases = None
@@ -334,23 +355,26 @@ def _block(batch: _Batch, a: int, b: int) -> _Block:
         slots = rows.astype(np.int8)
     else:
         rows += spread(batch.strategy) * len(protocol_states(batch.kind))
-        slots, outcome = _sample_stage(eve, rows, keys, STAGE_EVE)
+        slots, outcome = _sample_stage(eve, rows, prefix, STAGE_EVE)
         slots *= eve.shape[2] + 1
         slots += outcome
         del outcome
     np.add(slots, spread(batch.strategy) * forward.shape[1], out=rows)
     forwarded = forward.take(rows)
     del rows
-    reached = forwarded >= 0
 
-    reached &= uniform_array(derive_seed_array(0, keys, STAGE_CHANNEL), 0) >= spread(batch.loss)
-
-    # suppressed pulses never arrive, so the row Bob reads for them is immaterial
-    rows = np.maximum(forwarded, 0, dtype=np.intp)
-    bob_bases, outcome = _sample_stage(batch.bob, rows, keys, STAGE_BOB)
-    bob_minus = reached & (outcome == 1)
+    # a stage draws only for the pulses that reach it: the channel for those
+    # Eve forwards, Bob for those the channel passes
+    sent = _within(slice(None), forwarded >= 0)
+    loss = spread(batch.loss)
+    if lengths is not None:
+        loss = loss[sent]
+    passed = uniform_array(derive_seed_array(STAGE_CHANNEL, prefix[sent]), 0) >= loss
+    arrived = _within(sent, passed)
+    rows = forwarded[arrived].astype(np.intp)
+    bob_bases, outcome = _sample_stage(batch.bob, rows, prefix[arrived], STAGE_BOB)
     return _Block(
-        first, lengths, alice_bits, alice_bases, forwarded, reached, bob_bases, bob_minus, slots
+        first, lengths, alice_bits, alice_bases, forwarded, arrived, bob_bases, outcome == 1, slots
     )
 
 
@@ -368,28 +392,41 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
     and does not depend on the others. Each block is sifted and counted
     as soon as it is drawn, and only its sifted disagreement bits are
     kept, appended to one buffer. Its counts go into one table, a row per
-    session: arrived, sifted, then each forward slot. A block within one
-    session adds each column's `count_nonzero`, a block across sessions
-    each column's `reduceat` at the session bounds (column by column, so
-    no stack of them is cast to int64).
+    session: arrived, sifted, then each forward slot. Sifting runs on the
+    arrived pulses only, Bob's columns, so a session's arrived and sifted
+    counts are lengths of runs of them; its slot counts are over all its
+    pulses. A block within one session adds the runs' lengths and each
+    slot column's `count_nonzero`. A block across sessions finds each
+    session's first arrived pulse by `searchsorted` of the arrivals at
+    the session bounds, and adds each slot column's `reduceat` at those
+    bounds (column by column, so no stack of them is cast to int64).
     """
     batch = _batch(kind, sessions)
     n_slots = batch.forward.shape[1]
     table = np.zeros((len(sessions), 2 + n_slots), dtype=np.int64)
     errors = bytearray()
     for block in _blocks(batch):
-        mask = sift_mask(kind, block.alice_bases, block.arrived, block.bob_bases, block.bob_minus)
-        errors += disagreements(kind, block.alice_bits, block.bob_bases, block.bob_minus)[mask].data
-        columns = (block.arrived, mask, *(block.slots == s for s in range(n_slots)))
+        arrived, bob_bases, bob_minus = block.arrived, block.bob_bases, block.bob_minus
+        # Bob's columns hold the arrived pulses only, so every pulse they cover arrived
+        bases = None if block.alice_bases is None else block.alice_bases[arrived]
+        mask = sift_mask(kind, bases, True, bob_bases, bob_minus)
+        errors += disagreements(kind, block.alice_bits[arrived], bob_bases, bob_minus)[mask].data
+        slots = [block.slots == s for s in range(n_slots)]
         i, lengths = block.first, block.lengths
-        # one session needs no reduceat; `_block_sessions` says why this fork stays
+        n_arrived, n_sifted = len(bob_minus), np.count_nonzero(mask)
+        # one session needs no searchsorted or reduceat; `_block_sessions` says why this fork stays
         if lengths is None:
-            table[i] += [np.count_nonzero(column) for column in columns]
+            forwarded = [np.count_nonzero(column) for column in slots]
         else:
             bounds = np.cumsum(lengths) - lengths
-            sums = [np.add.reduceat(column, bounds, dtype=np.int64) for column in columns]
-            table[i : i + len(lengths)] += np.column_stack(sums)
-        del block, mask, columns  # the next block is drawn without this one's columns
+            runs = bounds if isinstance(arrived, slice) else np.searchsorted(arrived, bounds)
+            n_arrived = np.diff(runs, append=n_arrived)
+            n_sifted = np.diff(np.searchsorted(np.flatnonzero(mask), runs), append=n_sifted)
+            forwarded = [np.add.reduceat(column, bounds, dtype=np.int64) for column in slots]
+        rows = 1 if lengths is None else len(lengths)
+        table[i : i + rows] += np.column_stack((n_arrived, n_sifted, *forwarded))
+        # the next block is drawn without this one's arrays
+        del block, arrived, bob_bases, bob_minus, bases, mask, slots
 
     return SessionCounts(
         n_pulses=batch.n_pulses,

@@ -68,7 +68,7 @@ MUTANTS = (
     # and the report's leaves: a test that did not run is a JSON null, and a
     # CSV column is named by its leaf's path without the section
     Mutant("count-table-columns", "session.py",
-           "columns = (block.arrived, mask, *", "columns = (mask, block.arrived, *",
+           "np.column_stack((n_arrived, n_sifted, *", "np.column_stack((n_sifted, n_arrived, *",
            ("test_session.py", "test_harness.py")),
     Mutant("reveal-run-mask", "protocol.py",
            "np.tile([True, False], len(m))", "np.tile([False, True], len(m))",
@@ -93,6 +93,9 @@ MUTANTS = (
     Mutant("strategy-rows", "session.py",
            "rows += spread(batch.strategy) * len(protocol_states(batch.kind))",
            "rows += spread(batch.strategy)", ("test_session.py",)),
+    # a stage draws only for the pulses that reach it: Bob for those that arrived
+    Mutant("bob-draws-arrived", "session.py",
+           "prefix[arrived], STAGE_BOB", "prefix[sent], STAGE_BOB", ("test_session.py",)),
     # the one list of reference states: labels, the naive frames and BB84's ids read its order
     Mutant("reference-order", "quantum.py",
            '{"z+": Z_PLUS, "z-": Z_MINUS,', '{"z+": Z_MINUS, "z-": Z_PLUS,',

@@ -3,11 +3,13 @@ checked against.
 
 Each function handles one pulse with an `RngStream` and consumes draws in
 the order `qkdsim.session` documents, so composing them pulse by pulse
-must reproduce an engine transcript draw for draw. Nothing in the
+makes every draw, and must reproduce each draw the engine makes. Nothing in the
 package imports this module. The engine keeps no per-pulse column past
-its block; `simulate_batch` lays its blocks' columns end to end as a
-`SessionBatch`, the engine's side of such comparisons, and `one_session`
-is that of a batch of one session. The columns hold neither Alice's
+its block, and draws Bob's columns only for the pulses that arrive;
+`simulate_batch` scatters those back to every pulse, marking where Bob
+drew nothing, and lays the blocks' columns end to end as a
+`SessionBatch`, the engine's side of such comparisons. `one_session` is
+that of a batch of one session. The columns hold neither Alice's
 state ids nor Eve's actions, since both follow from other columns;
 `sent_ids`, `eve_actions` and `session_columns` derive them for
 comparisons. `csv_lines` renders reports to CSV one report and
@@ -57,6 +59,7 @@ from qkdsim.usd import UsdSchemeKind, idp_povm, naive_frame_povms
 
 BASIS_LABELS = ("z", "x")
 COLUMNS = ("alice_bits", "alice_bases", "forwarded_ids", "arrived", "bob_bases", "bob_minus")
+NO_DRAW = -1  # Bob's basis on a pulse that did not arrive: he drew nothing for it
 
 
 @dataclass
@@ -66,8 +69,8 @@ class SessionBatch:
     Session i owns pulses `starts[i]:starts[i + 1]` of every column, and
     `states` numbers the batch's states as `qkdsim.session.SessionCounts`
     does. A forwarded id indexes `states`, and -1 means Eve suppressed the
-    pulse; ids are int32. `bob_minus` is False wherever the pulse did not
-    arrive.
+    pulse; ids are int32. Wherever the pulse did not arrive, `bob_bases`
+    is `NO_DRAW` and `bob_minus` False.
     """
 
     protocol: ProtocolKind
@@ -82,10 +85,24 @@ class SessionBatch:
     bob_minus: np.ndarray
 
 
+def _full_columns(block):
+    """A block's columns with Bob's, which cover the arrived pulses only,
+    scattered back to every pulse as a mask and the `NO_DRAW` marker."""
+    n = len(block.alice_bits)
+    arrived = np.zeros(n, dtype=bool)
+    arrived[block.arrived] = True
+    bob_bases = np.full(n, NO_DRAW, dtype=block.bob_bases.dtype)
+    bob_bases[block.arrived] = block.bob_bases
+    bob_minus = np.zeros(n, dtype=bool)
+    bob_minus[block.arrived] = block.bob_minus
+    return block._replace(arrived=arrived, bob_bases=bob_bases, bob_minus=bob_minus)
+
+
 def simulate_batch(kind, sessions) -> SessionBatch:
-    """The engine's columns of a batch: every block's, end to end."""
+    """The engine's columns of a batch: every block's, end to end, Bob's
+    scattered back to full length."""
     batch = session._batch(kind, sessions)
-    blocks = list(session._blocks(batch))
+    blocks = [_full_columns(block) for block in session._blocks(batch)]
 
     def column(name):
         parts = [getattr(block, name) for block in blocks]

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from qkdsim.rng import (
+    _GOLDEN,
     RngStream,
+    _mix,
+    _mix_array,
     derive_seed,
     derive_seed_array,
+    seed_prefix,
     uniform_array,
 )
 from reference import integers, substream, uniforms
@@ -58,6 +62,15 @@ class TestRngStream:
             assert block._state == scalar._state
             assert block.uniform() == scalar.uniform()
 
+    def test_finalizers_equal_the_reference_outputs(self):
+        """SplitMix64 seeded with 0 first outputs 0xE220A8397B1DCDAF, then
+        0x6E789E6AA1B965F4 (Vigna's splitmix64.c); the scalar and the
+        uint64 finalizer give both and agree on arbitrary states."""
+        states = [_GOLDEN, 2 * _GOLDEN % 2**64]
+        assert [_mix(z) for z in states] == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+        states += [0, 1, 2**63, 2**64 - 1, 0x0123456789ABCDEF]
+        assert _mix_array(np.array(states, dtype=np.uint64)).tolist() == [_mix(z) for z in states]
+
     def test_seed_masked_to_64_bits(self):
         assert RngStream(1 << 64).uniform() == RngStream(0).uniform()
 
@@ -88,6 +101,23 @@ class TestDerivation:
         assert seeds.tolist() == [derive_seed(m, int(i), 3) for m, i in zip(master, idx)]
         one = derive_seed_array(np.uint64(2**64 - 1), idx, 3)
         assert one.tolist() == [derive_seed(2**64 - 1, int(i), 3) for i in idx]
+
+    @pytest.mark.parametrize("master_seed", [0, 5, 2**63, 2**64 - 1])
+    def test_one_prefix_seeds_every_stage(self, master_seed):
+        """`seed_prefix` of key = master_seed ^ index is the stage-free first
+        round, so `derive_seed_array(stage, prefix)` is the pulse's stage
+        seed for every stage, keys 0 and 2**64 - 1 included (at master
+        seeds 0 and 2**64 - 1); the prefix is computed in place."""
+        idx = np.array([0, 1, 7, 2**40, 2**64 - 1], dtype=np.uint64)
+        keys = idx ^ np.uint64(master_seed)
+        work = keys.copy()
+        prefix = seed_prefix(work)
+        assert prefix is work
+        for stage in range(6):
+            want = [derive_seed(master_seed, int(i), stage) for i in idx]
+            assert derive_seed_array(stage, prefix).tolist() == want
+            assert derive_seed_array(0, keys, stage).tolist() == want
+            assert derive_seed_array(master_seed, idx, stage).tolist() == want
 
     def test_vectorized_helpers_leave_inputs_unchanged(self):
         idx = np.arange(1_000, dtype=np.uint64)

@@ -43,6 +43,7 @@ from qkdsim.usd import UsdSchemeKind, idp_povm, naive_frame_povms
 from reference import (
     BASIS_LABELS,
     COLUMNS,
+    NO_DRAW,
     alice_prepare,
     bob_measure,
     channel_transmit,
@@ -103,7 +104,9 @@ def _scalar_pulse(kind, strategy, channel, seed, index):
 
 def _assert_pulse_matches_scalar(t, kind, strategy, channel, seed, i):
     """Pulse i of the columns `t` (a `session_columns` dict) against the
-    scalar pipeline, Alice's state ids and Eve's actions included."""
+    scalar pipeline, Alice's state ids and Eve's actions included. The
+    scalar pipeline makes every draw; Bob's basis is compared only where
+    the pulse arrived, since elsewhere the engine draws none."""
     bit, basis, state, action, arrived, bob_basis, outcome = _scalar_pulse(
         kind, strategy, channel, seed, i
     )
@@ -113,7 +116,11 @@ def _assert_pulse_matches_scalar(t, kind, strategy, channel, seed, i):
     assert state == t["states"][t["sent_ids"][i]]
     assert action == eve_actions(strategy, t["forwarded_ids"][i])
     assert arrived == bool(t["arrived"][i])
-    assert bob_basis == BASIS_LABELS[t["bob_bases"][i]]
+    # the engine draws Bob's columns only for pulses that arrive
+    if arrived:
+        assert bob_basis == BASIS_LABELS[t["bob_bases"][i]]
+    else:
+        assert t["bob_bases"][i] == NO_DRAW
     engine_outcome = "null" if not t["arrived"][i] else ("minus" if t["bob_minus"][i] else "plus")
     assert outcome == engine_outcome
 
@@ -199,6 +206,34 @@ def test_batch_of_every_case_matches_scalar_composition(name, kind, strategy, ch
     t = session_columns(batch, 1)
     for i in range(60):
         _assert_pulse_matches_scalar(t, kind, strategy, channel, 2, i)
+
+
+def test_stages_draw_only_for_pulses_that_reach_them(monkeypatch):
+    """Lossy B92 naive usd_suppress sessions over blocks of 1,000 pulses,
+    one block across both: Alice and Eve seed a stream for every pulse,
+    the channel only for the pulses Eve forwards and Bob only for those
+    that arrived, block by block, and the totals equal the counts."""
+    monkeypatch.setattr(session, "BLOCK", 1_000)
+    strategy = EveStrategy.of(EveKind.USD_SUPPRESS)
+    sessions = [Session(2_500, ChannelModel(0.2, 0.8), strategy, 6),
+                Session(700, ChannelModel(0.1, 0.5), strategy, 2**64 - 1)]
+    t = simulate_batch(ProtocolKind.B92, sessions)
+    sizes = {stage: [] for stage in (STAGE_ALICE, STAGE_EVE, STAGE_CHANNEL, STAGE_BOB)}
+    derive = session.derive_seed_array
+
+    def recorded(seed, indices, *keys):
+        sizes[seed].append(len(indices))
+        return derive(seed, indices, *keys)
+
+    monkeypatch.setattr(session, "derive_seed_array", recorded)
+    counts = simulate_session(ProtocolKind.B92, sessions)
+    blocks = [slice(a, a + 1_000) for a in range(0, 3_200, 1_000)]
+    assert sizes[STAGE_ALICE] == sizes[STAGE_EVE] == [1_000, 1_000, 1_000, 200]
+    assert sizes[STAGE_CHANNEL] == [np.count_nonzero(t.forwarded_ids[b] >= 0) for b in blocks]
+    assert sizes[STAGE_BOB] == [np.count_nonzero(t.arrived[b]) for b in blocks]
+    forwarded = np.where(counts.forwarded_ids >= 0, counts.forwarded, 0).sum()
+    assert sum(sizes[STAGE_CHANNEL]) == forwarded < 3_200 // 2
+    assert sum(sizes[STAGE_BOB]) == counts.arrived.sum() < forwarded
 
 
 def test_batch_rejects_mixed_kinds_and_empty_batches():
