@@ -35,7 +35,7 @@ from .quantum import (
     state_from_bloch,
     state_label,
 )
-from .rng import GENERATOR_NAME, RngStream, derive_seed, derive_seed_array
+from .rng import GENERATOR_NAME, RngStream, derive_seed, derive_seed_array, seed_prefix
 from .session import (
     BLOCK,
     STAGE_ESTIMATE,
@@ -290,8 +290,8 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
 
     The engine returns each session's counts and the batch's sifted
     disagreement bits, never a whole-session column. One reveal sampler
-    call, each session's stream seeded by the engine's key rule for its
-    pulse 0, derive_seed(master_seed, 0, STAGE_ESTIMATE), counts every
+    call, each session's stream its pulse 0's stage-`STAGE_ESTIMATE` seed,
+    derived from its prefix as every engine stage's is, counts every
     session's revealed bits and their disagreements. The counts stay int64
     arrays through the reveal and both tests, and become Python ints once,
     for the reports; the forwarded states are labelled once per state.
@@ -306,7 +306,7 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
             counts.errors,
             counts.sifted,
             np.array([c.reveal_fraction for c in configs]),
-            derive_seed_array(0, master_seeds, STAGE_ESTIMATE),
+            derive_seed_array(STAGE_ESTIMATE, seed_prefix(master_seeds)),
         )
     except MemoryError:
         n_pulses = sum(c.n_pulses for c in configs)

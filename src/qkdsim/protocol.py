@@ -7,11 +7,12 @@ minus flag. BB84 uses the standard four-state encoding with basis
 reconciliation.
 
 Both steps are pure functions. Sifting is local to a pulse: `sift_mask`
-says which pulses are sifted and `disagreements` which would decode to
-the wrong bit, so they run over any range of pulses (the engine runs
-them on each block as it is drawn), and `sift` composes them into the
-disagreement bit of every sifted pulse, in pulse order; that is all the
-estimate and the report need of the keys.
+says which arrived pulses are sifted and `disagreements` which would
+decode to the wrong bit, so they run over any range of arrived pulses
+(the engine runs them on each block's Bob columns as it is drawn), and
+`sift` composes them, over columns of every pulse and its own arrival
+column, into the disagreement bit of every sifted pulse, in pulse order;
+that is all the estimate and the report need of the keys.
 
 QBER estimation reveals the positions a partial Fisher-Yates shuffle
 picks from each session's estimation stream, and needs only two numbers
@@ -47,17 +48,17 @@ class EstimationError(ValueError):
 def sift_mask(
     kind: ProtocolKind,
     alice_bases: np.ndarray | None,
-    arrived: np.ndarray,
     bob_bases: np.ndarray,
     bob_minus: np.ndarray,
 ) -> np.ndarray:
-    """Which pulses are sifted. B92 keeps exactly the minus outcomes; BB84
-    keeps arrived pulses whose bases matched."""
+    """Which arrived pulses are sifted, given Alice's bases and Bob's
+    columns of those pulses. B92 keeps exactly the minus outcomes; BB84
+    keeps the pulses whose bases matched."""
     if kind is ProtocolKind.B92:
-        return arrived & bob_minus
+        return bob_minus
     if alice_bases is None:
         raise ValueError("BB84 sifting needs Alice's basis column")
-    return arrived & (bob_bases == alice_bases)
+    return bob_bases == alice_bases
 
 
 def disagreements(
@@ -79,9 +80,11 @@ def sift(
     bob_bases: np.ndarray,
     bob_minus: np.ndarray,
 ) -> np.ndarray:
-    """Disagreement bits of the sifted pulses, in pulse order."""
+    """Disagreement bits of the sifted pulses, in pulse order, over columns
+    of every pulse: only the `arrived` ones can be sifted, whatever Bob's
+    columns hold for the others."""
     return disagreements(kind, alice_bits, bob_bases, bob_minus)[
-        sift_mask(kind, alice_bases, arrived, bob_bases, bob_minus)
+        arrived & sift_mask(kind, alice_bases, bob_bases, bob_minus)
     ]
 
 

@@ -4,9 +4,12 @@ SplitMix64 (Steele, Lea & Flood's SplittableRandom; Vigna's reference
 implementation) is a 64-bit generator whose whole state is one counter,
 which makes derived substreams cheap: hashing (seed, pulse index, stage)
 through the same finalizer yields an independent stream per pulse and
-stage. The scalar `RngStream` and the vectorized helpers below walk the
-exact same integer sequence, so array-based simulation reproduces
-draw-by-draw what a Python loop over streams would produce.
+stage. The hash's first round does not depend on the stage, so the
+vectorized derivation takes it once a pulse, as the pulse's prefix
+(`seed_prefix`), and finishes it for one stage at a time
+(`derive_seed_array`). The scalar `RngStream` and the vectorized helpers
+below walk the exact same integer sequence, so array-based simulation
+reproduces draw-by-draw what a Python loop over streams would produce.
 """
 
 from __future__ import annotations
@@ -84,33 +87,25 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def derive_seed_array(seed, indices: np.ndarray, *keys: int) -> np.ndarray:
-    """Vectorized `derive_seed(seed, i, *keys)` over an index array.
-
-    `seed` is one int, or numpy uint64 values broadcast against `indices`
-    (one seed per index, say). Returns a new array; `indices` is left as
-    it was.
-    """
-    h = indices.astype(np.uint64)
-    h ^= np.uint64(seed & _MASK)
-    h += _U_GOLDEN
-    _mix_array(h)
-    for key in keys:
-        h ^= np.uint64(key & _MASK)
-        h += _U_GOLDEN
-        _mix_array(h)
-    h += _U_GOLDEN
-    return _mix_array(h)
-
-
 def seed_prefix(keys: np.ndarray) -> np.ndarray:
     """The first round of `derive_seed(seed, index, ...)`, applied in place
     to uint64 `keys`, each `seed ^ index`: mix(key + GOLDEN). It does not
-    depend on the keys that follow, so one prefix serves every stage:
-    `derive_seed_array(stage, seed_prefix(seed ^ index))` equals
-    `derive_seed_array(seed, index, stage)`."""
+    depend on the keys that follow, so one prefix serves every stage (see
+    `derive_seed_array`)."""
     keys += _U_GOLDEN
     return _mix_array(keys)
+
+
+def derive_seed_array(stage: int, prefixes: np.ndarray) -> np.ndarray:
+    """Each pulse's `stage` seed from its `seed_prefix`: for a prefix of
+    `seed ^ index`, `derive_seed(seed, index, stage)`. Returns a new
+    array; `prefixes` is left as it was.
+    """
+    h = prefixes ^ np.uint64(stage & _MASK)
+    h += _U_GOLDEN
+    _mix_array(h)
+    h += _U_GOLDEN
+    return _mix_array(h)
 
 
 def _uniforms(raw: np.ndarray) -> np.ndarray:

@@ -35,7 +35,9 @@ touches another pulse's stream, the engine runs a *batch* of sessions
 channels, deltas and master seeds) as one pulse range cut into blocks of
 `BLOCK` pulses. Every stage runs as numpy array operations over a block
 (`_blocks` yields each block's columns), and `simulate_session` sifts
-and counts each block as soon as it is drawn, then drops its columns:
+each block's arrived pulses (`sift_mask` over Bob's columns, which hold
+only those) and counts the block as soon as it is drawn, then drops its
+columns:
 a session holds one block of columns at a time, plus one byte per
 sifted pulse for its disagreement bits, and the returned
 `SessionCounts` (per-session counts and those bits) is the only record
@@ -262,7 +264,7 @@ def _block_sessions(starts: np.ndarray, master_seeds: np.ndarray, a: int, b: int
     of session values, and each pulse's stream prefix: `seed_prefix` of
     its index within its session XOR its session's master seed, so
     `derive_seed_array(stage, prefix)` equals
-    `derive_seed_array(master_seed, index, stage)` for every stage.
+    `derive_seed(master_seed, index, stage)` for every stage.
 
     The lookup maps an array of one value per session to the range's
     pulses: within one session it returns that session's value, which
@@ -407,9 +409,9 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
     errors = bytearray()
     for block in _blocks(batch):
         arrived, bob_bases, bob_minus = block.arrived, block.bob_bases, block.bob_minus
-        # Bob's columns hold the arrived pulses only, so every pulse they cover arrived
+        # Bob's columns hold the arrived pulses only, Alice's matching entries gathered
         bases = None if block.alice_bases is None else block.alice_bases[arrived]
-        mask = sift_mask(kind, bases, True, bob_bases, bob_minus)
+        mask = sift_mask(kind, bases, bob_bases, bob_minus)
         errors += disagreements(kind, block.alice_bits[arrived], bob_bases, bob_minus)[mask].data
         slots = [block.slots == s for s in range(n_slots)]
         i, lengths = block.first, block.lengths

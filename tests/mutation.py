@@ -82,6 +82,9 @@ MUTANTS = (
     Mutant("csv-name-rule", "harness.py",
            '"_".join(path[1:] or path)', '"_".join(path[-1:])',
            ("test_harness.py", "test_golden.py")),
+    # `sift` sifts only arrived pulses, whatever Bob's columns hold for the others
+    Mutant("sift-arrived", "protocol.py",
+           "arrived & sift_mask(", "sift_mask(", ("test_protocol.py",)),
     # each row's CSV cells are formatted by the one cell rule as it is joined
     Mutant("csv-cell-rule", "harness.py",
            "map(_csv_cell, values)", "map(str, values)",

@@ -123,6 +123,23 @@ class TestSift:
         t = _honest_session(ProtocolKind.B92, 5_000, seed=14)
         assert len(sift_session(t)) == np.count_nonzero(t.arrived & t.bob_minus)
 
+    @pytest.mark.parametrize(
+        "kind,sifted", [(ProtocolKind.B92, [0, 4]), (ProtocolKind.BB84, [0, 2])], ids=["b92", "bb84"]
+    )
+    def test_only_arrived_pulses_are_sifted(self, kind, sifted):
+        """Hand-built columns in which every unarrived pulse carries a Bob
+        minus and a basis matching Alice's: `sift` drops those pulses, and
+        keeps the arrived ones B92's minus or BB84's basis match sifts."""
+        arrived = np.array([True, False, True, False, True, False])
+        alice_bits = np.array([0, 1, 0, 1, 1, 0], dtype=np.int8)
+        alice_bases = np.array([0, 1, 1, 0, 1, 0], dtype=np.int8)
+        bob_bases = np.array([0, 1, 1, 0, 0, 0], dtype=np.int8)
+        bob_minus = np.array([True, True, False, True, True, True])
+        bases = alice_bases if kind is ProtocolKind.BB84 else None
+        errors = protocol.sift(kind, alice_bits, bases, arrived, bob_bases, bob_minus)
+        want = protocol.disagreements(kind, alice_bits, bob_bases, bob_minus)[sifted]
+        assert errors.tolist() == want.tolist()
+
     @pytest.mark.parametrize("kind", [ProtocolKind.B92, ProtocolKind.BB84], ids=["b92", "bb84"])
     def test_disagreements_are_those_of_the_decoded_keys(self, kind):
         """The disagreement bits equal Alice's and Bob's decoded keys

@@ -291,7 +291,7 @@ def _assert_counts_equal_columns(kind, sessions):
     counts = simulate_session(kind, sessions)
     t = simulate_batch(kind, sessions)
     assert counts.n_pulses == t.n_pulses and counts.states == t.states
-    mask = sift_mask(kind, t.alice_bases, t.arrived, t.bob_bases, t.bob_minus)
+    mask = t.arrived & sift_mask(kind, t.alice_bases, t.bob_bases, t.bob_minus)
     errors = disagreements(kind, t.alice_bits, t.bob_bases, t.bob_minus)[mask]
     assert counts.errors.dtype == bool
     np.testing.assert_array_equal(counts.errors, errors)
