@@ -164,19 +164,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if output == "csv" and args.command not in ("run", "sweep"):
             raise ConfigurationError(f"{args.command} reports are JSON only")
-        if args.command == "run":
-            report = run_experiment(_load_config(args.config, seed))
-            if output == "csv":
-                print("\n".join(report_csv_rows([report])))
-            else:
-                print(report.to_json())
-        elif args.command == "sweep":
+        if args.command in ("run", "sweep"):
             config = _load_config(args.config, seed)
-            reports = sweep(config, args.param, _sweep_values(args.param, args.values))
+            if args.command == "run":
+                reports = [run_experiment(config)]
+            else:
+                reports = sweep(config, args.param, _sweep_values(args.param, args.values))
             if output == "csv":
                 print("\n".join(report_csv_rows(reports)))
             else:
-                _emit_json([r.to_dict() for r in reports])
+                documents = [r.to_dict() for r in reports]
+                _emit_json(documents[0] if args.command == "run" else documents)
         elif args.command == "usd-check":
             if seed is not None:
                 check_seed(seed, "seed")  # unused here, but out of range is still an error
