@@ -10,8 +10,12 @@ the null test the nulls among the pulses sent, the QBER test the
 disagreements among the revealed bits. Both hold them to one contract,
 integer counts of positive integer totals (a rate is rejected), and each
 decision's statistic is the one rate, count over total. Both p-values
-are exact binomial tails, summed here in numpy from Loader's saddle-point
-pmf, so the package needs no scipy at run time.
+are exact binomial tails, summed here from Loader's saddle-point pmf, so
+the package needs no scipy at run time. Each tail's transcendental steps
+(its closed form, or the first term of its sum) run in `math`, one
+element at a time, and the sums run in numpy's basic arithmetic, which
+rounds alike at every SIMD level, so a report's p-values have the same
+bits whichever kernels numpy dispatches to on the CPU.
 """
 
 from __future__ import annotations
@@ -69,9 +73,11 @@ def binomial_tails(k, n, p) -> np.ndarray:
     takes the closed forms 1 - (1 - p)^n at k = 1 and p^n at k = n.
     Between them it sums the pmf away from the mode: upward from k while
     p < (k + 1) / (n + 3), else 1 minus the sum from k - 1 downward (see
-    `_sum_from`). The tails lie within 3e-12 relative of the exact sums
-    up to n = 10^7, and each element's bits depend only on its own
-    (k, n, p), so a batched call equals one call per element. `k` and
+    `_sum_from`). The closed forms and each sum's first term come from
+    `math`, so an element's bits do not depend on numpy's SIMD kernels.
+    The tails lie within 3e-12 relative of the exact sums up to
+    n = 10^7, and each element's bits depend only on its own (k, n, p),
+    so a batched call equals one call per element. `k` and
     `n` must be integers (a rate is rejected) and `p` must lie in [0, 1].
     """
     k, n, p = np.broadcast_arrays(k, n, p)
@@ -83,8 +89,10 @@ def binomial_tails(k, n, p) -> np.ndarray:
     if not some.any():  # at p = 0, as in a lossless session's null test, no tail needs a sum
         return tails
     k, n, p = k[some].astype(float), n[some].astype(float), p[some].astype(float)
-    with np.errstate(divide="ignore"):  # log1p(-1) at p = 1
-        values = np.where(k == 1, -np.expm1(n * np.log1p(-p)), p**n)
+    values = np.array([
+        -math.expm1(nj * math.log1p(-pj)) if kj == 1 and pj < 1.0 else pj**nj
+        for kj, nj, pj in zip(k.tolist(), n.tolist(), p.tolist())
+    ])
     middle = (k > 1) & (k < n) & (p < 1.0)
     if middle.any():
         k, n, p = k[middle], n[middle], p[middle]
@@ -98,43 +106,42 @@ def binomial_tails(k, n, p) -> np.ndarray:
 
 
 # log(j!) - log(sqrt(2 pi j) (j/e)^j) for j = 0..15, correctly rounded
-_STIRLERR = np.array([
+_STIRLERR = (
     0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
     0.020790672103765093, 0.016644691189821193, 0.013876128823070748, 0.01189670994589177,
     0.010411265261972096, 0.009255462182712733, 0.00833056343336287, 0.007573675487951841,
     0.00694284010720953, 0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
-])
+)
 # pmf terms an unfinished element adds a pass: _FIRST in its first, doubling up to _LAST
 _FIRST, _LAST = 64, 1024
 _NEGLIGIBLE = 2.0**-60  # a rest below this share of the sum cannot change it
 
 
-def _stirlerr(j: np.ndarray) -> np.ndarray:
+def _stirlerr(j: float) -> float:
     """The error of Stirling's formula for j!, from the table below 16 and
     the series 1/12j - 1/360j^3 + ... to j^-9 above it."""
+    if j < 16:
+        return _STIRLERR[int(j)]
     jj = j * j
-    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / jj) / jj) / jj) / jj) / j
-    return np.where(j < 16, _STIRLERR[np.minimum(j, 15).astype(np.intp)], series)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / jj) / jj) / jj) / jj) / j
 
 
-def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _bd0(x: float, m: float) -> float:
     """Loader's deviance x log(x / m) + m - x, written as x log1p(d / m) - d
-    with d = x - m, so that it stays accurate near its zero at x = m."""
+    with d = x - m, so that it stays accurate near its zero at x = m. Where
+    m is subnormal, d / m is inf and so is the deviance."""
     d = x - m
-    with np.errstate(over="ignore"):  # d / m is inf where m is subnormal: bd0 is inf
-        return x * np.log1p(d / m) - d
+    return x * math.log1p(d / m) - d
 
 
-def _pmf(j: np.ndarray, n: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _pmf(j: float, n: float, p: float, q: float) -> float:
     """Binomial(n, p) pmf at 1 <= j <= n - 1, q = 1 - p, by Loader's
     saddle-point form (Loader, "Fast and Accurate Computation of Binomial
     Probabilities", 2000): differences of small Stirling errors and
     deviances, not of large log-gammas, so it keeps its relative accuracy
     at any n."""
-    stirling = _stirlerr(np.stack([n, j, n - j]))
-    deviance = _bd0(np.stack([j, n - j]), np.stack([n * p, n * q]))
-    exponent = stirling[0] - stirling[1] - stirling[2] - deviance[0] - deviance[1]
-    return np.exp(exponent - 0.5 * np.log(2.0 * math.pi * j * ((n - j) / n)))
+    exponent = _stirlerr(n) - _stirlerr(j) - _stirlerr(n - j) - _bd0(j, n * p) - _bd0(n - j, n * q)
+    return math.exp(exponent - 0.5 * math.log(2.0 * math.pi * j * ((n - j) / n)))
 
 
 def _sum_from(j: np.ndarray, n: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -150,7 +157,7 @@ def _sum_from(j: np.ndarray, n: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.
     element takes depend only on its own terms, so its bits do not depend
     on its batch-mates.
     """
-    total = carry = _pmf(j, n, p, q)
+    total = carry = np.array(list(map(_pmf, j.tolist(), n.tolist(), p.tolist(), q.tolist())))
     out = np.empty_like(total)
     rows = np.arange(total.size)
     width = _FIRST
