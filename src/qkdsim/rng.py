@@ -101,7 +101,7 @@ def derive_seed_array(stage: int, prefixes: np.ndarray) -> np.ndarray:
     `seed ^ index`, `derive_seed(seed, index, stage)`. Returns a new
     array; `prefixes` is left as it was.
     """
-    h = prefixes ^ np.uint64(stage & _MASK)
+    h = prefixes ^ np.uint64(stage)
     h += _U_GOLDEN
     _mix_array(h)
     h += _U_GOLDEN

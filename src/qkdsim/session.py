@@ -409,7 +409,6 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
     errors = bytearray()
     for block in _blocks(batch):
         arrived, bob_bases, bob_minus = block.arrived, block.bob_bases, block.bob_minus
-        # Bob's columns hold the arrived pulses only, Alice's matching entries gathered
         bases = None if block.alice_bases is None else block.alice_bases[arrived]
         mask = sift_mask(kind, bases, bob_bases, bob_minus)
         errors += disagreements(kind, block.alice_bits[arrived], bob_bases, bob_minus)[mask].data
