@@ -290,9 +290,9 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
 
     The engine returns each session's counts and the batch's sifted
     disagreement bits, never a whole-session column. One reveal sampler
-    call, each session's stream its pulse 0's stage-`STAGE_ESTIMATE` seed,
-    derived from its prefix as every engine stage's is, counts every
-    session's revealed bits and their disagreements. The counts stay int64
+    call counts every session's revealed bits and their disagreements;
+    each session's stream is stage `STAGE_ESTIMATE` of its pulse 0, seeded
+    from that pulse's prefix as every engine stage is. The counts stay int64
     arrays through the reveal and both tests, and become Python ints once,
     for the reports; the forwarded states are labelled once per state.
     """

@@ -34,19 +34,20 @@ try:
 except ImportError:  # numpy 1.x
     from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-AVX512 = ("X86_V4",)
-AVX2_FMA = ("X86_V3", "AVX2", "FMA3")
+
+def _on_cpu(drop) -> list[str]:
+    """The features of numpy's dispatch list that this CPU has and `drop` accepts."""
+    return [name for name in __cpu_dispatch__ if drop(name) and __cpu_features__.get(name)]
 
 
-def _available(dropped) -> list[str]:
-    """The dispatched features this CPU has that `dropped` names."""
-    return [
-        name for name in __cpu_dispatch__
-        if (name.startswith("AVX512") or name in dropped) and __cpu_features__.get(name)
-    ]
+def _avx512(name: str) -> bool:
+    return name.startswith("AVX512") or name == "X86_V4"
 
 
-LEVELS = {"no-avx512": _available(AVX512), "no-avx2-fma": _available(AVX512 + AVX2_FMA)}
+LEVELS = {
+    "no-avx512": _on_cpu(_avx512),
+    "no-avx2-fma": _on_cpu(lambda name: _avx512(name) or name in ("X86_V3", "AVX2", "FMA3")),
+}
 
 _PROBE = """
 import json, tempfile
