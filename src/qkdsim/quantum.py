@@ -4,6 +4,13 @@ Everything is fixed at dimension 2. Amplitudes are plain Python complex
 numbers (finite, validated); operators are 2x2 numpy arrays. Algebraic
 identities are enforced to 1e-12. `REFERENCE_STATES` and `B92_STATES`
 are the one list of the S_z/S_x eigenstates and of the B92 pair.
+
+The operators the no-signaling demo prints are built by one rule: each
+real product is rounded before its sum, as in Python's complex product,
+with no eigendecomposition, BLAS kernel or fused multiply behind them,
+so their bits do not depend on the CPU. `projector` forms each entry as
+a Python complex product, and `random_povm` builds its elements in
+Bloch form from real arithmetic.
 """
 
 from __future__ import annotations
@@ -95,9 +102,10 @@ def orthogonal_state(state: QubitState) -> QubitState:
 
 
 def projector(state: QubitState) -> np.ndarray:
-    """Rank-1 projector |psi><psi| as a 2x2 array."""
-    v = state.vector
-    return np.outer(v, v.conj())
+    """Rank-1 projector |psi><psi| as a 2x2 array, each entry one Python
+    complex product, as `inner_product` forms them."""
+    kets = (state.amp0, state.amp1)
+    return np.array([[a * b.conjugate() for b in kets] for a in kets], dtype=complex)
 
 
 def state_label(state: QubitState) -> str:
@@ -215,26 +223,27 @@ def density_equal(a: DensityMatrix, b: DensityMatrix) -> bool:
 
 
 def random_povm(rng: RngStream) -> Povm:
-    """Random three-element POVM from weighted random rank-1 projectors.
+    """Random three-element POVM of rank-1 elements, built in Bloch form.
 
-    Weighted projectors A_i are symmetrized through S^{-1/2} A_i S^{-1/2}
-    with S = sum A_i, which restores completeness exactly.
+    E_k = (w_k I + v_k . sigma) / (w_1 + w_2 + w_3) with w_k = |v_k|: v_1
+    and v_2 are random directions (theta = acos(1 - 2u), phi = 2 pi u)
+    scaled by weights in [0.2, 1), drawn in that order, and
+    v_3 = -v_1 - v_2. Each element is positive with one zero eigenvalue,
+    and the elements add to the identity, by construction; every entry is
+    real float arithmetic, so its bits do not depend on the CPU.
     """
-    for _ in range(100):
-        mats = []
-        for _ in range(3):
-            theta = math.acos(1.0 - 2.0 * rng.uniform())
-            phi = 2.0 * math.pi * rng.uniform()
-            weight = 0.2 + 0.8 * rng.uniform()
-            mats.append(weight * projector(state_from_bloch(theta, phi)))
-        total = sum(mats)
-        eigvals, eigvecs = np.linalg.eigh(total)
-        if eigvals.min() < 1e-6:
-            continue
-        inv_sqrt = eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.conj().T
-        elements = []
-        for mat in mats:
-            e = inv_sqrt @ mat @ inv_sqrt
-            elements.append((e + e.conj().T) / 2.0)
-        return Povm(elements)
-    raise RuntimeError("failed to draw a well-conditioned random POVM")
+    vectors = []
+    for _ in range(2):
+        theta = math.acos(1.0 - 2.0 * rng.uniform())
+        phi = 2.0 * math.pi * rng.uniform()
+        weight = 0.2 + 0.8 * rng.uniform()
+        r = weight * math.sin(theta)
+        vectors.append((r * math.cos(phi), r * math.sin(phi), weight * math.cos(theta)))
+    vectors.append(tuple(-a - b for a, b in zip(*vectors)))
+    weights = [math.hypot(*v) for v in vectors]
+    total = sum(weights)
+    return Povm([
+        [[complex((w + z) / total), complex(x / total, -y / total)],
+         [complex(x / total, y / total), complex((w - z) / total)]]
+        for (x, y, z), w in zip(vectors, weights)
+    ])

@@ -105,8 +105,9 @@ def naive_frame_povms(rotation: float) -> tuple[Povm, Povm]:
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x * y elementwise, each real product rounded before the sum as in
-    Python's complex product; numpy's vectorised complex multiply may
-    fuse them and differ in the last bit."""
+    Python's complex product: the one rule by which every complex product
+    here is formed. numpy's vectorised complex multiply may fuse them,
+    and then its last bit depends on the CPU's SIMD level."""
     out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
     out.real = x.real * y.real - x.imag * y.imag
     out.imag = x.real * y.imag + x.imag * y.real
@@ -114,9 +115,9 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _outer(v: np.ndarray) -> np.ndarray:
-    """|v><v| of every vector along the last axis, by numpy's multiply as
-    `projector`'s `np.outer` forms it."""
-    return v[..., :, None] * v.conj()[..., None, :]
+    """|v><v| of every vector along the last axis, by `_product`, so each
+    entry rounds as `projector`'s Python complex product does."""
+    return _product(v[..., :, None], v.conj()[..., None, :])
 
 
 def usd_efficiency(kind: UsdSchemeKind, pair: Callable[[], Sequence[QubitState]]) -> float:
@@ -161,9 +162,11 @@ def no_signaling_distributions(
 
     When the two mixtures share a density matrix the gap is bounded by
     arithmetic noise, which is exactly why measurement statistics can
-    never reveal which decomposition was prepared.
+    never reveal which decomposition was prepared. Each probability is
+    Tr(E rho) = sum_ij E_ij rho_ji, a sum of `_product`s with no BLAS
+    kernel, so its bits do not depend on the CPU.
     """
-    rho_a, rho_b = density_a.matrix, density_b.matrix
-    probs_a = np.array([float(np.real(np.trace(e @ rho_a))) for e in povm.elements])
-    probs_b = np.array([float(np.real(np.trace(e @ rho_b))) for e in povm.elements])
+    probs_a, probs_b = (
+        _product(povm.elements, d.matrix.T).sum(axis=(1, 2)).real for d in (density_a, density_b)
+    )
     return probs_a, probs_b, float(np.max(np.abs(probs_a - probs_b)))

@@ -119,6 +119,10 @@ MUTANTS = (
     # both detectors hold integer totals to the one count contract
     Mutant("count-contract", "detection.py",
            'or n.dtype.kind not in "iu"', "", ("test_detection.py",)),
+    # the random POVM's third Bloch vector balances the other two, so its
+    # elements add to the identity
+    Mutant("random-povm-balance", "quantum.py",
+           "tuple(-a - b for a, b in", "tuple(a + b for a, b in", ("test_quantum.py",)),
     # only the basis-mismatch attack rotates Eve's frame
     Mutant("rotation-rule", "adversary.py",
            "if self.rotation and self.kind is not EveKind.BASIS_MISMATCH:", "if False:",

@@ -182,7 +182,9 @@ class TestPovmValidation:
         assert density_equal(rho, sigma)
 
     def test_random_povms_satisfy_invariants(self):
-        """Hermiticity, positivity, completeness over random mixtures."""
+        """Hermiticity, positivity, rank 1 and completeness over random
+        POVMs: the Bloch form (w I + v . sigma) with w = |v| has a zero
+        eigenvalue, so its determinant is zero."""
         rng = RngStream(8)
         for _ in range(100):
             povm = random_povm(rng)
@@ -190,6 +192,7 @@ class TestPovmValidation:
             for e in povm.elements:
                 np.testing.assert_allclose(e, e.conj().T, atol=1e-12)
                 assert np.linalg.eigvalsh(e).min() >= -1e-12
+                assert abs(np.linalg.det(e)) <= 1e-12
                 total += e
             np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
 

@@ -1,20 +1,23 @@
-"""The golden digests at lower SIMD levels: no report's bytes may depend
-on which kernels numpy dispatches to on this CPU.
+"""The golden digests at lower CPU generations: no report's bytes may
+depend on which kernels numpy or its BLAS dispatch to on this CPU.
 
 numpy runs each ufunc loop in the kernel of the widest SIMD features the
 CPU has, and `NPY_DISABLE_CPU_FEATURES` makes a process run the kernels
-of a CPU without some of them. Each level runs every golden case once,
-in a fresh process with that setting, and compares each stdout digest
-with the pinned one: first without AVX-512, then without AVX2/FMA as
-well. The feature names come from numpy's own dispatch list, because
-they differ across numpy versions, and only names that list holds and
-this CPU has are disabled; the child process reports each of them off,
-so the check cannot pass by disabling nothing that was on.
+of a CPU without some of them. That setting does not reach OpenBLAS,
+which picks its own kernels at load time; a DYNAMIC_ARCH build takes
+them from `OPENBLAS_CORETYPE` instead. Each level emulates one CPU
+generation in both, and runs every golden case once, in a fresh process,
+comparing each stdout digest with the pinned one: first without AVX-512
+(OpenBLAS core Haswell, the kernels of AVX2 CPUs without AVX-512 and of
+AMD Zen), then without AVX2/FMA as well (core Sandybridge).
 
-Without AVX2/FMA the `no-signaling-demo` digests move: a density element
-prints 0.0 instead of about -1.4e-33. That is an open defect, the demo
-half of ROADMAP item 18, so at that level those cases are strict expected
-failures, and only where that level disables more than the first.
+The feature names come from numpy's own dispatch list, because they
+differ across numpy versions, and only names that list holds and this
+CPU has are disabled; the child process reports each of them off, so the
+check cannot pass by disabling nothing that was on. A core is set only
+where numpy reports a DYNAMIC_ARCH OpenBLAS (numpy 1.26 or later) and
+this CPU has the core's features, and the child's OpenBLAS must name
+that core on stderr (`OPENBLAS_VERBOSE=2`).
 """
 
 import functools
@@ -24,6 +27,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qkdsim
@@ -44,9 +48,30 @@ def _avx512(name: str) -> bool:
     return name.startswith("AVX512") or name == "X86_V4"
 
 
+def _dynamic_openblas() -> bool:
+    """True where numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 reports no dicts
+        return False
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get(
+        "openblas configuration", ""
+    )
+
+
+def _core(name: str, needs: tuple[str, ...]) -> str | None:
+    """OpenBLAS core `name`, where numpy's OpenBLAS takes a core by name
+    and this CPU has every feature in `needs`; else None."""
+    return name if _dynamic_openblas() and all(__cpu_features__.get(f) for f in needs) else None
+
+
+# level -> (numpy features disabled, OpenBLAS core or None)
 LEVELS = {
-    "no-avx512": _on_cpu(_avx512),
-    "no-avx2-fma": _on_cpu(lambda name: _avx512(name) or name in ("X86_V3", "AVX2", "FMA3")),
+    "no-avx512": (_on_cpu(_avx512), _core("Haswell", ("AVX2", "FMA3"))),
+    "no-avx2-fma": (
+        _on_cpu(lambda name: _avx512(name) or name in ("X86_V3", "AVX2", "FMA3")),
+        _core("Sandybridge", ("AVX",)),
+    ),
 }
 
 _PROBE = """
@@ -65,37 +90,35 @@ print(json.dumps({"on": [n for n, have in __cpu_features__.items() if have], "di
 
 @functools.cache
 def _run(level: str) -> dict:
-    """The features on and every golden case's digest in a process at `level`."""
+    """The features on, every golden case's digest and OpenBLAS's stderr
+    in a process at `level`."""
+    features, core = LEVELS[level]
     tests = str(Path(__file__).resolve().parent)
     src = str(Path(qkdsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": " ".join(LEVELS[level])}
+    env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": " ".join(features),
+           "OPENBLAS_VERBOSE": "2"}
+    env.pop("OPENBLAS_CORETYPE", None)
+    if core:
+        env["OPENBLAS_CORETYPE"] = core
     done = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
-
-
-_DEMO_MOVES = pytest.mark.xfail(
-    set(LEVELS["no-avx2-fma"]) > set(LEVELS["no-avx512"]),
-    reason="ROADMAP item 18, demo half: without AVX2/FMA a demo density element "
-    "prints 0.0 instead of about -1.4e-33",
-    strict=True,
-)
-_CASES = [
-    pytest.param(level, name, marks=_DEMO_MOVES, id=f"{level}-{name}")
-    if level == "no-avx2-fma" and name.startswith("no-signaling-demo")
-    else pytest.param(level, name, id=f"{level}-{name}")
-    for level in LEVELS
-    for name in sorted(CASES)
-]
+    return {**json.loads(done.stdout), "stderr": done.stderr}
 
 
 @pytest.mark.parametrize("level", list(LEVELS))
 def test_level_disables_its_features(level):
-    assert not set(LEVELS[level]) & set(_run(level)["on"])
+    features, core = LEVELS[level]
+    run = _run(level)
+    assert not set(features) & set(run["on"])
+    if core:
+        assert f"Core: {core}" in run["stderr"].splitlines()
 
 
-@pytest.mark.parametrize("level,name", _CASES)
+@pytest.mark.parametrize(
+    "level,name",
+    [pytest.param(level, name, id=f"{level}-{name}") for level in LEVELS for name in sorted(CASES)],
+)
 def test_digest_holds_at_simd_level(level, name):
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert _run(level)["digests"][name] == pinned[name]
