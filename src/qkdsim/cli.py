@@ -24,6 +24,7 @@ from .harness import (
     check_seed,
     no_signaling_demo,
     report_csv_rows,
+    report_dicts,
     run_experiment,
     sweep,
     usd_check,
@@ -173,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
             if output == "csv":
                 print("\n".join(report_csv_rows(reports)))
             else:
-                documents = [r.to_dict() for r in reports]
+                documents = report_dicts(reports)
                 _emit_json(documents[0] if args.command == "run" else documents)
         elif args.command == "usd-check":
             if seed is not None:

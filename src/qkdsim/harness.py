@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .quantum import (
     mixture_density,
     random_povm,
     state_from_bloch,
-    state_label,
+    state_labels,
 )
 from .rng import GENERATOR_NAME, RngStream, derive_seed, derive_seed_array, seed_prefix
 from .session import (
@@ -84,17 +84,112 @@ def check_seed(seed, name: str) -> None:
         raise ConfigurationError(f"{name} must be in [0, 2**64)")
 
 
-_KINDS = ((ProtocolKind, "protocol"), (EveKind, "eve_strategy"), (UsdSchemeKind, "usd_scheme"))
+class _Rule(NamedTuple):
+    """One entry of the config's check table: the fields it `reads`, the
+    attribute it `keeps` (None for a pure check) and the `check`, which
+    raises ConfigurationError on a bad value and returns what is kept."""
+
+    reads: tuple[str, ...]
+    keeps: str | None
+    check: Callable
+
+
+def _kind(kind, name: str, keeps: str) -> _Rule:
+    def parse(config):
+        try:
+            return kind(getattr(config, name))
+        except ValueError:
+            raise ConfigurationError(f"unknown {name} {getattr(config, name)!r}") from None
+
+    return _Rule((name,), keeps, parse)
+
+
+def _check_n_pulses(config) -> None:
+    if not _is_strict_int(config.n_pulses) or config.n_pulses < 1:
+        raise ConfigurationError("n_pulses must be a positive integer")
+    if config.n_pulses >= 2**63:
+        # pulse offsets are int64; no such session could be allocated anyway
+        raise ConfigurationError("n_pulses must be below 2**63")
+
+
+def _number(name: str) -> _Rule:
+    def check(config) -> None:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigurationError(f"{name} must be a number")
+
+    return _Rule((name,), None, check)
+
+
+def _in_range(name: str, inside, interval: str) -> _Rule:
+    def check(config) -> None:
+        if not inside(getattr(config, name)):
+            raise ConfigurationError(f"{name} must be in {interval}")
+
+    return _Rule((name,), None, check)
+
+
+def _channel(build):
+    """A check that returns `build(config)`, the channel or its expectations,
+    whose ValueError on a bad channel is the config's ConfigurationError."""
+
+    def check(config):
+        try:
+            return build(config)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
+
+    return check
+
+
+def _session(config) -> Session:
+    return Session(config.n_pulses, config._channel, config._strategy, config.master_seed)
+
+
 _FLOAT_FIELDS = ("absorption", "efficiency", "delta", "reveal_fraction", "alpha", "qber_threshold")
+_CHANNEL = ("absorption", "efficiency")
+_STRATEGY = ("eve_strategy", "usd_scheme", "delta")
+
+# The config's one check table, in the order it runs: every number is
+# checked to be one before any range is, and each rule may read what the
+# rules before it kept.
+_RULES = (
+    _kind(ProtocolKind, "protocol", "protocol_kind"),
+    _kind(EveKind, "eve_strategy", "_eve_kind"),
+    _kind(UsdSchemeKind, "usd_scheme", "_scheme_kind"),
+    _Rule(("n_pulses",), None, _check_n_pulses),
+    *map(_number, _FLOAT_FIELDS),
+    _Rule(_CHANNEL, "_channel", _channel(lambda c: ChannelModel(c.absorption, c.efficiency))),
+    _Rule(_CHANNEL, "expected", _channel(lambda c: expected_rates(c._channel))),
+    # checked here: only basis_mismatch hands delta to its strategy
+    _in_range("delta", lambda v: 0.0 <= v < HALF_PI, "[0, pi/2)"),
+    _in_range("reveal_fraction", lambda v: 0.0 < v <= 1.0, "(0, 1]"),
+    _in_range("alpha", lambda v: 0.0 < v < 1.0, "(0, 1)"),
+    _in_range("qber_threshold", lambda v: 0.0 <= v <= 1.0, "[0, 1]"),
+    _Rule(("master_seed",), None, lambda config: check_seed(config.master_seed, "master_seed")),
+    _Rule(
+        _STRATEGY,
+        "_strategy",
+        lambda config: EveStrategy.of(config._eve_kind, config._scheme_kind, config.delta),
+    ),
+    _Rule(("n_pulses", *_CHANNEL, *_STRATEGY, "master_seed"), "session", _session),
+)
+
+
+def _apply(config: "ExperimentConfig", rules) -> None:
+    for rule in rules:
+        value = rule.check(config)
+        if rule.keeps is not None:
+            object.__setattr__(config, rule.keeps, value)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment's settings. Building it (`replace` too) checks every
-    value and keeps what it parses outside the fields, unseen by equality,
-    hashing and `to_dict`: `protocol_kind`, `session` (the engine's
-    `Session`: its channel and Eve's strategy) and `expected` (the
-    channel's `ExpectedRates`)."""
+    """One experiment's settings. Building it (`replace` too) runs every
+    rule of the check table `_RULES` and keeps what they parse outside the
+    fields, unseen by equality, hashing and `to_dict`: `protocol_kind`,
+    `session` (the engine's `Session`: its channel and Eve's strategy) and
+    `expected` (the channel's `ExpectedRates`)."""
 
     protocol: str
     n_pulses: int
@@ -109,42 +204,16 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        kinds = []
-        for kind, name in _KINDS:
-            try:
-                kinds.append(kind(getattr(self, name)))
-            except ValueError:
-                raise ConfigurationError(f"unknown {name} {getattr(self, name)!r}") from None
-        protocol_kind, eve_kind, scheme_kind = kinds
-        if not _is_strict_int(self.n_pulses) or self.n_pulses < 1:
-            raise ConfigurationError("n_pulses must be a positive integer")
-        if self.n_pulses >= 2**63:
-            # pulse offsets are int64; no such session could be allocated anyway
-            raise ConfigurationError("n_pulses must be below 2**63")
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigurationError(f"{name} must be a number")
-        try:
-            channel = ChannelModel(self.absorption, self.efficiency)
-            expected = expected_rates(channel)
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from exc
-        if not (0.0 <= self.delta < HALF_PI):
-            # checked here: only basis_mismatch hands delta to its strategy
-            raise ConfigurationError("delta must be in [0, pi/2)")
-        if not (0.0 < self.reveal_fraction <= 1.0):
-            raise ConfigurationError("reveal_fraction must be in (0, 1]")
-        if not (0.0 < self.alpha < 1.0):
-            raise ConfigurationError("alpha must be in (0, 1)")
-        if not (0.0 <= self.qber_threshold <= 1.0):
-            raise ConfigurationError("qber_threshold must be in [0, 1]")
-        check_seed(self.master_seed, "master_seed")
-        strategy = EveStrategy.of(eve_kind, scheme_kind, self.delta)
-        session = Session(self.n_pulses, channel, strategy, self.master_seed)
-        object.__setattr__(self, "protocol_kind", protocol_kind)
-        object.__setattr__(self, "session", session)
-        object.__setattr__(self, "expected", expected)
+        _apply(self, _RULES)
+
+    def _with(self, rules, changes: dict) -> "ExperimentConfig":
+        """A copy with the field `changes`, running only `rules`, which must
+        be every rule that reads a changed field; the other fields keep
+        this config's checked values and what their rules parsed."""
+        config = object.__new__(ExperimentConfig)
+        config.__dict__.update(self.__dict__, **changes)
+        _apply(config, rules)
+        return config
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -169,11 +238,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunReport:
-    """What one session measured: counts, test decisions and the states
-    Eve forwarded. The QBER estimate is the QBER test's statistic, the
-    revealed disagreements over the revealed bits. `to_dict` derives the
-    rest, the channel's expectations and the scheme's efficiency, from
-    these and the config."""
+    """What one session measured: counts, test decisions, the states Eve
+    forwarded and her scheme's conclusive rate (None without a scheme).
+    The QBER estimate is the QBER test's statistic, the revealed
+    disagreements over the revealed bits. `to_dict` derives the rest, the
+    channel's expectations, from these and the config."""
 
     config: ExperimentConfig
     arrived: int
@@ -183,6 +252,7 @@ class RunReport:
     null_ratio_test: TestDecision
     forwarded_z: int
     forwarded_x: int
+    scheme_efficiency: float | None
     rng: ClassVar[str] = GENERATOR_NAME
 
     def __post_init__(self) -> None:
@@ -195,26 +265,15 @@ class RunReport:
         return None if self.qber_test is None else self.qber_test.statistic
 
     def to_dict(self) -> dict:
-        """The report's leaves nested by their paths; a test that did not
-        run is None, not a decision of Nones."""
-        report = {}
-        for (*sections, name), (value,) in _report_columns([self]).items():
-            node = report
-            for section in sections:
-                node = node.setdefault(section, {})
-            node[name] = value
-        tests = report["tests"]
-        for test, d in tests.items():
-            tests[test] = d if d["method"] else None
-        return report
+        """The report's leaves nested by their paths (see `report_dicts`)."""
+        return report_dicts([self])[0]
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _scheme_efficiency(config: ExperimentConfig) -> float | None:
-    s = config.session.strategy
-    return None if s.scheme is None else usd_efficiency(s.scheme, s.states)
+_CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
+_DECISION_FIELDS = (*(f.name for f in fields(TestDecision)), "method")
 
 
 def _report_columns(reports: list[RunReport]) -> dict:
@@ -229,10 +288,9 @@ def _report_columns(reports: list[RunReport]) -> dict:
     revealed = [r.revealed for r in reports]
     null = [n - a for n, a in zip(sent, arrived)]
     expected = [c.expected for c in configs]
-    names = [f.name for f in fields(ExperimentConfig)]
     tests = {t: list(map(attrgetter(t), reports)) for t in ("qber_test", "null_ratio_test")}
     return {
-        **{("config", name): list(map(attrgetter(name), configs)) for name in names},
+        **{("config", name): list(map(attrgetter(name), configs)) for name in _CONFIG_FIELDS},
         ("counts", "sent"): sent,
         ("counts", "arrived"): arrived,
         ("counts", "null"): null,
@@ -247,13 +305,34 @@ def _report_columns(reports: list[RunReport]) -> dict:
         **{
             ("tests", test, name): [None if d is None else getattr(d, name) for d in decisions]
             for test, decisions in tests.items()
-            for name in (*(f.name for f in fields(TestDecision)), "method")
+            for name in _DECISION_FIELDS
         },
-        ("usd", "scheme_efficiency"): [_scheme_efficiency(c) for c in configs],
+        ("usd", "scheme_efficiency"): [r.scheme_efficiency for r in reports],
         ("usd", "forwarded_z"): [r.forwarded_z for r in reports],
         ("usd", "forwarded_x"): [r.forwarded_x for r in reports],
         ("rng",): [r.rng for r in reports],
     }
+
+
+def report_dicts(reports: list[RunReport]) -> list[dict]:
+    """Each report's leaves nested by their paths, from one
+    `_report_columns` call whose columns are zipped into rows; a test
+    that did not run is None, not a decision of Nones."""
+    columns = _report_columns(reports)
+    paths = [(sections, name) for (*sections, name) in columns]
+    documents = []
+    for row in zip(*columns.values()):
+        report = {}
+        for (sections, name), value in zip(paths, row):
+            node = report
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[name] = value
+        tests = report["tests"]
+        for test, d in tests.items():
+            tests[test] = d if d["method"] else None
+        documents.append(report)
+    return documents
 
 
 def _check_feasibility(kind: ProtocolKind, strategy: EveStrategy) -> None:
@@ -294,7 +373,9 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
     each session's stream is stage `STAGE_ESTIMATE` of its pulse 0, seeded
     from that pulse's prefix as every engine stage is. The counts stay int64
     arrays through the reveal and both tests, and become Python ints once,
-    for the reports; the forwarded states are labelled once per state.
+    for the reports. The batch's states are labelled by one array product
+    (`state_labels`), and the scheme's conclusive rate is read once per
+    distinct strategy, off the pair the engine built for it.
     """
     kind = configs[0].protocol_kind
     sessions = [c.session for c in configs]
@@ -314,10 +395,12 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
             f"n_pulses {n_pulses} does not fit in memory; use fewer pulses"
         ) from None
     # the id -1 of a suppressed pulse picks the trailing empty label
-    labels = np.array([state_label(s) for s in counts.states] + [""])
+    labels = np.array(state_labels(counts.vectors) + [""])
     forwarded_z, forwarded_x = forwarded_state_symmetry(
         counts.forwarded, labels[counts.forwarded_ids]
     )
+    scheme = sessions[0].strategy.scheme
+    rates = [None if scheme is None else usd_efficiency(scheme, lambda: p) for p in counts.pairs]
 
     sent = np.array([c.n_pulses for c in configs], dtype=np.int64)
     null_decisions = null_ratio_test(
@@ -333,9 +416,11 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
         np.array([c.qber_threshold for c in configs])[revealing],
     )
     qber_decisions = dict(zip(revealing.tolist(), decided))
-    arrived, sifted, revealed, forwarded_z, forwarded_x = (
+    arrived, sifted, revealed, forwarded_z, forwarded_x, strategy = (
         column.tolist()
-        for column in (counts.arrived, counts.sifted, revealed, forwarded_z, forwarded_x)
+        for column in (
+            counts.arrived, counts.sifted, revealed, forwarded_z, forwarded_x, counts.strategy
+        )
     )
     return [
         RunReport(
@@ -347,6 +432,7 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
             null_ratio_test=null_decisions[i],
             forwarded_z=forwarded_z[i],
             forwarded_x=forwarded_x[i],
+            scheme_efficiency=rates[strategy[i]],
         )
         for i, config in enumerate(configs)
     ]
@@ -375,25 +461,32 @@ def sweep(config: ExperimentConfig, parameter: str, values: list) -> list[RunRep
     Each point's seed is derived from (master_seed, value index) alone,
     so every report equals a standalone run at that derived seed; points
     share no state, and truncating the value list never changes the
-    reports that remain. Every point's config is built, so checked and
-    parsed, before any runs. Consecutive points then run as engine
-    batches of at most `session.BLOCK` pulses in all (a longer point
-    alone), so a sweep of short sessions pays the engine's per-call costs
-    once per batch. Whatever its points' lengths, a sweep holds one engine
-    block of columns at a time, plus one byte per sifted pulse of the
-    running batch and its reveal sampler's working arrays, which list no
-    positions; the bookkeeping after the engine is batch array code as well
-    (`_run_batch`), and `report_csv_rows` formats each CSV row's cells as
-    it zips the leaf columns into it, with no cache.
+    reports that remain. Every point's config is built before any runs,
+    in value order, and equals `replace(config, ...)` of the point's value
+    and seed in every field and in what it parsed; but it runs only the
+    check table's rules that read the swept field or the seed (`_RULES`),
+    so the unchanged fields are neither checked nor parsed again, and a
+    bad value fails at the first bad point with the message `replace`
+    would give. Consecutive points then run as engine batches of at most
+    `session.BLOCK` pulses in all (a longer point alone), so a sweep of
+    short sessions pays the engine's per-call costs once per batch.
+    Whatever its points' lengths, a sweep holds one engine block of
+    columns at a time, plus one byte per sifted pulse of the running
+    batch and its reveal sampler's working arrays, which list no
+    positions; the bookkeeping after the engine is batch array code as
+    well (`_run_batch`), and the reports render from one set of leaf
+    columns (`report_csv_rows`, `report_dicts`).
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigurationError(
             f"unknown sweep parameter {parameter!r}; choose from {SWEEP_PARAMETERS}"
         )
+    changed = {parameter, "master_seed"}
+    rules = [rule for rule in _RULES if changed.intersection(rule.reads)]
     configs = [
-        replace(
-            config,
-            **{parameter: value, "master_seed": derive_seed(config.master_seed, index, STAGE_SWEEP)},
+        config._with(
+            rules,
+            {parameter: value, "master_seed": derive_seed(config.master_seed, index, STAGE_SWEEP)},
         )
         for index, value in enumerate(values)
     ]
@@ -493,14 +586,27 @@ def no_signaling_demo(
 
 # -- CSV rendering -----------------------------------------------------------
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# A CSV cell by its value's type: None empty, bools lower case, floats by
+# repr, and any other type by str.
+_CSV_FORMATS = {
+    type(None): lambda value: "",
+    bool: {False: "false", True: "true"}.__getitem__,
+    float: repr,
+}
+
+
+def _csv_format(kind: type):
+    """The format of `kind`'s nearest type in `_CSV_FORMATS`, else str."""
+    return next((_CSV_FORMATS[base] for base in kind.__mro__ if base in _CSV_FORMATS), str)
+
+
+def _csv_column(values: list):
+    """A column's cells, by a format picked once per type in the column."""
+    formats = {kind: _csv_format(kind) for kind in set(map(type, values))}
+    if len(formats) == 1:
+        (format_,) = formats.values()
+        return map(format_, values)
+    return (formats[type(value)](value) for value in values)
 
 
 def report_csv_rows(reports: list[RunReport]) -> list[str]:
@@ -508,8 +614,9 @@ def report_csv_rows(reports: list[RunReport]) -> list[str]:
 
     A column per leaf of the report, in its order, named by the leaf's
     path without its section, joined by "_" (a section that is a leaf
-    names itself); a decision's `method` is JSON-only. Each row's cells
-    are formatted as the leaf columns are zipped into it, with no cache.
+    names itself); a decision's `method` is JSON-only. Each column picks
+    its cells' format once per type it holds (`_csv_column`), and the
+    rows are joined as the columns are zipped, with no cache.
     """
     if not reports:
         return []
@@ -518,5 +625,5 @@ def report_csv_rows(reports: list[RunReport]) -> list[str]:
         for path, values in _report_columns(reports).items()
         if path[-1] != "method"
     }
-    cells = [map(_csv_cell, values) for values in columns.values()]
+    cells = [_csv_column(values) for values in columns.values()]
     return [",".join(columns)] + [",".join(row) for row in zip(*cells)]

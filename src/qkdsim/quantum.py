@@ -111,12 +111,46 @@ def projector(state: QubitState) -> np.ndarray:
 def state_label(state: QubitState) -> str:
     """Name a state by its `REFERENCE_STATES` key (else "other").
 
-    Matching is up to global phase, via |<ref|state>|^2 within `_LABEL_TOL` of 1.
+    Matching is up to global phase, via |<ref|state>|^2 within `_LABEL_TOL`
+    of 1; the modulus is squared by a product, which rounds once, as
+    `state_labels` squares it.
     """
     for label, ref in REFERENCE_STATES.items():
-        if abs(abs(inner_product(ref, state)) ** 2 - 1.0) <= _LABEL_TOL:
+        modulus = abs(inner_product(ref, state))
+        if abs(modulus * modulus - 1.0) <= _LABEL_TOL:
             return label
     return "other"
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y elementwise, each real product rounded before the sum as in
+    Python's complex product: the one rule by which every complex product
+    of arrays is formed. numpy's vectorised complex multiply may fuse them,
+    and then its last bit depends on the CPU's SIMD level."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+# the bras <ref| of `REFERENCE_STATES`, shape (references, 2, 1), then every label
+_REFERENCE_BRAS = np.array([s.vector for s in REFERENCE_STATES.values()]).conj()[..., None]
+_LABELS = (*REFERENCE_STATES, "other")
+
+
+def state_labels(vectors: np.ndarray) -> list[str]:
+    """`state_label` of each state vector, a row of `vectors` (shape
+    (states, 2)), from one array product against `REFERENCE_STATES`.
+    Each overlap <ref|v> is summed from `_product`s, as `inner_product`
+    forms it, and its modulus taken by `hypot` and squared by a product,
+    as `state_label` does, so each label is that function's."""
+    overlap = _product(_REFERENCE_BRAS[:, 0], vectors[:, 0]) + _product(
+        _REFERENCE_BRAS[:, 1], vectors[:, 1]
+    )
+    modulus = np.hypot(overlap.real, overlap.imag)
+    match = np.abs(modulus * modulus - 1.0) <= _LABEL_TOL
+    first = np.where(match.any(axis=0), match.argmax(axis=0), len(REFERENCE_STATES))
+    return [_LABELS[i] for i in first.tolist()]
 
 
 def _check_operators(mats: np.ndarray, what: str, complete: bool = False) -> np.ndarray:

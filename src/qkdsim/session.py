@@ -13,9 +13,10 @@ The hash's first round does not depend on the stage, so a block computes
 it once a pulse (`seed_prefix`) and seeds each stage from it. A stage
 draws only for the pulses that reach it: the channel for those Eve
 forwards, Bob for those that arrive; a stage whose mask drops nothing
-selects with a slice, not an index array. A skipped draw changes no
-other, so every draw made equals the per-pulse loop's, and the skipped
-ones reach no count.
+selects with a slice, not an index array. A block whose sessions all
+have loss probability 0 skips the channel stage, since u >= 0.0 holds
+for every uniform. A skipped draw changes no other, so every draw made
+equals the per-pulse loop's, and the skipped ones reach no count.
 
 Eve and Bob are both a threshold table read by one sampler, so the only
 branch on Eve's strategy is in choosing her POVM elements. A batch
@@ -128,20 +129,21 @@ def _stage_table(vectors: np.ndarray, elements: np.ndarray) -> np.ndarray:
 
 def _eve_measurement(
     strategies: list[EveStrategy], sent: tuple[QubitState, ...]
-) -> tuple[np.ndarray, list]:
+) -> tuple[np.ndarray, list, list]:
     """Eve's elements for each of `strategies` (one kind and scheme kind),
-    shape (strategies, frames, outcomes, 2, 2), and per strategy the state
+    shape (strategies, frames, outcomes, 2, 2); per strategy the state
     each slot forwards (None for none): a slot is one of her (frame,
     outcome) pairs, frame by frame; with no frames, one of Alice's states
-    `sent`, which passes through unmeasured."""
+    `sent`, which passes through unmeasured; and per strategy the pair it
+    discriminates (None for a strategy with no scheme)."""
     n = len(strategies)
     kind = strategies[0].kind
     if kind is EveKind.NONE:
-        return np.empty((n, 0, 1, 2, 2), dtype=complex), [sent] * n
+        return np.empty((n, 0, 1, 2, 2), dtype=complex), [sent] * n, [None] * n
     if kind is EveKind.INTERCEPT_RESEND:
         # she resends the eigenstate she found: `_BASES`'s slots and BB84's
         # states are both `REFERENCE_STATES` in order, so slot s resends state s
-        return np.broadcast_to(_BASES, (n,) + _BASES.shape), [_REFERENCES] * n
+        return np.broadcast_to(_BASES, (n,) + _BASES.shape), [_REFERENCES] * n, [None] * n
     pairs = [s.states() for s in strategies]
     if strategies[0].scheme is UsdSchemeKind.NAIVE_RANDOM_BASIS:
         # a frame's "minus" rules out one state and so identifies the other
@@ -151,7 +153,7 @@ def _eve_measurement(
         elements = idp_elements(pairs)
         targets = [(state0, state1, None) for state0, state1 in pairs]
     _check_operators(elements, "POVM element", complete=True)
-    return elements, targets
+    return elements, targets, pairs
 
 
 def _sample_stage(
@@ -196,7 +198,10 @@ class SessionCounts:
     One numbering covers the whole batch: `states` holds each distinct
     state once, Alice's states first (`protocol_states`, so a sent
     state's id is its bit, plus 2 * basis for BB84), then every other
-    state some strategy can forward. Of session i's pulses, `arrived[i]`
+    state some strategy can forward; row j of `vectors` holds state j's
+    amplitudes. Session i ran the distinct strategy `strategy[i]`, which
+    discriminates the pair `pairs[strategy[i]]` (None for a strategy with
+    no scheme). Of session i's pulses, `arrived[i]`
     reached Bob and `sifted[i]` were sifted. Each (frame, outcome) pair of
     Eve's measurement (with no Eve, each of Alice's states) is a slot:
     session i forwarded the state whose id is `forwarded_ids[i, s]` (-1
@@ -208,6 +213,9 @@ class SessionCounts:
 
     n_pulses: int
     states: tuple[QubitState, ...]
+    vectors: np.ndarray
+    strategy: np.ndarray
+    pairs: list
     arrived: np.ndarray
     sifted: np.ndarray
     forwarded: np.ndarray
@@ -220,11 +228,14 @@ class _Batch:
     """What every block of a batch reads: its sessions' bounds `starts`,
     master seeds and loss probabilities, the stage tables, each
     session's index among the distinct strategies (`strategy`), and per
-    distinct strategy the state id each forward slot names (`forward`;
-    see `SessionCounts`)."""
+    distinct strategy the state id each forward slot names (`forward`);
+    and what the counts report of it: its states, their `vectors` and
+    each distinct strategy's pair (see `SessionCounts`)."""
 
     kind: ProtocolKind
     states: tuple[QubitState, ...]
+    vectors: np.ndarray
+    pairs: list
     starts: np.ndarray
     master_seeds: np.ndarray
     loss: np.ndarray
@@ -297,7 +308,9 @@ def _batch(kind: ProtocolKind, sessions: Sequence[Session]) -> _Batch:
         raise ValueError("a batch needs at least one session")
     if any(s.n_pulses < 1 for s in sessions):
         raise ValueError("n_pulses must be at least 1")
-    if len({(s.strategy.kind, s.strategy.scheme) for s in sessions}) > 1:
+    first = sessions[0].strategy
+    if any(s.strategy.kind is not first.kind or s.strategy.scheme is not first.scheme
+           for s in sessions):
         raise ValueError("the sessions of a batch must share Eve's kind and scheme kind")
 
     # the batch's states, Alice's first, numbered once; Eve has one row block
@@ -306,11 +319,12 @@ def _batch(kind: ProtocolKind, sessions: Sequence[Session]) -> _Batch:
     index: dict[EveStrategy, int] = {}
     strategy = [index.setdefault(s.strategy, len(index)) for s in sessions]
     sent = protocol_states(kind)
-    elements, targets = _eve_measurement(list(index), sent)
-    forwardable = (t for slots in targets for t in slots if t is not None)
-    states = tuple(dict.fromkeys((*sent, *forwardable)))
-    ids = {state: i for i, state in enumerate(states)}
-    ids[None] = -1
+    elements, targets, pairs = _eve_measurement(list(index), sent)
+    ids = {state: i for i, state in enumerate(sent)}
+    forward = [
+        [-1 if t is None else ids.setdefault(t, len(ids)) for t in slots] for slots in targets
+    ]
+    states = tuple(ids)
     vectors = np.array([(state.amp0, state.amp1) for state in states], dtype=complex)
 
     starts = np.zeros(len(sessions) + 1, dtype=np.int64)
@@ -318,13 +332,15 @@ def _batch(kind: ProtocolKind, sessions: Sequence[Session]) -> _Batch:
     return _Batch(
         kind=kind,
         states=states,
+        vectors=vectors,
+        pairs=pairs,
         starts=starts,
         master_seeds=np.array([s.master_seed for s in sessions], dtype=np.uint64),
         loss=np.array([s.channel.loss_probability for s in sessions]),
         eve=_stage_table(vectors[: len(sent)], elements),
         bob=_stage_table(vectors, _BASES[None]),
         strategy=np.array(strategy, dtype=np.intp),
-        forward=np.array([[ids[t] for t in slots] for slots in targets], dtype=np.int32),
+        forward=np.array(forward, dtype=np.int32),
     )
 
 
@@ -366,13 +382,15 @@ def _block(batch: _Batch, a: int, b: int) -> _Block:
     del rows
 
     # a stage draws only for the pulses that reach it: the channel for those
-    # Eve forwards, Bob for those the channel passes
-    sent = _within(slice(None), forwarded >= 0)
+    # Eve forwards, Bob for those the channel passes; a block of lossless
+    # sessions passes every pulse (u >= 0.0 for every uniform), so draws nothing
+    sent = arrived = _within(slice(None), forwarded >= 0)
     loss = spread(batch.loss)
-    if lengths is not None:
-        loss = loss[sent]
-    passed = uniform_array(derive_seed_array(STAGE_CHANNEL, prefix[sent]), 0) >= loss
-    arrived = _within(sent, passed)
+    if np.any(loss):
+        if lengths is not None:
+            loss = loss[sent]
+        passed = uniform_array(derive_seed_array(STAGE_CHANNEL, prefix[sent]), 0) >= loss
+        arrived = _within(sent, passed)
     rows = forwarded[arrived].astype(np.intp)
     bob_bases, outcome = _sample_stage(batch.bob, rows, prefix[arrived], STAGE_BOB)
     return _Block(
@@ -432,6 +450,9 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
     return SessionCounts(
         n_pulses=batch.n_pulses,
         states=batch.states,
+        vectors=batch.vectors,
+        strategy=batch.strategy,
+        pairs=batch.pairs,
         arrived=table[:, 0],
         sifted=table[:, 1],
         forwarded=table[:, 2:],

@@ -26,6 +26,7 @@ from .quantum import (
     Povm,
     QubitState,
     REFERENCE_STATES,
+    _product,
     inner_product,
 )
 
@@ -101,17 +102,6 @@ def naive_frame_povms(rotation: float) -> tuple[Povm, Povm]:
     """The naive scheme's two projective measurements in a rotated frame."""
     z_frame, x_frame = naive_frame_elements([rotation])[0]
     return Povm(z_frame), Povm(x_frame)
-
-
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x * y elementwise, each real product rounded before the sum as in
-    Python's complex product: the one rule by which every complex product
-    here is formed. numpy's vectorised complex multiply may fuse them,
-    and then its last bit depends on the CPU's SIMD level."""
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
 
 
 def _outer(v: np.ndarray) -> np.ndarray:

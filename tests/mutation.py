@@ -74,7 +74,7 @@ MUTANTS = (
            "np.tile([True, False], len(m))", "np.tile([False, True], len(m))",
            ("test_protocol.py",)),
     Mutant("csv-boolean-case", "harness.py",
-           'return "true" if value else "false"', 'return "True" if value else "False"',
+           '{False: "false", True: "true"}', '{False: "False", True: "True"}',
            ("test_harness.py", "test_golden.py")),
     Mutant("report-decision-dict", "harness.py",
            'tests[test] = d if d["method"] else None', "tests[test] = d",
@@ -85,9 +85,9 @@ MUTANTS = (
     # `sift` sifts only arrived pulses, whatever Bob's columns hold for the others
     Mutant("sift-arrived", "protocol.py",
            "arrived & sift_mask(", "sift_mask(", ("test_protocol.py",)),
-    # each row's CSV cells are formatted by the one cell rule as it is joined
+    # each CSV column's cells are formatted by the one cell rule, picked by type
     Mutant("csv-cell-rule", "harness.py",
-           "map(_csv_cell, values)", "map(str, values)",
+           "[_csv_column(values) for", "[map(str, values) for",
            ("test_harness.py", "test_golden.py")),
     # the engine's table indexing: a slot is frame * outcomes + outcome, and
     # Eve's state rows are a block of Alice's states per distinct strategy
@@ -123,6 +123,12 @@ MUTANTS = (
     # elements add to the identity
     Mutant("random-povm-balance", "quantum.py",
            "tuple(-a - b for a, b in", "tuple(a + b for a, b in", ("test_quantum.py",)),
+    # a sweep point runs every rule of the check table that reads the swept
+    # field, its pure checks too, so a bad value still fails
+    Mutant("sweep-swept-check", "harness.py",
+           "if changed.intersection(rule.reads)]",
+           "if changed.intersection(rule.reads) and rule.keeps]",
+           ("test_harness.py",)),
     # only the basis-mismatch attack rotates Eve's frame
     Mutant("rotation-rule", "adversary.py",
            "if self.rotation and self.kind is not EveKind.BASIS_MISMATCH:", "if False:",

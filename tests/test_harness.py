@@ -31,9 +31,10 @@ from qkdsim.harness import (
     usd_check,
 )
 from qkdsim.protocol import ProtocolKind
-from qkdsim.quantum import state_label
+from qkdsim.quantum import state_labels
 from qkdsim.rng import derive_seed
 from qkdsim.session import BLOCK, STAGE_SWEEP
+from qkdsim.usd import usd_efficiency
 from reference import csv_lines, csv_row
 
 HALF_PI = math.pi / 2
@@ -156,9 +157,12 @@ class TestRunExperiment:
         assert counts["key_length"] == counts["sifted"] - counts["revealed"]
 
     def test_report_holds_only_measured_values(self):
+        """What the session measured, and the conclusive rate of the pair
+        Eve's measurement was built from, which the batch reads once per
+        distinct strategy; the channel's expectations come from the config."""
         assert [f.name for f in fields(RunReport)] == [
             "config", "arrived", "sifted", "revealed", "qber_test",
-            "null_ratio_test", "forwarded_z", "forwarded_x",
+            "null_ratio_test", "forwarded_z", "forwarded_x", "scheme_efficiency",
         ]
 
     def test_qber_is_the_qber_tests_statistic(self):
@@ -589,21 +593,27 @@ _LABEL_SWEEPS = {
 
 @pytest.mark.parametrize("parameter", list(_LABEL_SWEEPS))
 def test_sweep_labels_each_state_once_per_batch(parameter, tmp_path, monkeypatch):
-    """Forwarded-state labels come from exactly one `state_label` call per
-    entry of each batch's `states`, not one set per sweep point."""
+    """Forwarded-state labels come from one `state_labels` call per batch,
+    over the rows of that batch's `vectors`, one per entry of its
+    `states`: not one set per sweep point, and no `state_label` call."""
     calls, batches = [], []
 
-    def counting(state, *args, **kwargs):
-        calls.append(state)
-        return state_label(state, *args, **kwargs)
+    def counting(vectors):
+        calls.append(len(vectors))
+        return state_labels(vectors)
+
+    def per_state(state):
+        raise AssertionError("a batch labels its states in one array call")
 
     def recording(*args):
         batches.append(simulate(*args))
         return batches[-1]
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qkdsim" and hasattr(module, "state_label"):
-            monkeypatch.setattr(module, "state_label", counting)
+        if name.split(".")[0] == "qkdsim":
+            for attr, wrapper in (("state_labels", counting), ("state_label", per_state)):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, wrapper)
     simulate = harness.simulate_session
     monkeypatch.setattr(harness, "simulate_session", recording)
     extra, values, n_states = _LABEL_SWEEPS[parameter]
@@ -617,14 +627,17 @@ def test_sweep_labels_each_state_once_per_batch(parameter, tmp_path, monkeypatch
     n_batches = len(list(harness._batches([replace(config, **{parameter: v}) for v in values])))
     assert len(batches) == n_batches == 2
     assert all(len(set(batch.states)) == len(batch.states) for batch in batches)
-    assert len(calls) == sum(len(batch.states) for batch in batches) == n_states
+    assert calls == [len(batch.states) for batch in batches]
+    assert sum(calls) == n_states
 
 
 @pytest.mark.parametrize("output", ["json", "csv"])
 def test_sweep_parses_each_config_once(output, tmp_path, monkeypatch):
-    """An N-point delta sweep builds N + 1 channels, strategies and channel
-    expectations in all, the base config's and one per point: the engine,
-    the null-ratio test and the report read what each config kept."""
+    """An N-point delta sweep builds one channel and one channel
+    expectation, the base config's, which every point keeps, and N + 1
+    strategies, the base's and one per point: a point parses only the
+    swept field, and the engine, the null-ratio test and the report read
+    what each config kept."""
     counts = dict.fromkeys(("channel", "strategy", "expected_rates"), 0)
 
     def counting_init(name, init):
@@ -649,7 +662,115 @@ def test_sweep_parses_each_config_once(output, tmp_path, monkeypatch):
     code, out = _cli(["--output", output, "sweep", "--config", str(path),
                       "--param", "delta", "--values", ",".join(map(repr, values))])
     assert code == 0 and out
-    assert counts == dict.fromkeys(counts, len(values) + 1)
+    assert counts == {"channel": 1, "strategy": len(values) + 1, "expected_rates": 1}
+
+
+# parameter -> (base config fields, values); each base is valid, and the
+# values cross the unchanged fields' rules
+_POINT_SWEEPS = {
+    "delta": ({"eve_strategy": "basis_mismatch", "usd_scheme": "optimal"}, [0.0, 0.4, 1.5, 0]),
+    "n_pulses": ({"eve_strategy": "usd_suppress", "absorption": 0.1}, [1, 7, 60]),
+    "absorption": ({"efficiency": 0.5}, [0, 0.25, 1e-300, 0.5]),
+    "efficiency": (
+        {"absorption": 0.3, "eve_strategy": "basis_mismatch", "delta": 0.2}, [1, 0.5, 2e-5]
+    ),
+    "alpha": ({"protocol": "bb84", "eve_strategy": "intercept_resend"}, [0.5, 1e-9, 0.999]),
+}
+
+
+def test_point_sweeps_cover_every_sweep_parameter():
+    assert sorted(_POINT_SWEEPS) == sorted(SWEEP_PARAMETERS)
+
+
+@pytest.mark.parametrize("parameter", list(_POINT_SWEEPS))
+def test_each_sweep_point_config_equals_replace(parameter):
+    """Each point's config, which runs only the rules of the swept field and
+    the seed, equals `replace` of the base at the point's value and seed,
+    which runs them all: in equality, hash, `to_dict` (types too), the
+    parsed protocol kind, session and channel expectations, and every
+    attribute either keeps."""
+    extra, values = _POINT_SWEEPS[parameter]
+    base = ExperimentConfig.from_dict({**BASE, "n_pulses": 60, **extra})
+    points = [report.config for report in sweep(base, parameter, values)]
+    for index, (point, value) in enumerate(zip(points, values)):
+        seed = derive_seed(base.master_seed, index, STAGE_SWEEP)
+        full = replace(base, **{parameter: value, "master_seed": seed})
+        assert point == full and hash(point) == hash(full)
+        assert json.dumps(point.to_dict()) == json.dumps(full.to_dict())
+        assert point.protocol_kind is full.protocol_kind
+        assert (point.session, point.expected) == (full.session, full.expected)
+        assert vars(point) == vars(full)
+        assert type(getattr(point, parameter)) is type(value)
+
+
+# parameter -> (bad value, the message the full check gives it), each the
+# last value of a sweep whose other values are good
+_DEGENERATE = "degenerate channel (absorption 0.0, efficiency {}) delivers a pulse too rarely: " \
+    "its expected null ratio is not finite"
+_BAD_LAST = {
+    "delta": [(v, "delta must be in [0, pi/2)")
+              for v in ("nan", "inf", "-inf", "1.5707963267948966", "-0.1")],
+    "n_pulses": [("0", "n_pulses must be a positive integer"),
+                 ("9223372036854775808", "n_pulses must be below 2**63"),
+                 ("-3", "n_pulses must be a positive integer")],
+    "absorption": [(v, f"absorption must be in [0, 1], got {v}") for v in ("nan", "1.5", "-inf")],
+    "efficiency": [("nan", "efficiency must be in [0, 1], got nan"),
+                   ("0", _DEGENERATE.format(0.0)),
+                   ("5e-324", _DEGENERATE.format(5e-324)),
+                   ("inf", "efficiency must be in [0, 1], got inf")],
+    "alpha": [(v, "alpha must be in (0, 1)") for v in ("nan", "0", "1", "-inf")],
+}
+_GOOD = {
+    "delta": "0.3", "n_pulses": "40", "absorption": "0.2", "efficiency": "0.9", "alpha": "0.01"
+}
+
+
+@pytest.mark.parametrize(
+    "parameter,bad,message", [(p, *case) for p, cases in _BAD_LAST.items() for case in cases]
+)
+def test_sweep_rejects_a_bad_late_value_as_replace_does(parameter, bad, message, tmp_path):
+    """A bad last value of a sweep exits 2 with nothing on stdout and the
+    message `replace` gives for it, which runs the full check table."""
+    path = tmp_path / "base.json"
+    base = {**BASE, "n_pulses": 40, "eve_strategy": "basis_mismatch"}
+    path.write_text(json.dumps(base), encoding="utf-8")
+    value = _sweep_values(parameter, bad)[0]
+    with pytest.raises(ConfigurationError) as expected:
+        replace(ExperimentConfig.from_dict(base), **{parameter: value})
+    assert str(expected.value) == message
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--output", "csv", "sweep", "--config", str(path), "--param", parameter,
+                     "--values", ",".join([_GOOD[parameter]] * 3 + [bad])])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("scheme", ["naive", "optimal"])
+def test_scheme_efficiency_read_once_per_distinct_strategy(scheme, monkeypatch):
+    """A batch reads its scheme's conclusive rate once per distinct
+    strategy, off the pair it built, and each report's equals
+    `usd_efficiency` of its strategy's pair rotated afresh."""
+    base = ExperimentConfig.from_dict(
+        {**BASE, "n_pulses": 50, "eve_strategy": "basis_mismatch", "usd_scheme": scheme}
+    )
+    calls = _count_calls(monkeypatch, "usd_efficiency", [harness])
+    reports = sweep(base, "delta", [0.3, 0.3, 1.1, 0.0, 0.3, 1.1])
+    assert len(calls) == 3
+    monkeypatch.undo()
+    for report in reports:
+        strategy = report.config.session.strategy
+        assert report.scheme_efficiency == usd_efficiency(strategy.scheme, strategy.states)
+    assert (reports[0].scheme_efficiency == 0.25) == (scheme == "naive")
+
+
+def test_sweep_reports_the_first_bad_point():
+    """Of two bad values, the earlier one's message is the one raised."""
+    base = ExperimentConfig.from_dict({**BASE, "n_pulses": 40})
+    with pytest.raises(ConfigurationError, match=r"alpha must be in \(0, 1\)"):
+        sweep(base, "alpha", [0.1, 1.0, "x"])
+    with pytest.raises(ConfigurationError, match="alpha must be a number"):
+        sweep(base, "alpha", [0.1, "x", 1.0])
 
 
 class TestUsdCheck:

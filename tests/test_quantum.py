@@ -29,8 +29,10 @@ from qkdsim.quantum import (
     projector,
     random_povm,
     rotate_y,
+    _LABEL_TOL,
     state_from_bloch,
     state_label,
+    state_labels,
 )
 from qkdsim.rng import RngStream
 from reference import sample_outcome
@@ -104,6 +106,51 @@ class TestStates:
         assert B92_STATES == (Z_PLUS, X_PLUS)
         for label, state in REFERENCE_STATES.items():
             assert state_label(state) == label
+
+
+def _boundary_states(factors):
+    """Each reference state rotated so that |<ref|psi>|^2 = 1 - tol * f for
+    each f of `factors`, either way about the y axis, and at a global phase."""
+    phase = complex(math.cos(0.7), math.sin(0.7))
+    for ref in REFERENCE_STATES.values():
+        for f in factors:
+            for sign in (1.0, -1.0):
+                state = rotate_y(ref, sign * 2.0 * math.asin(math.sqrt(_LABEL_TOL * f)))
+                yield state
+                yield QubitState(phase * state.amp0, phase * state.amp1)
+
+
+class TestStateLabels:
+    """`state_labels`, the array rule a batch labels its states by, names
+    every state as `state_label` does."""
+
+    @staticmethod
+    def _both(states):
+        labels = state_labels(np.array([s.vector for s in states]))
+        assert labels == [state_label(s) for s in states]
+        return labels
+
+    def test_reference_states(self):
+        assert self._both(list(REFERENCE_STATES.values())) == list(REFERENCE_STATES)
+
+    def test_either_side_of_the_tolerance(self):
+        """Just inside (f < 1) a state takes its reference's label and just
+        outside it is "other"; within the rounding of the rotation, about
+        2e-7 of tol, both rules still agree on every state."""
+        inside = self._both(list(_boundary_states([1.0 - 1e-4, 1.0 - 1e-5])))
+        assert inside == [label for label in REFERENCE_STATES for _ in range(8)]
+        outside = self._both(list(_boundary_states([1.0 + 1e-5, 1.0 + 1e-4])))
+        assert set(outside) == {"other"}
+        self._both(list(_boundary_states(np.linspace(1.0 - 1e-6, 1.0 + 1e-6, 201))))
+
+    def test_random_and_rotated_states(self):
+        rng = RngStream(12)
+        states = [state_from_bloch(math.acos(1.0 - 2.0 * rng.uniform()),
+                                   2.0 * math.pi * rng.uniform()) for _ in range(2_000)]
+        angles = [1.5707963267948966 * rng.uniform() for _ in range(1_000)]
+        angles += [10.0 ** -k for k in range(1, 12)]
+        states += [rotate_y(s, a) for s in B92_STATES for a in angles]
+        assert "other" in self._both(states)
 
 
 class TestInnerProduct:

@@ -212,7 +212,9 @@ def test_stages_draw_only_for_pulses_that_reach_them(monkeypatch):
     """Lossy B92 naive usd_suppress sessions over blocks of 1,000 pulses,
     one block across both: Alice and Eve seed a stream for every pulse,
     the channel only for the pulses Eve forwards and Bob only for those
-    that arrived, block by block, and the totals equal the counts."""
+    that arrived, block by block, and the totals equal the counts. The
+    channel draws nothing in a block of lossless sessions, where every
+    forwarded pulse arrives."""
     monkeypatch.setattr(session, "BLOCK", 1_000)
     strategy = EveStrategy.of(EveKind.USD_SUPPRESS)
     sessions = [Session(2_500, ChannelModel(0.2, 0.8), strategy, 6),
@@ -234,6 +236,26 @@ def test_stages_draw_only_for_pulses_that_reach_them(monkeypatch):
     forwarded = np.where(counts.forwarded_ids >= 0, counts.forwarded, 0).sum()
     assert sum(sizes[STAGE_CHANNEL]) == forwarded < 3_200 // 2
     assert sum(sizes[STAGE_BOB]) == counts.arrived.sum() < forwarded
+
+    # a block whose sessions are all lossless makes no channel draw, and a
+    # block that also holds a lossy session draws for all its forwarded pulses
+    lossless = [Session(1_500, ChannelModel(), strategy, 6),
+                Session(300, ChannelModel(), strategy, 5)]
+    mixed = [*lossless, Session(400, ChannelModel(0.2, 0.8), strategy, 4)]
+    for sessions, drawing in ((lossless, []), (mixed, [1, 2])):
+        t = simulate_batch(ProtocolKind.B92, sessions)
+        for stage_sizes in sizes.values():
+            stage_sizes.clear()
+        counts = simulate_session(ProtocolKind.B92, sessions)
+        blocks = [slice(a, a + 1_000) for a in range(0, t.n_pulses, 1_000)]
+        assert sizes[STAGE_CHANNEL] == [
+            np.count_nonzero(t.forwarded_ids[blocks[b]] >= 0) for b in drawing
+        ]
+        assert sizes[STAGE_BOB] == [np.count_nonzero(t.arrived[b]) for b in blocks]
+        assert counts.arrived.tolist() == [
+            np.count_nonzero(t.arrived[a:b]) for a, b in zip(t.starts, t.starts[1:])
+        ]
+    assert np.array_equal(t.arrived[:1_800], t.forwarded_ids[:1_800] >= 0)
 
 
 def test_batch_rejects_mixed_kinds_and_empty_batches():
