@@ -5,12 +5,15 @@ numbers (finite, validated); operators are 2x2 numpy arrays. Algebraic
 identities are enforced to 1e-12. `REFERENCE_STATES` and `B92_STATES`
 are the one list of the S_z/S_x eigenstates and of the B92 pair.
 
-The operators the no-signaling demo prints are built by one rule: each
-real product is rounded before its sum, as in Python's complex product,
-with no eigendecomposition, BLAS kernel or fused multiply behind them,
-so their bits do not depend on the CPU. `projector` forms each entry as
-a Python complex product, and `random_povm` builds its elements in
-Bloch form from real arithmetic.
+Each qubit quantity is formed by one array rule, defined here once:
+`outer` (|v><v|), `inner_products` (<a|b>), `born` (Tr(E rho)) and the
+closed-form positivity check of `_check_operators`. Each rounds every
+real product before its sum, as Python's complex product does, and sums
+in one fixed order, with no eigendecomposition, BLAS kernel or fused
+multiply behind it, so its bits do not depend on the CPU. The engine's
+stage tables, `born_probabilities`, the USD elements and the
+no-signaling demo's operators all go through them; `random_povm` builds
+its elements in Bloch form from real arithmetic.
 """
 
 from __future__ import annotations
@@ -101,27 +104,6 @@ def orthogonal_state(state: QubitState) -> QubitState:
     return QubitState(-state.amp1.conjugate(), state.amp0.conjugate())
 
 
-def projector(state: QubitState) -> np.ndarray:
-    """Rank-1 projector |psi><psi| as a 2x2 array, each entry one Python
-    complex product, as `inner_product` forms them."""
-    kets = (state.amp0, state.amp1)
-    return np.array([[a * b.conjugate() for b in kets] for a in kets], dtype=complex)
-
-
-def state_label(state: QubitState) -> str:
-    """Name a state by its `REFERENCE_STATES` key (else "other").
-
-    Matching is up to global phase, via |<ref|state>|^2 within `_LABEL_TOL`
-    of 1; the modulus is squared by a product, which rounds once, as
-    `state_labels` squares it.
-    """
-    for label, ref in REFERENCE_STATES.items():
-        modulus = abs(inner_product(ref, state))
-        if abs(modulus * modulus - 1.0) <= _LABEL_TOL:
-            return label
-    return "other"
-
-
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x * y elementwise, each real product rounded before the sum as in
     Python's complex product: the one rule by which every complex product
@@ -133,24 +115,64 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-# the bras <ref| of `REFERENCE_STATES`, shape (references, 2, 1), then every label
-_REFERENCE_BRAS = np.array([s.vector for s in REFERENCE_STATES.values()]).conj()[..., None]
+def outer(v: np.ndarray) -> np.ndarray:
+    """|v><v| of every vector along the last axis of `v`, shape (..., 2, 2),
+    each entry v_i conj(v_j) one `_product`, as Python's complex product
+    rounds it."""
+    return _product(v[..., :, None], v.conj()[..., None, :])
+
+
+def inner_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a|b> of the vectors along the last axes of `a` and `b`, broadcast
+    over the leading axes: `inner_product`'s sum of two `_product`s, so
+    each equals that function's bit for bit."""
+    return _product(a[..., 0].conj(), b[..., 0]) + _product(a[..., 1].conj(), b[..., 1])
+
+
+def born(elements: np.ndarray, densities: np.ndarray) -> np.ndarray:
+    """Tr(E rho) = sum_ij Re(E_ij rho_ji) of the operators `elements` on
+    the densities `densities`, both (..., 2, 2), broadcast over the
+    leading axes. Each term is the real part of a `_product`, and the
+    four are summed left to right, ij = 00, 01, 10, 11: the one rule by
+    which every Born probability is formed."""
+    rho = densities.swapaxes(-1, -2)
+    terms = elements.real * rho.real - elements.imag * rho.imag
+    return terms[..., 0, 0] + terms[..., 0, 1] + terms[..., 1, 0] + terms[..., 1, 1]
+
+
+def projector(state: QubitState) -> np.ndarray:
+    """Rank-1 projector |psi><psi| as a 2x2 array (see `outer`)."""
+    return outer(state.vector)
+
+
+# the kets of `REFERENCE_STATES`, shape (references, 2), then every label
+_REFERENCE_VECTORS = np.array([s.vector for s in REFERENCE_STATES.values()])
 _LABELS = (*REFERENCE_STATES, "other")
 
 
 def state_labels(vectors: np.ndarray) -> list[str]:
-    """`state_label` of each state vector, a row of `vectors` (shape
-    (states, 2)), from one array product against `REFERENCE_STATES`.
-    Each overlap <ref|v> is summed from `_product`s, as `inner_product`
-    forms it, and its modulus taken by `hypot` and squared by a product,
-    as `state_label` does, so each label is that function's."""
-    overlap = _product(_REFERENCE_BRAS[:, 0], vectors[:, 0]) + _product(
-        _REFERENCE_BRAS[:, 1], vectors[:, 1]
-    )
+    """Name each state vector, a row of `vectors` (shape (states, 2)), by
+    the first `REFERENCE_STATES` key it matches, else "other".
+
+    A state matches a reference up to global phase, when |<ref|v>|^2 is
+    within `_LABEL_TOL` of 1. The overlaps come from one `inner_products`
+    call; each modulus is taken by `hypot` and squared by a product, as
+    `abs` and a product of Python floats would take them.
+    """
+    overlap = inner_products(_REFERENCE_VECTORS[:, None], vectors)
     modulus = np.hypot(overlap.real, overlap.imag)
     match = np.abs(modulus * modulus - 1.0) <= _LABEL_TOL
     first = np.where(match.any(axis=0), match.argmax(axis=0), len(REFERENCE_STATES))
     return [_LABELS[i] for i in first.tolist()]
+
+
+def _smallest_eigenvalues(mats: np.ndarray) -> np.ndarray:
+    """The smaller eigenvalue of each Hermitian [[a, b*], [b, d]] of `mats`
+    (shape (..., 2, 2)) in closed form, (a + d)/2 - hypot((a - d)/2, |b|),
+    from the diagonal's real parts and the lower entry b, the entries
+    LAPACK's `eigvalsh` reads; no LAPACK kernel behind it."""
+    a, d, b = mats[..., 0, 0].real, mats[..., 1, 1].real, mats[..., 1, 0]
+    return (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(b))
 
 
 def _check_operators(mats: np.ndarray, what: str, complete: bool = False) -> np.ndarray:
@@ -166,7 +188,7 @@ def _check_operators(mats: np.ndarray, what: str, complete: bool = False) -> np.
         raise ValueError(f"{what} has non-finite entries")
     if np.max(np.abs(mats - mats.conj().swapaxes(-1, -2))) > ALGEBRA_TOL:
         raise ValueError(f"{what} is not Hermitian")
-    if np.linalg.eigvalsh(mats).min() < -ALGEBRA_TOL:
+    if _smallest_eigenvalues(mats).min() < -ALGEBRA_TOL:
         raise ValueError(f"{what} is not positive semidefinite")
     if complete and np.max(np.abs(mats.sum(axis=-3) - _IDENTITY)) > ALGEBRA_TOL:
         raise ValueError("POVM elements do not sum to the identity")
@@ -207,9 +229,7 @@ SX_POVM = projective_povm(X_PLUS, X_MINUS)
 
 def born_probabilities(state: QubitState, povm: Povm) -> np.ndarray:
     """Outcome probabilities <psi|E_i|psi>, clamped to [0, 1]."""
-    v = state.vector
-    probs = np.array([float(np.real(v.conj() @ (e @ v))) for e in povm.elements])
-    return np.clip(probs, 0.0, 1.0)
+    return np.clip(born(povm.elements, projector(state)), 0.0, 1.0)
 
 
 def measurement_probs(state: QubitState, basis: str) -> tuple[float, float]:

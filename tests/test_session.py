@@ -9,6 +9,14 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
+from enumeration import (
+    TAU_X_MINUS,
+    TAU_X_PLUS,
+    TAU_Z_MINUS,
+    TAU_Z_PLUS,
+    _usd_conclusive_branches,
+    born,
+)
 from qkdsim import session
 from qkdsim.adversary import (
     HALF_PI,
@@ -27,7 +35,6 @@ from qkdsim.quantum import (
     Z_MINUS,
     Z_PLUS,
     born_probabilities,
-    state_label,
 )
 from qkdsim.session import (
     BLOCK,
@@ -53,6 +60,7 @@ from reference import (
     one_session,
     session_columns,
     simulate_batch,
+    state_label,
     symmetry,
 )
 
@@ -400,6 +408,38 @@ def _assert_thresholds(table, first, states, povms):
             assert np.array_equal(table[first + k, f].view(np.uint64), expected.view(np.uint64))
 
 
+def _taus(strategies):
+    """The half-angle tau (see `enumeration`) of every state a batch of
+    `strategies` can hold: the reference states and each pair Eve
+    discriminates, B92's pair turned by delta / 2."""
+    taus = {Z_PLUS: TAU_Z_PLUS, Z_MINUS: TAU_Z_MINUS, X_PLUS: TAU_X_PLUS, X_MINUS: TAU_X_MINUS}
+    for strategy in strategies:
+        if strategy.scheme is not None:
+            half = strategy.rotation / 2.0
+            taus.update(zip(strategy.states(), (TAU_Z_PLUS + half, TAU_X_PLUS + half)))
+    return taus
+
+
+def _bob_row(tau):
+    """Bob's thresholds on the state at tau: P(plus) in z, then in x."""
+    return [[born(tau, TAU_Z_PLUS)], [born(tau, TAU_X_PLUS)]]
+
+
+def _eve_row(strategy, tau):
+    """Eve's thresholds on Alice's state at tau, from the enumeration's
+    outcome trees: P(plus) per frame, 1 minus twice the frame's minus
+    branch, for the naive scheme; the running sum of the two conclusive
+    branches for the optimal one."""
+    if strategy.kind is EveKind.NONE:
+        return np.empty((0, 0))
+    if strategy.kind is EveKind.INTERCEPT_RESEND:
+        return _bob_row(tau)
+    (p0, _), (p1, _) = _usd_conclusive_branches(tau, strategy.rotation, strategy.scheme.value)
+    if strategy.scheme is UsdSchemeKind.NAIVE_RANDOM_BASIS:
+        return [[1.0 - 2.0 * p0], [1.0 - 2.0 * p1]]
+    return [[p0, p0 + p1]]
+
+
 def _sweep_sessions(n, deltas, n_pulses=1):
     return [Session(n_pulses, ChannelModel(), _mismatch(d), i) for i, d in enumerate(deltas[:n])]
 
@@ -455,10 +495,12 @@ def test_stage_tables_equal_born_probabilities(kind, strategies):
     """The engine's Eve table of a batch holds, for each distinct strategy
     in turn, a block of rows over Alice's states, and its Bob table a row
     per state of the batch; each row equals the per-state
-    `born_probabilities` running sums on its own POVM, bit for bit. Its
-    slot table has one row per distinct strategy, the ids of the states
-    her slots forward, and each session's forwarded ids are its
-    strategy's row."""
+    `born_probabilities` running sums on its own POVM, bit for bit. Both
+    sides form their probabilities by `quantum.born`, so every threshold
+    is also checked, to 1e-14, against the closed forms of
+    `enumeration`, which share no code with the package. Its slot table
+    has one row per distinct strategy, the ids of the states her slots
+    forward, and each session's forwarded ids are its strategy's row."""
     sessions = [Session(1, ChannelModel(), s, 0) for s in strategies]
     batch = session._batch(kind, sessions)
     sent = session.protocol_states(kind)
@@ -473,6 +515,13 @@ def test_stage_tables_equal_born_probabilities(kind, strategies):
         _assert_thresholds(batch.eve, j * len(sent), sent, povms)
         assert batch.forward[j].tolist() == [ids[t] for t in targets]
     _assert_thresholds(batch.bob, 0, batch.states, (SZ_POVM, SX_POVM))
+    taus = _taus(strategies)
+    for strategy, j in distinct.items():
+        rows = batch.eve[j * len(sent): (j + 1) * len(sent)]
+        expected = [_eve_row(strategy, taus[state]) for state in sent]
+        np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-14)
+    expected = [_bob_row(taus[state]) for state in batch.states]
+    np.testing.assert_allclose(batch.bob, expected, rtol=0, atol=1e-14)
     assert batch.eve.shape[0] == len(distinct) * len(sent)
     assert batch.bob.shape[0] == len(batch.states)
     forwarded_ids = simulate_session(kind, sessions).forwarded_ids

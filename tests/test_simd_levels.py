@@ -1,5 +1,6 @@
-"""The golden digests at lower CPU generations: no report's bytes may
-depend on which kernels numpy or its BLAS dispatch to on this CPU.
+"""The golden digests and the engine's stage tables at lower CPU
+generations: no report's bytes, and no threshold the engine samples by,
+may depend on which kernels numpy or its BLAS dispatch to on this CPU.
 
 numpy runs each ufunc loop in the kernel of the widest SIMD features the
 CPU has, and `NPY_DISABLE_CPU_FEATURES` makes a process run the kernels
@@ -9,7 +10,11 @@ them from `OPENBLAS_CORETYPE` instead. Each level emulates one CPU
 generation in both, and runs every golden case once, in a fresh process,
 comparing each stdout digest with the pinned one: first without AVX-512
 (OpenBLAS core Haswell, the kernels of AVX2 CPUs without AVX-512 and of
-AMD Zen), then without AVX2/FMA as well (core Sandybridge).
+AMD Zen), then without AVX2/FMA as well (core Sandybridge). The same
+process hashes the Eve and Bob stage tables of 200 naive and 200 optimal
+mismatch rotations, which must equal a default process's bytes: a count
+moves only if a draw lands between two such thresholds, so the digests
+alone would not show a table that follows the CPU.
 
 The feature names come from numpy's own dispatch list, because they
 differ across numpy versions, and only names that list holds and this
@@ -21,6 +26,7 @@ that core on stderr (`OPENBLAS_VERBOSE=2`).
 """
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -31,6 +37,10 @@ import numpy as np
 import pytest
 
 import qkdsim
+from qkdsim import session
+from qkdsim.adversary import HALF_PI, ChannelModel, EveKind, EveStrategy
+from qkdsim.protocol import ProtocolKind
+from qkdsim.usd import UsdSchemeKind
 from test_golden import CASES, DIGESTS
 
 try:
@@ -74,6 +84,20 @@ LEVELS = {
     ),
 }
 
+
+def stage_table_digests() -> dict[str, str]:
+    """Per scheme, the sha256 of the Eve then Bob stage tables' bytes of
+    one B92 batch of 200 mismatch rotations in [0, pi/2)."""
+    deltas = np.linspace(0.0, HALF_PI, 200, endpoint=False).tolist()
+    digests = {}
+    for scheme in UsdSchemeKind:
+        strategies = [EveStrategy.of(EveKind.BASIS_MISMATCH, scheme, d) for d in deltas]
+        sessions = [session.Session(1, ChannelModel(), s, 0) for s in strategies]
+        batch = session._batch(ProtocolKind.B92, sessions)
+        digests[scheme.value] = hashlib.sha256(batch.eve.tobytes() + batch.bob.tobytes()).hexdigest()
+    return digests
+
+
 _PROBE = """
 import json, tempfile
 from pathlib import Path
@@ -81,18 +105,19 @@ try:
     from numpy._core._multiarray_umath import __cpu_features__
 except ImportError:
     from numpy.core._multiarray_umath import __cpu_features__
-import test_golden
+import test_golden, test_simd_levels
 with tempfile.TemporaryDirectory() as scratch:
     digests = {name: test_golden._digest(name, Path(scratch)) for name in test_golden.CASES}
-print(json.dumps({"on": [n for n, have in __cpu_features__.items() if have], "digests": digests}))
+print(json.dumps({"on": [n for n, have in __cpu_features__.items() if have], "digests": digests,
+                  "tables": test_simd_levels.stage_table_digests()}))
 """
 
+_TABLES = "import json, test_simd_levels; print(json.dumps(test_simd_levels.stage_table_digests()))"
 
-@functools.cache
-def _run(level: str) -> dict:
-    """The features on, every golden case's digest and OpenBLAS's stderr
-    in a process at `level`."""
-    features, core = LEVELS[level]
+
+def _child(code: str, features: list[str], core: str | None) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh process with numpy's `features` disabled and
+    OpenBLAS on `core` (its own choice where None)."""
     tests = str(Path(__file__).resolve().parent)
     src = str(Path(qkdsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
@@ -101,9 +126,24 @@ def _run(level: str) -> dict:
     env.pop("OPENBLAS_CORETYPE", None)
     if core:
         env["OPENBLAS_CORETYPE"] = core
-    done = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True, text=True, env=env)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
+    return done
+
+
+@functools.cache
+def _run(level: str) -> dict:
+    """The features on, every golden case's digest, the stage tables'
+    digests and OpenBLAS's stderr in a process at `level`."""
+    done = _child(_PROBE, *LEVELS[level])
     return {**json.loads(done.stdout), "stderr": done.stderr}
+
+
+@functools.cache
+def _default_tables() -> dict[str, str]:
+    """The stage tables' digests in a process with every kernel numpy and
+    OpenBLAS pick for this CPU."""
+    return json.loads(_child(_TABLES, [], None).stdout)
 
 
 @pytest.mark.parametrize("level", list(LEVELS))
@@ -122,3 +162,8 @@ def test_level_disables_its_features(level):
 def test_digest_holds_at_simd_level(level, name):
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert _run(level)["digests"][name] == pinned[name]
+
+
+@pytest.mark.parametrize("level", list(LEVELS))
+def test_stage_tables_hold_at_simd_level(level):
+    assert _run(level)["tables"] == _default_tables()
