@@ -373,9 +373,10 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
     each session's stream is stage `STAGE_ESTIMATE` of its pulse 0, seeded
     from that pulse's prefix as every engine stage is. The counts stay int64
     arrays through the reveal and both tests, and become Python ints once,
-    for the reports. The batch's states are labelled by one array product
-    (`state_labels`), and the scheme's conclusive rate is read once per
-    distinct strategy, off the pair the engine built for it.
+    for the reports. The batch's kets are labelled by one array product
+    (`state_labels`), and the scheme's conclusive rates by one
+    `usd_efficiency` call, a rate per distinct strategy, off the ket pairs
+    the engine rotated for them.
     """
     kind = configs[0].protocol_kind
     sessions = [c.session for c in configs]
@@ -400,7 +401,7 @@ def _run_batch(configs: list[ExperimentConfig]) -> list[RunReport]:
         counts.forwarded, labels[counts.forwarded_ids]
     )
     scheme = sessions[0].strategy.scheme
-    rates = [None if scheme is None else usd_efficiency(scheme, lambda: p) for p in counts.pairs]
+    rates = usd_efficiency(scheme, counts.pairs).tolist() if scheme else [None] * len(configs)
 
     sent = np.array([c.n_pulses for c in configs], dtype=np.int64)
     null_decisions = null_ratio_test(
@@ -525,8 +526,8 @@ def usd_check(angles: list[tuple[float, float]]) -> dict:
         "optimal_conclusive_rate": None,
     }
     if feasible and len(states) == 2:
-        rate = usd_efficiency(UsdSchemeKind.OPTIMAL_IDP, lambda: states)
-        report["optimal_conclusive_rate"] = rate
+        pair = np.array([[s.vector for s in states]])
+        report["optimal_conclusive_rate"] = usd_efficiency(UsdSchemeKind.OPTIMAL_IDP, pair).item()
     return report
 
 

@@ -3,17 +3,19 @@
 Everything is fixed at dimension 2. Amplitudes are plain Python complex
 numbers (finite, validated); operators are 2x2 numpy arrays. Algebraic
 identities are enforced to 1e-12. `REFERENCE_STATES` and `B92_STATES`
-are the one list of the S_z/S_x eigenstates and of the B92 pair.
+are the one list of the S_z/S_x eigenstates and of the B92 pair, and
+`REFERENCE_KETS` holds the former's kets.
 
 Each qubit quantity is formed by one array rule, defined here once:
-`outer` (|v><v|), `inner_products` (<a|b>), `born` (Tr(E rho)) and the
-closed-form positivity check of `_check_operators`. Each rounds every
-real product before its sum, as Python's complex product does, and sums
-in one fixed order, with no eigendecomposition, BLAS kernel or fused
-multiply behind it, so its bits do not depend on the CPU. The engine's
-stage tables, `born_probabilities`, the USD elements and the
-no-signaling demo's operators all go through them; `random_povm` builds
-its elements in Bloch form from real arithmetic.
+`rotate_kets` (a y rotation), `outer` (|v><v|), `inner_products`
+(<a|b>), `born` (Tr(E rho)) and the closed-form positivity check of
+`_check_operators`. Each rounds every real product before its sum, as
+Python's complex product does, and sums in one fixed order, with no
+eigendecomposition, BLAS kernel or fused multiply behind it, so its bits
+do not depend on the CPU. The engine's rotated frames and stage tables,
+`rotate_y`, `born_probabilities`, the USD elements and the no-signaling
+demo's operators all go through them; `random_povm` builds its elements
+in Bloch form from real arithmetic.
 """
 
 from __future__ import annotations
@@ -84,14 +86,12 @@ def state_from_bloch(theta: float, phi: float) -> QubitState:
 
 
 def rotate_y(state: QubitState, angle: float) -> QubitState:
-    """Rotate a state by `angle` about the Bloch y axis.
+    """Rotate a state by `angle` about the Bloch y axis (see `rotate_kets`).
 
     Maps Bloch angle theta to theta + angle in the x-z plane; at angle 0
     the amplitudes are returned bit-for-bit unchanged.
     """
-    c = math.cos(angle / 2.0)
-    s = math.sin(angle / 2.0)
-    return QubitState(c * state.amp0 - s * state.amp1, s * state.amp0 + c * state.amp1)
+    return QubitState(*rotate_kets(state.vector, [angle])[0].tolist())
 
 
 def inner_product(a: QubitState, b: QubitState) -> complex:
@@ -129,6 +129,20 @@ def inner_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _product(a[..., 0].conj(), b[..., 0]) + _product(a[..., 1].conj(), b[..., 1])
 
 
+def rotate_kets(kets: np.ndarray, angles: Sequence[float]) -> np.ndarray:
+    """The kets along the last axis of `kets` (shape (..., 2)) rotated about
+    the Bloch y axis by each of `angles`, shape (angles, ..., 2):
+    (c k0 - s k1, s k0 + c k1) with the half angle's cosine c and sine s
+    taken by `math`, each product a `_product` of the real factor as a
+    complex number, as Python's float-by-complex product rounds it."""
+    half = [angle / 2.0 for angle in angles]
+    shape = (len(half),) + (1,) * (kets.ndim - 1)
+    c = np.array([math.cos(h) for h in half], dtype=complex).reshape(shape)
+    s = np.array([math.sin(h) for h in half], dtype=complex).reshape(shape)
+    k0, k1 = kets[..., 0], kets[..., 1]
+    return np.stack([_product(c, k0) - _product(s, k1), _product(s, k0) + _product(c, k1)], -1)
+
+
 def born(elements: np.ndarray, densities: np.ndarray) -> np.ndarray:
     """Tr(E rho) = sum_ij Re(E_ij rho_ji) of the operators `elements` on
     the densities `densities`, both (..., 2, 2), broadcast over the
@@ -146,7 +160,8 @@ def projector(state: QubitState) -> np.ndarray:
 
 
 # the kets of `REFERENCE_STATES`, shape (references, 2), then every label
-_REFERENCE_VECTORS = np.array([s.vector for s in REFERENCE_STATES.values()])
+REFERENCE_KETS = np.array([s.vector for s in REFERENCE_STATES.values()])
+REFERENCE_KETS.setflags(write=False)
 _LABELS = (*REFERENCE_STATES, "other")
 
 
@@ -159,7 +174,7 @@ def state_labels(vectors: np.ndarray) -> list[str]:
     call; each modulus is taken by `hypot` and squared by a product, as
     `abs` and a product of Python floats would take them.
     """
-    overlap = inner_products(_REFERENCE_VECTORS[:, None], vectors)
+    overlap = inner_products(REFERENCE_KETS[:, None], vectors)
     modulus = np.hypot(overlap.real, overlap.imag)
     match = np.abs(modulus * modulus - 1.0) <= _LABEL_TOL
     first = np.where(match.any(axis=0), match.argmax(axis=0), len(REFERENCE_STATES))

@@ -20,18 +20,19 @@ equals the per-pulse loop's, and the skipped ones reach no count.
 
 Eve and Bob are both a threshold table read by one sampler, so the only
 branch on Eve's strategy is in choosing her POVM elements. A batch
-numbers its distinct states once (`SessionCounts.states`): Alice's
-first, so a sent state's id is its bit (+ 2 * basis), then every state
+numbers its distinct kets once (`SessionCounts.vectors`): Alice's
+first, so a sent state's id is its bit (+ 2 * basis), then every ket
 some strategy can forward. It has one Eve table, a block of rows over
-Alice's states per distinct strategy, one Bob table, a row per state,
+Alice's states per distinct strategy, one Bob table, a row per ket,
 and one slot table, a row per distinct strategy holding the id of the
-state each of its slots forwards. The elements of all the strategies
-are built as one array by `usd`'s batch builders, with no per-strategy
-`Povm` object, checked once, and turned into every row by one
-`quantum.born` call and one running sum. Eve reads her strategy's block at
-Alice's id, and the slot her draw lands in names the forwarded id, which
-Bob reads as his row. Because no stage ever
-touches another pulse's stream, the engine runs a *batch* of sessions
+ket each of its slots forwards. Eve's frames are rotated for all the
+strategies by one `usd.frame_kets` call, and her elements are built
+from those kets as one array by `usd`'s batch builders, with no
+per-strategy `QubitState` or `Povm` object, checked once, and turned
+into every row by one `quantum.born` call and one running sum. Eve
+reads her strategy's block at Alice's id, and the slot her draw lands
+in names the forwarded id, which Bob reads as his row. Because no stage
+ever touches another pulse's stream, the engine runs a *batch* of sessions
 (one protocol, one Eve kind and discrimination scheme; any lengths,
 channels, deltas and master seeds) as one pulse range cut into blocks of
 `BLOCK` pulses. Every stage runs as numpy array operations over a block
@@ -63,10 +64,10 @@ import numpy as np
 
 from .adversary import ChannelModel, EveKind, EveStrategy
 from .protocol import ProtocolKind, disagreements, sift_mask
-from .quantum import B92_STATES, SX_POVM, SZ_POVM, QubitState, REFERENCE_STATES
+from .quantum import B92_STATES, REFERENCE_KETS, SX_POVM, SZ_POVM, QubitState, REFERENCE_STATES
 from .quantum import _check_operators, born, outer
 from .rng import RngStream, derive_seed, derive_seed_array, seed_prefix, uniform_array
-from .usd import UsdSchemeKind, idp_elements, naive_frame_elements
+from .usd import UsdSchemeKind, frame_kets, idp_elements
 
 # not called here; kept because bench/tracing.py wraps these four names on this module
 from .quantum import born_probabilities, measurement_probs  # noqa: F401
@@ -107,6 +108,8 @@ def _coin(u: np.ndarray) -> np.ndarray:
 
 # Bob's z and x frames, shape (frames, outcomes, 2, 2); intercept-resend measures in them too
 _BASES = np.stack([SZ_POVM.elements, SX_POVM.elements])
+# the pairs of strategies with no discrimination scheme: none
+_NO_PAIRS = np.empty((0, 2, 2), dtype=complex)
 
 
 def _stage_table(vectors: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -118,41 +121,49 @@ def _stage_table(vectors: np.ndarray, elements: np.ndarray) -> np.ndarray:
     outcomes - 1); every row is there, read or not.
 
     All rows come from one `born` call on the states' projectors
-    (`outer`), each probability clamped to [0, 1].
+    (`outer`) and every element but each frame's last, each probability
+    clamped to [0, 1].
     """
     n_blocks, n_frames, n_outcomes = elements.shape[:3]
-    probs = np.clip(born(elements[:, None], outer(vectors)[:, None, None]), 0.0, 1.0)
+    probs = np.clip(born(elements[:, None, :, :-1], outer(vectors)[:, None, None]), 0.0, 1.0)
     shape = (n_blocks * len(vectors), n_frames, n_outcomes - 1)
-    return np.cumsum(probs[..., :-1], axis=-1).reshape(shape)
+    return np.cumsum(probs, axis=-1).reshape(shape)
 
 
 def _eve_measurement(
-    strategies: list[EveStrategy], sent: tuple[QubitState, ...]
-) -> tuple[np.ndarray, list, list]:
+    strategies: list[EveStrategy], sent: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
     """Eve's elements for each of `strategies` (one kind and scheme kind),
-    shape (strategies, frames, outcomes, 2, 2); per strategy the state
-    each slot forwards (None for none): a slot is one of her (frame,
-    outcome) pairs, frame by frame; with no frames, one of Alice's states
-    `sent`, which passes through unmeasured; and per strategy the pair it
-    discriminates (None for a strategy with no scheme)."""
+    shape (strategies, frames, outcomes, 2, 2); per strategy the ket each
+    slot forwards, shape (strategies, slots, 2), and per slot whether it
+    forwards one (a slot is one of her (frame, outcome) pairs, frame by
+    frame; with no frames, one of Alice's kets `sent`, which passes
+    through unmeasured); and per strategy the ket pair it discriminates,
+    shape (strategies, 2, 2), with no rows for a kind with no scheme.
+
+    The frames of all the strategies are rotated by one `frame_kets`
+    call, and each pair is its two frames' plus kets."""
     n = len(strategies)
     kind = strategies[0].kind
     if kind is EveKind.NONE:
-        return np.empty((n, 0, 1, 2, 2), dtype=complex), [sent] * n, [None] * n
+        targets = np.broadcast_to(sent, (n,) + sent.shape)
+        return np.empty((n, 0, 1, 2, 2), dtype=complex), targets, [True] * len(sent), _NO_PAIRS
     if kind is EveKind.INTERCEPT_RESEND:
-        # she resends the eigenstate she found: `_BASES`'s slots and BB84's
-        # states are both `REFERENCE_STATES` in order, so slot s resends state s
-        return np.broadcast_to(_BASES, (n,) + _BASES.shape), [_REFERENCES] * n, [None] * n
-    pairs = [s.states() for s in strategies]
+        # she resends the eigenstate she found: `_BASES`'s slots and
+        # `REFERENCE_KETS` are both `REFERENCE_STATES` in order
+        targets = np.broadcast_to(REFERENCE_KETS, (n,) + REFERENCE_KETS.shape)
+        return np.broadcast_to(_BASES, (n,) + _BASES.shape), targets, [True] * 4, _NO_PAIRS
+    frames = frame_kets([s.rotation for s in strategies])
+    pairs = frames[:, :, 0]
+    # each slot names the state of the pair it forwards, None for none
     if strategies[0].scheme is UsdSchemeKind.NAIVE_RANDOM_BASIS:
         # a frame's "minus" rules out one state and so identifies the other
-        elements = naive_frame_elements([s.rotation for s in strategies])
-        targets = [(None, state1, None, state0) for state0, state1 in pairs]
+        elements, slots = outer(frames), (None, 1, None, 0)
     else:
-        elements = idp_elements(pairs)
-        targets = [(state0, state1, None) for state0, state1 in pairs]
+        elements, slots = idp_elements(pairs), (0, 1, None)
     _check_operators(elements, "POVM element", complete=True)
-    return elements, targets, pairs
+    targets = pairs[:, [slot or 0 for slot in slots]]
+    return elements, targets, [slot is not None for slot in slots], pairs
 
 
 def _sample_stage(
@@ -194,27 +205,27 @@ class SessionCounts:
     """What a batch of sessions of one protocol leaves: per-session counts
     and the sifted disagreement bits.
 
-    One numbering covers the whole batch: `states` holds each distinct
-    state once, Alice's states first (`protocol_states`, so a sent
-    state's id is its bit, plus 2 * basis for BB84), then every other
-    state some strategy can forward; row j of `vectors` holds state j's
-    amplitudes. Session i ran the distinct strategy `strategy[i]`, which
-    discriminates the pair `pairs[strategy[i]]` (None for a strategy with
-    no scheme). Of session i's pulses, `arrived[i]`
-    reached Bob and `sifted[i]` were sifted. Each (frame, outcome) pair of
-    Eve's measurement (with no Eve, each of Alice's states) is a slot:
-    session i forwarded the state whose id is `forwarded_ids[i, s]` (-1
-    for none: the pulse was suppressed) `forwarded[i, s]` times. `errors`
+    One numbering covers the whole batch: row j of `vectors` holds the
+    amplitudes of ket j, each distinct ket once, Alice's first
+    (`protocol_states`, so a sent state's id is its bit, plus 2 * basis
+    for BB84), then every other ket some strategy can forward. Session i
+    ran the distinct strategy `strategy[i]`; with a discrimination
+    scheme, it discriminates the ket pair `pairs[strategy[i]]` (`pairs`
+    has shape (strategies, 2, 2), and no rows without a scheme). Of
+    session i's pulses, `arrived[i]` reached Bob and `sifted[i]` were
+    sifted. Each (frame, outcome) pair of Eve's measurement (with no Eve,
+    each of Alice's states) is a slot: session i forwarded the ket whose
+    id is `forwarded_ids[i, s]` (-1 for none: the pulse was suppressed)
+    `forwarded[i, s]` times. `errors`
     holds whether Bob's bit disagrees with Alice's for every sifted
     pulse, in pulse order, so session i's are the `sifted[i]` after those
     of the sessions before it.
     """
 
     n_pulses: int
-    states: tuple[QubitState, ...]
     vectors: np.ndarray
     strategy: np.ndarray
-    pairs: list
+    pairs: np.ndarray
     arrived: np.ndarray
     sifted: np.ndarray
     forwarded: np.ndarray
@@ -227,14 +238,13 @@ class _Batch:
     """What every block of a batch reads: its sessions' bounds `starts`,
     master seeds and loss probabilities, the stage tables, each
     session's index among the distinct strategies (`strategy`), and per
-    distinct strategy the state id each forward slot names (`forward`);
-    and what the counts report of it: its states, their `vectors` and
-    each distinct strategy's pair (see `SessionCounts`)."""
+    distinct strategy the ket id each forward slot names (`forward`);
+    and what the counts report of it: its kets (`vectors`) and each
+    distinct strategy's pair (see `SessionCounts`)."""
 
     kind: ProtocolKind
-    states: tuple[QubitState, ...]
     vectors: np.ndarray
-    pairs: list
+    pairs: np.ndarray
     starts: np.ndarray
     master_seeds: np.ndarray
     loss: np.ndarray
@@ -312,31 +322,32 @@ def _batch(kind: ProtocolKind, sessions: Sequence[Session]) -> _Batch:
            for s in sessions):
         raise ValueError("the sessions of a batch must share Eve's kind and scheme kind")
 
-    # the batch's states, Alice's first, numbered once; Eve has one row block
-    # per distinct strategy over Alice's states, Bob one row per state, and
+    # the batch's kets, Alice's first, numbered once; Eve has one row block
+    # per distinct strategy over Alice's states, Bob one row per ket, and
     # the slot table one row per distinct strategy
     index: dict[EveStrategy, int] = {}
     strategy = [index.setdefault(s.strategy, len(index)) for s in sessions]
-    sent = protocol_states(kind)
-    elements, targets, pairs = _eve_measurement(list(index), sent)
-    ids = {state: i for i, state in enumerate(sent)}
+    sent = np.array([s.vector for s in protocol_states(kind)])
+    elements, targets, present, pairs = _eve_measurement(list(index), sent)
+    # a ket is keyed by its amplitudes as Python complex numbers, which
+    # compare and hash as `QubitState`'s fields do
+    ids = {tuple(ket): i for i, ket in enumerate(sent.tolist())}
     forward = [
-        [-1 if t is None else ids.setdefault(t, len(ids)) for t in slots] for slots in targets
+        [ids.setdefault(tuple(ket), len(ids)) if p else -1 for ket, p in zip(kets, present)]
+        for kets in targets.tolist()
     ]
-    states = tuple(ids)
-    vectors = np.array([(state.amp0, state.amp1) for state in states], dtype=complex)
+    vectors = np.array(list(ids), dtype=complex)
 
     starts = np.zeros(len(sessions) + 1, dtype=np.int64)
     np.cumsum([s.n_pulses for s in sessions], out=starts[1:])
     return _Batch(
         kind=kind,
-        states=states,
         vectors=vectors,
         pairs=pairs,
         starts=starts,
         master_seeds=np.array([s.master_seed for s in sessions], dtype=np.uint64),
         loss=np.array([s.channel.loss_probability for s in sessions]),
-        eve=_stage_table(vectors[: len(sent)], elements),
+        eve=_stage_table(sent, elements),
         bob=_stage_table(vectors, _BASES[None]),
         strategy=np.array(strategy, dtype=np.intp),
         forward=np.array(forward, dtype=np.int32),
@@ -448,7 +459,6 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
 
     return SessionCounts(
         n_pulses=batch.n_pulses,
-        states=batch.states,
         vectors=batch.vectors,
         strategy=batch.strategy,
         pairs=batch.pairs,

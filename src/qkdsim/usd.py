@@ -1,11 +1,14 @@
 """Unambiguous discrimination of two nonorthogonal qubit states.
 
-Two schemes are built here as POVM elements; Eve's strategies, which
-pick one and its frame, are in `adversary`. The naive scheme measures
-one of two projective frames at random and turns "minus" outcomes into
-conclusive identifications; it succeeds with probability 1/4 on the
-standard pair. The optimal scheme is the three-outcome POVM saturating
-the two-state bound, succeeding with probability 1 - |<psi0|psi1>|.
+Two schemes are built here as POVM elements, for many ket pairs at once;
+Eve's strategies, which pick one and its frame, are in `adversary`, and
+`frame_kets` rotates her frames. The naive scheme measures one of two
+projective frames at random and turns "minus" outcomes into conclusive
+identifications; it succeeds with probability 1/4 on the standard pair.
+The optimal scheme is the three-outcome POVM saturating the two-state
+bound, succeeding with probability 1 - |<psi0|psi1>|. A pair is an array
+of two kets, each a row of amplitudes, and `usd_efficiency` gives the
+rate of every pair of a stack of them.
 
 Feasibility for n states is decided by the Gram-matrix rank; the
 no-signaling check exposes why more than two symmetric states cannot be
@@ -15,9 +18,8 @@ under every POVM.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,16 +27,16 @@ from .quantum import (
     DensityMatrix,
     Povm,
     QubitState,
-    REFERENCE_STATES,
+    REFERENCE_KETS,
     born,
-    inner_product,
     inner_products,
     outer,
+    rotate_kets,
 )
 
 # not called here; kept because bench/tracing.py wraps these names on this module
 from .quantum import born_probabilities, orthogonal_state, projective_povm  # noqa: F401
-from .quantum import projector, rotate_y  # noqa: F401
+from .quantum import inner_product, projector, rotate_y  # noqa: F401
 
 GRAM_RANK_TOL = 1e-10
 _DEGENERACY_TOL = 1e-12
@@ -45,10 +47,11 @@ class UsdSchemeKind(Enum):
     OPTIMAL_IDP = "optimal"
 
 
-def idp_elements(pairs: Sequence[tuple[QubitState, QubitState]]) -> np.ndarray:
+def idp_elements(pairs: np.ndarray) -> np.ndarray:
     """Elements of the optimal three-outcome unambiguous-discrimination
-    POVM for each state pair, shape (pairs, 1 frame, 3 outcomes, 2, 2):
-    conclusive0, conclusive1, inconclusive.
+    POVM for each ket pair of `pairs`, shape (pairs, 2, 2), as shape
+    (pairs, 1 frame, 3 outcomes, 2, 2): conclusive0, conclusive1,
+    inconclusive.
 
     E_0 is the projector onto the complement of psi1 scaled by 1/(1+s)
     with s = |<psi0|psi1>|, the largest factor that keeps the inconclusive
@@ -59,13 +62,12 @@ def idp_elements(pairs: Sequence[tuple[QubitState, QubitState]]) -> np.ndarray:
     `outer`'s, so every pair's elements equal the scalar construction from
     `inner_product`, `orthogonal_state` and `projector` bit for bit.
     """
-    amps = np.array([(a.amp0, a.amp1, b.amp0, b.amp1) for a, b in pairs], dtype=complex)
-    a0, a1, b0, b1 = amps.T
-    overlap = inner_products(amps[:, :2], amps[:, 2:])
+    overlap = inner_products(pairs[:, 0], pairs[:, 1])
     s = np.hypot(overlap.real, overlap.imag)
     if np.any(s > 1.0 - _DEGENERACY_TOL):
         raise ValueError("states too close to parallel for unambiguous discrimination")
     scale = (1.0 / (1.0 + s))[:, None, None]
+    a0, a1, b0, b1 = pairs[:, 0, 0], pairs[:, 0, 1], pairs[:, 1, 0], pairs[:, 1, 1]
     e0 = scale * outer(np.stack([-b1.conj(), b0.conj()], axis=-1))
     e1 = scale * outer(np.stack([-a1.conj(), a0.conj()], axis=-1))
     inconclusive = np.eye(2, dtype=complex) - e0 - e1
@@ -75,45 +77,35 @@ def idp_elements(pairs: Sequence[tuple[QubitState, QubitState]]) -> np.ndarray:
 
 def idp_povm(state0: QubitState, state1: QubitState) -> Povm:
     """The optimal discrimination POVM of one pair (see `idp_elements`)."""
-    (elements,) = idp_elements([(state0, state1)])[:, 0]
+    (elements,) = idp_elements(np.array([[state0.vector, state1.vector]]))[:, 0]
     return Povm(elements)
 
 
-# the naive frames before rotation: (z, x) frames of (plus, minus) amplitude pairs
-_FRAME_STATES = np.array([s.vector for s in REFERENCE_STATES.values()]).reshape(2, 2, 2)
-
-
-def naive_frame_elements(rotations: Sequence[float]) -> np.ndarray:
-    """The naive scheme's two projective frames rotated by each of
-    `rotations`, shape (rotations, 2 frames, 2 outcomes, 2, 2): the z frame
-    then the x frame, each plus then minus.
-
-    Each element is the projector onto a frame state rotated as `rotate_y`
-    rotates it, with the half-angle cosine and sine taken by `math`; all
-    the factors are real, so numpy's complex products round as Python's
-    do, and the elements equal `projective_povm(rotate_y(...), ...)`'s bit
-    for bit.
-    """
-    half = [r / 2.0 for r in rotations]
-    c = np.array([math.cos(h) for h in half], dtype=complex).reshape(-1, 1, 1)
-    s = np.array([math.sin(h) for h in half], dtype=complex).reshape(-1, 1, 1)
-    amp0, amp1 = _FRAME_STATES[..., 0], _FRAME_STATES[..., 1]
-    return outer(np.stack([c * amp0 - s * amp1, s * amp0 + c * amp1], axis=-1))
+def frame_kets(rotations: Sequence[float]) -> np.ndarray:
+    """Eve's two frames rotated by each of `rotations`, by one `rotate_kets`
+    call on `REFERENCE_KETS`: shape (rotations, 2 frames, 2 outcomes, 2),
+    the z frame then the x frame, each plus then minus. Each frame's plus
+    ket is a state of the pair she discriminates, `B92_STATES` rotated;
+    the naive scheme measures the frames, so its elements are their kets'
+    projectors (`outer`)."""
+    return rotate_kets(REFERENCE_KETS.reshape(2, 2, 2), rotations)
 
 
 def naive_frame_povms(rotation: float) -> tuple[Povm, Povm]:
     """The naive scheme's two projective measurements in a rotated frame."""
-    z_frame, x_frame = naive_frame_elements([rotation])[0]
+    z_frame, x_frame = outer(frame_kets([rotation])[0])
     return Povm(z_frame), Povm(x_frame)
 
 
-def usd_efficiency(kind: UsdSchemeKind, pair: Callable[[], Sequence[QubitState]]) -> float:
-    """Average conclusive probability over the states `pair()` returns,
-    at equal priors; the naive scheme's is 1/4 without calling `pair`."""
+def usd_efficiency(kind: UsdSchemeKind, pairs: np.ndarray) -> np.ndarray:
+    """Average conclusive probability, at equal priors, of each ket pair of
+    `pairs`, shape (pairs, 2, 2): 1/4 for the naive scheme and
+    1 - |<psi0|psi1>| for the optimal one, the modulus of `inner_products`'
+    overlap taken by `hypot`, as `abs` of a Python complex takes it."""
     if kind is UsdSchemeKind.NAIVE_RANDOM_BASIS:
-        return 0.25
-    state0, state1 = pair()
-    return 1.0 - abs(inner_product(state0, state1))
+        return np.full(len(pairs), 0.25)
+    overlap = inner_products(pairs[:, 0], pairs[:, 1])
+    return 1.0 - np.hypot(overlap.real, overlap.imag)
 
 
 def gram_matrix(states: Sequence[QubitState]) -> np.ndarray:

@@ -132,6 +132,9 @@ MUTANTS = (
     # an operator's smaller eigenvalue, (a + d)/2 - hypot((a - d)/2, |b|),
     # decides positivity; the larger one would pass a negative element
     Mutant("psd-closed-form", "quantum.py", "- np.hypot(", "+ np.hypot(", ("test_quantum.py",)),
+    # a y rotation by delta turns each ket by the half angle delta / 2
+    Mutant("rotation-half-angle", "quantum.py",
+           "half = [angle / 2.0 for", "half = [angle for", ("test_quantum.py",)),
     # only the basis-mismatch attack rotates Eve's frame
     Mutant("rotation-rule", "adversary.py",
            "if self.rotation and self.kind is not EveKind.BASIS_MISMATCH:", "if False:",

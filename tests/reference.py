@@ -24,11 +24,15 @@ package only counts the revealed disagreements, and these are the oracle
 those counts are checked against, themselves checked against the scalar
 `sample_without_replacement`. So do the one-state-at-a-time rules the
 package's array rules are checked against: `state_label`, the oracle for
-`quantum.state_labels`, and `scalar_projector`, that for `quantum.outer`.
+`quantum.state_labels`, `scalar_projector`, that for `quantum.outer`, and
+`scalar_rotate_y`, that for `quantum.rotate_kets`. The engine numbers a
+batch's kets as rows of amplitudes; `SessionBatch.states` holds them as
+`QubitState`s, built from those rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -53,7 +57,6 @@ from qkdsim.quantum import (
     orthogonal_state,
     projective_povm,
     projector,
-    rotate_y,
 )
 from qkdsim.rng import _GOLDEN, _MASK, RngStream, derive_seed, stream_uniforms
 from qkdsim import session
@@ -71,9 +74,10 @@ class SessionBatch:
 
     Session i owns pulses `starts[i]:starts[i + 1]` of every column, and
     `states` numbers the batch's states as `qkdsim.session.SessionCounts`
-    does. A forwarded id indexes `states`, and -1 means Eve suppressed the
-    pulse; ids are int32. Wherever the pulse did not arrive, `bob_bases`
-    is `NO_DRAW` and `bob_minus` False.
+    numbers its kets, state j built from row j of its `vectors`
+    (`batch_states`). A forwarded id indexes `states`, and -1 means Eve
+    suppressed the pulse; ids are int32. Wherever the pulse did not
+    arrive, `bob_bases` is `NO_DRAW` and `bob_minus` False.
     """
 
     protocol: ProtocolKind
@@ -111,9 +115,16 @@ def simulate_batch(kind, sessions) -> SessionBatch:
         parts = [getattr(block, name) for block in blocks]
         return None if parts[0] is None else np.concatenate(parts)
 
+    states = batch_states(batch)
     return SessionBatch(
-        kind, batch.n_pulses, batch.starts, batch.states, *(column(name) for name in COLUMNS)
+        kind, batch.n_pulses, batch.starts, states, *(column(name) for name in COLUMNS)
     )
+
+
+def batch_states(batch) -> tuple[QubitState, ...]:
+    """The kets a batch or its counts number, row j of `vectors`, as
+    `QubitState`s in that order."""
+    return tuple(QubitState(*row) for row in batch.vectors.tolist())
 
 
 def one_session(kind, n_pulses, channel, strategy, master_seed):
@@ -188,6 +199,14 @@ def state_label(state: QubitState) -> str:
         if abs(modulus * modulus - 1.0) <= _LABEL_TOL:
             return label
     return "other"
+
+
+def scalar_rotate_y(state: QubitState, angle: float) -> QubitState:
+    """`state` rotated by `angle` about the Bloch y axis in Python complex
+    arithmetic, one state at a time: the oracle for `quantum.rotate_kets`."""
+    c = math.cos(angle / 2.0)
+    s = math.sin(angle / 2.0)
+    return QubitState(c * state.amp0 - s * state.amp1, s * state.amp0 + c * state.amp1)
 
 
 def scalar_projector(state: QubitState) -> np.ndarray:
@@ -372,10 +391,10 @@ def scalar_idp_povm(state0: QubitState, state1: QubitState) -> Povm:
 
 
 def scalar_naive_frame_povms(rotation: float) -> tuple[Povm, Povm]:
-    """The naive scheme's two frames built from `rotate_y`'d states: the
-    oracle `usd.naive_frame_elements` is checked against."""
+    """The naive scheme's two frames built from `scalar_rotate_y`'d states:
+    the oracle the projectors of `usd.frame_kets` are checked against."""
     return tuple(
-        projective_povm(rotate_y(plus, rotation), rotate_y(minus, rotation))
+        projective_povm(scalar_rotate_y(plus, rotation), scalar_rotate_y(minus, rotation))
         for plus, minus in ((Z_PLUS, Z_MINUS), (X_PLUS, X_MINUS))
     )
 

@@ -12,13 +12,14 @@ from enumeration import (
     intercept_resend_bb84,
     usd_suppress_b92,
 )
-from qkdsim.adversary import ChannelModel, EveKind, EveStrategy
+from qkdsim.adversary import HALF_PI, ChannelModel, EveKind, EveStrategy
 from qkdsim.protocol import ProtocolKind, estimate_qber
-from qkdsim.quantum import X_PLUS, Z_PLUS, rotate_y
+from qkdsim.quantum import B92_STATES, X_PLUS, Z_PLUS
 from qkdsim.rng import RngStream, derive_seed
 from qkdsim.session import STAGE_ESTIMATE
-from qkdsim.usd import UsdSchemeKind, usd_efficiency
-from reference import channel_transmit, eve_apply, one_session, sift_session, state_label, symmetry
+from qkdsim.usd import UsdSchemeKind, frame_kets, usd_efficiency
+from reference import channel_transmit, eve_apply, one_session, scalar_rotate_y, sift_session
+from reference import state_label, symmetry
 
 LOSSLESS = ChannelModel()
 
@@ -133,8 +134,21 @@ class TestStrategy:
 
     def test_states_are_the_standard_pair_in_her_frame(self):
         strategy = EveStrategy.of(EveKind.BASIS_MISMATCH, delta=0.3)
-        assert strategy.states() == (rotate_y(Z_PLUS, 0.3), rotate_y(X_PLUS, 0.3))
+        assert strategy.states() == (scalar_rotate_y(Z_PLUS, 0.3), scalar_rotate_y(X_PLUS, 0.3))
         assert EveStrategy.of(EveKind.USD_SUPPRESS).states() == (Z_PLUS, X_PLUS)
+
+    def test_batch_rotation_equals_each_strategys_states(self):
+        """The plus kets of `frame_kets`, which the engine rotates once per
+        batch, are each strategy's `states()` bit for bit, at 0, the
+        smallest subnormal and 1,000 deltas up to the largest below pi/2."""
+        deltas = [0.0, 5e-324, 1e-300, math.nextafter(HALF_PI, 0.0)]
+        deltas += np.linspace(0.0, HALF_PI, 1_000, endpoint=False).tolist()
+        pairs = frame_kets(deltas)[:, :, 0]
+        for delta, pair in zip(deltas, pairs):
+            states = EveStrategy.of(EveKind.BASIS_MISMATCH, delta=delta).states()
+            want = np.array([s.vector for s in states])
+            assert np.array_equal(pair.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(pairs[0], [s.vector for s in B92_STATES])
 
 
 class TestSuppressSignatures:
@@ -152,7 +166,7 @@ class TestSuppressSignatures:
         rates = {}
         for scheme in UsdSchemeKind:
             t, *_ = _run(ProtocolKind.B92, n, EveStrategy(EveKind.USD_SUPPRESS, scheme), 21)
-            eta = usd_efficiency(scheme, lambda: (Z_PLUS, X_PLUS))
+            (eta,) = usd_efficiency(scheme, np.array([[Z_PLUS.vector, X_PLUS.vector]])).tolist()
             sigma = math.sqrt(eta * (1 - eta) / n)
             rate = np.count_nonzero(t.arrived) / n
             assert rate == pytest.approx(eta, abs=4 * sigma)

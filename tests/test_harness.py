@@ -10,6 +10,7 @@ import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -35,7 +36,7 @@ from qkdsim.quantum import state_labels
 from qkdsim.rng import derive_seed
 from qkdsim.session import BLOCK, STAGE_SWEEP
 from qkdsim.usd import usd_efficiency
-from reference import csv_lines, csv_row
+from reference import batch_states, csv_lines, csv_row
 
 HALF_PI = math.pi / 2
 BASE = {"protocol": "b92", "n_pulses": 2_000, "master_seed": 9}
@@ -594,8 +595,8 @@ _LABEL_SWEEPS = {
 @pytest.mark.parametrize("parameter", list(_LABEL_SWEEPS))
 def test_sweep_labels_each_state_once_per_batch(parameter, tmp_path, monkeypatch):
     """Forwarded-state labels come from one `state_labels` call per batch,
-    over the rows of that batch's `vectors`, one per entry of its
-    `states`: not one set per sweep point."""
+    over the rows of that batch's `vectors`, one per distinct ket it
+    numbers: not one set per sweep point."""
     calls, batches = [], []
 
     def counting(vectors):
@@ -622,8 +623,9 @@ def test_sweep_labels_each_state_once_per_batch(parameter, tmp_path, monkeypatch
     config = ExperimentConfig.from_dict(base)
     n_batches = len(list(harness._batches([replace(config, **{parameter: v}) for v in values])))
     assert len(batches) == n_batches == 2
-    assert all(len(set(batch.states)) == len(batch.states) for batch in batches)
-    assert calls == [len(batch.states) for batch in batches]
+    states = [batch_states(batch) for batch in batches]
+    assert all(len(set(s)) == len(s) for s in states)
+    assert calls == [len(s) for s in states]
     assert sum(calls) == n_states
 
 
@@ -744,19 +746,22 @@ def test_sweep_rejects_a_bad_late_value_as_replace_does(parameter, bad, message,
 
 @pytest.mark.parametrize("scheme", ["naive", "optimal"])
 def test_scheme_efficiency_read_once_per_distinct_strategy(scheme, monkeypatch):
-    """A batch reads its scheme's conclusive rate once per distinct
-    strategy, off the pair it built, and each report's equals
-    `usd_efficiency` of its strategy's pair rotated afresh."""
+    """A batch reads its scheme's conclusive rates by one `usd_efficiency`
+    call, a rate per distinct strategy, off the pairs it rotated, and each
+    report's equals `usd_efficiency` of its strategy's pair rotated afresh
+    by the scalar `states()`."""
     base = ExperimentConfig.from_dict(
         {**BASE, "n_pulses": 50, "eve_strategy": "basis_mismatch", "usd_scheme": scheme}
     )
     calls = _count_calls(monkeypatch, "usd_efficiency", [harness])
     reports = sweep(base, "delta", [0.3, 0.3, 1.1, 0.0, 0.3, 1.1])
-    assert len(calls) == 3
+    assert len(calls) == 1 and len(calls[0][1]) == 3
     monkeypatch.undo()
     for report in reports:
         strategy = report.config.session.strategy
-        assert report.scheme_efficiency == usd_efficiency(strategy.scheme, strategy.states)
+        pair = np.array([[state.vector for state in strategy.states()]])
+        assert type(report.scheme_efficiency) is float
+        assert report.scheme_efficiency == usd_efficiency(strategy.scheme, pair)[0]
     assert (reports[0].scheme_efficiency == 0.25) == (scheme == "naive")
 
 

@@ -7,7 +7,10 @@ do not depend on the CPU. A matrix product `@`, or a numpy product that
 may dispatch to BLAS (`np.outer`, `np.dot` and the like), would bring
 back a second rule whose last bit follows the OpenBLAS core. `np.linalg`
 is read only where the eigenvalues of the n x n Gram matrix are taken.
-The audit reads only `src/qkdsim`, with standard library `ast`.
+The batch path (`session`, `harness`) rotates Eve's frames as kets, by
+one `quantum.rotate_kets` call a batch: it calls neither the scalar
+`rotate_y` nor a strategy's `.states()`, which would rotate one state at
+a time. The audit reads only `src/qkdsim`, with standard library `ast`.
 """
 
 import ast
@@ -60,6 +63,39 @@ def _kernel_sites(source: str) -> tuple[list[str], list[tuple[str, str]]]:
 
     visit(ast.parse(source), "<module>")
     return banned, linalg
+
+
+# modules of the batch path, which rotate no state one at a time
+BATCH_PATH = ["harness.py", "session.py"]
+
+
+def _scalar_rotations(source: str) -> list[tuple[int, str]]:
+    """Each call of `rotate_y` (bare or as an attribute) and of a
+    `.states()` method in `source`, as (line, name), in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        func = node.func if isinstance(node, ast.Call) else None
+        if isinstance(func, ast.Attribute) and func.attr in ("rotate_y", "states"):
+            found.append((node.lineno, func.attr))
+        elif isinstance(func, ast.Name) and func.id == "rotate_y":
+            found.append((node.lineno, func.id))
+    return sorted(found)
+
+
+def test_audit_finds_each_scalar_rotation():
+    source = (
+        "from qkdsim.quantum import rotate_y\n"
+        "a = rotate_y(s, 0.1)\n"
+        "b = quantum.rotate_y(s, 0.2)\n"
+        "c = strategy.states()\n"
+        "d = protocol_states(kind), states\n"
+    )
+    assert _scalar_rotations(source) == [(2, "rotate_y"), (3, "rotate_y"), (4, "states")]
+
+
+@pytest.mark.parametrize("module", BATCH_PATH)
+def test_batch_path_rotates_no_state_one_at_a_time(module):
+    assert _scalar_rotations((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
 def test_audit_finds_each_kernel():

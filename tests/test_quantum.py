@@ -32,13 +32,14 @@ from qkdsim.quantum import (
     projective_povm,
     projector,
     random_povm,
+    rotate_kets,
     rotate_y,
     _LABEL_TOL,
     state_from_bloch,
     state_labels,
 )
 from qkdsim.rng import RngStream
-from reference import sample_outcome, scalar_projector, state_label, uniforms
+from reference import sample_outcome, scalar_projector, scalar_rotate_y, state_label, uniforms
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -307,9 +308,38 @@ def _bits(x) -> np.ndarray:
 
 
 class TestArrayRules:
-    """`outer`, `inner_products` and `born`, the one array rule of each
-    qubit quantity, round as the scalar Python arithmetic they replace,
-    bit for bit: a change to a rule's rounding fails here."""
+    """`rotate_kets`, `outer`, `inner_products` and `born`, the one array
+    rule of each qubit quantity, round as the scalar Python arithmetic
+    they replace, bit for bit: a change to a rule's rounding fails here."""
+
+    def test_rotate_kets_equal_scalar_rotation(self):
+        """At 0, the smallest subnormal, 1e-300, 1,000 random angles in
+        [0, pi/2) and the largest float below pi/2, every reference ket and
+        200 random kets rotate as the scalar Python rotation rotates them,
+        and `rotate_y` is the rule on one ket."""
+        angles = [0.0, 5e-324, 1e-300, math.nextafter(math.pi / 2, 0.0)]
+        angles += (uniforms(RngStream(44), 1_000) * (math.pi / 2)).tolist()
+        states = list(REFERENCE_STATES.values()) + _random_states(45, 200)
+        rotated = rotate_kets(np.array([s.vector for s in states]), angles)
+        assert rotated.shape == (len(angles), len(states), 2)
+        for angle, row in zip(angles, rotated):
+            expected = np.array([scalar_rotate_y(s, angle).vector for s in states])
+            np.testing.assert_array_equal(_bits(row), _bits(expected))
+        for angle in angles[:4]:
+            for state in states[:8]:
+                got, want = rotate_y(state, angle), scalar_rotate_y(state, angle)
+                assert type(got.amp0) is complex and type(got.amp1) is complex
+                assert _bits(got.vector).tolist() == _bits(want.vector).tolist()
+
+    def test_rotate_kets_broadcasts_over_leading_axes(self):
+        """A stack of kets of any leading shape rotates as its rows do."""
+        kets = np.array([s.vector for s in _random_states(46, 12)])
+        angles = [0.0, 0.3, 1.2]
+        stacked = rotate_kets(kets.reshape(2, 3, 2, 2), angles)
+        assert stacked.shape == (3, 2, 3, 2, 2)
+        np.testing.assert_array_equal(
+            _bits(stacked), _bits(rotate_kets(kets, angles).reshape(3, 2, 3, 2, 2))
+        )
 
     def test_outer_equals_scalar_projector(self):
         states = _random_states(40, 2_000) + list(REFERENCE_STATES.values())

@@ -30,6 +30,7 @@ from qkdsim.quantum import (
     SX_POVM,
     SZ_POVM,
     Povm,
+    QubitState,
     X_MINUS,
     X_PLUS,
     Z_MINUS,
@@ -52,6 +53,7 @@ from reference import (
     COLUMNS,
     NO_DRAW,
     alice_prepare,
+    batch_states,
     bob_measure,
     channel_transmit,
     eve_actions,
@@ -279,7 +281,7 @@ def test_batch_rejects_mixed_kinds_and_empty_batches():
 
 def _labels(counts):
     """Each forward slot's label, as the harness labels them."""
-    return np.array([state_label(s) for s in counts.states] + [""])[counts.forwarded_ids]
+    return np.array([state_label(s) for s in batch_states(counts)] + [""])[counts.forwarded_ids]
 
 
 @pytest.mark.parametrize("name,kind,strategy,channel", CASES, ids=[c[0] for c in CASES])
@@ -303,7 +305,7 @@ def test_forwarded_state_symmetry_of_a_batch_equals_each_session_alone():
     sessions = [*BATCH, Session(40, ChannelModel(), _mismatch(0.0), 14)]
     batch = simulate_batch(ProtocolKind.B92, sessions)
     counts = simulate_session(ProtocolKind.B92, sessions)
-    assert counts.states == batch.states
+    assert batch_states(counts) == batch.states
     pairs = {state for s in sessions for state in s.strategy.states()}
     assert len(batch.states) == len(set(batch.states)) == len(pairs | {Z_PLUS, X_PLUS})
     assert batch.states[:2] == session.protocol_states(ProtocolKind.B92)
@@ -320,7 +322,7 @@ def _assert_counts_equal_columns(kind, sessions):
     batch's sifted disagreement bits in pulse order."""
     counts = simulate_session(kind, sessions)
     t = simulate_batch(kind, sessions)
-    assert counts.n_pulses == t.n_pulses and counts.states == t.states
+    assert counts.n_pulses == t.n_pulses and batch_states(counts) == t.states
     mask = t.arrived & sift_mask(kind, t.alice_bases, t.bob_bases, t.bob_minus)
     errors = disagreements(kind, t.alice_bits, t.bob_bases, t.bob_minus)[mask]
     assert counts.errors.dtype == bool
@@ -503,10 +505,11 @@ def test_stage_tables_equal_born_probabilities(kind, strategies):
     forward, and each session's forwarded ids are its strategy's row."""
     sessions = [Session(1, ChannelModel(), s, 0) for s in strategies]
     batch = session._batch(kind, sessions)
+    states = batch_states(batch)
     sent = session.protocol_states(kind)
-    assert batch.states[: len(sent)] == sent
-    ids = {state: i for i, state in enumerate(batch.states)}
-    assert len(ids) == len(batch.states)
+    assert states[: len(sent)] == sent
+    ids = {state: i for i, state in enumerate(states)}
+    assert len(ids) == len(states)
     ids[None] = -1
     distinct = {strategy: j for j, strategy in enumerate(dict.fromkeys(strategies))}
     assert batch.forward.shape[0] == len(distinct)
@@ -514,19 +517,50 @@ def test_stage_tables_equal_born_probabilities(kind, strategies):
         povms, targets = _measurement(strategy, sent)
         _assert_thresholds(batch.eve, j * len(sent), sent, povms)
         assert batch.forward[j].tolist() == [ids[t] for t in targets]
-    _assert_thresholds(batch.bob, 0, batch.states, (SZ_POVM, SX_POVM))
+    _assert_thresholds(batch.bob, 0, states, (SZ_POVM, SX_POVM))
     taus = _taus(strategies)
     for strategy, j in distinct.items():
         rows = batch.eve[j * len(sent): (j + 1) * len(sent)]
         expected = [_eve_row(strategy, taus[state]) for state in sent]
         np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-14)
-    expected = [_bob_row(taus[state]) for state in batch.states]
+    expected = [_bob_row(taus[state]) for state in states]
     np.testing.assert_allclose(batch.bob, expected, rtol=0, atol=1e-14)
     assert batch.eve.shape[0] == len(distinct) * len(sent)
-    assert batch.bob.shape[0] == len(batch.states)
+    assert batch.bob.shape[0] == len(states)
     forwarded_ids = simulate_session(kind, sessions).forwarded_ids
     for i, strategy in enumerate(strategies):
         assert forwarded_ids[i].tolist() == batch.forward[distinct[strategy]].tolist()
+
+
+@pytest.mark.parametrize(
+    "kind,strategies",
+    [batch for batches, _ in _SWEEPS for batch in batches],
+    ids=[name for _, names in _SWEEPS for name in names],
+)
+def test_ket_numbering_equals_a_state_dict(kind, strategies):
+    """The batch numbers its kets as a dict of `QubitState`s numbers the
+    states: Alice's first, then each distinct strategy's forwarded states
+    (`_measurement`, from `states()`) slot by slot, a state seen before
+    keeping its id; the kets and ids are those of that dict, bit for bit.
+    A strategy whose rotation leaves B92's pair as it is (delta 0, and
+    5e-324, whose half angle's sine is 0 and cosine 1) forwards Alice's
+    own ids."""
+    sessions = [Session(1, ChannelModel(), s, 0) for s in strategies]
+    batch = session._batch(kind, sessions)
+    sent = session.protocol_states(kind)
+    ids = {state: i for i, state in enumerate(sent)}
+    forward = [
+        [-1 if t is None else ids.setdefault(t, len(ids)) for t in _measurement(strategy, sent)[1]]
+        for strategy in dict.fromkeys(strategies)
+    ]
+    want = np.array([state.vector for state in ids])
+    assert np.array_equal(batch.vectors.view(np.uint64), want.view(np.uint64))
+    assert batch.forward.tolist() == forward
+    for j, strategy in enumerate(dict.fromkeys(strategies)):
+        if strategy.rotation in (0.0, 5e-324):
+            assert set(batch.forward[j].tolist()) <= {-1, 0, 1}
+        else:
+            assert min(batch.forward[j].tolist()) == -1 and max(batch.forward[j]) >= 2
 
 
 def test_batch_builds_no_povm_objects(monkeypatch):
@@ -549,6 +583,29 @@ def test_batch_builds_no_povm_objects(monkeypatch):
     for sessions in batches:
         simulate_session(ProtocolKind.B92, sessions)
     assert len(calls) == 0
+
+
+def test_batch_builds_no_qubit_states(monkeypatch):
+    """The same sixty sessions rotate their frames as kets: no
+    `QubitState` is built for a strategy's pair or forwarded states."""
+    deltas = np.linspace(0.0, 1.5, 30).tolist()
+    calls = []
+    post_init = QubitState.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(QubitState, "__post_init__", counted)
+    for scheme in UsdSchemeKind:
+        sessions = [
+            Session(500, ChannelModel(), EveStrategy.of(EveKind.BASIS_MISMATCH, scheme, d), i)
+            for i, d in enumerate(deltas)
+        ]
+        simulate_session(ProtocolKind.B92, sessions)
+    assert calls == []
+    EveStrategy.of(EveKind.BASIS_MISMATCH, delta=0.3).states()
+    assert len(calls) == 2  # the scalar form still builds its pair
 
 
 class TestDeterminism:

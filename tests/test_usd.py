@@ -16,18 +16,18 @@ from qkdsim.quantum import (
     inner_product,
     mixture_density,
     orthogonal_state,
+    outer,
     projector,
     random_povm,
-    rotate_y,
     state_from_bloch,
 )
 from qkdsim.adversary import HALF_PI, EveKind, EveStrategy
 from qkdsim.rng import RngStream
 from qkdsim.usd import (
     UsdSchemeKind,
+    frame_kets,
     idp_elements,
     idp_povm,
-    naive_frame_elements,
     naive_frame_povms,
     no_signaling_distributions,
     usd_efficiency,
@@ -37,6 +37,7 @@ from reference import (
     integers,
     scalar_idp_povm,
     scalar_naive_frame_povms,
+    scalar_rotate_y,
     usd_measure,
     verify_unambiguous_constraints,
 )
@@ -45,6 +46,20 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 BB84_STATES = (Z_PLUS, Z_MINUS, X_PLUS, X_MINUS)
 NAIVE = EveStrategy.of(EveKind.USD_SUPPRESS)
 OPTIMAL = EveStrategy.of(EveKind.USD_SUPPRESS, UsdSchemeKind.OPTIMAL_IDP)
+
+
+def _kets(pairs) -> np.ndarray:
+    """State pairs as the ket pairs the batch builders take, shape (pairs, 2, 2)."""
+    return np.array([[a.vector, b.vector] for a, b in pairs])
+
+
+def _random_pairs(seed: int, n: int):
+    rng = RngStream(seed)
+    return [
+        tuple(state_from_bloch(rng.uniform() * math.pi, rng.uniform() * 2 * math.pi)
+              for _ in range(2))
+        for _ in range(n)
+    ]
 
 
 def _conclusive_frequency(strategy, state, n, seed):
@@ -91,22 +106,18 @@ class TestMeasurement:
 
 class TestEfficiency:
     def test_naive_standard_pair_exact(self):
-        """1/4 whatever the pair: the naive scheme never builds its states."""
-        built = []
-
-        def pair():
-            built.append(1)
-            return Z_PLUS, X_PLUS
-
-        assert usd_efficiency(UsdSchemeKind.NAIVE_RANDOM_BASIS, pair) == 0.25
-        assert built == []
+        """1/4 for every pair, whatever its kets: the naive scheme never
+        reads them, so even NaN kets give exactly 1/4."""
+        pairs = np.concatenate([_kets([(Z_PLUS, X_PLUS)]), np.full((2, 2, 2), np.nan)])
+        rates = usd_efficiency(UsdSchemeKind.NAIVE_RANDOM_BASIS, pairs)
+        assert rates.tolist() == [0.25, 0.25, 0.25]
 
     def test_optimal_standard_pair(self):
-        efficiency = usd_efficiency(UsdSchemeKind.OPTIMAL_IDP, lambda: (Z_PLUS, X_PLUS))
+        (efficiency,) = usd_efficiency(UsdSchemeKind.OPTIMAL_IDP, _kets([(Z_PLUS, X_PLUS)]))
         assert efficiency == pytest.approx(1.0 - SQRT_HALF, abs=1e-15)
 
     def test_optimal_orthogonal_pair_is_one(self):
-        efficiency = usd_efficiency(UsdSchemeKind.OPTIMAL_IDP, lambda: (Z_PLUS, Z_MINUS))
+        (efficiency,) = usd_efficiency(UsdSchemeKind.OPTIMAL_IDP, _kets([(Z_PLUS, Z_MINUS)]))
         assert efficiency == pytest.approx(1.0)
 
     def test_efficiency_matches_born_rule(self):
@@ -115,8 +126,19 @@ class TestEfficiency:
         avg = 0.5 * (
             born_probabilities(Z_PLUS, povm)[0] + born_probabilities(X_PLUS, povm)[1]
         )
-        efficiency = usd_efficiency(UsdSchemeKind.OPTIMAL_IDP, lambda: (Z_PLUS, X_PLUS))
+        (efficiency,) = usd_efficiency(UsdSchemeKind.OPTIMAL_IDP, _kets([(Z_PLUS, X_PLUS)]))
         assert avg == pytest.approx(efficiency, abs=1e-12)
+
+    def test_optimal_rates_equal_the_scalar_rule_bit_for_bit(self):
+        """Each pair's rate is `1 - abs(inner_product)` of its states, bit
+        for bit: on random complex pairs, on the standard pair rotated by
+        every angle of `_ROTATIONS` and on parallel and orthogonal pairs."""
+        pairs = _random_pairs(43, 2_000) + [
+            (scalar_rotate_y(Z_PLUS, d), scalar_rotate_y(X_PLUS, d)) for d in _ROTATIONS
+        ] + [(Z_PLUS, Z_PLUS), (Z_PLUS, Z_MINUS), (X_MINUS, X_PLUS)]
+        rates = usd_efficiency(UsdSchemeKind.OPTIMAL_IDP, _kets(pairs))
+        expected = [1.0 - abs(inner_product(a, b)) for a, b in pairs]
+        assert np.array_equal(_bits(rates), _bits(expected))
 
 
 class TestIdpPovm:
@@ -294,7 +316,7 @@ class TestBatchElementBuilders:
     scalar reference bit for bit, row by row."""
 
     def test_naive_frames_equal_per_point_povms(self):
-        elements = naive_frame_elements(_ROTATIONS)
+        elements = outer(frame_kets(_ROTATIONS))
         assert elements.shape == (len(_ROTATIONS), 2, 2, 2, 2)
         for rotation, row in zip(_ROTATIONS, elements):
             per_point = [povm.elements for povm in naive_frame_povms(rotation)]
@@ -303,8 +325,8 @@ class TestBatchElementBuilders:
             assert np.array_equal(_bits(row), _bits(scalar))
 
     def test_idp_equals_per_point_povms_on_rotated_pairs(self):
-        pairs = [(rotate_y(Z_PLUS, d), rotate_y(X_PLUS, d)) for d in _ROTATIONS]
-        elements = idp_elements(pairs)
+        pairs = [(scalar_rotate_y(Z_PLUS, d), scalar_rotate_y(X_PLUS, d)) for d in _ROTATIONS]
+        elements = idp_elements(_kets(pairs))
         assert elements.shape == (len(pairs), 1, 3, 2, 2)
         for pair, row in zip(pairs, elements):
             assert np.array_equal(_bits(row[0]), _bits(idp_povm(*pair).elements))
@@ -313,13 +335,8 @@ class TestBatchElementBuilders:
     def test_idp_equals_scalar_reference_on_complex_pairs(self):
         """With complex amplitudes every product's rounding shows: the
         overlap and its modulus are rounded as the scalar algebra rounds them."""
-        rng = RngStream(23)
-        pairs = [
-            tuple(state_from_bloch(rng.uniform() * math.pi, rng.uniform() * 2 * math.pi)
-                  for _ in range(2))
-            for _ in range(500)
-        ]
-        for pair, row in zip(pairs, idp_elements(pairs)):
+        pairs = _random_pairs(23, 500)
+        for pair, row in zip(pairs, idp_elements(_kets(pairs))):
             assert np.array_equal(_bits(row[0]), _bits(scalar_idp_povm(*pair).elements))
 
     @staticmethod
@@ -327,14 +344,14 @@ class TestBatchElementBuilders:
         return Z_PLUS, QubitState(complex(overlap), complex(math.sqrt(1.0 - overlap**2)))
 
     def test_idp_builds_a_pair_of_overlap_1_minus_1e_10(self):
-        (row,) = idp_elements([self._pair_with_overlap(1.0 - 1e-10)])
+        (row,) = idp_elements(_kets([self._pair_with_overlap(1.0 - 1e-10)]))
         assert np.all(np.isfinite(row))
 
     def test_idp_rejects_a_pair_of_overlap_1_minus_1e_13(self):
         with pytest.raises(ValueError, match="parallel"):
-            idp_elements([self._pair_with_overlap(1.0 - 1e-13)])
+            idp_elements(_kets([self._pair_with_overlap(1.0 - 1e-13)]))
 
     def test_idp_rejects_a_parallel_pair_among_many(self):
         pairs = [(Z_PLUS, X_PLUS), (X_PLUS, X_PLUS), (Z_PLUS, Z_MINUS)]
         with pytest.raises(ValueError, match="parallel"):
-            idp_elements(pairs)
+            idp_elements(_kets(pairs))
