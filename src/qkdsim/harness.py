@@ -46,6 +46,7 @@ from .session import (
 )
 from .usd import (
     UsdSchemeKind,
+    gram_eigenvalues,
     gram_matrix,
     gram_rank,
     idp_povm,
@@ -336,13 +337,15 @@ def report_dicts(reports: list[RunReport]) -> list[dict]:
 
 
 def _check_feasibility(kind: ProtocolKind, strategy: EveStrategy) -> None:
-    """Fail fast when a discrimination attack cannot exist for the protocol."""
+    """Fail fast when a discrimination attack cannot exist for the
+    protocol: `usd_feasible` decides, and on failure the message gives the
+    rank of `gram_eigenvalues`' spectrum."""
     if strategy.scheme is None:
         return
     states = protocol_states(kind)
     if usd_feasible(states):
         return
-    rank = gram_rank(np.linalg.eigvalsh(gram_matrix(states)))
+    rank = gram_rank(gram_eigenvalues(states))
     raise InfeasibleStrategyError(
         f"unambiguous discrimination of the {len(states)} {kind.value} states "
         f"is impossible: Gram matrix rank {rank} < {len(states)}"
@@ -511,7 +514,7 @@ def usd_check(angles: list[tuple[float, float]]) -> dict:
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
     gram = gram_matrix(states)
-    eigvals = np.linalg.eigvalsh(gram)
+    eigvals = gram_eigenvalues(states)
     rank = gram_rank(eigvals)
     feasible = rank == len(states)
     report = {

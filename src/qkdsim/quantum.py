@@ -8,14 +8,15 @@ are the one list of the S_z/S_x eigenstates and of the B92 pair, and
 
 Each qubit quantity is formed by one array rule, defined here once:
 `rotate_kets` (a y rotation), `outer` (|v><v|), `inner_products`
-(<a|b>), `born` (Tr(E rho)) and the closed-form positivity check of
-`_check_operators`. Each rounds every real product before its sum, as
-Python's complex product does, and sums in one fixed order, with no
-eigendecomposition, BLAS kernel or fused multiply behind it, so its bits
+(<a|b>), `born` (Tr(E rho)) and `eigenvalues` (a 2x2 Hermitian
+operator's two, in closed form). Each rounds every real product before
+its sum, as Python's complex product does, and sums in one fixed order,
+with no LAPACK or BLAS kernel or fused multiply behind it, so its bits
 do not depend on the CPU. The engine's rotated frames and stage tables,
-`rotate_y`, `born_probabilities`, the USD elements and the no-signaling
-demo's operators all go through them; `random_povm` builds its elements
-in Bloch form from real arithmetic.
+`rotate_y`, `born_probabilities`, the USD elements, the positivity check
+of `_check_operators`, the Gram spectrum and the no-signaling demo's
+operators all go through them; `random_povm` builds its elements in
+Bloch form from real arithmetic.
 """
 
 from __future__ import annotations
@@ -181,13 +182,15 @@ def state_labels(vectors: np.ndarray) -> list[str]:
     return [_LABELS[i] for i in first.tolist()]
 
 
-def _smallest_eigenvalues(mats: np.ndarray) -> np.ndarray:
-    """The smaller eigenvalue of each Hermitian [[a, b*], [b, d]] of `mats`
-    (shape (..., 2, 2)) in closed form, (a + d)/2 - hypot((a - d)/2, |b|),
-    from the diagonal's real parts and the lower entry b, the entries
-    LAPACK's `eigvalsh` reads; no LAPACK kernel behind it."""
+def eigenvalues(mats: np.ndarray) -> np.ndarray:
+    """Both eigenvalues of each Hermitian [[a, b*], [b, d]] of `mats`
+    (shape (..., 2, 2)), shape (..., 2), in ascending order, in closed
+    form, (a + d)/2 -+ hypot((a - d)/2, |b|), from the diagonal's real
+    parts and the lower entry b, the entries LAPACK's `eigvalsh` reads:
+    the one rule by which every eigenvalue is formed."""
     a, d, b = mats[..., 0, 0].real, mats[..., 1, 1].real, mats[..., 1, 0]
-    return (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(b))
+    mean, radius = (a + d) / 2.0, np.hypot((a - d) / 2.0, np.abs(b))
+    return np.stack([mean - radius, mean + radius], axis=-1)
 
 
 def _check_operators(mats: np.ndarray, what: str, complete: bool = False) -> np.ndarray:
@@ -203,7 +206,7 @@ def _check_operators(mats: np.ndarray, what: str, complete: bool = False) -> np.
         raise ValueError(f"{what} has non-finite entries")
     if np.max(np.abs(mats - mats.conj().swapaxes(-1, -2))) > ALGEBRA_TOL:
         raise ValueError(f"{what} is not Hermitian")
-    if _smallest_eigenvalues(mats).min() < -ALGEBRA_TOL:
+    if eigenvalues(mats)[..., 0].min() < -ALGEBRA_TOL:
         raise ValueError(f"{what} is not positive semidefinite")
     if complete and np.max(np.abs(mats.sum(axis=-3) - _IDENTITY)) > ALGEBRA_TOL:
         raise ValueError("POVM elements do not sum to the identity")

@@ -10,7 +10,9 @@ bound, succeeding with probability 1 - |<psi0|psi1>|. A pair is an array
 of two kets, each a row of amplitudes, and `usd_efficiency` gives the
 rate of every pair of a stack of them.
 
-Feasibility for n states is decided by the Gram-matrix rank; the
+Feasibility for n states is decided by the Gram-matrix rank, counted on
+`gram_eigenvalues`' closed-form spectrum (Chefles 1998: the states must
+be linearly independent, so more than two qubit states never are); the
 no-signaling check exposes why more than two symmetric states cannot be
 discriminated: equal-density mixtures give equal outcome statistics
 under every POVM.
@@ -29,6 +31,7 @@ from .quantum import (
     QubitState,
     REFERENCE_KETS,
     born,
+    eigenvalues,
     inner_products,
     outer,
     rotate_kets,
@@ -115,9 +118,26 @@ def gram_matrix(states: Sequence[QubitState]) -> np.ndarray:
     return inner_products(kets[:, None], kets)
 
 
-def gram_rank(eigenvalues: np.ndarray) -> int:
-    """Number of the Gram matrix's `eigenvalues` above GRAM_RANK_TOL."""
-    return int(np.sum(eigenvalues > GRAM_RANK_TOL))
+def gram_eigenvalues(states: Sequence[QubitState]) -> np.ndarray:
+    """Eigenvalues of the Gram matrix of `states`, in ascending order, as
+    `eigvalsh` orders them, with no LAPACK kernel behind them.
+
+    With the n kets the columns of a 2 x n matrix A, the Gram matrix is
+    A^dagger A. Its nonzero eigenvalues are those of the 2 x 2 frame
+    operator A A^dagger = sum_k |psi_k><psi_k| (an `outer` sum, its two
+    eigenvalues by `eigenvalues`), and its other n - 2 are exactly 0;
+    one state's Gram matrix is [1], the frame operator's larger
+    eigenvalue alone. The sort places a rank-1 set's smaller frame
+    eigenvalue, which may round below 0, before the zeros.
+    """
+    kets = np.array([s.vector for s in states])
+    frame = eigenvalues(outer(kets).sum(axis=0))[-len(states):]
+    return np.sort(np.concatenate([np.zeros(max(len(states) - 2, 0)), frame]))
+
+
+def gram_rank(spectrum: np.ndarray) -> int:
+    """Number of the Gram matrix's eigenvalues `spectrum` above GRAM_RANK_TOL."""
+    return int(np.sum(spectrum > GRAM_RANK_TOL))
 
 
 def usd_feasible(states: Sequence[QubitState]) -> bool:
@@ -127,7 +147,7 @@ def usd_feasible(states: Sequence[QubitState]) -> bool:
     """
     if not states:
         raise ValueError("need at least one state")
-    return gram_rank(np.linalg.eigvalsh(gram_matrix(states))) == len(states)
+    return gram_rank(gram_eigenvalues(states)) == len(states)
 
 
 def no_signaling_distributions(

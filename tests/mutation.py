@@ -129,9 +129,13 @@ MUTANTS = (
            "if changed.intersection(rule.reads)]",
            "if changed.intersection(rule.reads) and rule.keeps]",
            ("test_harness.py",)),
-    # an operator's smaller eigenvalue, (a + d)/2 - hypot((a - d)/2, |b|),
-    # decides positivity; the larger one would pass a negative element
-    Mutant("psd-closed-form", "quantum.py", "- np.hypot(", "+ np.hypot(", ("test_quantum.py",)),
+    # a 2x2 operator's eigenvalues are (a + d)/2 -+ hypot((a - d)/2, |b|):
+    # the smaller decides positivity, where the larger would pass a negative
+    # element, and the Gram spectrum reads both
+    Mutant("psd-closed-form", "quantum.py", "[mean - radius,", "[mean + radius,",
+           ("test_quantum.py",)),
+    Mutant("eigenvalue-sign", "quantum.py", "mean + radius]", "mean - radius]",
+           ("test_usd.py", "test_quantum.py")),
     # a y rotation by delta turns each ket by the half angle delta / 2
     Mutant("rotation-half-angle", "quantum.py",
            "half = [angle / 2.0 for", "half = [angle for", ("test_quantum.py",)),

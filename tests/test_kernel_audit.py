@@ -2,11 +2,12 @@
 LAPACK kernel.
 
 `quantum` forms each qubit quantity by one array rule (`outer`,
-`inner_products`, `born`, the closed-form positivity check), whose bits
-do not depend on the CPU. A matrix product `@`, or a numpy product that
-may dispatch to BLAS (`np.outer`, `np.dot` and the like), would bring
-back a second rule whose last bit follows the OpenBLAS core. `np.linalg`
-is read only where the eigenvalues of the n x n Gram matrix are taken.
+`inner_products`, `born`, `eigenvalues` in closed form), whose bits do
+not depend on the CPU. A matrix product `@`, a numpy product that may
+dispatch to BLAS (`np.outer`, `np.dot` and the like), or any `np.linalg`
+name would bring back a second rule whose last bit follows the OpenBLAS
+core; so none occurs anywhere in `src/qkdsim`. The Gram matrix's
+eigenvalues come from its 2 x 2 frame operator's, by `eigenvalues`.
 The batch path (`session`, `harness`) rotates Eve's frames as kets, by
 one `quantum.rotate_kets` call a batch: it calls neither the scalar
 `rotate_y` nor a strategy's `.states()`, which would rotate one state at
@@ -21,15 +22,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qkdsim"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 
-# numpy products that may run a BLAS kernel
-_BLAS_PRODUCTS = {"outer", "dot", "matmul", "vdot", "inner", "tensordot", "einsum"}
-
-# (module, enclosing function, np.linalg name): the Gram matrix's eigenvalues
-GRAM_SITES = [
-    ("harness.py", "_check_feasibility", "eigvalsh"),
-    ("harness.py", "usd_check", "eigvalsh"),
-    ("usd.py", "usd_feasible", "eigvalsh"),
-]
+# numpy products that may run a BLAS kernel, and numpy's LAPACK module
+_KERNELS = {"outer", "dot", "matmul", "vdot", "inner", "tensordot", "einsum", "linalg"}
 
 
 def _on_np(node: ast.AST) -> bool:
@@ -39,30 +33,21 @@ def _on_np(node: ast.AST) -> bool:
     )
 
 
-def _kernel_sites(source: str) -> tuple[list[str], list[tuple[str, str]]]:
-    """The matrix products and BLAS-backed numpy products of `source`
-    (each as "name (line n)"), and each `np.linalg` reference as
-    (enclosing function, name)."""
-    banned, linalg = [], []
-
-    def visit(node: ast.AST, function: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
+def _kernel_sites(source: str) -> list[str]:
+    """The matrix products, BLAS-backed numpy products and `np.linalg`
+    references and imports of `source`, each as "name (line n)", in line
+    order."""
+    banned = []
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-            banned.append(f"@ (line {node.lineno})")
-        if _on_np(node) and node.attr in _BLAS_PRODUCTS:
-            banned.append(f"np.{node.attr} (line {node.lineno})")
-        if isinstance(node, ast.Attribute) and _on_np(node.value) and node.value.attr == "linalg":
-            linalg.append((function, node.attr))
+            banned.append((node.lineno, "@"))
+        if _on_np(node) and node.attr in _KERNELS:
+            banned.append((node.lineno, f"np.{node.attr}"))
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
             names += [alias.name for alias in node.names]
-            banned.extend(f"import {n} (line {node.lineno})" for n in names if "linalg" in n)
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(ast.parse(source), "<module>")
-    return banned, linalg
+            banned.extend((node.lineno, f"import {n}") for n in names if "linalg" in n)
+    return [f"{name} (line {line})" for line, name in sorted(banned)]
 
 
 # modules of the batch path, which rotate no state one at a time
@@ -106,21 +91,11 @@ def test_audit_finds_each_kernel():
         "    a @= b\n"
         "    return a @ b, np.outer(a, b), np.linalg.eigvalsh(a)\n"
     )
-    banned, linalg = _kernel_sites(source)
-    assert banned == ["import numpy.linalg (line 2)", "@ (line 4)", "@ (line 5)",
-                      "np.outer (line 5)"]
-    assert linalg == [("f", "eigvalsh")]
+    assert _kernel_sites(source) == ["import numpy.linalg (line 2)", "@ (line 4)", "@ (line 5)",
+                                     "np.linalg (line 5)", "np.outer (line 5)"]
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_matrix_product_or_blas_kernel(module):
-    assert _kernel_sites((PACKAGE / module).read_text(encoding="utf-8"))[0] == []
-
-
-def test_linalg_only_at_the_gram_sites():
-    sites = [
-        (module, function, name)
-        for module in MODULES
-        for function, name in _kernel_sites((PACKAGE / module).read_text(encoding="utf-8"))[1]
-    ]
-    assert sorted(sites) == GRAM_SITES
+    """No `@`, BLAS-backed product or `np.linalg` name in the module."""
+    assert _kernel_sites((PACKAGE / module).read_text(encoding="utf-8")) == []

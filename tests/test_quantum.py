@@ -19,10 +19,10 @@ from qkdsim.quantum import (
     Z_MINUS,
     Z_PLUS,
     _check_operators,
-    _smallest_eigenvalues,
     born,
     born_probabilities,
     density_equal,
+    eigenvalues,
     inner_product,
     inner_products,
     measurement_probs,
@@ -407,20 +407,21 @@ def _hermitian(lower: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 class TestClosedFormPositivity:
-    """`_check_operators` takes each 2x2 operator's smaller eigenvalue in
-    closed form; LAPACK's `eigvalsh` serves here only as the oracle."""
+    """`eigenvalues` takes both eigenvalues of each 2x2 operator in closed
+    form, and `_check_operators` reads the smaller; LAPACK's `eigvalsh`
+    serves here only as the oracle."""
 
-    def test_smallest_eigenvalues_equal_eigvalsh(self):
+    def test_eigenvalues_equal_eigvalsh(self):
         u = 2.0 * uniforms(RngStream(44), 4 * 10_000).reshape(4, -1) - 1.0
         mats = _hermitian(u[0] + 1j * u[1], u[2], u[3]).reshape(100, 100, 2, 2)
-        closed = _smallest_eigenvalues(mats)
-        assert closed.shape == (100, 100)
-        np.testing.assert_allclose(closed, np.linalg.eigvalsh(mats)[..., 0], rtol=0, atol=1e-15)
+        closed = eigenvalues(mats)
+        assert closed.shape == (100, 100, 2)
+        np.testing.assert_allclose(closed, np.linalg.eigvalsh(mats), rtol=0, atol=1e-15)
 
-    def test_smallest_eigenvalues_of_random_povm_elements(self):
+    def test_eigenvalues_of_random_povm_elements(self):
         elements = np.array([random_povm(RngStream(seed)).elements for seed in range(200)])
-        np.testing.assert_allclose(_smallest_eigenvalues(elements),
-                                   np.linalg.eigvalsh(elements)[..., 0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(eigenvalues(elements), np.linalg.eigvalsh(elements),
+                                   rtol=0, atol=1e-15)
 
     @staticmethod
     def _with_eigenvalues(low, high, theta, phi):

@@ -10,7 +10,8 @@ them from `OPENBLAS_CORETYPE` instead. Each level emulates one CPU
 generation in both, and runs every golden case once, in a fresh process,
 comparing each stdout digest with the pinned one: first without AVX-512
 (OpenBLAS core Haswell, the kernels of AVX2 CPUs without AVX-512 and of
-AMD Zen), then without AVX2/FMA as well (core Sandybridge). The same
+AMD Zen), then without AVX2/FMA as well (core Sandybridge), then without
+the whole AVX family (the pre-AVX core Nehalem, which needs SSE4.2). The same
 process hashes the Eve and Bob stage tables of 200 naive and 200 optimal
 mismatch rotations, which must equal a default process's bytes: a count
 moves only if a draw lands between two such thresholds, so the digests
@@ -81,6 +82,10 @@ LEVELS = {
     "no-avx2-fma": (
         _on_cpu(lambda name: _avx512(name) or name in ("X86_V3", "AVX2", "FMA3")),
         _core("Sandybridge", ("AVX",)),
+    ),
+    "no-avx": (
+        _on_cpu(lambda name: _avx512(name) or name in ("X86_V3", "AVX2", "FMA3", "AVX", "F16C")),
+        _core("Nehalem", ("SSE42",)),
     ),
 }
 

@@ -24,8 +24,12 @@ from qkdsim.quantum import (
 from qkdsim.adversary import HALF_PI, EveKind, EveStrategy
 from qkdsim.rng import RngStream
 from qkdsim.usd import (
+    GRAM_RANK_TOL,
     UsdSchemeKind,
     frame_kets,
+    gram_eigenvalues,
+    gram_matrix,
+    gram_rank,
     idp_elements,
     idp_povm,
     naive_frame_povms,
@@ -226,6 +230,64 @@ class TestFeasibility:
             else:
                 with pytest.raises(ValueError):
                     idp_povm(a, b)
+
+
+def _random_state(rng) -> QubitState:
+    return state_from_bloch(rng.uniform() * math.pi, rng.uniform() * 2 * math.pi)
+
+
+def _random_state_sets(seed: int, n_sets: int):
+    """`n_sets` sets of 1 to 8 random states. Of every four, the second
+    repeats one of its states, the third holds an antipodal (orthogonal)
+    pair, and the fourth is one state repeated (rank 1, where the frame
+    operator's smaller eigenvalue may round below 0)."""
+    rng = RngStream(seed)
+    for i in range(n_sets):
+        states = [_random_state(rng) for _ in range(1 + integers(rng, 8))]
+        if i % 4 == 1:
+            states.insert(integers(rng, len(states) + 1), states[integers(rng, len(states))])
+        elif i % 4 == 2:
+            states.append(orthogonal_state(states[integers(rng, len(states))]))
+        elif i % 4 == 3:
+            states = states[:1] * len(states)
+        yield states[:8]
+
+
+class TestGramSpectrum:
+    """`gram_eigenvalues` takes the Gram spectrum from the 2x2 frame
+    operator in closed form; LAPACK's `eigvalsh` of `gram_matrix` serves
+    here only as the oracle."""
+
+    def test_equals_eigvalsh(self):
+        for states in _random_state_sets(61, 3000):
+            closed = gram_eigenvalues(states)
+            oracle = np.linalg.eigvalsh(gram_matrix(states))
+            np.testing.assert_allclose(closed, oracle, rtol=0, atol=1e-14)
+            assert gram_rank(closed) == gram_rank(oracle)
+            assert np.all(np.diff(closed) >= 0.0)
+
+    def test_exact_zeros_beyond_the_qubit_dimension(self):
+        rng = RngStream(67)
+        for n in range(1, 9):
+            for _ in range(20):
+                spectrum = gram_eigenvalues([_random_state(rng) for _ in range(n)])
+                assert len(spectrum) == n
+                assert np.count_nonzero(spectrum == 0.0) == max(n - 2, 0)
+                assert np.all(spectrum[max(n - 2, 0):] > GRAM_RANK_TOL)
+
+    def test_bb84_states(self):
+        spectrum = gram_eigenvalues(list(BB84_STATES))
+        assert spectrum[:2].tolist() == [0.0, 0.0]
+        np.testing.assert_allclose(spectrum[2:], [2.0, 2.0], rtol=0, atol=1e-15)
+        assert gram_rank(spectrum) == 2
+
+    def test_near_parallel_pair_stays_above_the_rank_tolerance(self):
+        """usd-check-near-parallel-pair's states: 1 - cos(0.0005 / 2),
+        about 3.125e-8, is the smaller eigenvalue and counts in the rank."""
+        spectrum = gram_eigenvalues([state_from_bloch(0.0, 0.0), state_from_bloch(0.0005, 0.0)])
+        assert spectrum[0] > GRAM_RANK_TOL
+        assert spectrum[0] == pytest.approx(1.0 - math.cos(0.00025), rel=1e-6)
+        assert gram_rank(spectrum) == 2
 
 
 def _random_decompositions_of_same_density(rng):
