@@ -2,13 +2,15 @@
 
 Configs are flat JSON documents with exactly the `ExperimentConfig`
 field names; unknown fields are rejected so a typo cannot silently relax
-a security experiment; a config is parsed once, when it is built, and a
-run reads what it kept. A report is one ordered set of leaves, each named
-by its path (section, key, and for a test its decision field). It renders
-as one key-sorted JSON document that nests the paths (byte-identical for
-identical configs) or as CSV rows with a column per leaf in the same
-order, named by its path without the section: config fields, then counts,
-then statistics, then test decisions, then discrimination diagnostics.
+a security experiment; a config is checked and parsed once, when it is
+built, by the one check `_check` (a sweep point's config and `replace`
+too), and a run reads what it kept. A report is one ordered set of
+leaves, each named by its path (section, key, and for a test its
+decision field). It renders as one key-sorted JSON document that nests
+the paths (byte-identical for identical configs) or as CSV rows with a
+column per leaf in the same order, named by its path without the
+section: config fields, then counts, then statistics, then test
+decisions, then discrimination diagnostics.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Callable, ClassVar, NamedTuple
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .quantum import (
     state_from_bloch,
     state_labels,
 )
-from .rng import GENERATOR_NAME, RngStream, derive_seed, derive_seed_array, seed_prefix
+from .rng import GENERATOR_NAME, RngStream, derive_seed_array, seed_prefix
 from .session import (
     BLOCK,
     STAGE_ESTIMATE,
@@ -57,7 +59,7 @@ from .usd import (
 
 # not called here; kept because bench/tracing.py wraps these names on this module
 from .protocol import estimate_qber, sift  # noqa: F401
-from .session import pulse_stream  # noqa: F401
+from .session import derive_seed, pulse_stream  # noqa: F401
 
 
 def _is_strict_int(value) -> bool:
@@ -85,112 +87,67 @@ def check_seed(seed, name: str) -> None:
         raise ConfigurationError(f"{name} must be in [0, 2**64)")
 
 
-class _Rule(NamedTuple):
-    """One entry of the config's check table: the fields it `reads`, the
-    attribute it `keeps` (None for a pure check) and the `check`, which
-    raises ConfigurationError on a bad value and returns what is kept."""
-
-    reads: tuple[str, ...]
-    keeps: str | None
-    check: Callable
+_FLOAT_FIELDS = ("absorption", "efficiency", "delta", "reveal_fraction", "alpha", "qber_threshold")
 
 
-def _kind(kind, name: str, keeps: str) -> _Rule:
-    def parse(config):
+def _check(config: "ExperimentConfig") -> None:
+    """Check every field of `config`, raising ConfigurationError at the
+    first bad one, and keep what the checks parse: `protocol_kind`,
+    `expected` (the channel's `ExpectedRates`) and `session` (the engine's
+    `Session`: its channel and Eve's strategy). The checks run in this
+    order, which picks the message when several fields are bad: the three
+    kinds, `n_pulses`, that every float field is a number, the channel and
+    its expectations, each range, the seed, and last Eve's strategy and
+    the session."""
+    kinds = []
+    for kind, name in (
+        (ProtocolKind, "protocol"), (EveKind, "eve_strategy"), (UsdSchemeKind, "usd_scheme")
+    ):
+        value = getattr(config, name)
         try:
-            return kind(getattr(config, name))
+            kinds.append(kind(value))
         except ValueError:
-            raise ConfigurationError(f"unknown {name} {getattr(config, name)!r}") from None
-
-    return _Rule((name,), keeps, parse)
-
-
-def _check_n_pulses(config) -> None:
+            raise ConfigurationError(f"unknown {name} {value!r}") from None
+    protocol_kind, eve_kind, scheme_kind = kinds
     if not _is_strict_int(config.n_pulses) or config.n_pulses < 1:
         raise ConfigurationError("n_pulses must be a positive integer")
     if config.n_pulses >= 2**63:
         # pulse offsets are int64; no such session could be allocated anyway
         raise ConfigurationError("n_pulses must be below 2**63")
-
-
-def _number(name: str) -> _Rule:
-    def check(config) -> None:
+    for name in _FLOAT_FIELDS:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigurationError(f"{name} must be a number")
-
-    return _Rule((name,), None, check)
-
-
-def _in_range(name: str, inside, interval: str) -> _Rule:
-    def check(config) -> None:
-        if not inside(getattr(config, name)):
+    try:
+        channel = ChannelModel(config.absorption, config.efficiency)
+        expected = expected_rates(channel)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
+    for name, inside, interval in (
+        # checked here: only basis_mismatch hands delta to its strategy
+        ("delta", 0.0 <= config.delta < HALF_PI, "[0, pi/2)"),
+        ("reveal_fraction", 0.0 < config.reveal_fraction <= 1.0, "(0, 1]"),
+        ("alpha", 0.0 < config.alpha < 1.0, "(0, 1)"),
+        ("qber_threshold", 0.0 <= config.qber_threshold <= 1.0, "[0, 1]"),
+    ):
+        if not inside:
             raise ConfigurationError(f"{name} must be in {interval}")
-
-    return _Rule((name,), None, check)
-
-
-def _channel(build):
-    """A check that returns `build(config)`, the channel or its expectations,
-    whose ValueError on a bad channel is the config's ConfigurationError."""
-
-    def check(config):
-        try:
-            return build(config)
-        except ValueError as exc:
-            raise ConfigurationError(str(exc)) from exc
-
-    return check
-
-
-def _session(config) -> Session:
-    return Session(config.n_pulses, config._channel, config._strategy, config.master_seed)
-
-
-_FLOAT_FIELDS = ("absorption", "efficiency", "delta", "reveal_fraction", "alpha", "qber_threshold")
-_CHANNEL = ("absorption", "efficiency")
-_STRATEGY = ("eve_strategy", "usd_scheme", "delta")
-
-# The config's one check table, in the order it runs: every number is
-# checked to be one before any range is, and each rule may read what the
-# rules before it kept.
-_RULES = (
-    _kind(ProtocolKind, "protocol", "protocol_kind"),
-    _kind(EveKind, "eve_strategy", "_eve_kind"),
-    _kind(UsdSchemeKind, "usd_scheme", "_scheme_kind"),
-    _Rule(("n_pulses",), None, _check_n_pulses),
-    *map(_number, _FLOAT_FIELDS),
-    _Rule(_CHANNEL, "_channel", _channel(lambda c: ChannelModel(c.absorption, c.efficiency))),
-    _Rule(_CHANNEL, "expected", _channel(lambda c: expected_rates(c._channel))),
-    # checked here: only basis_mismatch hands delta to its strategy
-    _in_range("delta", lambda v: 0.0 <= v < HALF_PI, "[0, pi/2)"),
-    _in_range("reveal_fraction", lambda v: 0.0 < v <= 1.0, "(0, 1]"),
-    _in_range("alpha", lambda v: 0.0 < v < 1.0, "(0, 1)"),
-    _in_range("qber_threshold", lambda v: 0.0 <= v <= 1.0, "[0, 1]"),
-    _Rule(("master_seed",), None, lambda config: check_seed(config.master_seed, "master_seed")),
-    _Rule(
-        _STRATEGY,
-        "_strategy",
-        lambda config: EveStrategy.of(config._eve_kind, config._scheme_kind, config.delta),
-    ),
-    _Rule(("n_pulses", *_CHANNEL, *_STRATEGY, "master_seed"), "session", _session),
-)
-
-
-def _apply(config: "ExperimentConfig", rules) -> None:
-    for rule in rules:
-        value = rule.check(config)
-        if rule.keeps is not None:
-            object.__setattr__(config, rule.keeps, value)
+    check_seed(config.master_seed, "master_seed")
+    strategy = EveStrategy.of(eve_kind, scheme_kind, config.delta)
+    config.__dict__.update(
+        protocol_kind=protocol_kind,
+        expected=expected,
+        session=Session(config.n_pulses, channel, strategy, config.master_seed),
+    )
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment's settings. Building it (`replace` too) runs every
-    rule of the check table `_RULES` and keeps what they parse outside the
-    fields, unseen by equality, hashing and `to_dict`: `protocol_kind`,
-    `session` (the engine's `Session`: its channel and Eve's strategy) and
-    `expected` (the channel's `ExpectedRates`)."""
+    """One experiment's settings. Building it (`replace` too) runs the one
+    config check, `_check`, which keeps what it parses outside the fields,
+    unseen by equality, hashing and `to_dict`: `protocol_kind`, `session`
+    (the engine's `Session`: its channel and Eve's strategy) and `expected`
+    (the channel's `ExpectedRates`)."""
 
     protocol: str
     n_pulses: int
@@ -205,15 +162,15 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        _apply(self, _RULES)
+        _check(self)
 
-    def _with(self, rules, changes: dict) -> "ExperimentConfig":
-        """A copy with the field `changes`, running only `rules`, which must
-        be every rule that reads a changed field; the other fields keep
-        this config's checked values and what their rules parsed."""
+    def _with(self, changes: dict) -> "ExperimentConfig":
+        """`replace(self, **changes)` without the dataclass's field-by-field
+        `__init__`: a copy with the field `changes`, checked in full by
+        `_check`, which parses the copy's own kept parts anew."""
         config = object.__new__(ExperimentConfig)
         config.__dict__.update(self.__dict__, **changes)
-        _apply(config, rules)
+        _check(config)
         return config
 
     @classmethod
@@ -463,15 +420,15 @@ def sweep(config: ExperimentConfig, parameter: str, values: list) -> list[RunRep
     """One report per value, with per-point seeds hashed from the base seed.
 
     Each point's seed is derived from (master_seed, value index) alone,
-    so every report equals a standalone run at that derived seed; points
-    share no state, and truncating the value list never changes the
-    reports that remain. Every point's config is built before any runs,
-    in value order, and equals `replace(config, ...)` of the point's value
-    and seed in every field and in what it parsed; but it runs only the
-    check table's rules that read the swept field or the seed (`_RULES`),
-    so the unchanged fields are neither checked nor parsed again, and a
-    bad value fails at the first bad point with the message `replace`
-    would give. Consecutive points then run as engine batches of at most
+    `derive_seed(master_seed, index, STAGE_SWEEP)`, all points' by one
+    `derive_seed_array` call, so every report equals a standalone run at
+    that derived seed; points share no state, and truncating the value
+    list never changes the reports that remain. Every point's config is
+    built before any runs, in value order, as `replace(config, ...)` of the
+    point's value and seed builds it, through the one full check
+    (`_check`), so a bad value fails at the first bad point with the
+    message `replace` gives.
+    Consecutive points then run as engine batches of at most
     `session.BLOCK` pulses in all (a longer point alone), so a sweep of
     short sessions pays the engine's per-call costs once per batch.
     Whatever its points' lengths, a sweep holds one engine block of
@@ -485,14 +442,11 @@ def sweep(config: ExperimentConfig, parameter: str, values: list) -> list[RunRep
         raise ConfigurationError(
             f"unknown sweep parameter {parameter!r}; choose from {SWEEP_PARAMETERS}"
         )
-    changed = {parameter, "master_seed"}
-    rules = [rule for rule in _RULES if changed.intersection(rule.reads)]
+    indices = np.arange(len(values), dtype=np.uint64)
+    seeds = derive_seed_array(STAGE_SWEEP, seed_prefix(indices ^ np.uint64(config.master_seed)))
     configs = [
-        config._with(
-            rules,
-            {parameter: value, "master_seed": derive_seed(config.master_seed, index, STAGE_SWEEP)},
-        )
-        for index, value in enumerate(values)
+        config._with({parameter: value, "master_seed": seed})
+        for value, seed in zip(values, seeds.tolist())
     ]
     return [report for batch in _batches(configs) for report in _run_batch(batch)]
 

@@ -123,11 +123,10 @@ MUTANTS = (
     # elements add to the identity
     Mutant("random-povm-balance", "quantum.py",
            "tuple(-a - b for a, b in", "tuple(a + b for a, b in", ("test_quantum.py",)),
-    # a sweep point runs every rule of the check table that reads the swept
-    # field, its pure checks too, so a bad value still fails
-    Mutant("sweep-swept-check", "harness.py",
-           "if changed.intersection(rule.reads)]",
-           "if changed.intersection(rule.reads) and rule.keeps]",
+    # a sweep point's config runs the whole config check, as `replace` does,
+    # so a bad late value still fails
+    Mutant("sweep-point-check", "harness.py",
+           "_check(config)\n        return config", "return config",
            ("test_harness.py",)),
     # a 2x2 operator's eigenvalues are (a + d)/2 -+ hypot((a - d)/2, |b|):
     # the smaller decides positivity, where the larger would pass a negative

@@ -103,6 +103,32 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="master_seed"):
             ExperimentConfig.from_dict({**BASE, "master_seed": seed})
 
+    @pytest.mark.parametrize(
+        "patch,message",
+        [
+            ({"protocol": "b93", "n_pulses": 0}, "unknown protocol 'b93'"),
+            ({"n_pulses": 0, "delta": "0.1"}, "n_pulses must be a positive integer"),
+            ({"delta": "0.1", "absorption": 1.5}, "delta must be a number"),
+            ({"absorption": 1.5, "delta": 2.0}, "absorption must be in [0, 1], got 1.5"),
+            (
+                {"efficiency": 0.0, "delta": 2.0},
+                "degenerate channel (absorption 0.0, efficiency 0.0) delivers a pulse too "
+                "rarely: its expected null ratio is not finite",
+            ),
+            ({"delta": 2.0, "master_seed": -1}, "delta must be in [0, pi/2)"),
+            ({"reveal_fraction": 0.0, "alpha": 0.0}, "reveal_fraction must be in (0, 1]"),
+            ({"alpha": 1.0, "qber_threshold": 2.0}, "alpha must be in (0, 1)"),
+            ({"qber_threshold": 2.0, "master_seed": 2**64}, "qber_threshold must be in [0, 1]"),
+        ],
+    )
+    def test_first_failing_check_names_the_error(self, patch, message):
+        """With two bad fields the message is the first failing check's, in
+        the check's order: kinds, `n_pulses`, numberness, the channel and its
+        expectations, the ranges, the seed."""
+        with pytest.raises(ConfigurationError) as error:
+            ExperimentConfig.from_dict({**BASE, **patch})
+        assert str(error.value) == message
+
     def test_master_seed_bounds_accepted(self):
         for seed in (0, 2**64 - 1):
             assert ExperimentConfig.from_dict({**BASE, "master_seed": seed}).master_seed == seed
@@ -134,7 +160,9 @@ class TestConfig:
 
     def test_parsed_parts_never_leak(self):
         """The kept parts are not fields: the field list, `to_dict`, the
-        round trip, equality and hashing see only the 11 config values."""
+        round trip, equality and hashing see only the 11 config values.
+        Besides those a config holds exactly the three parts its check
+        parses, whether built, replaced or swept: no other attribute."""
         names = [
             "protocol", "n_pulses", "absorption", "efficiency", "eve_strategy", "usd_scheme",
             "delta", "reveal_fraction", "alpha", "qber_threshold", "master_seed",
@@ -147,6 +175,9 @@ class TestConfig:
         twin = ExperimentConfig.from_dict(dict(data))
         assert twin == config and hash(twin) == hash(config)
         assert twin.session is not config.session and twin.session == config.session
+        (point,) = (r.config for r in sweep(replace(config, n_pulses=30), "alpha", [0.5]))
+        for built in (config, replace(config, alpha=0.5), point):
+            assert set(vars(built)) == {*names, "protocol_kind", "expected", "session"}
 
 
 class TestRunExperiment:
@@ -631,11 +662,11 @@ def test_sweep_labels_each_state_once_per_batch(parameter, tmp_path, monkeypatch
 
 @pytest.mark.parametrize("output", ["json", "csv"])
 def test_sweep_parses_each_config_once(output, tmp_path, monkeypatch):
-    """An N-point delta sweep builds one channel and one channel
-    expectation, the base config's, which every point keeps, and N + 1
-    strategies, the base's and one per point: a point parses only the
-    swept field, and the engine, the null-ratio test and the report read
-    what each config kept."""
+    """An N-point delta sweep builds N + 1 channels, channel expectations
+    and strategies, the base config's and one of each per point: every
+    point runs the whole check, as `replace` does, and the engine, the
+    null-ratio test and the report read what each config kept, parsing
+    nothing again."""
     counts = dict.fromkeys(("channel", "strategy", "expected_rates"), 0)
 
     def counting_init(name, init):
@@ -660,11 +691,23 @@ def test_sweep_parses_each_config_once(output, tmp_path, monkeypatch):
     code, out = _cli(["--output", output, "sweep", "--config", str(path),
                       "--param", "delta", "--values", ",".join(map(repr, values))])
     assert code == 0 and out
-    assert counts == {"channel": 1, "strategy": len(values) + 1, "expected_rates": 1}
+    n_configs = len(values) + 1
+    assert counts == dict.fromkeys(("channel", "strategy", "expected_rates"), n_configs)
+
+
+@pytest.mark.parametrize("master_seed", [0, 7, 2**64 - 1])
+def test_sweep_point_seeds_are_derive_seed(master_seed):
+    """Point i runs at `derive_seed(master_seed, i, STAGE_SWEEP)`, a Python
+    int, though all points' seeds come from one array call."""
+    base = ExperimentConfig.from_dict({**BASE, "n_pulses": 20, "master_seed": master_seed})
+    reports = sweep(base, "alpha", [0.1, 0.2, 0.3, 0.1, 0.5])
+    seeds = [report.config.master_seed for report in reports]
+    assert seeds == [derive_seed(master_seed, i, STAGE_SWEEP) for i in range(5)]
+    assert all(type(seed) is int for seed in seeds)
 
 
 # parameter -> (base config fields, values); each base is valid, and the
-# values cross the unchanged fields' rules
+# values cross the checks of the unchanged fields
 _POINT_SWEEPS = {
     "delta": ({"eve_strategy": "basis_mismatch", "usd_scheme": "optimal"}, [0.0, 0.4, 1.5, 0]),
     "n_pulses": ({"eve_strategy": "usd_suppress", "absorption": 0.1}, [1, 7, 60]),
@@ -682,11 +725,10 @@ def test_point_sweeps_cover_every_sweep_parameter():
 
 @pytest.mark.parametrize("parameter", list(_POINT_SWEEPS))
 def test_each_sweep_point_config_equals_replace(parameter):
-    """Each point's config, which runs only the rules of the swept field and
-    the seed, equals `replace` of the base at the point's value and seed,
-    which runs them all: in equality, hash, `to_dict` (types too), the
-    parsed protocol kind, session and channel expectations, and every
-    attribute either keeps."""
+    """Each point's config, built by the cheap copy `_with`, equals
+    `replace` of the base at the point's value and seed: in equality,
+    hash, `to_dict` (types too), the parsed protocol kind, session and
+    channel expectations, and every attribute either keeps."""
     extra, values = _POINT_SWEEPS[parameter]
     base = ExperimentConfig.from_dict({**BASE, "n_pulses": 60, **extra})
     points = [report.config for report in sweep(base, parameter, values)]
@@ -728,7 +770,7 @@ _GOOD = {
 )
 def test_sweep_rejects_a_bad_late_value_as_replace_does(parameter, bad, message, tmp_path):
     """A bad last value of a sweep exits 2 with nothing on stdout and the
-    message `replace` gives for it, which runs the full check table."""
+    message `replace` gives for it, which runs the full config check."""
     path = tmp_path / "base.json"
     base = {**BASE, "n_pulses": 40, "eve_strategy": "basis_mismatch"}
     path.write_text(json.dumps(base), encoding="utf-8")
