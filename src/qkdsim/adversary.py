@@ -24,7 +24,7 @@ from .usd import UsdSchemeKind
 HALF_PI = 1.5707963267948966
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChannelModel:
     """Per-pulse absorption plus detector efficiency; no noise on survivors."""
 

@@ -29,7 +29,7 @@ import numpy as np
 from .adversary import ChannelModel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpectedRates:
     """Arrival and null expectations Bob derives from the channel model."""
 

@@ -53,12 +53,25 @@ draw-for-draw identical to a Python loop over `RngStream` substreams
 reference, on the blocks' columns laid end to end, Bob's on the arrived
 pulses). The columns, and so
 the counts, are pure functions of (configuration, master seed).
+
+The same independence lets a long batch be counted in parallel: its
+pulses are cut into contiguous, block-aligned ranges (`pulse_ranges`),
+one per CPU of the process's affinity mask and at least `PARALLEL_MIN`
+pulses each; the parent counts the first and a forked child each other,
+and the children's count tables are added to the parent's and their
+sifted bits appended in range order, so the record is the serial one
+byte for byte, for any number of processes. Each process holds one
+block of columns at a time. A batch stays serial where the process
+cannot fork, or not safely, since another thread is alive.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -85,6 +98,15 @@ STAGE_SWEEP = 5
 # 256 KiB at this size, so together they fit in a 2 MiB L2 cache, where
 # whole-session arrays (8 MB per 10^6 pulses) would stream through memory.
 BLOCK = 1 << 15
+
+# Fewest pulses a process counts when a batch is forked (`pulse_ranges`).
+# A worker that counts nothing (fork, pipe, pickled table, exit, reap)
+# took 2.0-2.2 ms after `import qkdsim.cli` on a 2-core AVX-512 host,
+# about 5% of counting 2^20 pulses at 45 ns each. Sweep batches, at most
+# `BLOCK` pulses, stay serial.
+PARALLEL_MIN = 1 << 20
+# the most bytes of a worker's sifted bits read from its pipe at a time
+_CHUNK = 1 << 20
 
 
 def pulse_stream(master_seed: int, index: int, stage: int) -> RngStream:
@@ -190,7 +212,7 @@ def _sample_stage(
     return frame, outcome
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Session:
     """One session of a batch: its length, channel, Eve and master seed."""
 
@@ -408,34 +430,21 @@ def _block(batch: _Batch, a: int, b: int) -> _Block:
     )
 
 
-def _blocks(batch: _Batch) -> Iterator[_Block]:
-    """Every block of a batch, in pulse order."""
-    for a in range(0, batch.n_pulses, BLOCK):
-        yield _block(batch, a, min(a + BLOCK, batch.n_pulses))
+def _blocks(batch: _Batch, a: int, b: int) -> Iterator[_Block]:
+    """Every block of pulses [a, b) of a batch, in pulse order."""
+    for start in range(a, b, BLOCK):
+        yield _block(batch, start, min(start + BLOCK, b))
 
 
-def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> SessionCounts:
-    """Simulate a batch of sessions in one pass over their pulses.
-
-    The sessions share the protocol, Eve's kind and her discrimination
-    scheme's kind; each is deterministic given (its fields, master seed)
-    and does not depend on the others. Each block is sifted and counted
-    as soon as it is drawn, and only its sifted disagreement bits are
-    kept, appended to one buffer. Its counts go into one table, a row per
-    session: arrived, sifted, then each forward slot. Sifting runs on the
-    arrived pulses only, Bob's columns, so a session's arrived and sifted
-    counts are lengths of runs of them; its slot counts are over all its
-    pulses. A block within one session adds the runs' lengths and each
-    slot column's `count_nonzero`. A block across sessions finds each
-    session's first arrived pulse by `searchsorted` of the arrivals at
-    the session bounds, and adds each slot column's `reduceat` at those
-    bounds (column by column, so no stack of them is cast to int64).
-    """
-    batch = _batch(kind, sessions)
+def _count(batch: _Batch, a: int, b: int) -> tuple[np.ndarray, bytearray]:
+    """The count table of pulses [a, b) of a batch, a row per session
+    (see `simulate_session`), and their sifted disagreement bits in
+    pulse order, one byte each."""
+    kind = batch.kind
     n_slots = batch.forward.shape[1]
-    table = np.zeros((len(sessions), 2 + n_slots), dtype=np.int64)
+    table = np.zeros((len(batch.master_seeds), 2 + n_slots), dtype=np.int64)
     errors = bytearray()
-    for block in _blocks(batch):
+    for block in _blocks(batch, a, b):
         arrived, bob_bases, bob_minus = block.arrived, block.bob_bases, block.bob_minus
         bases = None if block.alice_bases is None else block.alice_bases[arrived]
         mask = sift_mask(kind, bases, bob_bases, bob_minus)
@@ -456,6 +465,123 @@ def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> Session
         table[i : i + rows] += np.column_stack((n_arrived, n_sifted, *forwarded))
         # the next block is drawn without this one's arrays
         del block, arrived, bob_bases, bob_minus, bases, mask, slots
+    return table, errors
+
+
+def pulse_ranges(n: int, block: int, cpus: int) -> list[tuple[int, int]]:
+    """The pulse ranges [a, b) a batch of `n` pulses is counted in, one
+    per process: contiguous, `block`-aligned and covering [0, n) in
+    order. There are min(cpus, blocks, n // PARALLEL_MIN) of them, and
+    at least one; each holds the same number of blocks, give or take
+    one."""
+    n_blocks = -(-n // block)
+    workers = max(1, min(cpus, n_blocks, n // PARALLEL_MIN))
+    cuts = [block * (n_blocks * k // workers) for k in range(workers)] + [n]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _cpus() -> int:
+    """The CPUs this process may count on: those of its affinity mask, or
+    1 where it cannot fork, or not safely, since another thread is alive."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return 1 if threading.active_count() > 1 else len(os.sched_getaffinity(0))
+
+
+def _worker(batch: _Batch, a: int, b: int, fd: int) -> NoReturn:
+    """Body of a forked child: count pulses [a, b) and write to the pipe
+    `fd` the pickled (table, number of sifted bits) and then the bits, or
+    the pickled exception that counting raised. It ends only through
+    `os._exit`, so it runs none of the parent's exit handlers and
+    flushes none of its buffers."""
+    status = 1
+    try:
+        try:
+            table, errors = _count(batch, a, b)
+            message = (table, len(errors))
+        except BaseException as exc:  # sent to the parent, which raises it
+            message, errors = exc, b""
+        with open(fd, "wb") as pipe:
+            pickle.dump(message, pipe)
+            pipe.write(errors)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _count_ranges(batch: _Batch, ranges: list[tuple[int, int]]) -> tuple[np.ndarray, bytearray]:
+    """`_count` over `ranges` laid end to end: range 0 here, each other
+    in a forked child (none for one range). The children's tables are added to this one's and
+    their bits appended in range order, read in chunks of at most
+    `_CHUNK` bytes, so the bits are held once. A child's exception is
+    raised here as itself. Every child is reaped on every path, a child
+    still running killed first."""
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for a, b in ranges[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                for _, pipe in children:
+                    pipe.close()
+                _worker(batch, a, b, w)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        table, errors = _count(batch, *ranges[0])
+        for pid, pipe in children:
+            try:
+                message = pickle.load(pipe)
+            except EOFError:
+                raise ChildProcessError(f"engine worker {pid} ended without its counts") from None
+            if isinstance(message, BaseException):
+                raise message
+            part, left = message
+            table += part
+            while left:
+                chunk = pipe.read(min(left, _CHUNK))
+                if not chunk:
+                    raise ChildProcessError(f"engine worker {pid} ended before its last bits")
+                errors += chunk
+                left -= len(chunk)
+        return table, errors
+    finally:
+        for pid, pipe in children:
+            # imported here, as only a forked batch needs it: `signal` adds 0.6 ms to start-up
+            import signal
+
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+
+
+def simulate_session(kind: ProtocolKind, sessions: Sequence[Session]) -> SessionCounts:
+    """Simulate a batch of sessions in one pass over their pulses.
+
+    The sessions share the protocol, Eve's kind and her discrimination
+    scheme's kind; each is deterministic given (its fields, master seed)
+    and does not depend on the others. Each block is sifted and counted
+    as soon as it is drawn, and only its sifted disagreement bits are
+    kept, appended to one buffer. Its counts go into one table, a row per
+    session: arrived, sifted, then each forward slot. Sifting runs on the
+    arrived pulses only, Bob's columns, so a session's arrived and sifted
+    counts are lengths of runs of them; its slot counts are over all its
+    pulses. A block within one session adds the runs' lengths and each
+    slot column's `count_nonzero`. A block across sessions finds each
+    session's first arrived pulse by `searchsorted` of the arrivals at
+    the session bounds, and adds each slot column's `reduceat` at those
+    bounds (column by column, so no stack of them is cast to int64).
+
+    A batch of at least 2 * `PARALLEL_MIN` pulses, in a process that may
+    fork onto more than one CPU (`_cpus`), is counted over `pulse_ranges`
+    in forked processes (`_count_ranges`); the merged table and bits are
+    the serial ones, byte for byte.
+    """
+    batch = _batch(kind, sessions)
+    table, errors = _count_ranges(batch, pulse_ranges(batch.n_pulses, BLOCK, _cpus()))
 
     return SessionCounts(
         n_pulses=batch.n_pulses,

@@ -70,6 +70,9 @@ MUTANTS = (
     Mutant("count-table-columns", "session.py",
            "np.column_stack((n_arrived, n_sifted, *", "np.column_stack((n_sifted, n_arrived, *",
            ("test_session.py", "test_harness.py")),
+    # a forked batch's bits are merged in range order: the parent's range, then each child's
+    Mutant("merge-range-order", "session.py", "errors += chunk", "errors[:0] = chunk",
+           ("test_session.py", "test_golden.py")),
     Mutant("reveal-run-mask", "protocol.py",
            "np.tile([True, False], len(m))", "np.tile([False, True], len(m))",
            ("test_protocol.py",)),

@@ -109,7 +109,7 @@ def simulate_batch(kind, sessions) -> SessionBatch:
     """The engine's columns of a batch: every block's, end to end, Bob's
     scattered back to full length."""
     batch = session._batch(kind, sessions)
-    blocks = [_full_columns(block) for block in session._blocks(batch)]
+    blocks = [_full_columns(block) for block in session._blocks(batch, 0, batch.n_pulses)]
 
     def column(name):
         parts = [getattr(block, name) for block in blocks]

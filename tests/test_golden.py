@@ -174,6 +174,17 @@ def test_stdout_digest_unchanged(name, tmp_path):
     assert _digest(name, tmp_path) == pinned[name]
 
 
+@pytest.mark.parametrize(
+    "name", ["b92-usd-suppress-naive-lossy-multiblock", "bb84-intercept-resend-multiblock"]
+)
+def test_forked_engine_prints_the_pinned_digest(name, tmp_path, forking):
+    """A multi-block run counted in forked processes prints the bytes
+    pinned for it."""
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert _digest(name, tmp_path) == pinned[name]
+    assert forking
+
+
 def test_every_case_pinned():
     assert sorted(json.loads(DIGESTS.read_text(encoding="utf-8"))) == sorted(CASES)
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 import tracemalloc
@@ -1089,6 +1090,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert "n_pulses 1000000000000 does not fit in memory" in captured.err
         assert captured.out == ""
+
+    def test_memory_error_in_an_engine_worker_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                      forking):
+        """A forked engine child that runs out of memory sends its
+        MemoryError to the parent, which reaps every child and reports
+        the config error as a serial run would, writing nothing."""
+        parent = os.getpid()
+        block = session._block
+
+        def unallocatable_in_a_child(batch, a, b):
+            if os.getpid() != parent:
+                raise MemoryError
+            return block(batch, a, b)
+
+        monkeypatch.setattr(session, "_block", unallocatable_in_a_child)
+        path = self._write_config(tmp_path, {**BASE, "n_pulses": 100_000})
+        assert main(["run", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert "n_pulses 100000 does not fit in memory" in captured.err
+        assert captured.out == ""
+        assert forking
 
     @pytest.mark.parametrize(
         "command,n_pulses",

@@ -3,11 +3,17 @@ determinism, block-size and batch independence and substream-permutation
 properties, and its per-block counts against the same counts taken over
 its blocks' columns laid end to end."""
 
+import os
+import sys
+import threading
 import tracemalloc
+from dataclasses import fields
 from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enumeration import (
     TAU_X_MINUS,
@@ -183,6 +189,11 @@ def _mismatch(delta):
     return EveStrategy.of(EveKind.BASIS_MISMATCH, UsdSchemeKind.OPTIMAL_IDP, delta)
 
 
+def _fields(s):
+    """A `Session`'s fields in order, not recursing into the dataclasses it holds."""
+    return [getattr(s, field.name) for field in fields(s)]
+
+
 # lengths, channels, deltas and seeds differ from session to session; the
 # zero deltas forward Alice's own states and the others their own pair
 BATCH = [
@@ -198,7 +209,7 @@ BATCH = [
 def test_batched_sessions_equal_standalone_sessions(block, monkeypatch):
     """A session's transcript does not depend on the batch around it, nor
     on where block boundaries fall inside or across sessions."""
-    alone = [one_session(ProtocolKind.B92, *vars(s).values()) for s in BATCH]
+    alone = [one_session(ProtocolKind.B92, *_fields(s)) for s in BATCH]
     monkeypatch.setattr(session, "BLOCK", block)
     batch = simulate_batch(ProtocolKind.B92, BATCH)
     assert batch.n_pulses == sum(s.n_pulses for s in BATCH)
@@ -379,6 +390,167 @@ def test_sifted_bits_are_held_once():
     assert peak - len(counts.errors) < 2.75 * 2**20
 
 
+def _assert_ranges(ranges, n, block, cpus):
+    """`pulse_ranges` is contiguous, block-aligned and covers [0, n) in
+    order, with never more ranges than CPUs or blocks."""
+    assert 1 <= len(ranges) <= min(cpus, -(-n // block))
+    assert ranges[0][0] == 0 and ranges[-1][1] == n
+    for (a, b), (c, _) in zip(ranges, ranges[1:]):
+        assert a < b == c and c % block == 0
+
+
+@pytest.mark.parametrize("cpus,workers", [(1, 1), (2, 2), (64, 9)])
+def test_pulse_ranges_follow_the_cpus(cpus, workers):
+    """10^7 pulses in 2^15-pulse blocks: one range a CPU, up to one a
+    `PARALLEL_MIN` pulses (9 of them), each within a block of the others."""
+    n = 10**7
+    ranges = session.pulse_ranges(n, BLOCK, cpus)
+    _assert_ranges(ranges, n, BLOCK, cpus)
+    assert len(ranges) == workers
+    sizes = [b - a for a, b in ranges]
+    assert max(sizes) - min(sizes) <= BLOCK
+
+
+def test_pulse_ranges_stay_serial_below_the_threshold():
+    n = 2 * session.PARALLEL_MIN - 1
+    assert session.pulse_ranges(n, BLOCK, 64) == [(0, n)]
+    assert len(session.pulse_ranges(n + 1, BLOCK, 64)) == 2
+
+
+def test_pulse_ranges_never_outnumber_the_blocks(monkeypatch):
+    """Fewer blocks than CPUs give a range a block; one block, however
+    large (`BLOCK = 10**12` as in the unallocatable-session test), is one
+    range, never an empty range beside it."""
+    monkeypatch.setattr(session, "PARALLEL_MIN", 1)
+    assert session.pulse_ranges(3 * 64 + 1, 64, 64) == [(0, 64), (64, 128), (128, 192), (192, 193)]
+    assert session.pulse_ranges(10**12, 10**12, 64) == [(0, 10**12)]
+    assert session.pulse_ranges(1, 64, 64) == [(0, 1)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 10**13), st.integers(1, 2**20), st.integers(1, 256), st.integers(1, 2**22))
+def test_pulse_ranges_partition_every_batch(n, block, cpus, minimum):
+    session_min = session.PARALLEL_MIN
+    session.PARALLEL_MIN = minimum
+    try:
+        ranges = session.pulse_ranges(n, block, cpus)
+    finally:
+        session.PARALLEL_MIN = session_min
+    _assert_ranges(ranges, n, block, cpus)
+    assert len(ranges) <= max(1, n // minimum)
+
+
+def _assert_same_counts(got, want):
+    for field in fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            np.testing.assert_array_equal(a, b, err_msg=field.name)
+        else:
+            assert a == b, field.name
+
+
+def _forked_equals_serial(kind, sessions, forks, monkeypatch):
+    """The engine's record of a batch, forked, equals its serial record."""
+    forked = simulate_session(kind, sessions)
+    assert forks
+    with monkeypatch.context() as serial:
+        serial.setattr(session, "PARALLEL_MIN", 2**62)
+        _assert_same_counts(forked, simulate_session(kind, sessions))
+    return forked
+
+
+@pytest.mark.parametrize("name,kind,strategy,channel", _BOTH, ids=[c[0] for c in _BOTH])
+def test_forked_counts_equal_serial_counts(name, kind, strategy, channel, forking, monkeypatch):
+    """Every strategy with both protocols' states, lossless and lossy: the
+    children's tables added and their bits appended in range order give
+    the serial table and bits, byte for byte."""
+    monkeypatch.setattr(session, "BLOCK", 64)
+    forked = _forked_equals_serial(kind, [Session(1_000, channel, strategy, 5)], forking, monkeypatch)
+    assert len(forked.errors) > 0
+
+
+def test_forked_batch_straddling_a_range_boundary_equals_serial(forking, monkeypatch):
+    """A batch of sessions of different lengths, channels and seeds, one
+    of which straddles the cut between the parent's range and a child's."""
+    monkeypatch.setattr(session, "BLOCK", 64)
+    starts = [0, *accumulate(s.n_pulses for s in BATCH)]
+    cuts = [a for a, _ in session.pulse_ranges(starts[-1], 64, session._cpus())[1:]]
+    assert any(a < cut < b for a, b in zip(starts, starts[1:]) for cut in cuts)
+    _forked_equals_serial(ProtocolKind.B92, BATCH, forking, monkeypatch)
+
+
+def test_forked_run_leaves_no_process_and_no_multiprocessing(forking):
+    """The `forking` fixture checks that every child was reaped; the engine
+    forks by `os.fork` alone, so `multiprocessing` stays unimported."""
+    imported = "multiprocessing" in sys.modules
+    simulate_session(ProtocolKind.B92, [Session(100_000, ChannelModel(), _mismatch(0.4), 1)])
+    assert len(forking) == min(session._cpus(), 4) - 1  # 4 blocks
+    assert ("multiprocessing" in sys.modules) == imported
+
+
+def _raise_in(monkeypatch, where, raised):
+    """Make counting a block raise `raised` in this process ("parent") or
+    in each forked child ("child"); a child may end by `os._exit` too."""
+    parent = os.getpid()
+    block = session._block
+
+    def raising(batch, a, b):
+        if (os.getpid() == parent) == (where == "parent"):
+            if raised is os._exit:
+                os._exit(3)
+            raise raised
+        return block(batch, a, b)
+
+    monkeypatch.setattr(session, "_block", raising)
+
+
+@pytest.mark.parametrize(
+    "where,raised,caught",
+    [
+        ("child", MemoryError, MemoryError),
+        ("child", ValueError("bad block"), ValueError),
+        ("child", KeyboardInterrupt, KeyboardInterrupt),
+        ("child", os._exit, ChildProcessError),
+        ("parent", MemoryError, MemoryError),
+        ("parent", KeyboardInterrupt, KeyboardInterrupt),
+    ],
+    ids=["child-memory", "child-value", "child-interrupt", "child-exit", "parent-memory",
+         "parent-interrupt"],
+)
+def test_a_failing_range_raises_here_and_reaps_every_child(where, raised, caught, forking,
+                                                           monkeypatch):
+    """A child's exception is raised in the parent as its own type (a
+    child that ends without its counts as `ChildProcessError`), and an
+    exception in the parent's own range kills the children; either way
+    every child is reaped (the `forking` fixture checks)."""
+    _raise_in(monkeypatch, where, raised)
+    with pytest.raises(caught):
+        simulate_session(ProtocolKind.B92, [Session(100_000, ChannelModel(), _mismatch(0.4), 1)])
+    assert forking
+
+
+def test_a_live_thread_keeps_the_engine_serial(forking, monkeypatch):
+    """Fork with another thread alive can deadlock the child, so the
+    engine does not fork then, and still counts the whole batch."""
+
+    def no_fork():
+        raise AssertionError("forked with a live thread")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    sessions = [Session(100_000, ChannelModel(0.1, 0.9), _mismatch(0.4), 1)]
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        counts = simulate_session(ProtocolKind.B92, sessions)
+    finally:
+        release.set()
+        thread.join()
+    monkeypatch.setattr(session, "PARALLEL_MIN", 2**62)
+    _assert_same_counts(counts, simulate_session(ProtocolKind.B92, sessions))
+
+
 def test_block_counts_of_a_mismatch_sweep_batch_equal_counts_over_columns():
     """Sessions of different deltas forward different states: each is
     counted against its own ids."""
@@ -464,7 +636,7 @@ def test_forwarded_ids_widen_to_int32_past_int16_states():
     sample = [*forwarding[:2], *forwarding[-3:], *suppressed[:2]]
     assert batch.forwarded_ids[forwarding[-1]] > np.iinfo(np.int16).max
     for i in sample:
-        alone = session_columns(one_session(ProtocolKind.B92, *vars(sessions[i]).values()))
+        alone = session_columns(one_session(ProtocolKind.B92, *_fields(sessions[i])))
         got = session_columns(batch, i)
         assert got["forwarded_states"].tolist() == alone["forwarded_states"].tolist()
         for column in ("alice_bits", "arrived", "bob_bases", "bob_minus"):
