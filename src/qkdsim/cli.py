@@ -22,6 +22,7 @@ from .harness import (
     ExperimentConfig,
     InfeasibleStrategyError,
     check_seed,
+    json_text,
     no_signaling_demo,
     report_csv_rows,
     report_dicts,
@@ -155,7 +156,7 @@ def _integer(part: str, value: float) -> int:
 
 
 def _emit_json(document) -> None:
-    print(json.dumps(document, indent=2, sort_keys=True))
+    print(json_text(document))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,15 +2,16 @@
 
 Configs are flat JSON documents with exactly the `ExperimentConfig`
 field names; unknown fields are rejected so a typo cannot silently relax
-a security experiment; a config is checked and parsed once, when it is
-built, by the one check `_check` (a sweep point's config and `replace`
-too), and a run reads what it kept. A report is one ordered set of
-leaves, each named by its path (section, key, and for a test its
-decision field). It renders as one key-sorted JSON document that nests
-the paths (byte-identical for identical configs) or as CSV rows with a
-column per leaf in the same order, named by its path without the
-section: config fields, then counts, then statistics, then test
-decisions, then discrimination diagnostics.
+a security experiment. Every config, a sweep point's and `replace`'s
+too, is made by its constructor, which checks and parses it once by the
+one check `_check`, so it holds only plain JSON values, and a run reads
+what it kept. A report is one ordered set of leaves, each named by its
+path (section, key, and for a test its decision field). It renders as
+one key-sorted JSON document that nests the paths (`json_text`,
+byte-identical for identical configs) or as CSV rows with a column per
+leaf in the same order, named by its path without the section: config
+fields, then counts, then statistics, then test decisions, then
+discrimination diagnostics.
 """
 
 from __future__ import annotations
@@ -105,6 +106,10 @@ def _check(config: "ExperimentConfig") -> None:
     ):
         value = getattr(config, name)
         try:
+            # only a string names a kind: an enum member parses as itself,
+            # and a config that kept one could not print it
+            if not isinstance(value, str):
+                raise ValueError(value)
             kinds.append(kind(value))
         except ValueError:
             raise ConfigurationError(f"unknown {name} {value!r}") from None
@@ -143,11 +148,13 @@ def _check(config: "ExperimentConfig") -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment's settings. Building it (`replace` too) runs the one
-    config check, `_check`, which keeps what it parses outside the fields,
-    unseen by equality, hashing and `to_dict`: `protocol_kind`, `session`
-    (the engine's `Session`: its channel and Eve's strategy) and `expected`
-    (the channel's `ExpectedRates`)."""
+    """One experiment's settings, each a plain JSON value: the kinds are
+    strings, and a float field may be any float, numpy's too. Building it
+    (`replace` and a sweep point too) runs the one config check, `_check`,
+    which keeps what it parses outside the fields, unseen by equality,
+    hashing and `to_dict`: `protocol_kind`, `session` (the engine's
+    `Session`: its channel and Eve's strategy) and `expected` (the
+    channel's `ExpectedRates`)."""
 
     protocol: str
     n_pulses: int
@@ -163,15 +170,6 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _check(self)
-
-    def _with(self, changes: dict) -> "ExperimentConfig":
-        """`replace(self, **changes)` without the dataclass's field-by-field
-        `__init__`: a copy with the field `changes`, checked in full by
-        `_check`, which parses the copy's own kept parts anew."""
-        config = object.__new__(ExperimentConfig)
-        config.__dict__.update(self.__dict__, **changes)
-        _check(config)
-        return config
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -227,7 +225,12 @@ class RunReport:
         return report_dicts([self])[0]
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json_text(self.to_dict())
+
+
+def json_text(document) -> str:
+    """The one JSON layout of every report: indented, keys sorted."""
+    return json.dumps(document, indent=2, sort_keys=True)
 
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
@@ -424,10 +427,10 @@ def sweep(config: ExperimentConfig, parameter: str, values: list) -> list[RunRep
     `derive_seed_array` call, so every report equals a standalone run at
     that derived seed; points share no state, and truncating the value
     list never changes the reports that remain. Every point's config is
-    built before any runs, in value order, as `replace(config, ...)` of the
-    point's value and seed builds it, through the one full check
-    (`_check`), so a bad value fails at the first bad point with the
-    message `replace` gives.
+    built before any runs, in value order, by the constructor from the
+    base's fields with the point's value and seed, through the one full
+    check (`_check`), so a bad value fails at the first bad point with the
+    message that config alone gives.
     Consecutive points then run as engine batches of at most
     `session.BLOCK` pulses in all (a longer point alone), so a sweep of
     short sessions pays the engine's per-call costs once per batch.
@@ -444,8 +447,9 @@ def sweep(config: ExperimentConfig, parameter: str, values: list) -> list[RunRep
         )
     indices = np.arange(len(values), dtype=np.uint64)
     seeds = derive_seed_array(STAGE_SWEEP, seed_prefix(indices ^ np.uint64(config.master_seed)))
+    base = config.to_dict()
     configs = [
-        config._with({parameter: value, "master_seed": seed})
+        ExperimentConfig(**{**base, parameter: value, "master_seed": seed})
         for value, seed in zip(values, seeds.tolist())
     ]
     return [report for batch in _batches(configs) for report in _run_batch(batch)]
@@ -544,8 +548,9 @@ def no_signaling_demo(
 
 # -- CSV rendering -----------------------------------------------------------
 
-# A CSV cell by its value's type: None empty, bools lower case, floats by
-# repr, and any other type by str.
+# A CSV cell by its value's exact type: None empty, bools lower case,
+# floats by repr, and any other type by str. A numpy float thus prints by
+# its str, the text its float's repr and JSON give, not as `np.float64(0.1)`.
 _CSV_FORMATS = {
     type(None): lambda value: "",
     bool: {False: "false", True: "true"}.__getitem__,
@@ -553,14 +558,9 @@ _CSV_FORMATS = {
 }
 
 
-def _csv_format(kind: type):
-    """The format of `kind`'s nearest type in `_CSV_FORMATS`, else str."""
-    return next((_CSV_FORMATS[base] for base in kind.__mro__ if base in _CSV_FORMATS), str)
-
-
 def _csv_column(values: list):
     """A column's cells, by a format picked once per type in the column."""
-    formats = {kind: _csv_format(kind) for kind in set(map(type, values))}
+    formats = {kind: _CSV_FORMATS.get(kind, str) for kind in set(map(type, values))}
     if len(formats) == 1:
         (format_,) = formats.values()
         return map(format_, values)

@@ -126,10 +126,10 @@ MUTANTS = (
     # elements add to the identity
     Mutant("random-povm-balance", "quantum.py",
            "tuple(-a - b for a, b in", "tuple(a + b for a, b in", ("test_quantum.py",)),
-    # a sweep point's config runs the whole config check, as `replace` does,
-    # so a bad late value still fails
-    Mutant("sweep-point-check", "harness.py",
-           "_check(config)\n        return config", "return config",
+    # only a string names a kind: an enum member would be kept as itself,
+    # which neither JSON nor CSV prints as the config's text
+    Mutant("kind-is-string", "harness.py",
+           "if not isinstance(value, str):", "if False:",
            ("test_harness.py",)),
     # a 2x2 operator's eigenvalues are (a + d)/2 -+ hypot((a - d)/2, |b|):
     # the smaller decides positivity, where the larger would pass a negative

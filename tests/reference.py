@@ -239,13 +239,14 @@ def csv_row(report) -> dict:
 
 
 def csv_cell(value) -> str:
-    """One CSV cell: None empty, bools lower case, floats by repr, else str."""
+    """One CSV cell: None empty, bools lower case, any float (numpy's too)
+    by the float's own repr, JSON's rule, else str."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)
     return str(value)
 
 

@@ -17,7 +17,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from qkdsim import harness, session
-from qkdsim.adversary import ChannelModel, EveStrategy
+from qkdsim.adversary import ChannelModel, EveKind, EveStrategy
 from qkdsim.cli import _sweep_values, main
 from qkdsim.detection import expected_rates
 from qkdsim.harness import (
@@ -36,11 +36,12 @@ from qkdsim.protocol import ProtocolKind
 from qkdsim.quantum import state_labels
 from qkdsim.rng import derive_seed
 from qkdsim.session import BLOCK, STAGE_SWEEP
-from qkdsim.usd import usd_efficiency
+from qkdsim.usd import UsdSchemeKind, usd_efficiency
 from reference import batch_states, csv_lines, csv_row
 
 HALF_PI = math.pi / 2
 BASE = {"protocol": "b92", "n_pulses": 2_000, "master_seed": 9}
+PACKAGE = Path(harness.__file__).resolve().parent
 
 
 def _count_calls(monkeypatch, name: str, owners=None) -> list:
@@ -141,6 +142,33 @@ class TestConfig:
     def test_non_string_kinds_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=f"unknown {field}"):
             ExperimentConfig.from_dict({**BASE, field: value})
+
+    @pytest.mark.parametrize(
+        "field,member",
+        [
+            ("protocol", ProtocolKind.B92),
+            ("eve_strategy", EveKind.USD_SUPPRESS),
+            ("usd_scheme", UsdSchemeKind.OPTIMAL_IDP),
+        ],
+    )
+    def test_enum_member_kinds_rejected(self, field, member):
+        """A kind is its string, never the enum member it parses to: a
+        config that kept a member could print it neither as JSON nor as
+        the CSV text `b92`. Built or replaced, the message is the one an
+        unknown string gets."""
+        message = f"unknown {field} {member!r}"
+        with pytest.raises(ConfigurationError) as error:
+            ExperimentConfig(**{**BASE, field: member})
+        assert str(error.value) == message
+        with pytest.raises(ConfigurationError) as error:
+            replace(ExperimentConfig.from_dict(BASE), **{field: member})
+        assert str(error.value) == message
+
+    def test_no_constructor_bypass_in_src(self):
+        """Every config is made by its constructor, which runs `_check`:
+        no module of the package makes an object without its `__init__`."""
+        for path in sorted(PACKAGE.glob("*.py")):
+            assert "__new__" not in path.read_text(encoding="utf-8"), path.name
 
     def test_round_trip(self):
         config = ExperimentConfig.from_dict({**BASE, "eve_strategy": "basis_mismatch", "delta": 0.2})
@@ -726,10 +754,10 @@ def test_point_sweeps_cover_every_sweep_parameter():
 
 @pytest.mark.parametrize("parameter", list(_POINT_SWEEPS))
 def test_each_sweep_point_config_equals_replace(parameter):
-    """Each point's config, built by the cheap copy `_with`, equals
-    `replace` of the base at the point's value and seed: in equality,
-    hash, `to_dict` (types too), the parsed protocol kind, session and
-    channel expectations, and every attribute either keeps."""
+    """Each point's config, built by the constructor from the base's
+    fields, equals `replace` of the base at the point's value and seed:
+    in equality, hash, `to_dict` (types too), the parsed protocol kind,
+    session and channel expectations, and every attribute either keeps."""
     extra, values = _POINT_SWEEPS[parameter]
     base = ExperimentConfig.from_dict({**BASE, "n_pulses": 60, **extra})
     points = [report.config for report in sweep(base, parameter, values)]
@@ -921,6 +949,31 @@ class TestCsv:
         scalars = (type(None), bool, int, float, str)
         assert all(isinstance(v, scalars) for row in rows for v in row.values())
 
+    def test_numpy_float_field_prints_as_in_json(self):
+        """A numpy float given as a float field prints in its CSV cell the
+        text JSON prints for it, not `np.float64(0.1)`."""
+        config = ExperimentConfig(**{**BASE, "absorption": np.float64(0.1)})
+        report = run_experiment(config)
+        header, line = report_csv_rows([report])
+        cell = dict(zip(header.split(","), line.split(",")))["absorption"]
+        assert cell == json.dumps(report.to_dict()["config"]["absorption"]) == "0.1"
+        assert report_csv_rows([report]) == csv_lines([report])
+
+    def test_numpy_sweep_values_print_as_in_json(self):
+        """A sweep over `np.linspace` values prints each point's value in
+        CSV as JSON prints it, and as the one-cell-at-a-time oracle does."""
+        base = ExperimentConfig.from_dict(
+            {**BASE, "n_pulses": 50, "eve_strategy": "basis_mismatch"}
+        )
+        values = list(np.linspace(0.0, 1.5, 7))
+        reports = sweep(base, "delta", values)
+        header, *lines = report_csv_rows(reports)
+        column = header.split(",").index("delta")
+        cells = [line.split(",")[column] for line in lines]
+        assert cells == [json.dumps(r.to_dict()["config"]["delta"]) for r in reports]
+        assert cells == [repr(float(v)) for v in values]
+        assert report_csv_rows(reports) == csv_lines(reports)
+
     def test_booleans_and_nones_rendered(self):
         report = run_experiment(
             ExperimentConfig.from_dict({**BASE, "eve_strategy": "usd_suppress"})
@@ -981,6 +1034,14 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("protocol,")
         assert len(lines) == 2
+
+    def test_run_stdout_is_the_reports_json(self, tmp_path, capsys):
+        """`qkdsim run` prints `to_json()` and a newline: one JSON layout
+        (`json_text`) for the library's text and the CLI's."""
+        payload = {**BASE, "eve_strategy": "usd_suppress", "absorption": 0.1}
+        assert main(["run", "--config", self._write_config(tmp_path, payload)]) == 0
+        report = run_experiment(ExperimentConfig.from_dict(payload))
+        assert capsys.readouterr().out == report.to_json() + "\n"
 
     def test_run_byte_identical(self, tmp_path, capsys):
         path = self._write_config(tmp_path, {**BASE, "eve_strategy": "usd_suppress"})
